@@ -5,9 +5,10 @@ estimating-equation solution: each respondent's value is expanded into a
 pseudo-value eta that absorbs both its own residual and the influence its
 residual exerts on every imputed unit. The Horvitz-Thompson mean of eta
 then reproduces the imputed point estimate exactly, which is the identity
-that makes the plug-in variance formula legitimate. V1 applies the usual
-joint-inclusion variance machinery to eta; V2 adds the (typically small)
-noise contribution from imputing rather than observing.
+that makes the plug-in variance formula legitimate. V1 is the design
+variance of eta's HT mean, (1 - f) s^2 / n under SRSWOR; V2 adds
+the (typically small) noise contribution from imputing rather than
+observing.
 """
 
 import numpy as np

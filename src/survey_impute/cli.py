@@ -29,7 +29,7 @@ from .design import SRSWOR, STRATIFIED, DesignDescriptor, SampleDraw, Stratum, f
 from .errors import ConfigError, SurveyImputeError
 from .estimators import ModelSpec, nested_candidates
 from .population import ResponseMask
-from .study import run_study, reps_to_csv, summary_to_csv
+from .study import SUMMARY_COLUMNS, reps_to_csv, run_study, summary_rows, summary_to_csv
 from .variance import estimate_with_inference
 
 EXIT_OK = 0
@@ -57,26 +57,16 @@ def _env_seed():
 
 
 def _print_summary_table(cfg, summary, out):
-    cols = ("scope", "name", "RB", "RE", "loss", "freqW", "freqTrue",
-            "freqOverfit", "CP", "varRB", "failures")
     print(
         f"study {cfg.name}: B={summary.replications} design={cfg.design_kind} "
         f"N={cfg.N} n={cfg.n} seed={cfg.master_seed}",
         file=out,
     )
-    rows = []
-    for m in summary.model_rows:
-        rows.append(["model", m.label, m.rb, m.re, m.loss, None, None, None,
-                     None, None, m.failures])
-    for c in summary.criterion_rows:
-        rows.append(["criterion", c.name, c.rb, c.re, c.loss, c.freq_wrong,
-                     c.freq_true, c.freq_overfit, c.cp, c.var_rb, c.failures])
-    text = [[("" if v is None else f"{v:.10g}" if isinstance(v, float) else str(v))
-             for v in row] for row in rows]
-    widths = [max(len(c), *(len(r[i]) for r in text)) for i, c in enumerate(cols)]
-    print("  ".join(c.ljust(widths[i]) for i, c in enumerate(cols)), file=out)
+    text = summary_rows(summary)
+    widths = [max(len(c), *(len(r[i]) for r in text)) for i, c in enumerate(SUMMARY_COLUMNS)]
+    print("  ".join(c.ljust(w) for c, w in zip(SUMMARY_COLUMNS, widths)), file=out)
     for r in text:
-        print("  ".join(r[i].ljust(widths[i]) for i in range(len(cols))), file=out)
+        print("  ".join(v.ljust(w) for v, w in zip(r, widths)), file=out)
 
 
 def cmd_simulate(args):
@@ -132,10 +122,11 @@ def read_estimate_csv(path):
                 "header",
                 f"expected columns unit_id, x1..xp, y, pi; got {', '.join(header)}",
             )
-        ids, X, y, pi, resp = [], [], [], [], []
+        ids, X, y, pi, resp, linenos = [], [], [], [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            linenos.append(lineno)
             if len(row) != p + 3:
                 raise ConfigError(f"line {lineno}", f"expected {p + 3} fields, got {len(row)}")
             try:
@@ -151,12 +142,18 @@ def read_estimate_csv(path):
         raise ConfigError(str(path), "data file has no rows")
     if len(set(ids)) != len(ids):
         raise ConfigError("unit_id", "duplicate unit ids")
-    order = np.argsort(np.asarray(ids, dtype=np.int64), kind="stable")
-    ids = np.asarray(ids, dtype=np.int64)[order]
-    X = np.asarray(X, dtype=np.float64)[order]
-    y = np.asarray(y, dtype=np.float64)[order]
-    pi = np.asarray(pi, dtype=np.float64)[order]
-    resp = np.asarray(resp, dtype=bool)[order]
+    ids = np.asarray(ids, dtype=np.int64)
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    pi = np.asarray(pi, dtype=np.float64)
+    resp = np.asarray(resp, dtype=bool)
+    # float() accepts nan and inf; a missing y is the only NaN allowed
+    finite = np.column_stack([np.isfinite(X), np.isfinite(y) | ~resp, np.isfinite(pi)])
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ConfigError(f"line {linenos[row]}", f"{header[1 + col]} is not a finite number")
+    order = np.argsort(ids, kind="stable")
+    ids, X, y, pi, resp = ids[order], X[order], y[order], pi[order], resp[order]
     if np.any(pi <= 0.0) or np.any(pi > 1.0):
         raise ConfigError("pi", "inclusion probabilities must lie in (0, 1]")
     if not resp.any():
@@ -167,9 +164,9 @@ def read_estimate_csv(path):
 def build_estimate_design(cfg, ids, pi):
     """Rebuild a full design descriptor from the estimate config.
 
-    Original unit ids are opaque labels here: joint inclusion depends
-    only on (N, n) per stratum, so sampled units are mapped onto a
-    synthetic 0..N-1 universe in sorted-id order.
+    Original unit ids are opaque labels here: the inclusion probabilities
+    and V1 depend only on (N, n) per stratum, so sampled units are mapped
+    onto a synthetic 0..N-1 universe in sorted-id order.
     """
     n = ids.size
     if cfg.design_kind == "srswor":

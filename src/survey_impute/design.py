@@ -28,8 +28,12 @@ class Stratum:
         object.__setattr__(self, "units", units)
         if units.ndim != 1 or units.size == 0:
             raise InvalidDesignError("stratum must hold a 1-d nonempty unit array")
-        if np.unique(units).size != units.size:
+        sorted_units = np.unique(units)
+        if sorted_units.size != units.size:
             raise InvalidDesignError("stratum units must be distinct")
+        sorted_units.setflags(write=False)
+        # not a field: a lookup aid for stratum_labels, kept out of eq/repr
+        object.__setattr__(self, "_sorted_units", sorted_units)
         if not 1 <= self.n_h <= units.size:
             raise InvalidDesignError(
                 f"stratum allocation n_h={self.n_h} outside [1, {units.size}]"
@@ -116,26 +120,35 @@ def first_order(design, unit_ids):
     if design.kind == SRSWOR:
         frac = design.sample_size / design.population_size
         return np.full(unit_ids.shape, frac, dtype=np.float64)
-    labels = stratum_labels(design, unit_ids)
-    out = np.empty(unit_ids.shape, dtype=np.float64)
-    for h, s in enumerate(design.strata):
-        out[labels == h] = s.n_h / s.units.size
-    return out
+    rates = np.array([s.n_h / s.units.size for s in design.strata])
+    return rates[stratum_labels(design, unit_ids)]
 
 
 def stratum_labels(design, unit_ids):
-    """Stratum index of each unit (stratified designs only)."""
+    """Stratum index of each unit (stratified designs only).
+
+    Binary search in each stratum's sorted units: O(H m log N_h) for m
+    units, with no N-length lookup table.
+    """
     if design.kind != STRATIFIED:
         raise InvalidDesignError("stratum_labels needs a stratified design")
     unit_ids = np.asarray(unit_ids, dtype=np.int64)
-    lookup = np.empty(design.population_size, dtype=np.int64)
+    labels = np.full(unit_ids.shape, -1, dtype=np.int64)
     for h, s in enumerate(design.strata):
-        lookup[s.units] = h
-    return lookup[unit_ids]
+        units = s._sorted_units
+        pos = np.minimum(np.searchsorted(units, unit_ids), units.size - 1)
+        labels[units[pos] == unit_ids] = h
+    if np.any(labels < 0):
+        raise InvalidDesignError("unit ids outside the design's strata")
+    return labels
 
 
 def joint_inclusion(design, k, l):
-    """pi_kl for one pair of distinct units."""
+    """pi_kl for one pair of distinct units.
+
+    Test oracle: production variance code uses the stratum-wise closed
+    form in `variance.v1_hat` and never evaluates pairs.
+    """
     if k == l:
         raise ValueError("joint_inclusion is defined for distinct units; use first_order")
     pair = np.asarray([k, l], dtype=np.int64)
@@ -155,7 +168,10 @@ def joint_inclusion(design, k, l):
 
 
 def delta(design, k, l):
-    """Delta_kl = pi_kl - pi_k pi_l, with Delta_kk = pi_k (1 - pi_k)."""
+    """Delta_kl = pi_kl - pi_k pi_l, with Delta_kk = pi_k (1 - pi_k).
+
+    Test oracle for the double-sum variance; not on any production path.
+    """
     if k == l:
         pi = float(first_order(design, np.asarray([k]))[0])
         return pi * (1.0 - pi)
@@ -165,7 +181,12 @@ def delta(design, k, l):
 
 def joint_matrix(design, unit_ids):
     """Matrix of pi_kl over the given units, with pi_kk = pi_k on the
-    diagonal. Vectorized; the double-sum variance estimator uses this."""
+    diagonal.
+
+    Test oracle only: it costs O(m^2) time and memory for m units. The
+    Horvitz-Thompson double sum built from it must equal the O(n)
+    stratum-wise form that `variance.v1_hat` evaluates.
+    """
     unit_ids = np.asarray(unit_ids, dtype=np.int64)
     pi = first_order(design, unit_ids)
     if design.kind == SRSWOR:

@@ -86,6 +86,8 @@ def score_candidates(criterion, candidates, X_r, y_r, rng=None):
     n_r = y_r.size
     if kind == "cv" and rng is None:
         raise ValueError("cv scoring needs an rng for the fold split")
+    if kind == "cv" and n_r < k:
+        raise SelectionFailureError(f"{criterion} needs at least {k} respondents, got {n_r}")
     # n_r = 0 leaves every fit singular; keep the guard quiet about it
     tss = float(np.sum((y_r - y_r.mean()) ** 2)) if n_r else 0.0
 

@@ -344,21 +344,26 @@ def _fmt(v):
     return str(v)
 
 
+def summary_rows(summary):
+    """The summary table as rows of strings in SUMMARY_COLUMNS order;
+    cells a model row does not define are empty."""
+    rows = [
+        ["model", m.label, m.rb, m.re, m.loss, None, None, None, None, None, m.failures]
+        for m in summary.model_rows
+    ]
+    rows += [
+        ["criterion", c.name, c.rb, c.re, c.loss, c.freq_wrong, c.freq_true,
+         c.freq_overfit, c.cp, c.var_rb, c.failures]
+        for c in summary.criterion_rows
+    ]
+    return [[_fmt(v) for v in row] for row in rows]
+
+
 def summary_to_csv(summary, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(SUMMARY_COLUMNS)
-        for m in summary.model_rows:
-            w.writerow(
-                ["model", m.label, _fmt(m.rb), _fmt(m.re), _fmt(m.loss),
-                 "", "", "", "", "", _fmt(m.failures)]
-            )
-        for c in summary.criterion_rows:
-            w.writerow(
-                ["criterion", c.name, _fmt(c.rb), _fmt(c.re), _fmt(c.loss),
-                 _fmt(c.freq_wrong), _fmt(c.freq_true), _fmt(c.freq_overfit),
-                 _fmt(c.cp), _fmt(c.var_rb), _fmt(c.failures)]
-            )
+        w.writerows(summary_rows(summary))
 
 
 def reps_to_csv(records, path, cfg):

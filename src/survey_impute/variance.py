@@ -12,9 +12,14 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import ndtri
 
-from .errors import DegenerateFitError, EstimationFailureError, SingularFitError
+from .design import SRSWOR, stratum_labels
+from .errors import (
+    DegenerateFitError,
+    EstimationFailureError,
+    InvalidDesignError,
+    SingularFitError,
+)
 from .estimators import design_matrix, imputed_mean
-from .design import joint_matrix
 from .selection import select
 
 
@@ -75,15 +80,44 @@ def _eta(sample, mask, X, y, model, beta, c):
 
 
 def v1_hat(sample, eta):
-    """Double-sum HT variance of the eta values:
-    (1/N^2) sum_kl (Delta_kl / pi_kl) (eta_k/pi_k)(eta_l/pi_l)."""
+    """Design variance of the HT mean of the eta values, stratum by
+    stratum: (1/N^2) sum_h N_h^2 (1 - f_h) s_h^2 / n_h, where
+    f_h = n_h / N_h and s_h^2 is the ddof=1 sample variance of eta in
+    stratum h. SRSWOR is one stratum with N_h = N and n_h = n. Time and
+    memory are O(n).
+
+    For SRSWOR and stratified SRSWOR this equals the Horvitz-Thompson
+    double sum (1/N^2) sum_kl (Delta_kl / pi_kl)(eta_k/pi_k)(eta_l/pi_l)
+    exactly (Sarndal, Swensson & Wretman 1992, sections 3.7-3.8). The
+    double sum over `design.joint_matrix` is kept as a test oracle. An
+    SRSWOR draw of one unit has no pairs and keeps the diagonal term
+    (1 - pi)(eta/pi)^2 / N^2.
+    """
     eta = np.asarray(eta, dtype=np.float64)
-    pi = sample.pi_first
-    J = joint_matrix(sample.design, sample.unit_ids)
-    Delta = J - np.outer(pi, pi)  # diag: pi - pi^2, correct as J_kk = pi_k
-    t = eta / pi
-    N = sample.design.population_size
-    return float(t @ ((Delta / J) @ t)) / (N * N)
+    design = sample.design
+    N = design.population_size
+    if design.kind == SRSWOR:
+        if sample.n == 1:
+            pi = float(sample.pi_first[0])
+            return (1.0 - pi) * (float(eta[0]) / pi) ** 2 / (N * N)
+        labels = np.zeros(sample.n, dtype=np.int64)
+        N_h = np.array([N])
+        n_h = np.array([sample.n])
+    else:
+        labels = stratum_labels(design, sample.unit_ids)
+        N_h = np.array([s.units.size for s in design.strata])
+        n_h = np.array([s.n_h for s in design.strata])
+        counts = np.bincount(labels, minlength=n_h.size)
+        # the identity needs the realized per-stratum counts to be n_h
+        if not np.array_equal(counts, n_h):
+            raise InvalidDesignError(
+                f"sampled units per stratum {counts.tolist()} differ from "
+                f"the allocation {n_h.tolist()}"
+            )
+    mean = np.bincount(labels, weights=eta, minlength=n_h.size) / n_h
+    dev2 = (eta - mean[labels]) ** 2
+    s2 = np.bincount(labels, weights=dev2, minlength=n_h.size) / (n_h - 1)
+    return float(np.sum(N_h * (N_h - n_h) * s2 / n_h)) / (N * N)
 
 
 def sigma2_hat(fit, model):

@@ -11,6 +11,7 @@ from survey_impute.cli import (
     EXIT_CONFIG,
     EXIT_FAILURE_RATE,
     EXIT_OK,
+    EXIT_RUNTIME,
     _round10,
     main,
     read_estimate_csv,
@@ -190,6 +191,25 @@ class TestReadEstimateCsv:
             read_estimate_csv(path)
         assert field in err.value.field
 
+    @pytest.mark.parametrize("col,value", [(1, "nan"), (3, "inf"), (4, "nan")])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, col, value):
+        # columns: unit_id, x1, x2, y, pi
+        path = tmp_path / "d.csv"
+        ids, X, y, pi = sample_data(n=4)
+        write_sample_csv(path, ids, X, y, pi)
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
+        rows[2][col] = value
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps({"criterion": "bic", "design": {"kind": "srswor", "N": 50}}))
+        code = main(["estimate", "--data", str(path), "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "line 3" in err and rows[0][col] in err
+        assert "Traceback" not in err
+
     def test_all_missing_rejected(self, tmp_path):
         from survey_impute.errors import ConfigError
         path = tmp_path / "d.csv"
@@ -272,6 +292,15 @@ class TestEstimate:
             assert main(["estimate", "--data", str(data), "--config", str(cfg)]) == EXIT_OK
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+    def test_cv_with_too_few_respondents_fails_cleanly(self, tmp_path, capsys):
+        ids, X, y, pi = sample_data(n=5)
+        data = tmp_path / "d.csv"
+        write_sample_csv(data, ids, X, y, pi, missing={0, 1})
+        cfg = self.est_config(tmp_path, criterion="cv5")
+        code = main(["estimate", "--data", str(data), "--config", str(cfg)])
+        assert code == EXIT_RUNTIME
+        assert "cv5 needs at least 5 respondents" in capsys.readouterr().err
 
     def test_pi_inconsistent_with_design_exits_2(self, tmp_path, capsys):
         ids, X, y, pi = sample_data()

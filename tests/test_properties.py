@@ -9,10 +9,15 @@ from hypothesis import strategies as st
 
 from survey_impute.design import (
     SRSWOR,
+    STRATIFIED,
     DesignDescriptor,
+    SampleDraw,
+    Stratum,
     _largest_remainder,
     delta,
     draw_srswor,
+    first_order,
+    joint_matrix,
     neyman_allocation,
     stratum_sizes,
 )
@@ -20,7 +25,7 @@ from survey_impute.estimators import ModelSpec, fit_ols, ht_mean, imputed_mean, 
 from survey_impute.loss import loss_closed_form
 from survey_impute.population import ResponseMask
 from survey_impute.selection import select
-from survey_impute.variance import c_hat, confidence_interval, eta_hat, v2_hat
+from survey_impute.variance import c_hat, confidence_interval, eta_hat, v1_hat, v2_hat
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -110,6 +115,52 @@ def test_eta_ht_mean_reproduces_the_estimator(seed):
     mu, fit = imputed_mean(s, mask, X, y, m)
     eta = eta_hat(s, mask, X, y, m, fit, c_hat(s, mask, X, m))
     assert ht_mean(s, eta) == pytest.approx(mu, rel=1e-10)
+
+
+def random_draw(seed, stratified):
+    """A random SRSWOR draw (n from 1 to N), or a stratified one whose
+    first stratum has n_h = 2 and, with two or more strata, whose last
+    stratum is a census (f_h = 1). Stratum units are shuffled ids."""
+    rng = np.random.default_rng(seed)
+    if not stratified:
+        N = int(rng.integers(2, 40))
+        return draw_srswor(N, int(rng.integers(1, N + 1)), rng), rng
+    sizes = rng.integers(2, 15, size=int(rng.integers(1, 5)))
+    alloc = [int(rng.integers(2, N_h + 1)) for N_h in sizes]
+    alloc[0] = 2
+    if sizes.size > 1:
+        alloc[-1] = int(sizes[-1])
+    blocks = np.split(rng.permutation(int(sizes.sum())), np.cumsum(sizes)[:-1])
+    strata = tuple(Stratum(b, n_h) for b, n_h in zip(blocks, alloc))
+    design = DesignDescriptor(STRATIFIED, int(sizes.sum()), sum(alloc), strata)
+    ids = np.sort(np.concatenate([rng.choice(s.units, s.n_h, replace=False) for s in strata]))
+    return SampleDraw(ids, first_order(design, ids), design), rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.booleans())
+def test_v1_closed_form_equals_joint_matrix_double_sum(seed, stratified):
+    s, rng = random_draw(seed, stratified)
+    eta = rng.normal(size=s.n) * rng.uniform(1.0, 20.0) + rng.uniform(-10.0, 10.0)
+    pi = s.pi_first
+    J = joint_matrix(s.design, s.unit_ids)
+    t = eta / pi
+    terms = (J - np.outer(pi, pi)) / J * np.outer(t, t)
+    N2 = s.design.population_size ** 2
+    oracle = float(terms.sum()) / N2
+    # the oracle's rounding error scales with its summands, not its value:
+    # sampling fractions near 1 cancel most of the sum (n = N - 1 loses
+    # ~1e-12 of the value), and census strata can cancel all of it
+    scale = float(np.abs(terms).sum()) / N2
+    assert v1_hat(s, eta) == pytest.approx(oracle, rel=1e-12, abs=1e-12 * scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.booleans(), st.booleans())
+def test_v1_is_nonnegative(seed, stratified, constant):
+    s, rng = random_draw(seed, stratified)
+    eta = np.full(s.n, rng.normal()) if constant else rng.normal(size=s.n)
+    assert v1_hat(s, eta) >= 0.0
 
 
 @settings(max_examples=40, deadline=None)

@@ -98,6 +98,14 @@ class TestScoreCandidates:
         with pytest.raises(ValueError):
             score_candidates("cv5", nested_candidates(2), X, y)
 
+    def test_cv_with_fewer_respondents_than_folds_fails(self):
+        rng = np.random.default_rng(8)
+        X, y = rng.normal(size=(3, 2)), rng.normal(size=3)
+        with pytest.raises(SelectionFailureError):
+            score_candidates("cv5", nested_candidates(2), X, y, rng)
+        # n_r = K is still feasible: one held-out unit per fold
+        assert len(score_candidates("cv3", nested_candidates(1), X, y, rng)) == 1
+
     def test_unscorable_candidate_gets_inf(self):
         X = np.ones((6, 2))  # second column collinear with the intercept
         y = np.arange(6.0)

@@ -180,6 +180,21 @@ class TestFailureAccounting:
         }
         assert names
 
+    def test_infeasible_cv_counts_as_failure(self):
+        # ~38% response on 10 sampled units: most replications have fewer
+        # than 5 respondents, so cv5 cannot form its folds
+        cfg = tiny_config(
+            replications=20,
+            master_seed=11,
+            criteria=["cv5"],
+            population={"response_offset": -0.5},
+            design={"n": 10},
+        )
+        summary, records = run_study(cfg, keep_records=True)
+        assert summary.criterion_rows[0].failures > 0.0
+        names = {c.failure for r in records for c in r.criteria if not c.ok}
+        assert "SelectionFailureError" in names
+
     def test_model_rows_track_their_own_failures(self):
         cfg = tiny_config(
             replications=30,

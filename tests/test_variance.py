@@ -1,6 +1,7 @@
 """Linearized variance estimator, its pieces, and the interval."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from survey_impute.design import (
     first_order,
     joint_inclusion,
 )
-from survey_impute.errors import DegenerateFitError, EstimationFailureError
+from survey_impute.errors import DegenerateFitError, EstimationFailureError, InvalidDesignError
 from survey_impute.estimators import FitResult, ModelSpec, fit_ols, ht_mean, imputed_mean
 from survey_impute.population import ResponseMask, generate_population, generate_response
 from survey_impute.variance import (
@@ -159,8 +160,11 @@ class TestV1:
             s, _, _, y = stratified_instance(seed)
         eta = y  # any per-unit values will do
         assert v1_hat(s, eta) == pytest.approx(v1_loop(s, eta), rel=1e-12, abs=1e-15)
+        # constant eta has no design variance: the closed form gives exactly
+        # 0, the literal double sum gives 0 up to its own cancellation error
         const = np.full(s.n, 2.5)
-        assert v1_hat(s, const) == pytest.approx(v1_loop(s, const), rel=1e-12, abs=1e-15)
+        assert v1_hat(s, const) == 0.0
+        assert v1_loop(s, const) == pytest.approx(0.0, abs=1e-13)
 
     def test_exhaustive_unbiasedness(self):
         # E[v1_hat] over every possible draw equals the true design
@@ -179,6 +183,40 @@ class TestV1:
             v1s.append(v1_hat(s, eta_pop[ids]))
         true_var = float(np.mean([(m - mu) ** 2 for m in means]))
         assert float(np.mean(v1s)) == pytest.approx(true_var, rel=1e-12)
+
+    def test_stratum_counts_must_match_allocation(self):
+        strata = (Stratum(np.arange(10), 3), Stratum(np.arange(10, 20), 3))
+        design = DesignDescriptor(STRATIFIED, 20, 6, strata)
+        ids = np.array([0, 1, 2, 3, 10, 11])  # 4 + 2 drawn, allocation 3 + 3
+        s = SampleDraw(ids, first_order(design, ids), design)
+        with pytest.raises(InvalidDesignError):
+            v1_hat(s, np.arange(6.0))
+
+    def test_memory_is_linear_at_large_n(self):
+        # n = 200k: an n x n intermediate would need 320 GB, the stratum-wise
+        # form a few n-length arrays
+        rng = np.random.default_rng(25)
+        sizes, alloc = (150_000, 100_000, 100_000, 50_000), (80_000, 60_000, 40_000, 20_000)
+        perm = rng.permutation(sum(sizes))
+        blocks = np.split(perm, np.cumsum(sizes)[:-1])
+        strata = tuple(Stratum(b, n_h) for b, n_h in zip(blocks, alloc))
+        design = DesignDescriptor(STRATIFIED, sum(sizes), sum(alloc), strata)
+        ids = np.sort(np.concatenate([rng.choice(s.units, s.n_h, replace=False) for s in strata]))
+        s = SampleDraw(ids, first_order(design, ids), design)
+        eta = rng.normal(size=s.n) * 5.0 + 100.0
+        tracemalloc.start()
+        try:
+            got = v1_hat(s, eta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+        N = design.population_size
+        ref = sum(
+            N_h * (N_h - n_h) * np.var(eta[np.isin(ids, b)], ddof=1) / n_h
+            for N_h, n_h, b in zip(sizes, alloc, blocks)
+        ) / N**2
+        assert got == pytest.approx(ref, rel=1e-10)
 
 
 class TestSigma2:
