@@ -55,7 +55,7 @@ def main():
           f" mu_hat = {mu_hat:.6f}")
 
     # --- step 1: the correction vector --------------------------------------
-    c = c_hat(sample, mask, X_s, model)
+    c = c_hat(sample, mask, X_s, model, fit)
     print(f"\nc_hat = {np.array2string(c, precision=4)}")
     print("c weights each respondent residual by how much leverage it has"
           " over the imputed units")
@@ -89,7 +89,7 @@ def main():
         Xs, ys = pop.X[s.unit_ids], pop.y[s.unit_ids]
         f = fit_ols(Xs[m.respondents], ys[m.respondents], model)
         mu_r, _ = imputed_mean(s, m, Xs, ys, model, f)
-        e = eta_hat(s, m, Xs, ys, model, f, c_hat(s, m, Xs, model))
+        e = eta_hat(s, m, Xs, ys, model, f, c_hat(s, m, Xs, model, f))
         worst = max(worst, abs(ht_mean(s, e) - mu_r) / abs(mu_r))
     print(f"\nidentity over 50 fresh draws: worst relative gap = {worst:.2e}")
 

@@ -6,8 +6,8 @@ survey-impute estimate --data sample.csv --config est.json
                        [--out-dir D] [--dry-run]
 
 SURVEY_IMPUTE_SEED overrides the config's master_seed. Exit codes:
-0 success, 2 malformed config or data, 3 failure rate above the
-configured threshold, 1 anything else.
+0 success, 2 malformed config or data, or data that no candidate model
+can fit, 3 failure rate above the configured threshold, 1 anything else.
 """
 
 import argparse
@@ -26,7 +26,8 @@ from .config import (
     resolved_study_config,
 )
 from .design import SRSWOR, STRATIFIED, DesignDescriptor, SampleDraw, Stratum, first_order
-from .errors import ConfigError, SurveyImputeError
+from .errors import (ConfigError, DegenerateFitError, SelectionFailureError, SingularFitError,
+                     SurveyImputeError)
 from .estimators import ModelSpec, nested_candidates
 from .population import ResponseMask
 from .study import SUMMARY_COLUMNS, reps_to_csv, run_study, summary_rows, summary_to_csv
@@ -289,6 +290,10 @@ def main(argv=None):
         return args.func(args)
     except ConfigError as exc:
         print(f"config error at {exc.field}: {exc.message}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (SelectionFailureError, SingularFitError, DegenerateFitError) as exc:
+        # a study counts these per replication, so only estimate gets here
+        print(f"error: the data admit no usable fit: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SurveyImputeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,9 +48,14 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class FitResult:
+    """An OLS fit on the respondents. R is the upper triangular factor of
+    the respondent design Z = QR, so R'R = Z'Z; consumers solve against
+    it instead of factoring the design again."""
+
     beta_hat: np.ndarray
     rss: float
     n_r_used: int
+    R: np.ndarray
 
 
 def classify_model(model, true_support, beta0_nonzero=False):
@@ -79,14 +84,10 @@ def design_matrix(X, model):
     return np.hstack(cols)
 
 
-def fit_ols(X_r, y_r, model):
-    """Unweighted least squares via orthogonal decomposition.
-
-    Raises SingularFitError when there are fewer rows than coefficients
-    or the triangular factor's diagonal falls below RCOND_MIN relatively.
-    """
-    Z = design_matrix(X_r, model)
-    y_r = np.asarray(y_r, dtype=np.float64)
+def qr_checked(Z, model):
+    """Reduced QR (Q, R) of a respondent design Z under the package's one
+    rank rule: raises SingularFitError when Z has fewer rows than columns
+    or the smallest |diag(R)| is at most RCOND_MIN times the largest."""
     n, q = Z.shape
     if n < q:
         raise SingularFitError(f"{n} respondents cannot identify {q} coefficients", model)
@@ -94,9 +95,18 @@ def fit_ols(X_r, y_r, model):
     d = np.abs(np.diag(R))
     if d.min() <= RCOND_MIN * d.max():
         raise SingularFitError("rank deficient design matrix", model)
+    return Q, R
+
+
+def fit_ols(X_r, y_r, model):
+    """Unweighted least squares via orthogonal decomposition; raises
+    SingularFitError as qr_checked does."""
+    Z = design_matrix(X_r, model)
+    y_r = np.asarray(y_r, dtype=np.float64)
+    Q, R = qr_checked(Z, model)
     beta = solve_triangular(R, Q.T @ y_r)
     resid = y_r - Z @ beta
-    return FitResult(beta, float(resid @ resid), n)
+    return FitResult(beta, float(resid @ resid), Z.shape[0], R)
 
 
 def ht_mean(sample, y):

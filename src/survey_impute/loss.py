@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import SingularFitError
-from .estimators import RCOND_MIN, design_matrix
+from .estimators import design_matrix, qr_checked
 
 
 @dataclass(frozen=True)
@@ -29,14 +28,6 @@ class LossValue:
     @property
     def total(self):
         return self.l1 + self.l2
-
-
-def _qr_checked(Z, model):
-    Q, R = np.linalg.qr(Z)
-    d = np.abs(np.diag(R))
-    if Z.shape[0] < Z.shape[1] or d.min() <= RCOND_MIN * d.max():
-        raise SingularFitError("rank deficient design matrix", model)
-    return Q, R
 
 
 def loss_closed_form(sample, mask, X, model, beta_true, sigma):
@@ -52,7 +43,7 @@ def loss_closed_form(sample, mask, X, model, beta_true, sigma):
         return LossValue(0.0, 0.0)
 
     Z_r = design_matrix(X[resp], model)
-    Q, R = _qr_checked(Z_r, model)
+    Q, R = qr_checked(Z_r, model)
 
     pi_m = sample.pi_first[miss]
     w = design_matrix(X[miss], model).T @ (1.0 / pi_m)
@@ -82,7 +73,7 @@ def mc_loss_oracle(sample, mask, X, model, beta_true, sigma, draws, rng,
         return 0.0, 0.0
 
     Z_r = design_matrix(X[resp], model)
-    Q, R = _qr_checked(Z_r, model)
+    Q, R = qr_checked(Z_r, model)
     pi_m = sample.pi_first[miss]
     inv_pi_m = 1.0 / pi_m
     w = design_matrix(X[miss], model).T @ inv_pi_m

@@ -69,7 +69,8 @@ def score_kfold_cv(X_r, y_r, model, folds):
     y_r = np.asarray(y_r, dtype=np.float64)
     mses = []
     for test in folds:
-        train = np.setdiff1d(np.arange(y_r.size), test, assume_unique=False)
+        train = np.ones(y_r.size, dtype=bool)
+        train[test] = False
         fit = fit_ols(X_r[train], y_r[train], model)
         resid = y_r[test] - design_matrix(X_r[test], model) @ fit.beta_hat
         mses.append(float(resid @ resid) / test.size)

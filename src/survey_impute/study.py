@@ -23,7 +23,6 @@ from .errors import (
     SingularFitError,
 )
 from .estimators import ModelSpec, classify_model, ht_mean, imputed_mean, nested_candidates
-from .loss import loss_closed_form
 from .population import generate_population, generate_response
 from .variance import estimate_with_inference
 
@@ -36,8 +35,6 @@ class ModelResult:
     model_class: str          # "true" | "overfit" | "wrong"
     ok: bool
     mu_hat: float = None
-    l1: float = None
-    l2: float = None
 
 
 @dataclass(frozen=True)
@@ -112,8 +109,7 @@ def run_replication(cfg, rep_id, master_seed=None):
         klass = classify_model(m, pop.true_support, beta0_nonzero).value
         try:
             mu_hat, _ = imputed_mean(sample, mask, X_s, y_s, m)
-            lv = loss_closed_form(sample, mask, X_s, m, pop.beta_true, pop.sigma)
-            models.append(ModelResult(label, klass, True, mu_hat, lv.l1, lv.l2))
+            models.append(ModelResult(label, klass, True, mu_hat))
         except _FAILURES:
             models.append(ModelResult(label, klass, False))
 

@@ -9,16 +9,11 @@ mean and v2 adds the model component from predicting the missing y.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
 from .design import SRSWOR, stratum_labels
-from .errors import (
-    DegenerateFitError,
-    EstimationFailureError,
-    InvalidDesignError,
-    SingularFitError,
-)
+from .errors import DegenerateFitError, EstimationFailureError, InvalidDesignError
 from .estimators import design_matrix, imputed_mean
 from .selection import select
 
@@ -43,35 +38,30 @@ class ConfidenceInterval:
     point: float
 
 
-def c_hat(sample, mask, X, model):
+def c_hat(sample, mask, X, model, fit):
     """Solve (sum_r z z') c = sum_m z / pi for the weighting vector that
-    carries the missing units' leverage back onto the respondents."""
+    carries the missing units' leverage back onto the respondents.
+
+    fit is the model's respondent fit from fit_ols: sum_r z z' = R'R for
+    its triangular factor R, so c takes two triangular solves and no new
+    factorization or rank check."""
     X = np.asarray(X, dtype=np.float64)
-    resp, miss = mask.respondents, mask.nonrespondents
-    Z_r = design_matrix(X[resp], model)
-    q = Z_r.shape[1]
+    miss = mask.nonrespondents
     if miss.size == 0:
-        return np.zeros(q)
+        return np.zeros(model.p_alpha)
     w = design_matrix(X[miss], model).T @ (1.0 / sample.pi_first[miss])
-    A = Z_r.T @ Z_r
-    try:
-        return cho_solve(cho_factor(A), w)
-    except np.linalg.LinAlgError as exc:
-        raise SingularFitError(str(exc), model) from exc
+    return solve_triangular(fit.R, solve_triangular(fit.R, w, trans="T"))
 
 
 def eta_hat(sample, mask, X, y, model, fit, c):
     """Per-sampled-unit linearized values
-    z'b + r_k (1 + pi_k c'z_k)(y_k - z'b); nonrespondents keep the bare
-    prediction. Their HT mean reproduces the imputation estimator."""
-    return _eta(sample, mask, X, y, model, fit.beta_hat, c)
-
-
-def _eta(sample, mask, X, y, model, beta, c):
+    z'b + r_k (1 + pi_k c'z_k)(y_k - z'b), with b = fit.beta_hat and c
+    from c_hat; nonrespondents keep the bare prediction z'b. Their HT
+    mean reproduces the imputation estimator."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     Z = design_matrix(X, model)
-    pred = Z @ beta
+    pred = Z @ fit.beta_hat
     eta = pred.copy()
     resp = mask.respondents
     adj = 1.0 + sample.pi_first[resp] * (Z[resp] @ c)
@@ -165,7 +155,7 @@ class EstimateBundle:
 
 
 def variance_for_model(sample, mask, X, y, model, fit):
-    c = c_hat(sample, mask, X, model)
+    c = c_hat(sample, mask, X, model, fit)
     eta = eta_hat(sample, mask, X, y, model, fit, c)
     v1 = v1_hat(sample, eta)
     s2 = sigma2_hat(fit, model)

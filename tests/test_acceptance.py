@@ -321,7 +321,7 @@ def test_criterion_11_linearization_identity(acceptance):
             mask = ResponseMask(r)
             m = ModelSpec((1, 2)) if seed % 2 else ModelSpec((1,))
             mu, fit = imputed_mean(s, mask, X, y, m)
-            eta = eta_hat(s, mask, X, y, m, fit, c_hat(s, mask, X, m))
+            eta = eta_hat(s, mask, X, y, m, fit, c_hat(s, mask, X, m, fit))
             worst = max(worst, abs(ht_mean(s, eta) - mu) / max(abs(mu), 1.0))
             count += 1
     acceptance(

@@ -11,7 +11,6 @@ from survey_impute.cli import (
     EXIT_CONFIG,
     EXIT_FAILURE_RATE,
     EXIT_OK,
-    EXIT_RUNTIME,
     _round10,
     main,
     read_estimate_csv,
@@ -299,8 +298,35 @@ class TestEstimate:
         write_sample_csv(data, ids, X, y, pi, missing={0, 1})
         cfg = self.est_config(tmp_path, criterion="cv5")
         code = main(["estimate", "--data", str(data), "--config", str(cfg)])
-        assert code == EXIT_RUNTIME
+        assert code == EXIT_CONFIG
         assert "cv5 needs at least 5 respondents" in capsys.readouterr().err
+
+    def test_every_candidate_rank_deficient_exits_2(self, tmp_path, capsys):
+        # a constant x1 is collinear with the intercept, and every nested
+        # candidate keeps x1
+        ids, X, y, pi = sample_data()
+        X[:, 0] = 4.0
+        data = tmp_path / "d.csv"
+        write_sample_csv(data, ids, X, y, pi, missing={1})
+        cfg = self.est_config(tmp_path)
+        code = main(["estimate", "--data", str(data), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "rank deficient" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_no_residual_degrees_of_freedom_exits_2(self, tmp_path, capsys):
+        # three respondents and three coefficients: the fit interpolates
+        # and leaves nothing to estimate sigma^2 from
+        ids, X, y, pi = sample_data(n=5)
+        data = tmp_path / "d.csv"
+        write_sample_csv(data, ids, X, y, pi, missing={0, 1})
+        cfg = self.est_config(tmp_path, candidates=[[1, 2]])
+        code = main(["estimate", "--data", str(data), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "degrees of freedom" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_pi_inconsistent_with_design_exits_2(self, tmp_path, capsys):
         ids, X, y, pi = sample_data()

@@ -105,6 +105,15 @@ class TestFitOls:
             fit_ols(X, np.arange(10.0), m)
         assert err.value.model == m
 
+    def test_r_factor_reproduces_gram_matrix(self):
+        rng = np.random.default_rng(4)
+        X = rng.gamma(5.0, 2.0, size=(15, 3))
+        m = ModelSpec((1, 3))
+        fit = fit_ols(X, rng.normal(size=15), m)
+        Z = design_matrix(X, m)
+        assert np.allclose(fit.R, np.triu(fit.R))
+        assert np.allclose(fit.R.T @ fit.R, Z.T @ Z, rtol=1e-12)
+
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(20, 3))
@@ -201,7 +210,7 @@ class TestImputedMean:
         y = rng.normal(size=5)
         mask = ResponseMask(np.array([True, True, True, False, False]))
         m = ModelSpec((1,))
-        fit = FitResult(np.array([0.0, 0.0]), 0.0, 3)
+        fit = FitResult(np.array([0.0, 0.0]), 0.0, 3, np.eye(2))
         mu, _ = imputed_mean(s, mask, X, y, m, fit=fit)
         # zero coefficients: missing contribute nothing
         expect = sum(y[i] / s.pi_first[i] for i in range(3)) / 20

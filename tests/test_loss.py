@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from survey_impute.design import SRSWOR, DesignDescriptor, SampleDraw, draw_srswor, first_order
-from survey_impute.estimators import ModelSpec, nested_candidates
+from survey_impute.errors import SingularFitError
+from survey_impute.estimators import ModelSpec, fit_ols, nested_candidates
 from survey_impute.loss import LossValue, loss_closed_form, mc_loss_oracle
 from survey_impute.population import ResponseMask, generate_population, generate_response
 
@@ -24,6 +25,25 @@ def small_instance(seed=0, N=20, n=10, p=3, n_miss=4):
 
 
 class TestClosedForm:
+    # x3 = 2 x1 makes (1, 3) collinear; 2 respondents cannot identify the
+    # 4 coefficients of (1, 2, 3). Both oracles reject what fit_ols rejects
+    @pytest.mark.parametrize("n_miss,included", [(4, (1, 3)), (8, (1, 2, 3))])
+    def test_shares_the_fit_rank_rule(self, n_miss, included):
+        s, mask, X = small_instance(2, n_miss=n_miss)
+        X[:, 2] = 2.0 * X[:, 0]
+        m = ModelSpec(included)
+        with pytest.raises(SingularFitError) as err:
+            fit_ols(X[mask.respondents], np.zeros(mask.n_r), m)
+        assert err.value.model == m
+        for oracle in (
+            lambda: loss_closed_form(s, mask, X, m, np.zeros(4), 1.0),
+            lambda: mc_loss_oracle(s, mask, X, m, np.zeros(4), 1.0, 10,
+                                   np.random.default_rng(0)),
+        ):
+            with pytest.raises(SingularFitError) as err:
+                oracle()
+            assert err.value.model == m
+
     def test_no_missing_is_zero(self):
         s, _, X = small_instance(1)
         mask = ResponseMask(np.ones(10, dtype=bool))

@@ -101,9 +101,9 @@ def test_ht_mean_is_linear(seed):
 @settings(max_examples=40, deadline=None)
 @given(seeds, st.floats(min_value=0.0, max_value=50.0))
 def test_v2_is_nonnegative(seed, sigma2):
-    s, mask, X, _ = instance(seed)
+    s, mask, X, y = instance(seed)
     m = ModelSpec((1, 2))
-    c = c_hat(s, mask, X, m)
+    c = c_hat(s, mask, X, m, fit_ols(X[mask.respondents], y[mask.respondents], m))
     assert v2_hat(s, mask, X, m, sigma2, c) >= 0.0
 
 
@@ -113,7 +113,7 @@ def test_eta_ht_mean_reproduces_the_estimator(seed):
     s, mask, X, y = instance(seed)
     m = ModelSpec((1, 2))
     mu, fit = imputed_mean(s, mask, X, y, m)
-    eta = eta_hat(s, mask, X, y, m, fit, c_hat(s, mask, X, m))
+    eta = eta_hat(s, mask, X, y, m, fit, c_hat(s, mask, X, m, fit))
     assert ht_mean(s, eta) == pytest.approx(mu, rel=1e-10)
 
 

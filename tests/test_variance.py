@@ -63,30 +63,56 @@ def stratified_instance(seed, p=2):
     return s, mask, X, y
 
 
+def respondent_fit(mask, X, y, model):
+    return fit_ols(X[mask.respondents], y[mask.respondents], model)
+
+
 class TestCHat:
     def test_full_response_is_zero(self):
-        s, _, X, _ = srswor_instance(1)
+        s, _, X, y = srswor_instance(1)
         mask = ResponseMask(np.ones(s.n, dtype=bool))
-        assert np.array_equal(c_hat(s, mask, X, ModelSpec((1, 2))), np.zeros(3))
+        m = ModelSpec((1, 2))
+        assert np.array_equal(c_hat(s, mask, X, m, respondent_fit(mask, X, y, m)), np.zeros(3))
 
     def test_intercept_only_scalar(self):
-        s, mask, X, _ = srswor_instance(2)
+        s, mask, X, y = srswor_instance(2)
         m = ModelSpec((), with_intercept=True)
-        got = c_hat(s, mask, X, m)
+        got = c_hat(s, mask, X, m, respondent_fit(mask, X, y, m))
         pi = s.design.sample_size / s.design.population_size
         assert got.shape == (1,)
         assert got[0] == pytest.approx(mask.n_m / (pi * mask.n_r), rel=1e-12)
 
     def test_dense_solve_oracle(self):
         from survey_impute.estimators import design_matrix
-        s, mask, X, _ = srswor_instance(3)
+        s, mask, X, y = srswor_instance(3)
         m = ModelSpec((1, 3))
         Z_r = design_matrix(X[mask.respondents], m)
         w = design_matrix(X[mask.nonrespondents], m).T @ (
             1.0 / s.pi_first[mask.nonrespondents]
         )
         ref = np.linalg.solve(Z_r.T @ Z_r, w)
-        assert np.allclose(c_hat(s, mask, X, m), ref, atol=1e-10)
+        assert np.allclose(c_hat(s, mask, X, m, respondent_fit(mask, X, y, m)), ref, atol=1e-10)
+
+    @pytest.mark.parametrize("eps", [1e-7, 1e-8, 1e-9])
+    def test_near_collinear_design_that_fit_ols_accepts(self, eps):
+        # x2 = x1 + eps * noise passes the QR rank rule of fit_ols, but
+        # Z'Z squares its condition number past what a Cholesky factor
+        # of the normal equations survives; c_hat must take the fit as is
+        rng = np.random.default_rng(3)
+        n = 40
+        s = draw_srswor(200, n, rng)
+        x = rng.gamma(5.0, 2.0, size=n)
+        X = np.column_stack([x, x + eps * rng.normal(size=n)])
+        y = 1.0 + 2.0 * x + rng.normal(size=n)
+        mask = ResponseMask(rng.random(n) < 0.7)
+        m = ModelSpec((1, 2))
+        mu, fit = imputed_mean(s, mask, X, y, m)
+        var = variance_for_model(s, mask, X, y, m, fit)
+        assert np.isfinite(var.v_total)
+        c = c_hat(s, mask, X, m, fit)
+        assert np.all(np.isfinite(c))
+        eta = eta_hat(s, mask, X, y, m, fit, c)
+        assert ht_mean(s, eta) == pytest.approx(mu, rel=1e-6)
 
 
 class TestEta:
@@ -95,7 +121,7 @@ class TestEta:
         s, mask, X, y = srswor_instance(4)
         m = ModelSpec((1, 2, 3))
         fit = fit_ols(X[mask.respondents], y[mask.respondents], m)
-        c = c_hat(s, mask, X, m)
+        c = c_hat(s, mask, X, m, fit)
         eta = eta_hat(s, mask, X, y, m, fit, c)
         miss = mask.nonrespondents
         assert np.allclose(eta[miss], design_matrix(X[miss], m) @ fit.beta_hat, atol=1e-12)
@@ -106,7 +132,7 @@ class TestEta:
         # noiseless y: every respondent residual is exactly zero
         y = 3.0 + 2.0 * X[:, 0]
         fit = fit_ols(X[mask.respondents], y[mask.respondents], m)
-        c = c_hat(s, mask, X, m)
+        c = c_hat(s, mask, X, m, fit)
         eta = eta_hat(s, mask, X, y, m, fit, c)
         assert np.allclose(eta, 3.0 + 2.0 * X[:, 0], rtol=1e-9)
 
@@ -115,7 +141,7 @@ class TestEta:
         s, mask, X, y = srswor_instance(seed)
         m = ModelSpec((1, 2))
         mu, fit = imputed_mean(s, mask, X, y, m)
-        c = c_hat(s, mask, X, m)
+        c = c_hat(s, mask, X, m, fit)
         eta = eta_hat(s, mask, X, y, m, fit, c)
         assert ht_mean(s, eta) == pytest.approx(mu, rel=1e-10)
 
@@ -123,7 +149,7 @@ class TestEta:
         s, mask, X, y = stratified_instance(9)
         m = ModelSpec((1, 2))
         mu, fit = imputed_mean(s, mask, X, y, m)
-        c = c_hat(s, mask, X, m)
+        c = c_hat(s, mask, X, m, fit)
         eta = eta_hat(s, mask, X, y, m, fit, c)
         assert ht_mean(s, eta) == pytest.approx(mu, rel=1e-10)
 
@@ -221,11 +247,11 @@ class TestV1:
 
 class TestSigma2:
     def test_hand_value(self):
-        fit = FitResult(np.array([0.0]), rss=2.0, n_r_used=3)
+        fit = FitResult(np.array([0.0]), rss=2.0, n_r_used=3, R=np.eye(1))
         assert sigma2_hat(fit, ModelSpec((), with_intercept=True)) == pytest.approx(1.0)
 
     def test_no_degrees_of_freedom(self):
-        fit = FitResult(np.zeros(3), rss=0.0, n_r_used=3)
+        fit = FitResult(np.zeros(3), rss=0.0, n_r_used=3, R=np.eye(3))
         with pytest.raises(DegenerateFitError):
             sigma2_hat(fit, ModelSpec((1, 2)))
 
@@ -257,23 +283,23 @@ class TestSigma2:
 
 class TestV2:
     def test_full_response_is_zero(self):
-        s, _, X, _ = srswor_instance(14)
+        s, _, X, y = srswor_instance(14)
         mask = ResponseMask(np.ones(s.n, dtype=bool))
         m = ModelSpec((1,))
-        c = c_hat(s, mask, X, m)
+        c = c_hat(s, mask, X, m, respondent_fit(mask, X, y, m))
         assert v2_hat(s, mask, X, m, 5.0, c) == pytest.approx(0.0, abs=1e-18)
 
     def test_zero_sigma2_is_zero(self):
-        s, mask, X, _ = srswor_instance(15)
+        s, mask, X, y = srswor_instance(15)
         m = ModelSpec((1, 2))
-        c = c_hat(s, mask, X, m)
+        c = c_hat(s, mask, X, m, respondent_fit(mask, X, y, m))
         assert v2_hat(s, mask, X, m, 0.0, c) == 0.0
 
     def test_resummation_oracle(self):
         from survey_impute.estimators import design_matrix
-        s, mask, X, _ = srswor_instance(16)
+        s, mask, X, y = srswor_instance(16)
         m = ModelSpec((1, 3))
-        c = c_hat(s, mask, X, m)
+        c = c_hat(s, mask, X, m, respondent_fit(mask, X, y, m))
         sigma2 = 2.7
         Z = design_matrix(X, m)
         N = s.design.population_size
@@ -287,9 +313,9 @@ class TestV2:
 
     def test_nonnegative(self):
         for seed in range(17, 22):
-            s, mask, X, _ = srswor_instance(seed)
+            s, mask, X, y = srswor_instance(seed)
             m = ModelSpec((1,))
-            c = c_hat(s, mask, X, m)
+            c = c_hat(s, mask, X, m, respondent_fit(mask, X, y, m))
             assert v2_hat(s, mask, X, m, 1.3, c) >= 0.0
 
 
@@ -342,7 +368,7 @@ class TestPipeline:
         m = ModelSpec((1, 2))
         fit = fit_ols(X[mask.respondents], y[mask.respondents], m)
         var = variance_for_model(s, mask, X, y, m, fit)
-        c = c_hat(s, mask, X, m)
+        c = c_hat(s, mask, X, m, fit)
         eta = eta_hat(s, mask, X, y, m, fit, c)
         assert var.v1 == pytest.approx(v1_hat(s, eta), rel=1e-12)
         assert var.sigma2_hat == pytest.approx(sigma2_hat(fit, m), rel=1e-12)
