@@ -25,7 +25,7 @@ from survey_impute import (
     classify_model,
     confidence_interval,
     draw_srswor,
-    fit_ols,
+    fit_candidates,
     generate_population,
     generate_response,
     ht_mean,
@@ -71,9 +71,11 @@ def main():
     candidates = nested_candidates(p)
     print(f"\n{'model':>8} {'class':>8} {'p_a':>4} {'rss':>12} {'mu_hat':>10} {'error':>9}")
     resp = mask.respondents
+    # one respondent fit per candidate, shared by everything below
+    fits = fit_candidates(X_s[resp], y_s[resp], candidates)
     for model in candidates:
-        fit = fit_ols(X_s[resp], y_s[resp], model)
-        mu_a, _ = imputed_mean(sample, mask, X_s, y_s, model, fit)
+        fit = fits[model]
+        mu_a = imputed_mean(sample, mask, X_s, y_s, model, fit)
         cls = classify_model(model, pop.true_support).value
         label = f"alpha{max(model.included)}"
         print(f"{label:>8} {cls:>8} {model.p_alpha:>4} {fit.rss:>12.1f}"
@@ -81,14 +83,14 @@ def main():
     print("alpha1 is visibly biased; past alpha3 the rss plateaus and the fits chase noise")
 
     # --- selection, variance, interval --------------------------------------
-    model, scores = select("bic", candidates, X_s[resp], y_s[resp])
+    model, scores = select("bic", candidates, X_s[resp], y_s[resp], fits)
     chosen = f"alpha{max(model.included)}"
     print(f"\nBIC scores: " + ", ".join(
         f"alpha{max(s.model.included)}={s.score:.1f}" for s in scores[:5]) + ", ...")
     print(f"BIC picks {chosen} ({classify_model(model, pop.true_support).value})")
 
-    mu_hat, fit = imputed_mean(sample, mask, X_s, y_s, model)
-    var = variance_for_model(sample, mask, X_s, y_s, model, fit)
+    mu_hat = imputed_mean(sample, mask, X_s, y_s, model, fits[model])
+    var = variance_for_model(sample, mask, X_s, y_s, model, fits[model])
     ci = confidence_interval(mu_hat, var.v_total, 0.95)
     print(f"\npoint estimate    {mu_hat:.4f}")
     print(f"sampling variance V1 = {var.v1:.4f}")

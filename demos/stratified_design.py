@@ -44,7 +44,7 @@ def one_rep(pop, draw, rng):
     if mask.n_r <= MODEL.p_alpha:
         return None, None
     fit = fit_ols(X_s[mask.respondents], y_s[mask.respondents], MODEL)
-    mu, _ = imputed_mean(draw, mask, X_s, y_s, MODEL, fit)
+    mu = imputed_mean(draw, mask, X_s, y_s, MODEL, fit)
     return ht_mean(draw, y_s), mu
 
 

@@ -50,7 +50,7 @@ def main():
     model = ModelSpec((1, 2, 3))
     resp = mask.respondents
     fit = fit_ols(X_s[resp], y_s[resp], model)
-    mu_hat, _ = imputed_mean(sample, mask, X_s, y_s, model, fit)
+    mu_hat = imputed_mean(sample, mask, X_s, y_s, model, fit)
     print(f"n={sample.n}, respondents={mask.n_r}, model {model.label()},"
           f" mu_hat = {mu_hat:.6f}")
 
@@ -88,7 +88,7 @@ def main():
             continue
         Xs, ys = pop.X[s.unit_ids], pop.y[s.unit_ids]
         f = fit_ols(Xs[m.respondents], ys[m.respondents], model)
-        mu_r, _ = imputed_mean(s, m, Xs, ys, model, f)
+        mu_r = imputed_mean(s, m, Xs, ys, model, f)
         e = eta_hat(s, m, Xs, ys, model, f, c_hat(s, m, Xs, model, f))
         worst = max(worst, abs(ht_mean(s, e) - mu_r) / abs(mu_r))
     print(f"\nidentity over 50 fresh draws: worst relative gap = {worst:.2e}")

@@ -41,6 +41,7 @@ from .estimators import (  # noqa: E402
     ModelSpec,
     classify_model,
     design_matrix,
+    fit_candidates,
     fit_ols,
     ht_mean,
     imputed_mean,

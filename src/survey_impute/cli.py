@@ -28,7 +28,7 @@ from .config import (
 from .design import SRSWOR, STRATIFIED, DesignDescriptor, SampleDraw, Stratum, first_order
 from .errors import (ConfigError, DegenerateFitError, SelectionFailureError, SingularFitError,
                      SurveyImputeError)
-from .estimators import ModelSpec, nested_candidates
+from .estimators import build_candidates, fit_candidates
 from .population import ResponseMask
 from .study import SUMMARY_COLUMNS, reps_to_csv, run_study, summary_rows, summary_to_csv
 from .variance import estimate_with_inference
@@ -210,13 +210,11 @@ def cmd_estimate(args):
 
     ids, X, y, pi, resp = read_estimate_csv(args.data)
     p = X.shape[1]
-    if cfg.candidates == "nested":
-        candidates = nested_candidates(p)
-    else:
+    if cfg.candidates != "nested":
         bad = [m for m in cfg.candidates if m[-1] > p]
         if bad:
             raise ConfigError("candidates", f"covariate index {bad[0][-1]} exceeds p={p}")
-        candidates = [ModelSpec(idx) for idx in cfg.candidates]
+    candidates = build_candidates(cfg.candidates, p)
 
     sample, order = build_estimate_design(cfg, ids, pi)
     X, y, resp, ids = X[order], y[order], resp[order], ids[order]
@@ -224,9 +222,10 @@ def cmd_estimate(args):
     # missing y stay NaN: every downstream read goes through the mask, so
     # a stray NaN in the output would expose a bookkeeping bug loudly
 
+    fits = fit_candidates(X[resp], y[resp], candidates)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 0]))
     bundle = estimate_with_inference(
-        sample, mask, X, y, candidates, cfg.criterion, cfg.level, rng
+        sample, mask, X, y, candidates, fits, cfg.criterion, cfg.level, rng
     )
 
     out = {

@@ -109,6 +109,18 @@ def fit_ols(X_r, y_r, model):
     return FitResult(beta, float(resid @ resid), Z.shape[0], R)
 
 
+def fit_candidates(X_r, y_r, candidates):
+    """Each candidate's respondent fit, once per dataset, for every consumer:
+    {model: FitResult, or None where fit_ols raises SingularFitError}."""
+    fits = {}
+    for model in candidates:
+        try:
+            fits[model] = fit_ols(X_r, y_r, model)
+        except SingularFitError:
+            fits[model] = None
+    return fits
+
+
 def ht_mean(sample, y):
     """Horvitz-Thompson mean of y over the draw; y is aligned with
     sample.unit_ids."""
@@ -116,24 +128,26 @@ def ht_mean(sample, y):
     return float(np.sum(y / sample.pi_first) / sample.design.population_size)
 
 
-def imputed_mean(sample, mask, X, y, model, fit=None):
+def imputed_mean(sample, mask, X, y, model, fit):
     """Imputation estimator: observed y for respondents, model
     predictions for the missing, averaged with HT weights.
 
-    X and y are aligned with sample.unit_ids. Returns (mu_hat, fit).
+    X and y are aligned with sample.unit_ids; fit is the model's
+    respondent fit (from fit_candidates or fit_ols). Returns mu_hat.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    resp, miss = mask.respondents, mask.nonrespondents
-    if fit is None:
-        fit = fit_ols(X[resp], y[resp], model)
-    filled = y.copy()
+    miss = mask.nonrespondents
+    filled = np.array(y, dtype=np.float64)
     if miss.size:
-        filled[miss] = design_matrix(X[miss], model) @ fit.beta_hat
-    return ht_mean(sample, filled), fit
+        filled[miss] = design_matrix(np.asarray(X)[miss], model) @ fit.beta_hat
+    return ht_mean(sample, filled)
 
 
 def nested_candidates(p):
     """The nested sequence: model j keeps covariates 1..j plus an
     intercept."""
     return [ModelSpec(tuple(range(1, j + 1))) for j in range(1, p + 1)]
+
+
+def build_candidates(spec, p):
+    """Candidates from a config field: "nested", or covariate index lists."""
+    return nested_candidates(p) if spec == "nested" else [ModelSpec(idx) for idx in spec]

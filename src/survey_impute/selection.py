@@ -2,8 +2,9 @@
 
 Criterion names are the strings "aic", "bic", or "cvK" (e.g. "cv5").
 Scores are compared as (score, p_alpha, included), so ties go to the
-smaller model and then lexicographically; an interpolating fit scores
--inf and therefore wins against any positive-rss fit.
+smaller model and then lexicographically. A candidate that is rank
+deficient, or has no residual degrees of freedom (n_r <= p_alpha) and
+so no sigma^2 and no interval, scores +inf.
 """
 
 import re
@@ -77,10 +78,10 @@ def score_kfold_cv(X_r, y_r, model, folds):
     return float(np.mean(mses))
 
 
-def score_candidates(criterion, candidates, X_r, y_r, rng=None):
-    """Score every candidate; unscorable (rank deficient) ones get +inf.
-
-    Returns a list of CriterionScore in candidate order.
+def score_candidates(criterion, candidates, X_r, y_r, fits, rng=None):
+    """Score every candidate on its respondent fit in fits (from
+    fit_candidates; AIC and BIC fit nothing); a None fit, or one with
+    n_r <= p_alpha, scores +inf. Returns CriterionScores in candidate order.
     """
     kind, k = parse_criterion(criterion)
     y_r = np.asarray(y_r, dtype=np.float64)
@@ -94,31 +95,34 @@ def score_candidates(criterion, candidates, X_r, y_r, rng=None):
 
     out = []
     for model in candidates:
-        try:
-            if kind == "cv":
-                # each candidate gets its own random split, as when a CV
-                # routine is called once per model
-                score = score_kfold_cv(X_r, y_r, model, make_folds(n_r, k, rng))
-            else:
-                fit = fit_ols(X_r, y_r, model)
-                rss = fit.rss
-                if rss <= RSS_INTERP_REL * tss:
-                    rss = 0.0
-                scorer = score_aic if kind == "aic" else score_bic
-                score = scorer(rss, n_r, model.p_alpha)
-        except SingularFitError:
+        # each candidate gets its own random split, as when a CV routine
+        # is called once per model, even when its score is already +inf
+        folds = make_folds(n_r, k, rng) if kind == "cv" else None
+        fit = fits[model]
+        if fit is None or fit.n_r_used <= model.p_alpha:
             score = float("inf")
+        elif kind == "cv":
+            try:
+                score = score_kfold_cv(X_r, y_r, model, folds)
+            except SingularFitError:  # a singular training fold
+                score = float("inf")
+        else:
+            rss = 0.0 if fit.rss <= RSS_INTERP_REL * tss else fit.rss
+            scorer = score_aic if kind == "aic" else score_bic
+            score = scorer(rss, n_r, model.p_alpha)
         out.append(CriterionScore(model, float(score), criterion))
     return out
 
 
-def select(criterion, candidates, X_r, y_r, rng=None):
-    """Pick the best candidate. Returns (model, scores)."""
+def select(criterion, candidates, X_r, y_r, fits, rng=None):
+    """Pick the best candidate, scored on the respondent fits in fits
+    (see score_candidates). Returns (model, scores)."""
     if not candidates:
         raise SelectionFailureError("no candidate models")
-    scores = score_candidates(criterion, candidates, X_r, y_r, rng)
+    scores = score_candidates(criterion, candidates, X_r, y_r, fits, rng)
     finite = [s for s in scores if s.score < float("inf")]
     if not finite:
-        raise SelectionFailureError("all candidate models were rank deficient")
+        raise SelectionFailureError("every candidate model is rank deficient or "
+                                    "leaves no residual degrees of freedom")
     best = min(finite, key=lambda s: (s.score, s.model.p_alpha, s.model.included))
     return best.model, scores

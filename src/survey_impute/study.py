@@ -22,7 +22,7 @@ from .errors import (
     SelectionFailureError,
     SingularFitError,
 )
-from .estimators import ModelSpec, classify_model, ht_mean, imputed_mean, nested_candidates
+from .estimators import build_candidates, classify_model, fit_candidates, ht_mean, imputed_mean
 from .population import generate_population, generate_response
 from .variance import estimate_with_inference
 
@@ -67,16 +67,10 @@ class ReplicationRecord:
     criteria: tuple
 
 
-def build_candidates(cfg):
-    if cfg.candidates == "nested":
-        return nested_candidates(cfg.p)
-    return [ModelSpec(idx) for idx in cfg.candidates]
-
-
 def candidate_labels(cfg):
     if cfg.candidates == "nested":
         return [f"alpha{j}" for j in range(1, cfg.p + 1)]
-    return [m.label() for m in build_candidates(cfg)]
+    return [m.label() for m in build_candidates(cfg.candidates, cfg.p)]
 
 
 def run_replication(cfg, rep_id, master_seed=None):
@@ -102,23 +96,22 @@ def run_replication(cfg, rep_id, master_seed=None):
     ht_complete = ht_mean(sample, y_s)
     beta0_nonzero = cfg.beta[0] != 0.0
 
-    candidates = build_candidates(cfg)
+    candidates = build_candidates(cfg.candidates, cfg.p)
     labels = candidate_labels(cfg)
+    fits = fit_candidates(X_s[mask.respondents], y_s[mask.respondents], candidates)
     models = []
     for label, m in zip(labels, candidates):
         klass = classify_model(m, pop.true_support, beta0_nonzero).value
-        try:
-            mu_hat, _ = imputed_mean(sample, mask, X_s, y_s, m)
-            models.append(ModelResult(label, klass, True, mu_hat))
-        except _FAILURES:
-            models.append(ModelResult(label, klass, False))
+        fit = fits[m]
+        mu_hat = None if fit is None else imputed_mean(sample, mask, X_s, y_s, m, fit)
+        models.append(ModelResult(label, klass, fit is not None, mu_hat))
 
     by_model = dict(zip(candidates, labels))
     crit_results = []
     for crit in cfg.criteria:
         try:
             bundle = estimate_with_inference(
-                sample, mask, X_s, y_s, candidates, crit, cfg.level, crit_rng
+                sample, mask, X_s, y_s, candidates, fits, crit, cfg.level, crit_rng
             )
         except _FAILURES as exc:
             crit_results.append(

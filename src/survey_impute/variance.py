@@ -148,7 +148,6 @@ def confidence_interval(point, v_total, level):
 class EstimateBundle:
     model: object
     mu_hat: float
-    fit: object
     variance: VarianceEstimate
     ci: ConfidenceInterval
     scores: tuple
@@ -163,14 +162,15 @@ def variance_for_model(sample, mask, X, y, model, fit):
     return VarianceEstimate(v1, v2, s2, c)
 
 
-def estimate_with_inference(sample, mask, X, y, candidates, criterion, level, rng=None):
+def estimate_with_inference(sample, mask, X, y, candidates, fits, criterion, level, rng=None):
     """Full pipeline on one dataset: select a model on the respondents,
-    impute, estimate the variance, and build the interval."""
+    impute, estimate the variance, and build the interval, all from the
+    candidates' respondent fits in fits (from fit_candidates)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     resp = mask.respondents
-    model, scores = select(criterion, candidates, X[resp], y[resp], rng)
-    mu, fit = imputed_mean(sample, mask, X, y, model)
-    var = variance_for_model(sample, mask, X, y, model, fit)
+    model, scores = select(criterion, candidates, X[resp], y[resp], fits, rng)
+    mu = imputed_mean(sample, mask, X, y, model, fits[model])
+    var = variance_for_model(sample, mask, X, y, model, fits[model])
     ci = confidence_interval(mu, var.v_total, level)
-    return EstimateBundle(model, mu, fit, var, ci, tuple(scores))
+    return EstimateBundle(model, mu, var, ci, tuple(scores))

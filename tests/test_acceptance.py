@@ -28,6 +28,7 @@ from survey_impute.design import (
 )
 from survey_impute.estimators import (
     ModelSpec,
+    fit_candidates,
     fit_ols,
     ht_mean,
     imputed_mean,
@@ -320,7 +321,8 @@ def test_criterion_11_linearization_identity(acceptance):
                 r[-1] = False
             mask = ResponseMask(r)
             m = ModelSpec((1, 2)) if seed % 2 else ModelSpec((1,))
-            mu, fit = imputed_mean(s, mask, X, y, m)
+            fit = fit_ols(X[mask.respondents], y[mask.respondents], m)
+            mu = imputed_mean(s, mask, X, y, m, fit)
             eta = eta_hat(s, mask, X, y, m, fit, c_hat(s, mask, X, m, fit))
             worst = max(worst, abs(ht_mean(s, eta) - mu) / max(abs(mu), 1.0))
             count += 1
@@ -344,7 +346,8 @@ def test_criterion_12_noiseless_recovery(acceptance):
     fit = fit_ols(X[mask.respondents], y[mask.respondents], m2)
     beta_exact = bool(np.allclose(fit.beta_hat, [0.5, 2.0, -1.0], rtol=1e-9, atol=1e-9))
     s2_zero = sigma2_hat(fit, m2) <= 1e-18
-    best, _ = select("bic", nested_candidates(4), X[mask.respondents], y[mask.respondents])
+    X_r, y_r, cands = X[mask.respondents], y[mask.respondents], nested_candidates(4)
+    best, _ = select("bic", cands, X_r, y_r, fit_candidates(X_r, y_r, cands))
     picks_smallest = best == m2
 
     census = DesignDescriptor(SRSWOR, 40, 40)
@@ -352,7 +355,7 @@ def test_criterion_12_noiseless_recovery(acceptance):
     cs = SampleDraw(ids, first_order(census, ids), census)
     bundle = estimate_with_inference(
         cs, ResponseMask(np.ones(40, dtype=bool)), pop.X, pop.y,
-        nested_candidates(4), "bic", 0.95,
+        cands, fit_candidates(pop.X, pop.y, cands), "bic", 0.95,
     )
     degenerate = (
         bundle.ci.lower == bundle.ci.upper == bundle.mu_hat

@@ -1,11 +1,16 @@
 """End-to-end CLI behavior through main(), plus the data-file reader."""
 
+import contextlib
 import csv
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survey_impute.cli import (
     EXIT_CONFIG,
@@ -16,7 +21,7 @@ from survey_impute.cli import (
     read_estimate_csv,
 )
 from survey_impute.design import SRSWOR, DesignDescriptor, SampleDraw, first_order
-from survey_impute.estimators import ht_mean, nested_candidates
+from survey_impute.estimators import build_candidates, fit_candidates, ht_mean, nested_candidates
 from survey_impute.population import ResponseMask
 from survey_impute.variance import estimate_with_inference
 
@@ -253,9 +258,10 @@ class TestEstimate:
         sample = SampleDraw(synth, first_order(design, synth), design)
         r = np.ones(n, dtype=bool)
         r[list(missing)] = False
+        fits = fit_candidates(X[r], y[r], nested_candidates(2))
         bundle = estimate_with_inference(
             sample, ResponseMask(r), X, np.where(r, y, np.nan),
-            nested_candidates(2), "bic", 0.95,
+            nested_candidates(2), fits, "bic", 0.95,
         )
         assert got["selected"]["included"] == list(bundle.model.included)
         assert got["mu_hat"] == _round10(bundle.mu_hat)
@@ -328,6 +334,22 @@ class TestEstimate:
         assert "degrees of freedom" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("criterion", ["aic", "bic"])
+    def test_interpolating_candidate_loses_to_one_with_residual_df(
+        self, tmp_path, capsys, criterion
+    ):
+        # three respondents: [1, 2] interpolates and has no sigma^2, so
+        # the selection must fall back to [1], which leaves one residual
+        # degree of freedom
+        ids, X, y, pi = sample_data(n=5)
+        data = tmp_path / "d.csv"
+        write_sample_csv(data, ids, X, y, pi, missing={0, 1})
+        cfg = self.est_config(tmp_path, criterion=criterion)
+        code = main(["estimate", "--data", str(data), "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK, captured.err
+        assert json.loads(captured.out)["selected"]["included"] == [1]
+
     def test_pi_inconsistent_with_design_exits_2(self, tmp_path, capsys):
         ids, X, y, pi = sample_data()
         data = tmp_path / "d.csv"
@@ -392,3 +414,54 @@ class TestEstimate:
 def test_round10_formatting():
     assert _round10(511.03956972345) == 511.0395697
     assert _round10(0.0) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tiny_estimate_inputs_exit_0_or_2(data):
+    """Tiny, often degenerate samples: estimate exits 0 or 2, never with a
+    traceback, and an exit 2 prints one stderr line. Under aic or bic it
+    exits 0 exactly when some candidate's respondent fit is nonsingular
+    and leaves residual degrees of freedom."""
+    n = data.draw(st.integers(2, 8), label="n")
+    p = data.draw(st.integers(1, 3), label="p")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    X = rng.gamma(2.0, 2.0, size=(n, p))
+    j = data.draw(st.integers(0, p - 1), label="column")
+    shape = data.draw(st.sampled_from(["plain", "constant", "rounded"]), label="shape")
+    if shape == "constant":
+        X[:, j] = 3.0
+    elif shape == "rounded":
+        X[:, j] = np.round(X[:, j])
+    y = 1.0 + X.sum(axis=1) + rng.normal(size=n)
+    r = rng.random(n) < data.draw(st.floats(0.3, 1.0), label="response rate")
+    r[data.draw(st.integers(0, n - 1), label="sure respondent")] = True
+    criterion = data.draw(st.sampled_from(["aic", "bic", "cv2", "cv3"]), label="criterion")
+    if data.draw(st.booleans(), label="explicit"):
+        idx = data.draw(st.sets(st.integers(1, p), min_size=1), label="candidate")
+        candidates = [sorted(idx)]
+    else:
+        candidates = "nested"
+    N = n + data.draw(st.integers(0, 20), label="N - n")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        write_sample_csv(path, np.arange(n), X, y, np.full(n, n / N),
+                         missing=set(np.flatnonzero(~r).tolist()))
+        cfg = os.path.join(tmp, "est.json")
+        with open(cfg, "w") as fh:
+            json.dump({"criterion": criterion, "candidates": candidates,
+                       "design": {"kind": "srswor", "N": N}}, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["estimate", "--data", path, "--config", cfg])
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_CONFIG), err
+    assert "Traceback" not in err
+    if code == EXIT_CONFIG:
+        assert err.count("\n") == 1, err
+    if criterion in ("aic", "bic"):
+        models = build_candidates(candidates, p)
+        fits = fit_candidates(X[r], y[r], models)
+        usable = any(f is not None and f.n_r_used > m.p_alpha for m, f in fits.items())
+        assert (code == EXIT_OK) == usable, err

@@ -12,7 +12,9 @@ from survey_impute.estimators import (
     ModelClass,
     ModelSpec,
     classify_model,
+    build_candidates,
     design_matrix,
+    fit_candidates,
     fit_ols,
     ht_mean,
     imputed_mean,
@@ -23,6 +25,10 @@ from survey_impute.population import ResponseMask
 
 def sample_of(N, n, seed=0):
     return draw_srswor(N, n, np.random.default_rng(seed))
+
+
+def respondent_fit(mask, X, y, model):
+    return fit_ols(X[mask.respondents], y[mask.respondents], model)
 
 
 class TestModelSpec:
@@ -164,7 +170,8 @@ class TestImputedMean:
         X = rng.normal(size=(10, 3))
         y = rng.normal(size=10)
         mask = ResponseMask(np.ones(10, dtype=bool))
-        mu, _ = imputed_mean(s, mask, X, y, ModelSpec((1, 2)))
+        m = ModelSpec((1, 2))
+        mu = imputed_mean(s, mask, X, y, m, respondent_fit(mask, X, y, m))
         assert mu == pytest.approx(ht_mean(s, y), abs=1e-12)
 
     def test_noiseless_correct_model_equals_ht(self):
@@ -174,7 +181,8 @@ class TestImputedMean:
         y = 2.0 + X @ [1.0, -1.0, 0.5]
         mask = ResponseMask(rng.random(12) < 0.6)
         assert mask.n_r >= 4 and mask.n_m >= 1
-        mu, _ = imputed_mean(s, mask, X, y, ModelSpec((1, 2, 3)))
+        m = ModelSpec((1, 2, 3))
+        mu = imputed_mean(s, mask, X, y, m, respondent_fit(mask, X, y, m))
         assert mu == pytest.approx(ht_mean(s, y), rel=1e-12)
 
     def test_resummation_oracle(self):
@@ -184,7 +192,8 @@ class TestImputedMean:
         y = rng.normal(size=6)
         mask = ResponseMask(np.array([True, False, True, True, False, True]))
         m = ModelSpec((1,))
-        mu, fit = imputed_mean(s, mask, X, y, m)
+        fit = respondent_fit(mask, X, y, m)
+        mu = imputed_mean(s, mask, X, y, m, fit)
         # independent two-term sum
         pred = fit.beta_hat[0] + X[:, 0] * fit.beta_hat[1]
         total = sum(
@@ -199,8 +208,8 @@ class TestImputedMean:
         y = rng.normal(size=10)
         mask = ResponseMask(rng.random(10) < 0.7)
         m = ModelSpec((1, 2))
-        mu1, _ = imputed_mean(s, mask, X, y, m)
-        mu2, _ = imputed_mean(s, mask, X, 2 * y, m)
+        mu1 = imputed_mean(s, mask, X, y, m, respondent_fit(mask, X, y, m))
+        mu2 = imputed_mean(s, mask, X, 2 * y, m, respondent_fit(mask, X, 2 * y, m))
         assert mu2 == pytest.approx(2 * mu1, rel=1e-10)
 
     def test_reuses_supplied_fit(self):
@@ -211,10 +220,30 @@ class TestImputedMean:
         mask = ResponseMask(np.array([True, True, True, False, False]))
         m = ModelSpec((1,))
         fit = FitResult(np.array([0.0, 0.0]), 0.0, 3, np.eye(2))
-        mu, _ = imputed_mean(s, mask, X, y, m, fit=fit)
+        mu = imputed_mean(s, mask, X, y, m, fit)
         # zero coefficients: missing contribute nothing
         expect = sum(y[i] / s.pi_first[i] for i in range(3)) / 20
         assert mu == pytest.approx(expect, abs=1e-12)
+
+
+class TestFitCandidates:
+    def test_one_fit_per_candidate_none_when_singular(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(8, 3))
+        X[:, 1] = 2.0 * X[:, 0]  # x2 collinear with x1
+        y = rng.normal(size=8)
+        cands = [ModelSpec((1,)), ModelSpec((1, 2)), ModelSpec((3,))]
+        fits = fit_candidates(X, y, cands)
+        assert list(fits) == cands
+        assert fits[cands[1]] is None
+        for m in (cands[0], cands[2]):
+            ref = fit_ols(X, y, m)
+            assert np.array_equal(fits[m].beta_hat, ref.beta_hat)
+            assert fits[m].rss == ref.rss
+
+    def test_build_candidates(self):
+        assert build_candidates("nested", 3) == nested_candidates(3)
+        assert build_candidates([[2], [1, 3]], 3) == [ModelSpec((2,)), ModelSpec((1, 3))]
 
 
 def test_nested_candidates_shape():

@@ -21,7 +21,14 @@ from survey_impute.design import (
     neyman_allocation,
     stratum_sizes,
 )
-from survey_impute.estimators import ModelSpec, fit_ols, ht_mean, imputed_mean, nested_candidates
+from survey_impute.estimators import (
+    ModelSpec,
+    fit_candidates,
+    fit_ols,
+    ht_mean,
+    imputed_mean,
+    nested_candidates,
+)
 from survey_impute.loss import loss_closed_form
 from survey_impute.population import ResponseMask
 from survey_impute.selection import select
@@ -62,8 +69,9 @@ def test_selection_ignores_y_scale(seed, crit, c):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(30, 3))
     y = X[:, 0] + 0.5 * rng.normal(size=30)
-    a, _ = select(crit, nested_candidates(3), X, y)
-    b, _ = select(crit, nested_candidates(3), X, c * y)
+    cands = nested_candidates(3)
+    a, _ = select(crit, cands, X, y, fit_candidates(X, y, cands))
+    b, _ = select(crit, cands, X, c * y, fit_candidates(X, c * y, cands))
     assert a == b
 
 
@@ -112,7 +120,8 @@ def test_v2_is_nonnegative(seed, sigma2):
 def test_eta_ht_mean_reproduces_the_estimator(seed):
     s, mask, X, y = instance(seed)
     m = ModelSpec((1, 2))
-    mu, fit = imputed_mean(s, mask, X, y, m)
+    fit = fit_ols(X[mask.respondents], y[mask.respondents], m)
+    mu = imputed_mean(s, mask, X, y, m, fit)
     eta = eta_hat(s, mask, X, y, m, fit, c_hat(s, mask, X, m, fit))
     assert ht_mean(s, eta) == pytest.approx(mu, rel=1e-10)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from survey_impute.errors import SelectionFailureError
-from survey_impute.estimators import ModelSpec, fit_ols, nested_candidates
+from survey_impute.estimators import ModelSpec, fit_candidates, fit_ols, nested_candidates
 from survey_impute.selection import (
     make_folds,
     parse_criterion,
@@ -95,32 +95,63 @@ class TestScoreCandidates:
     def test_cv_requires_rng(self):
         X = np.random.default_rng(5).normal(size=(20, 2))
         y = np.random.default_rng(6).normal(size=20)
+        cands = nested_candidates(2)
         with pytest.raises(ValueError):
-            score_candidates("cv5", nested_candidates(2), X, y)
+            score_candidates("cv5", cands, X, y, fit_candidates(X, y, cands))
 
     def test_cv_with_fewer_respondents_than_folds_fails(self):
         rng = np.random.default_rng(8)
         X, y = rng.normal(size=(3, 2)), rng.normal(size=3)
+        cands = nested_candidates(2)
         with pytest.raises(SelectionFailureError):
-            score_candidates("cv5", nested_candidates(2), X, y, rng)
+            score_candidates("cv5", cands, X, y, fit_candidates(X, y, cands), rng)
         # n_r = K is still feasible: one held-out unit per fold
-        assert len(score_candidates("cv3", nested_candidates(1), X, y, rng)) == 1
+        cands = nested_candidates(1)
+        assert len(score_candidates("cv3", cands, X, y, fit_candidates(X, y, cands), rng)) == 1
 
     def test_unscorable_candidate_gets_inf(self):
         X = np.ones((6, 2))  # second column collinear with the intercept
         y = np.arange(6.0)
-        scores = score_candidates("bic", nested_candidates(2), X, y)
+        cands = nested_candidates(2)
+        scores = score_candidates("bic", cands, X, y, fit_candidates(X, y, cands))
         assert scores[0].score == float("inf")
         assert scores[1].score == float("inf")
+
+    @pytest.mark.parametrize("criterion", ["aic", "bic"])
+    def test_no_residual_degrees_of_freedom_gets_inf(self, criterion):
+        # four respondents: [1, 2, 3] interpolates (n_r = p_alpha), [1, 2]
+        # leaves one residual degree of freedom
+        rng = np.random.default_rng(14)
+        X, y = rng.normal(size=(4, 3)), rng.normal(size=4)
+        cands = nested_candidates(3)
+        fits = fit_candidates(X, y, cands)
+        assert fits[cands[2]].n_r_used == cands[2].p_alpha
+        scores = score_candidates(criterion, cands, X, y, fits)
+        assert scores[2].score == float("inf")
+        assert scores[1].score < float("inf")
 
     def test_scores_align_with_direct_formula(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(30, 4))
         y = rng.normal(size=30)
-        scores = score_candidates("bic", nested_candidates(4), X, y)
+        cands = nested_candidates(4)
+        scores = score_candidates("bic", cands, X, y, fit_candidates(X, y, cands))
         for cs in scores:
             rss = fit_ols(X, y, cs.model).rss
             assert cs.score == pytest.approx(score_bic(rss, 30, cs.model.p_alpha))
+
+    def test_cv_draws_folds_for_an_unscorable_candidate(self):
+        # a None fit scores +inf without moving the fold stream: the
+        # next candidate scores as if the first had been scorable
+        rng = np.random.default_rng(16)
+        X, y = rng.normal(size=(20, 2)), rng.normal(size=20)
+        cands = nested_candidates(2)
+        fits = fit_candidates(X, y, cands)
+        full = score_candidates("cv4", cands, X, y, fits, np.random.default_rng(3))
+        fits[cands[0]] = None
+        part = score_candidates("cv4", cands, X, y, fits, np.random.default_rng(3))
+        assert part[0].score == float("inf") and full[0].score < float("inf")
+        assert part[1].score == full[1].score
 
 
 class TestSelect:
@@ -128,14 +159,27 @@ class TestSelect:
         rng = np.random.default_rng(8)
         X = rng.uniform(0, 4, size=(40, 5))
         y = 1.0 + 2.0 * X[:, 0] - 1.0 * X[:, 1]
-        best, _ = select("bic", nested_candidates(5), X, y)
+        cands = nested_candidates(5)
+        best, _ = select("bic", cands, X, y, fit_candidates(X, y, cands))
         assert best.included == (1, 2)
 
     def test_tie_goes_to_smaller_model(self):
-        # both interpolate (score -inf); the smaller p_alpha must win
+        # three rows: [1] fits exactly (score -inf); [1, 2] interpolates
+        # with no residual degrees of freedom and scores +inf
         X = np.array([[0.0, 5.0], [1.0, 2.0], [2.0, 9.0]])
         y = 1.0 + 3.0 * X[:, 0]
-        best, scores = select("aic", nested_candidates(2), X, y)
+        cands = nested_candidates(2)
+        best, scores = select("aic", cands, X, y, fit_candidates(X, y, cands))
+        assert [s.score for s in scores] == [float("-inf"), float("inf")]
+        assert best.included == (1,)
+
+    def test_exact_fits_with_residual_df_tie_to_smaller_model(self):
+        # four rows: both candidates fit exactly and keep residual
+        # degrees of freedom (score -inf); the smaller p_alpha must win
+        X = np.array([[0.0, 5.0], [1.0, 2.0], [2.0, 9.0], [3.0, 4.0]])
+        y = 1.0 + 3.0 * X[:, 0]
+        cands = nested_candidates(2)
+        best, scores = select("aic", cands, X, y, fit_candidates(X, y, cands))
         assert [s.score for s in scores] == [float("-inf")] * 2
         assert best.included == (1,)
 
@@ -143,35 +187,48 @@ class TestSelect:
         rng = np.random.default_rng(9)
         X = rng.normal(size=(50, 4))
         y = X[:, 0] + 0.5 * rng.normal(size=50)
+        cands = nested_candidates(4)
         for crit in ("aic", "bic"):
-            a, _ = select(crit, nested_candidates(4), X, y)
-            b, _ = select(crit, nested_candidates(4), X, 17.0 * y)
+            a, _ = select(crit, cands, X, y, fit_candidates(X, y, cands))
+            b, _ = select(crit, cands, X, 17.0 * y, fit_candidates(X, 17.0 * y, cands))
             assert a == b
 
     def test_single_candidate(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(12, 2))
         y = rng.normal(size=12)
-        best, scores = select("aic", [ModelSpec((2,))], X, y)
+        cands = [ModelSpec((2,))]
+        best, scores = select("aic", cands, X, y, fit_candidates(X, y, cands))
         assert best == ModelSpec((2,))
         assert len(scores) == 1
 
     def test_all_singular_raises(self):
         X = np.ones((3, 2))
         y = np.arange(3.0)
+        cands = [ModelSpec((1, 2))]
         with pytest.raises(SelectionFailureError):
-            select("bic", [ModelSpec((1, 2))], X, y)
+            select("bic", cands, X, y, fit_candidates(X, y, cands))
+
+    def test_failure_names_both_causes(self):
+        rng = np.random.default_rng(17)
+        X, y = rng.normal(size=(3, 2)), rng.normal(size=3)
+        cands = [ModelSpec((1, 2))]
+        with pytest.raises(SelectionFailureError, match="rank deficient") as exc:
+            select("bic", cands, X, y, fit_candidates(X, y, cands))
+        assert "no residual degrees of freedom" in str(exc.value)
 
     def test_no_candidates_raises(self):
         with pytest.raises(SelectionFailureError):
-            select("aic", [], np.ones((3, 1)), np.ones(3))
+            select("aic", [], np.ones((3, 1)), np.ones(3), {})
 
     def test_cv_deterministic_given_seed(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(40, 3))
         y = X[:, 0] + rng.normal(size=40)
-        a, sa = select("cv5", nested_candidates(3), X, y, np.random.default_rng(42))
-        b, sb = select("cv5", nested_candidates(3), X, y, np.random.default_rng(42))
+        cands = nested_candidates(3)
+        fits = fit_candidates(X, y, cands)
+        a, sa = select("cv5", cands, X, y, fits, np.random.default_rng(42))
+        b, sb = select("cv5", cands, X, y, fits, np.random.default_rng(42))
         assert a == b
         assert [s.score for s in sa] == [s.score for s in sb]
 
@@ -182,5 +239,6 @@ class TestSelect:
         X = rng.normal(size=(30, 2))
         y = rng.normal(size=30)
         m = ModelSpec((1,))
-        scores = score_candidates("cv3", [m, m], X, y, np.random.default_rng(13))
+        fits = fit_candidates(X, y, [m])
+        scores = score_candidates("cv3", [m, m], X, y, fits, np.random.default_rng(13))
         assert scores[0].score != scores[1].score

@@ -7,7 +7,10 @@ import pytest
 from conftest import load_config
 
 from survey_impute.config import parse_study_config
+from survey_impute.design import draw_srswor
 from survey_impute.errors import MetricError
+from survey_impute.estimators import fit_candidates, nested_candidates
+from survey_impute.population import ResponseMask
 from survey_impute.study import (
     SUMMARY_COLUMNS,
     candidate_labels,
@@ -24,6 +27,7 @@ from survey_impute.study import (
     summary_to_csv,
     variance_rb,
 )
+from survey_impute.variance import estimate_with_inference
 
 
 def tiny_config(**tweaks):
@@ -149,6 +153,52 @@ class TestRunReplication:
         a, b = run_records(cfg)
         assert a.mu_true != b.mu_true
         assert (a.rep_id, b.rep_id) == (0, 1)
+
+
+def count_factorizations(monkeypatch):
+    """Record every respondent-design QR made through qr_checked."""
+    import survey_impute.estimators as est
+
+    calls, real = [], est.qr_checked
+
+    def counted(Z, model):
+        calls.append(model)
+        return real(Z, model)
+
+    monkeypatch.setattr(est, "qr_checked", counted)
+    return calls
+
+
+class TestFitSharing:
+    def test_replication_factors_each_candidate_once(self, monkeypatch):
+        # p = 3 nested: one fit per candidate, shared by the model rows,
+        # aic, bic and the intervals, plus cv5's 5 training fits per
+        # candidate: 6p = 18 factorizations
+        cfg = tiny_config(
+            replications=1,
+            criteria=["aic", "bic", "cv5"],
+            population={"p": 3, "beta": [0.0, 2.0, 1.0, 0.0],
+                        "response_coefs": [0.0, 0.0, 0.0]},
+            design={"n": 24},
+        )
+        calls = count_factorizations(monkeypatch)
+        rec = run_replication(cfg, 0)
+        assert all(m.ok for m in rec.models) and all(c.ok for c in rec.criteria)
+        assert len(calls) == 18
+
+    @pytest.mark.parametrize("criterion", ["aic", "bic"])
+    def test_estimate_with_given_fits_factors_nothing(self, criterion, monkeypatch):
+        rng = np.random.default_rng(21)
+        sample = draw_srswor(80, 20, rng)
+        X = rng.normal(size=(20, 3))
+        y = 1.0 + X @ [2.0, 1.0, 0.0] + rng.normal(size=20)
+        mask = ResponseMask(rng.random(20) < 0.7)
+        cands = nested_candidates(3)
+        fits = fit_candidates(X[mask.respondents], y[mask.respondents], cands)
+        calls = count_factorizations(monkeypatch)
+        bundle = estimate_with_inference(sample, mask, X, y, cands, fits, criterion, 0.95)
+        assert np.isfinite(bundle.variance.v_total)
+        assert calls == []
 
 
 class TestFailureAccounting:

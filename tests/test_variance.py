@@ -19,7 +19,8 @@ from survey_impute.design import (
     joint_inclusion,
 )
 from survey_impute.errors import DegenerateFitError, EstimationFailureError, InvalidDesignError
-from survey_impute.estimators import FitResult, ModelSpec, fit_ols, ht_mean, imputed_mean
+from survey_impute.estimators import (FitResult, ModelSpec, fit_candidates, fit_ols, ht_mean,
+                                      imputed_mean)
 from survey_impute.population import ResponseMask, generate_population, generate_response
 from survey_impute.variance import (
     c_hat,
@@ -106,7 +107,8 @@ class TestCHat:
         y = 1.0 + 2.0 * x + rng.normal(size=n)
         mask = ResponseMask(rng.random(n) < 0.7)
         m = ModelSpec((1, 2))
-        mu, fit = imputed_mean(s, mask, X, y, m)
+        fit = respondent_fit(mask, X, y, m)
+        mu = imputed_mean(s, mask, X, y, m, fit)
         var = variance_for_model(s, mask, X, y, m, fit)
         assert np.isfinite(var.v_total)
         c = c_hat(s, mask, X, m, fit)
@@ -140,7 +142,8 @@ class TestEta:
     def test_ht_mean_of_eta_reproduces_estimator(self, seed):
         s, mask, X, y = srswor_instance(seed)
         m = ModelSpec((1, 2))
-        mu, fit = imputed_mean(s, mask, X, y, m)
+        fit = respondent_fit(mask, X, y, m)
+        mu = imputed_mean(s, mask, X, y, m, fit)
         c = c_hat(s, mask, X, m, fit)
         eta = eta_hat(s, mask, X, y, m, fit, c)
         assert ht_mean(s, eta) == pytest.approx(mu, rel=1e-10)
@@ -148,7 +151,8 @@ class TestEta:
     def test_identity_holds_on_stratified_draw(self):
         s, mask, X, y = stratified_instance(9)
         m = ModelSpec((1, 2))
-        mu, fit = imputed_mean(s, mask, X, y, m)
+        fit = respondent_fit(mask, X, y, m)
+        mu = imputed_mean(s, mask, X, y, m, fit)
         c = c_hat(s, mask, X, m, fit)
         eta = eta_hat(s, mask, X, y, m, fit, c)
         assert ht_mean(s, eta) == pytest.approx(mu, rel=1e-10)
@@ -356,7 +360,9 @@ class TestPipeline:
         X = rng.gamma(5.0, 2.0, size=(N, 2))
         y = 1.0 + X @ [2.0, -1.0] + rng.normal(size=N)
         mask = ResponseMask(np.ones(N, dtype=bool))
-        bundle = estimate_with_inference(s, mask, X, y, [ModelSpec((1, 2))], "bic", 0.95)
+        cands = [ModelSpec((1, 2))]
+        fits = fit_candidates(X, y, cands)
+        bundle = estimate_with_inference(s, mask, X, y, cands, fits, "bic", 0.95)
         mu = float(y.mean())
         assert bundle.mu_hat == pytest.approx(mu, rel=1e-12)
         assert bundle.variance.v_total == pytest.approx(0.0, abs=1e-15)
