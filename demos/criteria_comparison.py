@@ -21,7 +21,7 @@ def main():
     cfg = parse_study_config(obj)
     print(f"study {cfg.name}: N={cfg.N}, n={cfg.n}, p={cfg.p}, B={B}")
     print("running...", flush=True)
-    summary = run_study(cfg)
+    summary, _ = run_study(cfg)
 
     print(f"\n{'criterion':>10} {'wrong%':>7} {'true%':>7} {'overfit%':>9}"
           f" {'CP%':>6} {'varRB%':>7} {'RB%':>7}")

@@ -53,7 +53,6 @@ from .population import (  # noqa: E402
     ResponseMask,
     generate_population,
     generate_response,
-    write_population_csv,
 )
 from .selection import (  # noqa: E402
     CriterionScore,
@@ -95,7 +94,6 @@ from .study import (  # noqa: E402
     ReplicationRecord,
     StudySummary,
     coverage_probability,
-    identification_probability,
     mc_loss,
     relative_bias,
     relative_efficiency,

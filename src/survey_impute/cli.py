@@ -6,8 +6,9 @@ survey-impute estimate --data sample.csv --config est.json
                        [--out-dir D] [--dry-run]
 
 SURVEY_IMPUTE_SEED overrides the config's master_seed. Exit codes:
-0 success, 2 malformed config or data, or data that no candidate model
-can fit, 3 failure rate above the configured threshold, 1 anything else.
+0 success, 2 malformed config or data, data that no candidate model
+can fit, or data whose estimate or variance is not finite, 3 failure
+rate above the configured threshold, 1 anything else.
 """
 
 import argparse
@@ -26,8 +27,7 @@ from .config import (
     resolved_study_config,
 )
 from .design import SRSWOR, STRATIFIED, DesignDescriptor, SampleDraw, Stratum, first_order
-from .errors import (ConfigError, DegenerateFitError, SelectionFailureError, SingularFitError,
-                     SurveyImputeError)
+from .errors import ConfigError, EstimationFailureError, SelectionFailureError, SurveyImputeError
 from .estimators import build_candidates, fit_candidates
 from .population import ResponseMask
 from .study import SUMMARY_COLUMNS, reps_to_csv, run_study, summary_rows, summary_to_csv
@@ -81,12 +81,10 @@ def cmd_simulate(args):
 
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
-    keep = args.reps_out is not None
-    result = run_study(cfg, threads=args.threads, keep_records=keep)
-    summary, records = result if keep else (result, None)
+    summary, records = run_study(cfg, threads=args.threads)
 
     summary_to_csv(summary, os.path.join(out_dir, "summary.csv"))
-    if keep:
+    if args.reps_out is not None:
         reps_to_csv(records, args.reps_out, cfg)
     _print_summary_table(cfg, summary, sys.stdout)
 
@@ -222,17 +220,20 @@ def cmd_estimate(args):
     # missing y stay NaN: every downstream read goes through the mask, so
     # a stray NaN in the output would expose a bookkeeping bug loudly
 
-    fits = fit_candidates(X[resp], y[resp], candidates)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 0]))
-    bundle = estimate_with_inference(
-        sample, mask, X, y, candidates, fits, cfg.criterion, cfg.level, rng
-    )
+    # finite but huge data can overflow; the estimate or variance then is
+    # not finite and confidence_interval reports it as the one error line
+    with np.errstate(over="ignore", invalid="ignore"):
+        fits = fit_candidates(X[resp], y[resp], candidates)
+        bundle = estimate_with_inference(
+            sample, mask, X, y, candidates, fits, cfg.criterion, cfg.level, rng
+        )
 
     out = {
         "criterion": cfg.criterion,
         "selected": {
             "included": list(bundle.model.included),
-            "with_intercept": bundle.model.with_intercept,
+            "with_intercept": True,  # every candidate has one
         },
         "n": int(ids.size),
         "n_respondents": int(mask.n_r),
@@ -290,9 +291,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error at {exc.field}: {exc.message}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SelectionFailureError, SingularFitError, DegenerateFitError) as exc:
+    except (SelectionFailureError, EstimationFailureError) as exc:
         # a study counts these per replication, so only estimate gets here
-        print(f"error: the data admit no usable fit: {exc}", file=sys.stderr)
+        print(f"error: the data admit no usable estimate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SurveyImputeError as exc:
         print(f"error: {exc}", file=sys.stderr)

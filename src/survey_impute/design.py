@@ -5,7 +5,7 @@ Horvitz-Thompson machinery downstream can rely on them bit for bit.
 Unit ids are 0-based positions into the population arrays.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

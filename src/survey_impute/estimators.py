@@ -25,11 +25,10 @@ class ModelClass(enum.Enum):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A working model: which covariates (1-based indices) and whether an
-    intercept is included. Indices are stored sorted and deduplicated."""
+    """A working model: an intercept plus the covariates with these
+    1-based indices, stored sorted and deduplicated."""
 
     included: tuple
-    with_intercept: bool = True
 
     def __post_init__(self):
         idx = tuple(sorted(set(int(j) for j in self.included)))
@@ -40,10 +39,10 @@ class ModelSpec:
     @property
     def p_alpha(self):
         """Number of fitted coefficients."""
-        return len(self.included) + (1 if self.with_intercept else 0)
+        return len(self.included) + 1
 
     def label(self):
-        return ("i" if self.with_intercept else "") + "+".join(map(str, self.included))
+        return "i" + "+".join(map(str, self.included))
 
 
 @dataclass(frozen=True)
@@ -58,13 +57,10 @@ class FitResult:
     R: np.ndarray
 
 
-def classify_model(model, true_support, beta0_nonzero=False):
+def classify_model(model, true_support):
     """TRUE if the model keeps exactly the active covariates, overfit if a
-    strict superset, wrong otherwise. A model that drops a nonzero
-    intercept cannot be correct; including an intercept whose true value
-    is zero costs nothing but never upgrades the class."""
-    if beta0_nonzero and not model.with_intercept:
-        return ModelClass.WRONG
+    strict superset, wrong otherwise. Every model has an intercept, so a
+    nonzero true intercept never makes a model wrong."""
     truth = tuple(sorted(true_support))
     if model.included == truth:
         return ModelClass.TRUE
@@ -74,13 +70,11 @@ def classify_model(model, true_support, beta0_nonzero=False):
 
 
 def design_matrix(X, model):
-    """Columns of X for the model, intercept first when present."""
+    """Columns of X for the model, intercept first."""
     X = np.asarray(X, dtype=np.float64)
-    cols = [np.ones((X.shape[0], 1))] if model.with_intercept else []
+    cols = [np.ones((X.shape[0], 1))]
     if model.included:
         cols.append(X[:, [j - 1 for j in model.included]])
-    if not cols:
-        raise ValueError("empty model: no intercept and no covariates")
     return np.hstack(cols)
 
 

@@ -4,7 +4,6 @@ The response model only ever sees the stored response probabilities;
 nothing downstream of generation can couple response to y.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,15 +128,3 @@ def generate_response(resp_prob, unit_ids, rng):
     resp_prob = np.asarray(resp_prob, dtype=np.float64)
     unit_ids = np.asarray(unit_ids, dtype=np.int64)
     return ResponseMask(rng.random(unit_ids.size) < resp_prob[unit_ids])
-
-
-def write_population_csv(path, pop):
-    """Dump a population for inspection: unit_id, x1..xp, y, resp_prob."""
-    header = ["unit_id"] + [f"x{j}" for j in range(1, pop.p + 1)] + ["y", "resp_prob"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for k in range(pop.N):
-            row = [k] + [f"{v:.10g}" for v in pop.X[k]]
-            row += [f"{pop.y[k]:.10g}", f"{pop.resp_prob[k]:.10g}"]
-            w.writerow(row)

@@ -15,18 +15,16 @@ from multiprocessing import get_context
 import numpy as np
 
 from .design import draw_srswor, draw_stratified
-from .errors import (
-    DegenerateFitError,
-    EstimationFailureError,
-    MetricError,
-    SelectionFailureError,
-    SingularFitError,
-)
+from .errors import EstimationFailureError, MetricError, SelectionFailureError
 from .estimators import build_candidates, classify_model, fit_candidates, ht_mean, imputed_mean
 from .population import generate_population, generate_response
 from .variance import estimate_with_inference
 
-_FAILURES = (SingularFitError, DegenerateFitError, SelectionFailureError, EstimationFailureError)
+# the only errors estimate_with_inference raises on a replication:
+# fit_candidates turns a singular fit into None, select never picks a
+# model without residual df, a realized draw always matches its
+# allocation, and a non-finite estimate raises EstimationFailureError
+_FAILURES = (SelectionFailureError, EstimationFailureError)
 
 
 @dataclass(frozen=True)
@@ -73,9 +71,8 @@ def candidate_labels(cfg):
     return [m.label() for m in build_candidates(cfg.candidates, cfg.p)]
 
 
-def run_replication(cfg, rep_id, master_seed=None):
-    seed = cfg.master_seed if master_seed is None else master_seed
-    streams = np.random.SeedSequence([seed, rep_id]).spawn(4)
+def run_replication(cfg, rep_id):
+    streams = np.random.SeedSequence([cfg.master_seed, rep_id]).spawn(4)
     pop_rng, samp_rng, resp_rng, crit_rng = map(np.random.default_rng, streams)
 
     pop = generate_population(
@@ -94,14 +91,13 @@ def run_replication(cfg, rep_id, master_seed=None):
     X_s = pop.X[sample.unit_ids]
     y_s = pop.y[sample.unit_ids]
     ht_complete = ht_mean(sample, y_s)
-    beta0_nonzero = cfg.beta[0] != 0.0
 
     candidates = build_candidates(cfg.candidates, cfg.p)
     labels = candidate_labels(cfg)
     fits = fit_candidates(X_s[mask.respondents], y_s[mask.respondents], candidates)
     models = []
     for label, m in zip(labels, candidates):
-        klass = classify_model(m, pop.true_support, beta0_nonzero).value
+        klass = classify_model(m, pop.true_support).value
         fit = fits[m]
         mu_hat = None if fit is None else imputed_mean(sample, mask, X_s, y_s, m, fit)
         models.append(ModelResult(label, klass, fit is not None, mu_hat))
@@ -119,7 +115,7 @@ def run_replication(cfg, rep_id, master_seed=None):
             )
             continue
         label = by_model[bundle.model]
-        klass = classify_model(bundle.model, pop.true_support, beta0_nonzero).value
+        klass = classify_model(bundle.model, pop.true_support).value
         covered = bool(bundle.ci.lower <= pop.mu <= bundle.ci.upper)
         crit_results.append(
             CriterionResult(
@@ -133,17 +129,17 @@ def run_replication(cfg, rep_id, master_seed=None):
 
 
 def _run_chunk(args):
-    cfg, master_seed, rep_ids = args
-    return [run_replication(cfg, r, master_seed) for r in rep_ids]
+    cfg, rep_ids = args
+    return [run_replication(cfg, r) for r in rep_ids]
 
 
-def run_records(cfg, master_seed=None, threads=1):
+def run_records(cfg, threads=1):
     """All replication records, in rep_id order."""
     B = cfg.replications
     if threads <= 1:
-        return [run_replication(cfg, r, master_seed) for r in range(B)]
+        return [run_replication(cfg, r) for r in range(B)]
     chunks = [
-        (cfg, master_seed, tuple(ids))
+        (cfg, tuple(ids))
         for ids in np.array_split(np.arange(B), min(B, threads * 4))
         if ids.size
     ]
@@ -175,11 +171,6 @@ def relative_efficiency(mu_hat, mu_true, ht):
     if mu_hat.size == 0 or denom <= 0.0:
         raise MetricError("HT mean squared error is zero")
     return float(100.0 * np.sum((mu_hat - mu_true) ** 2) / denom)
-
-
-def identification_probability(selected, target, B):
-    hits = sum(1 for s in selected if s == target)
-    return 100.0 * hits / B
 
 
 def coverage_probability(covered):
@@ -308,13 +299,10 @@ def summarize(cfg, records):
     return StudySummary(cfg.name, B, tuple(model_rows), tuple(criterion_rows))
 
 
-def run_study(cfg, master_seed=None, threads=1, keep_records=False):
-    """-> StudySummary, or (StudySummary, records) with keep_records."""
-    records = run_records(cfg, master_seed, threads)
-    summary = summarize(cfg, records)
-    if keep_records:
-        return summary, records
-    return summary
+def run_study(cfg, threads=1):
+    """-> (StudySummary, records)."""
+    records = run_records(cfg, threads)
+    return summarize(cfg, records), records
 
 
 # --- CSV output ------------------------------------------------------------

@@ -134,9 +134,13 @@ def v2_hat(sample, mask, X, model, sigma2, c):
 
 def confidence_interval(point, v_total, level):
     """Normal interval point +/- z * sqrt(v_total) at the given
-    confidence level (z taken at (1 + level) / 2)."""
+    confidence level (z taken at (1 + level) / 2). A non-finite point or
+    variance (finite data can overflow) or a negative variance raises
+    EstimationFailureError."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
+    if not (np.isfinite(point) and np.isfinite(v_total)):
+        raise EstimationFailureError(f"non-finite estimate {point} or variance {v_total}")
     if v_total < 0.0:
         raise EstimationFailureError(f"negative variance estimate {v_total}")
     z = float(ndtri((1.0 + level) / 2.0))

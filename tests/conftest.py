@@ -34,7 +34,7 @@ def study_srswor_n500():
     """Main SRSWOR study, all criteria, records kept for the
     studentized-error test."""
     cfg = load_config("srswor_n500")
-    summary, records = run_study(cfg, keep_records=True)
+    summary, records = run_study(cfg)
     return cfg, summary, records
 
 
@@ -43,19 +43,19 @@ def study_srswor_n200():
     # aic/cv dropped: bic draws nothing from the criterion stream, so
     # its rows are identical to the full run's
     cfg = load_config("srswor_n200", criteria=("bic",))
-    return cfg, run_study(cfg)
+    return cfg, run_study(cfg)[0]
 
 
 @pytest.fixture(scope="session")
 def study_srswor_n100():
     cfg = load_config("srswor_n100", criteria=("bic",))
-    return cfg, run_study(cfg)
+    return cfg, run_study(cfg)[0]
 
 
 @pytest.fixture(scope="session")
 def study_stratified_n500():
     cfg = load_config("stratified_n500")
-    return cfg, run_study(cfg)
+    return cfg, run_study(cfg)[0]
 
 
 @pytest.fixture

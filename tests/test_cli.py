@@ -334,6 +334,20 @@ class TestEstimate:
         assert "degrees of freedom" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_huge_finite_data_with_non_finite_variance_exits_2(self, tmp_path, capsys):
+        # y ~ 1e161 is finite, but its squares overflow: sigma^2 and the
+        # variance come out infinite, which is no interval to print
+        ids, X, y, pi = sample_data(n=30, N=300)
+        data = tmp_path / "d.csv"
+        write_sample_csv(data, ids, X, 1e161 * y, pi, missing=set(range(0, 30, 4)))
+        cfg = self.est_config(tmp_path, design={"kind": "srswor", "N": 300})
+        code = main(["estimate", "--data", str(data), "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("criterion", ["aic", "bic"])
     def test_interpolating_candidate_loses_to_one_with_residual_df(
         self, tmp_path, capsys, criterion

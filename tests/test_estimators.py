@@ -38,7 +38,6 @@ class TestModelSpec:
 
     def test_p_alpha(self):
         assert ModelSpec((1, 2)).p_alpha == 3
-        assert ModelSpec((1, 2), with_intercept=False).p_alpha == 2
 
     def test_rejects_nonpositive_indices(self):
         with pytest.raises(ValueError):
@@ -46,7 +45,6 @@ class TestModelSpec:
 
     def test_label(self):
         assert ModelSpec((2, 5)).label() == "i2+5"
-        assert ModelSpec((1,), with_intercept=False).label() == "1"
 
 
 class TestClassify:
@@ -59,11 +57,6 @@ class TestClassify:
     def test_disjoint_superset_count_is_wrong(self):
         # swaps a needed covariate for an extra one
         assert classify_model(ModelSpec((1, 2, 4)), (1, 2, 3)) is ModelClass.WRONG
-
-    def test_dropped_nonzero_intercept(self):
-        m = ModelSpec((1, 2, 3), with_intercept=False)
-        assert classify_model(m, (1, 2, 3), beta0_nonzero=True) is ModelClass.WRONG
-        assert classify_model(m, (1, 2, 3), beta0_nonzero=False) is ModelClass.TRUE
 
 
 class TestFitOls:
@@ -249,4 +242,3 @@ class TestFitCandidates:
 def test_nested_candidates_shape():
     cands = nested_candidates(4)
     assert [m.included for m in cands] == [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4)]
-    assert all(m.with_intercept for m in cands)

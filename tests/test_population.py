@@ -1,7 +1,5 @@
 """Population generation and the response mechanism."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from survey_impute.population import (
     ResponseMask,
     generate_population,
     generate_response,
-    write_population_csv,
 )
 
 GAMMA52 = {"name": "gamma", "shape": 5.0, "scale": 2.0}
@@ -103,19 +100,3 @@ class TestResponse:
         mask = ResponseMask(np.array([True, False, True, True, False]))
         assert mask.n_r == 3 and mask.n_m == 2
         assert np.array_equal(np.sort(np.r_[mask.respondents, mask.nonrespondents]), np.arange(5))
-
-
-class TestCsvExport:
-    def test_header_and_roundtrip_precision(self, tmp_path):
-        pop = generate_population(
-            6, 2, {"name": "uniform"}, (0.5, 1.0, -2.0), 0.3,
-            (0.0, 1.0, (0.2, 0.1)), np.random.default_rng(5),
-        )
-        path = tmp_path / "pop.csv"
-        write_population_csv(path, pop)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["unit_id", "x1", "x2", "y", "resp_prob"]
-        assert len(rows) == 7
-        got_y = np.array([float(r[3]) for r in rows[1:]])
-        assert np.allclose(got_y, pop.y, rtol=1e-9)

@@ -77,7 +77,7 @@ class TestCHat:
 
     def test_intercept_only_scalar(self):
         s, mask, X, y = srswor_instance(2)
-        m = ModelSpec((), with_intercept=True)
+        m = ModelSpec(())
         got = c_hat(s, mask, X, m, respondent_fit(mask, X, y, m))
         pi = s.design.sample_size / s.design.population_size
         assert got.shape == (1,)
@@ -252,7 +252,7 @@ class TestV1:
 class TestSigma2:
     def test_hand_value(self):
         fit = FitResult(np.array([0.0]), rss=2.0, n_r_used=3, R=np.eye(1))
-        assert sigma2_hat(fit, ModelSpec((), with_intercept=True)) == pytest.approx(1.0)
+        assert sigma2_hat(fit, ModelSpec(())) == pytest.approx(1.0)
 
     def test_no_degrees_of_freedom(self):
         fit = FitResult(np.zeros(3), rss=0.0, n_r_used=3, R=np.eye(3))
@@ -343,6 +343,13 @@ class TestConfidenceInterval:
     def test_negative_variance_raises(self):
         with pytest.raises(EstimationFailureError):
             confidence_interval(0.0, -1e-9, 0.95)
+
+    @pytest.mark.parametrize(
+        "point, v_total", [(0.0, np.inf), (0.0, np.nan), (np.inf, 1.0), (np.nan, 1.0)]
+    )
+    def test_non_finite_estimate_raises(self, point, v_total):
+        with pytest.raises(EstimationFailureError):
+            confidence_interval(point, v_total, 0.95)
 
     @pytest.mark.parametrize("level", [0.0, 1.0, -0.1, 1.5])
     def test_level_bounds(self, level):
