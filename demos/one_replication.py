@@ -21,7 +21,6 @@ Run:
 import numpy as np
 
 from survey_impute import (
-    ModelSpec,
     classify_model,
     confidence_interval,
     draw_srswor,

@@ -98,6 +98,14 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
+def _decoded_lines(fh, path):
+    """The lines of a text file, with a decoding error as a ConfigError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(path), f"data file is not valid {exc.encoding} text: {exc.reason}")
+
+
 def read_estimate_csv(path):
     """sample CSV with header unit_id, x1..xp, y, pi; empty y = missing.
 
@@ -108,7 +116,7 @@ def read_estimate_csv(path):
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read data file: {exc}")
     with fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_decoded_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -179,16 +187,18 @@ def build_estimate_design(cfg, ids, pi):
             raise ConfigError(
                 "design.strata", "sampled_units do not match the data file's unit ids"
             )
-        strata, synth_map = [], {}
+        strata, units, sampled = [], [], []
         offset = 0
-        for N_h, units in cfg.strata:
+        for N_h, stratum_units in cfg.strata:
             block = np.arange(offset, offset + N_h, dtype=np.int64)
-            for s, u in zip(block[:len(units)], sorted(units)):
-                synth_map[u] = s
-            strata.append(Stratum(block, len(units)))
+            units.append(np.sort(stratum_units))
+            sampled.append(block[:len(stratum_units)])
+            strata.append(Stratum(block, len(stratum_units)))
             offset += N_h
         design = DesignDescriptor(STRATIFIED, offset, n, tuple(strata))
-        synth = np.asarray([synth_map[u] for u in ids], dtype=np.int64)
+        # ids are the declared units in sorted order, so sorting the units
+        # puts each one's synthetic id at its place in ids
+        synth = np.concatenate(sampled)[np.argsort(np.concatenate(units), kind="stable")]
     expected = first_order(design, synth)
     if np.max(np.abs(pi - expected)) > 1e-9:
         raise ConfigError("pi", "pi column inconsistent with the declared design")

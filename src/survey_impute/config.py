@@ -356,5 +356,9 @@ def load_json(path):
             return json.load(fh)
     except FileNotFoundError:
         _fail(str(path), "config file not found")
+    except OSError as exc:
+        _fail(str(path), f"cannot read config file: {exc}")
+    except UnicodeDecodeError as exc:
+        _fail(str(path), f"config file is not valid {exc.encoding} text: {exc.reason}")
     except json.JSONDecodeError as exc:
         _fail(f"{path}:{exc.lineno}", f"invalid JSON: {exc.msg}")

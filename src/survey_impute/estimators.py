@@ -78,6 +78,12 @@ def design_matrix(X, model):
     return np.hstack(cols)
 
 
+def _rank_deficient(d):
+    """The one rank rule, on the diagonal d of a design's triangular factor."""
+    d = np.abs(d)
+    return d.min() <= RCOND_MIN * d.max()
+
+
 def qr_checked(Z, model):
     """Reduced QR (Q, R) of a respondent design Z under the package's one
     rank rule: raises SingularFitError when Z has fewer rows than columns
@@ -86,10 +92,29 @@ def qr_checked(Z, model):
     if n < q:
         raise SingularFitError(f"{n} respondents cannot identify {q} coefficients", model)
     Q, R = np.linalg.qr(Z)
-    d = np.abs(np.diag(R))
-    if d.min() <= RCOND_MIN * d.max():
+    if _rank_deficient(np.diag(R)):
         raise SingularFitError("rank deficient design matrix", model)
     return Q, R
+
+
+def deleted_rows_factor(Q_t, R, n_left):
+    """Lower Cholesky factor L of I - Q_t'Q_t, where Q_t holds some rows of
+    Q = ZR^-1 for a fit's design Z; L'R is then the triangular factor of
+    the n_left rows of Z that remain. None when that design is singular:
+    fewer rows than columns, a failed Cholesky, min diag(L) at most
+    sqrt(RCOND_MIN) (I - Q_t'Q_t is formed at Gram scale, so L resolves
+    only to about sqrt(eps)), or qr_checked's rule on diag(L) diag(R)."""
+    q = R.shape[0]
+    if n_left < q:
+        return None
+    try:
+        L = np.linalg.cholesky(np.eye(q) - Q_t.T @ Q_t)
+    except np.linalg.LinAlgError:
+        return None
+    d = np.diag(L)
+    if d.min() <= np.sqrt(RCOND_MIN) or _rank_deficient(d * np.diag(R)):
+        return None
+    return L
 
 
 def fit_ols(X_r, y_r, model):

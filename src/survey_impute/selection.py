@@ -1,19 +1,25 @@
 """Model selection on the respondent set: AIC, BIC, K-fold CV.
 
 Criterion names are the strings "aic", "bic", or "cvK" (e.g. "cv5").
-Scores are compared as (score, p_alpha, included), so ties go to the
-smaller model and then lexicographically. A candidate that is rank
-deficient, or has no residual degrees of freedom (n_r <= p_alpha) and
-so no sigma^2 and no interval, scores +inf.
+Every criterion reads each candidate's one respondent fit (from
+fit_candidates): AIC and BIC its rss, K-fold CV its coefficients and R
+factor, from which the held-out residuals of every training fold follow
+in closed form, so no score refits anything. Scores are compared as
+(score, p_alpha, included), so ties go to the smaller model and then
+lexicographically. A candidate that is rank deficient, or has no
+residual degrees of freedom (n_r <= p_alpha) and so no sigma^2 and no
+interval, scores +inf; under cvK so does one with a singular training
+fold.
 """
 
 import re
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve, solve_triangular
 
-from .errors import SelectionFailureError, SingularFitError
-from .estimators import design_matrix, fit_ols
+from .errors import SelectionFailureError
+from .estimators import deleted_rows_factor, design_matrix
 
 # rss at or below this fraction of the centered total sum of squares is
 # treated as an exact interpolation that only floating point kept nonzero
@@ -64,23 +70,30 @@ def make_folds(n, k, rng):
     return np.array_split(rng.permutation(n), k)
 
 
-def score_kfold_cv(X_r, y_r, model, folds):
-    """Mean held-out MSE over the folds."""
-    X_r = np.asarray(X_r, dtype=np.float64)
-    y_r = np.asarray(y_r, dtype=np.float64)
+def score_kfold_cv(X_r, y_r, model, fit, folds):
+    """Mean held-out MSE over the folds, read off the model's respondent
+    fit with no refits. With e the fit's residuals and Q = ZR^-1, the fit
+    without test rows t leaves held-out residuals
+    e_t + Q_t M^-1 Q_t'e_t, M = I - Q_t'Q_t (the leave-n_v-out identity).
+    A fold whose training design is singular (deleted_rows_factor) makes
+    the score +inf."""
+    Z = design_matrix(X_r, model)
+    e = np.asarray(y_r, dtype=np.float64) - Z @ fit.beta_hat
+    Q = solve_triangular(fit.R, Z.T, trans="T").T
     mses = []
     for test in folds:
-        train = np.ones(y_r.size, dtype=bool)
-        train[test] = False
-        fit = fit_ols(X_r[train], y_r[train], model)
-        resid = y_r[test] - design_matrix(X_r[test], model) @ fit.beta_hat
-        mses.append(float(resid @ resid) / test.size)
+        Q_t, e_t = Q[test], e[test]
+        L = deleted_rows_factor(Q_t, fit.R, e.size - test.size)
+        if L is None:
+            return float("inf")
+        r = e_t + Q_t @ cho_solve((L, True), Q_t.T @ e_t)
+        mses.append(float(r @ r) / test.size)
     return float(np.mean(mses))
 
 
 def score_candidates(criterion, candidates, X_r, y_r, fits, rng=None):
     """Score every candidate on its respondent fit in fits (from
-    fit_candidates; AIC and BIC fit nothing); a None fit, or one with
+    fit_candidates; no criterion fits anything); a None fit, or one with
     n_r <= p_alpha, scores +inf. Returns CriterionScores in candidate order.
     """
     kind, k = parse_criterion(criterion)
@@ -102,10 +115,7 @@ def score_candidates(criterion, candidates, X_r, y_r, fits, rng=None):
         if fit is None or fit.n_r_used <= model.p_alpha:
             score = float("inf")
         elif kind == "cv":
-            try:
-                score = score_kfold_cv(X_r, y_r, model, folds)
-            except SingularFitError:  # a singular training fold
-                score = float("inf")
+            score = score_kfold_cv(X_r, y_r, model, fit, folds)
         else:
             rss = 0.0 if fit.rss <= RSS_INTERP_REL * tss else fit.rss
             scorer = score_aic if kind == "aic" else score_bic

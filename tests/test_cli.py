@@ -224,6 +224,39 @@ class TestReadEstimateCsv:
         assert err.value.field == "y"
 
 
+class TestUnreadableInput:
+    """Undecodable or unreadable files exit 2 with one stderr line."""
+
+    def run(self, argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    def test_undecodable_data_cell(self, tmp_path, capsys):
+        ids, X, y, pi = sample_data(n=4)
+        data = tmp_path / "d.csv"
+        write_sample_csv(data, ids, X, y, pi)
+        raw = data.read_bytes().splitlines(keepends=True)
+        raw[2] = b"\xff" + raw[2]
+        data.write_bytes(b"".join(raw))
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps({"criterion": "bic", "design": {"kind": "srswor", "N": 50}}))
+        err = self.run(["estimate", "--data", str(data), "--config", str(cfg)], capsys)
+        assert str(data) in err
+
+    def test_undecodable_config(self, tmp_path, capsys):
+        cfg = study_json(tmp_path)
+        cfg.write_bytes(cfg.read_bytes().replace(b"cli-t", b"cli-\xff"))
+        err = self.run(["simulate", "--config", str(cfg), "--dry-run"], capsys)
+        assert str(cfg) in err
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        err = self.run(["simulate", "--config", str(tmp_path), "--dry-run"], capsys)
+        assert str(tmp_path) in err
+
+
 class TestEstimate:
     def est_config(self, tmp_path, **extra):
         raw = {"criterion": "bic", "design": {"kind": "srswor", "N": 50}}

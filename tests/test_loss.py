@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from survey_impute.design import SRSWOR, DesignDescriptor, SampleDraw, draw_srswor, first_order
+from survey_impute.design import SampleDraw, draw_srswor
 from survey_impute.errors import SingularFitError
 from survey_impute.estimators import ModelSpec, fit_ols, nested_candidates
 from survey_impute.loss import LossValue, loss_closed_form, mc_loss_oracle

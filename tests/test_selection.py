@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from survey_impute.errors import SelectionFailureError
-from survey_impute.estimators import ModelSpec, fit_candidates, fit_ols, nested_candidates
+from survey_impute.errors import SelectionFailureError, SingularFitError
+from survey_impute.estimators import (
+    ModelSpec,
+    design_matrix,
+    fit_candidates,
+    fit_ols,
+    nested_candidates,
+)
 from survey_impute.selection import (
     make_folds,
     parse_criterion,
@@ -14,6 +22,22 @@ from survey_impute.selection import (
     score_kfold_cv,
     select,
 )
+
+
+def refit_cv_score(X_r, y_r, model, folds):
+    """Oracle K-fold CV: refit the model on every training fold and
+    average the held-out MSEs; a singular training fold scores +inf."""
+    mses = []
+    for test in folds:
+        train = np.ones(y_r.size, dtype=bool)
+        train[test] = False
+        try:
+            fit = fit_ols(X_r[train], y_r[train], model)
+        except SingularFitError:
+            return float("inf")
+        resid = y_r[test] - design_matrix(X_r[test], model) @ fit.beta_hat
+        mses.append(float(resid @ resid) / test.size)
+    return float(np.mean(mses))
 
 
 class TestParseCriterion:
@@ -73,9 +97,8 @@ class TestCvScore:
         y = rng.normal(size=10)
         m = ModelSpec((1, 2))
         folds = [np.array([i]) for i in range(10)]
-        got = score_kfold_cv(X, y, m, folds)
+        got = score_kfold_cv(X, y, m, fit_ols(X, y, m), folds)
 
-        from survey_impute.estimators import design_matrix
         Z = design_matrix(X, m)
         H = Z @ np.linalg.solve(Z.T @ Z, Z.T)
         e = y - H @ y
@@ -87,8 +110,78 @@ class TestCvScore:
         base = rng.uniform(1, 2, size=(6, 2))
         X = np.vstack([base, base])
         y = 1.0 + X @ [2.0, 3.0]
+        m = ModelSpec((1, 2))
         folds = make_folds(12, 3, np.random.default_rng(4))
-        assert score_kfold_cv(X, y, ModelSpec((1, 2)), folds) <= 1e-18
+        assert score_kfold_cv(X, y, m, fit_ols(X, y, m), folds) <= 1e-18
+
+    def test_binary_covariate_data_match_the_refit_rank_rule(self):
+        # two gamma covariates and a ~10%-ones indicator on 30
+        # respondents: a training fold often holds no ones, so it is
+        # singular though the full fit is not. The score is +inf exactly
+        # where a refit hits a training fold that fails qr_checked
+        rng = np.random.default_rng(20)
+        m = ModelSpec((1, 2, 3))
+        singular = 0
+        for _ in range(400):
+            X = np.column_stack([rng.gamma(5.0, 2.0, size=(30, 2)), rng.random(30) < 0.1])
+            y = 1.0 + X @ [1.0, 2.0, 3.0] + rng.normal(size=30)
+            fit = fit_candidates(X, y, [m])[m]
+            if fit is None:
+                continue
+            folds = make_folds(30, 5, rng)
+            refit_singular = refit_cv_score(X, y, m, folds) == float("inf")
+            assert (score_kfold_cv(X, y, m, fit, folds) == float("inf")) == refit_singular
+            singular += refit_singular
+        assert singular >= 50
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_r=st.integers(min_value=8, max_value=60),
+    p=st.integers(min_value=1, max_value=4),
+    k=st.sampled_from([2, 3, 5, None]),
+    nested=st.booleans(),
+    delta=st.sampled_from([None, 0.0, 1e-2, 1e-4]),
+    binary=st.booleans(),
+)
+def test_cv_identity_matches_refits(seed, n_r, p, k, nested, delta, binary):
+    # k None is leave-one-out; delta sets x2 = x1 + delta * noise
+    # (0 makes the pair collinear); binary makes the last covariate a
+    # 10%-ones indicator, which leaves some training folds singular
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n_r, p))
+    if delta is not None and p >= 2:
+        X[:, 1] = X[:, 0] + delta * rng.normal(size=n_r)
+    if binary:
+        X[:, -1] = rng.random(n_r) < 0.1
+    y = 1.0 + X @ rng.normal(size=p) + rng.normal(size=n_r)
+    k = k or n_r
+    if nested:
+        cands = nested_candidates(p)
+    else:
+        cands = [ModelSpec(rng.choice(np.arange(1, p + 1), size=rng.integers(1, p + 1),
+                                      replace=False)) for _ in range(3)]
+    fits = fit_candidates(X, y, cands)
+    scores = score_candidates(f"cv{k}", cands, X, y, fits, np.random.default_rng(seed))
+
+    fold_rng = np.random.default_rng(seed)
+    for m, cs in zip(cands, scores):
+        folds = make_folds(n_r, k, fold_rng)
+        fit = fits[m]
+        if fit is None or fit.n_r_used <= m.p_alpha:
+            ref = float("inf")
+        else:
+            ref = refit_cv_score(X, y, m, folds)
+        if ref == float("inf"):
+            assert cs.score == float("inf")
+        else:
+            # the identity solves against I - Q_t'Q_t, formed at Gram
+            # scale like normal equations, so its error grows with the
+            # square of a training design's condition number
+            Z = design_matrix(X, m)
+            kappa = max(np.linalg.cond(np.delete(Z, test, axis=0)) for test in folds)
+            assert cs.score == pytest.approx(ref, rel=1e-9 + 1e-14 * kappa**2)
 
 
 class TestScoreCandidates:

@@ -170,8 +170,7 @@ def count_factorizations(monkeypatch):
 class TestFitSharing:
     def test_replication_factors_each_candidate_once(self, monkeypatch):
         # p = 3 nested: one fit per candidate, shared by the model rows,
-        # aic, bic and the intervals, plus cv5's 5 training fits per
-        # candidate: 6p = 18 factorizations
+        # aic, bic, cv5 and the intervals: p = 3 factorizations
         cfg = tiny_config(
             replications=1,
             criteria=["aic", "bic", "cv5"],
@@ -182,9 +181,9 @@ class TestFitSharing:
         calls = count_factorizations(monkeypatch)
         rec = run_replication(cfg, 0)
         assert all(m.ok for m in rec.models) and all(c.ok for c in rec.criteria)
-        assert len(calls) == 18
+        assert len(calls) == 3
 
-    @pytest.mark.parametrize("criterion", ["aic", "bic"])
+    @pytest.mark.parametrize("criterion", ["aic", "bic", "cv5"])
     def test_estimate_with_given_fits_factors_nothing(self, criterion, monkeypatch):
         rng = np.random.default_rng(21)
         sample = draw_srswor(80, 20, rng)
@@ -194,7 +193,8 @@ class TestFitSharing:
         cands = nested_candidates(3)
         fits = fit_candidates(X[mask.respondents], y[mask.respondents], cands)
         calls = count_factorizations(monkeypatch)
-        bundle = estimate_with_inference(sample, mask, X, y, cands, fits, criterion, 0.95)
+        bundle = estimate_with_inference(sample, mask, X, y, cands, fits, criterion, 0.95,
+                                         np.random.default_rng(22))
         assert np.isfinite(bundle.variance.v_total)
         assert calls == []
 

@@ -1,4 +1,5 @@
-"""Every name a package module imports is read somewhere in that module.
+"""Every name a package, test or demo module imports is read somewhere in
+that module.
 
 A stdlib stand-in for a linter's unused-import rule. A package
 `__init__.py` re-exports what it imports from its own submodules, so
@@ -10,7 +11,10 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "survey_impute"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "survey_impute"
+MODULES = [*sorted(PACKAGE.glob("*.py")), *sorted(ROOT.glob("tests/*.py")),
+           *sorted(ROOT.glob("demos/*.py"))]
 
 
 def unused_imports(path):
@@ -27,7 +31,10 @@ def unused_imports(path):
     return [(line, name) for line, name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES,
+    ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}",
+)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
