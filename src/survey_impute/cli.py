@@ -14,8 +14,10 @@ rate above the configured threshold, 1 anything else.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -37,6 +39,8 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_FAILURE_RATE = 3
+
+_INT64 = np.iinfo(np.int64)
 
 
 def _round10(x):
@@ -99,11 +103,122 @@ def cmd_simulate(args):
 
 
 def _decoded_lines(fh, path):
-    """The lines of a text file, with a decoding error as a ConfigError."""
+    """The lines of a text file, with a decoding error as a ConfigError.
+    Not `yield from fh`: closing this generator would then close fh,
+    which the vectorised parse goes on reading after the header."""
     try:
-        yield from fh
+        for line in fh:
+            yield line
     except UnicodeDecodeError as exc:
         raise ConfigError(str(path), f"data file is not valid {exc.encoding} text: {exc.reason}")
+
+
+def _open_data(path):
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise ConfigError(str(path), f"cannot read data file: {exc}")
+
+
+def _data_header(reader):
+    """Read and check the header row; -> its stripped column names."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError("header", "data file is empty")
+    except csv.Error as exc:
+        raise ConfigError("header", f"malformed CSV: {exc}")
+    header = [h.strip() for h in header]
+    p = len(header) - 3
+    expected = ["unit_id"] + [f"x{j}" for j in range(1, p + 1)] + ["y", "pi"]
+    if p < 1 or header != expected:
+        raise ConfigError(
+            "header",
+            # the list's repr keeps a quoted newline in a name on one line
+            f"expected columns unit_id, x1..xp, y, pi; got {header}",
+        )
+    return header
+
+
+def _y_value(text):
+    """One y cell for np.loadtxt: blank is missing (NaN). A written-out
+    nan would then read as missing too, so it raises instead and the row
+    loop names its line."""
+    if text.strip() == "":
+        return np.nan
+    value = float(text)
+    if math.isnan(value):
+        raise ValueError(f"y is {text!r}")
+    return value
+
+
+def _non_finite(X, y, pi, resp):
+    """Cells that are not finite numbers; a missing y is the only NaN allowed."""
+    return ~np.column_stack([np.isfinite(X), np.isfinite(y) | ~resp, np.isfinite(pi)])
+
+
+def _load_columns(path):
+    """The data rows in one vectorised parse: (header, None, ids, X, y,
+    pi, resp) in file order, or None when some row is faulty or holds a
+    non-finite cell, which the row loop then names."""
+    with _open_data(path) as fh:
+        header = _data_header(csv.reader(_decoded_lines(fh, path)))
+        p = len(header) - 3
+        dtype = [("id", np.int64), ("x", np.float64, (p,)), ("y", np.float64),
+                 ("pi", np.float64)]
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported as "no rows" by the caller
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                # older numpy reads an id such as 3.7 as a float and truncates
+                # it, with only this warning; as an error it is a ValueError
+                warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                                  comments=None, ndmin=1, converters={p + 1: _y_value})
+        except ValueError:  # also an undecodable byte
+            return None
+    X, y, pi = rows["x"], rows["y"], rows["pi"]
+    resp = ~np.isnan(y)
+    if _non_finite(X, y, pi, resp).any():
+        return None
+    return header, None, rows["id"], X, y, pi, resp
+
+
+def _read_rows(path):
+    """The data rows through the csv module, one row at a time: (header,
+    line numbers, ids, X, y, pi, resp) in file order. Slow, but it names
+    the line of a faulty cell and accepts what only Python's int() and
+    float() read, such as 1_000."""
+    with _open_data(path) as fh:
+        reader = csv.reader(_decoded_lines(fh, path))
+        header = _data_header(reader)
+        p = len(header) - 3
+        ids, X, y, pi, resp, linenos = [], [], [], [], [], []
+        lineno = 1
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                linenos.append(lineno)
+                if len(row) != p + 3:
+                    raise ConfigError(f"line {lineno}", f"expected {p + 3} fields, got {len(row)}")
+                try:
+                    uid = int(row[0])
+                    X.append([float(v) for v in row[1:p + 1]])
+                    missing = row[p + 1].strip() == ""
+                    resp.append(not missing)
+                    y.append(np.nan if missing else float(row[p + 1]))
+                    pi.append(float(row[p + 2]))
+                except ValueError as exc:
+                    raise ConfigError(f"line {lineno}", f"bad value: {exc}")
+                if not _INT64.min <= uid <= _INT64.max:
+                    raise ConfigError(f"line {lineno}", f"unit_id {uid} does not fit in 64 bits")
+                ids.append(uid)
+        except csv.Error as exc:  # e.g. an unbalanced quote runs past the field size limit
+            raise ConfigError(f"line {lineno + 1}", f"malformed CSV: {exc}")
+    return (header, linenos, np.asarray(ids, dtype=np.int64),
+            np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64),
+            np.asarray(pi, dtype=np.float64), np.asarray(resp, dtype=bool))
 
 
 def read_estimate_csv(path):
@@ -111,56 +226,23 @@ def read_estimate_csv(path):
 
     Returns (unit_ids, X, y, pi, respondent mask) in unit-id-sorted order.
     """
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ConfigError(str(path), f"cannot read data file: {exc}")
-    with fh:
-        reader = csv.reader(_decoded_lines(fh, path))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError("header", "data file is empty")
-        header = [h.strip() for h in header]
-        p = len(header) - 3
-        expected = ["unit_id"] + [f"x{j}" for j in range(1, p + 1)] + ["y", "pi"]
-        if p < 1 or header != expected:
-            raise ConfigError(
-                "header",
-                f"expected columns unit_id, x1..xp, y, pi; got {', '.join(header)}",
-            )
-        ids, X, y, pi, resp, linenos = [], [], [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            linenos.append(lineno)
-            if len(row) != p + 3:
-                raise ConfigError(f"line {lineno}", f"expected {p + 3} fields, got {len(row)}")
-            try:
-                ids.append(int(row[0]))
-                X.append([float(v) for v in row[1:p + 1]])
-                missing = row[p + 1].strip() == ""
-                resp.append(not missing)
-                y.append(np.nan if missing else float(row[p + 1]))
-                pi.append(float(row[p + 2]))
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}", f"bad value: {exc}")
-    if not ids:
+    parsed = _load_columns(path)
+    if parsed is None:
+        parsed = _read_rows(path)
+    # the vectorised parse gives no line numbers, but only cells that are
+    # all finite, so the finiteness check below never needs them from it
+    header, linenos, ids, X, y, pi, resp = parsed
+    if ids.size == 0:
         raise ConfigError(str(path), "data file has no rows")
-    if len(set(ids)) != len(ids):
-        raise ConfigError("unit_id", "duplicate unit ids")
-    ids = np.asarray(ids, dtype=np.int64)
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    pi = np.asarray(pi, dtype=np.float64)
-    resp = np.asarray(resp, dtype=bool)
-    # float() accepts nan and inf; a missing y is the only NaN allowed
-    finite = np.column_stack([np.isfinite(X), np.isfinite(y) | ~resp, np.isfinite(pi)])
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise ConfigError(f"line {linenos[row]}", f"{header[1 + col]} is not a finite number")
     order = np.argsort(ids, kind="stable")
-    ids, X, y, pi, resp = ids[order], X[order], y[order], pi[order], resp[order]
+    ids = ids[order]
+    if np.any(ids[1:] == ids[:-1]):
+        raise ConfigError("unit_id", "duplicate unit ids")
+    bad = _non_finite(X, y, pi, resp)  # float() reads nan and inf
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ConfigError(f"line {linenos[row]}", f"{header[1 + col]} is not a finite number")
+    X, y, pi, resp = X[order], y[order], pi[order], resp[order]
     if np.any(pi <= 0.0) or np.any(pi > 1.0):
         raise ConfigError("pi", "inclusion probabilities must lie in (0, 1]")
     if not resp.any():

@@ -28,8 +28,8 @@ class Stratum:
         object.__setattr__(self, "units", units)
         if units.ndim != 1 or units.size == 0:
             raise InvalidDesignError("stratum must hold a 1-d nonempty unit array")
-        sorted_units = np.unique(units)
-        if sorted_units.size != units.size:
+        sorted_units = np.sort(units)
+        if np.any(sorted_units[1:] == sorted_units[:-1]):
             raise InvalidDesignError("stratum units must be distinct")
         sorted_units.setflags(write=False)
         # not a field: a lookup aid for stratum_labels, kept out of eq/repr

@@ -6,12 +6,15 @@ import io
 import json
 import os
 import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from survey_impute import cli
 from survey_impute.cli import (
     EXIT_CONFIG,
     EXIT_FAILURE_RATE,
@@ -21,6 +24,7 @@ from survey_impute.cli import (
     read_estimate_csv,
 )
 from survey_impute.design import SRSWOR, DesignDescriptor, SampleDraw, first_order
+from survey_impute.errors import ConfigError
 from survey_impute.estimators import build_candidates, fit_candidates, ht_mean, nested_candidates
 from survey_impute.population import ResponseMask
 from survey_impute.variance import estimate_with_inference
@@ -54,9 +58,9 @@ def study_json(tmp_path, name="study.json", **tweaks):
     return path
 
 
-def write_sample_csv(path, ids, X, y, pi, missing=()):
+def write_sample_csv(path, ids, X, y, pi, missing=(), quoting=csv.QUOTE_MINIMAL):
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, quoting=quoting)
         p = X.shape[1]
         w.writerow(["unit_id"] + [f"x{j}" for j in range(1, p + 1)] + ["y", "pi"])
         for i, uid in enumerate(ids):
@@ -182,7 +186,6 @@ class TestReadEstimateCsv:
         ],
     )
     def test_malformed_data(self, tmp_path, mutate, field):
-        from survey_impute.errors import ConfigError
         path = tmp_path / "d.csv"
         ids, X, y, pi = sample_data(n=4)
         write_sample_csv(path, ids, X, y, pi)
@@ -215,13 +218,201 @@ class TestReadEstimateCsv:
         assert "Traceback" not in err
 
     def test_all_missing_rejected(self, tmp_path):
-        from survey_impute.errors import ConfigError
         path = tmp_path / "d.csv"
         ids, X, y, pi = sample_data(n=4)
         write_sample_csv(path, ids, X, y, pi, missing={0, 1, 2, 3})
         with pytest.raises(ConfigError) as err:
             read_estimate_csv(path)
         assert err.value.field == "y"
+
+
+    @pytest.mark.parametrize("uid", ["99999999999999999999", "-99999999999999999999"])
+    def test_unit_id_outside_int64_exits_2(self, tmp_path, capsys, uid):
+        path = tmp_path / "d.csv"
+        ids, X, y, pi = sample_data(n=3)
+        write_sample_csv(path, ids, X, y, pi)
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
+        rows[1][0] = uid
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps({"criterion": "bic", "design": {"kind": "srswor", "N": 50}}))
+        code = main(["estimate", "--data", str(path), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "line 2" in err and uid in err
+
+    @pytest.mark.parametrize("uid", ["3.7", "2.0", "5.", "1e3"])
+    def test_non_integer_unit_id_exits_2(self, tmp_path, capsys, uid):
+        # a float-looking id is a bad value, never truncated to an integer
+        path = tmp_path / "d.csv"
+        ids, X, y, pi = sample_data(n=4)
+        write_sample_csv(path, ids, X, y, pi)
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
+        rows[2][0] = uid
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps({"criterion": "bic", "design": {"kind": "srswor", "N": 50}}))
+        code = main(["estimate", "--data", str(path), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "line 3" in err and "bad value" in err
+
+    def test_unbalanced_quote_in_a_large_file_exits_2(self, tmp_path, capsys):
+        # the quoted field runs on past the csv module's field size limit
+        ids, X, y, pi = sample_data(n=4)
+        path = tmp_path / "d.csv"
+        write_sample_csv(path, ids, X, y, pi)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = '"' + lines[1]
+        path.write_text("".join(lines) + "".join(lines[2:]) * 5000)
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps({"criterion": "bic", "design": {"kind": "srswor", "N": 50}}))
+        code = main(["estimate", "--data", str(path), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "line 2" in err
+
+
+def read_by_row_loop(path):
+    """read_estimate_csv with the vectorised parse switched off: the
+    reference every file goes through the csv-module row loop."""
+    with mock.patch.object(cli, "_load_columns", return_value=None):
+        return read_estimate_csv(path)
+
+
+def read_outcome(read, path):
+    """-> ("ok", arrays) or ("error", ConfigError field)."""
+    try:
+        return "ok", read(path)
+    except ConfigError as exc:
+        return "error", exc.field
+
+
+NOT_A_NUMBER = ["abc", "1.2.3", "--1", "1e", "0x10", '"1,5"', "1 5"]
+FAULTS = ["bad value", "short row", "long row", "# cell", "non-finite x or pi",
+          "non-finite y", "duplicate id", "id outside int64", "non-integer id"]
+
+
+@st.composite
+def sample_csv_texts(draw):
+    """A small sample CSV in the accepted dialect: quoted cells, blank
+    or "" y, spaces and tabs around numbers, CRLF or LF line ends, blank
+    lines and ids in any order; with at most one fault. -> (text, fault)."""
+    p = draw(st.integers(1, 3), label="p")
+    n = draw(st.integers(1, 6), label="n")
+    ids = draw(st.lists(st.integers(-10**12, 10**12), min_size=n, max_size=n, unique=True),
+               label="ids")
+    value = st.floats(-1e300, 1e300, allow_nan=False)
+    fmt = st.sampled_from([repr, "{:.17g}".format, "{:.6e}".format, "{:+.3f}".format])
+    blank_y = st.sampled_from(["", " ", '""', '" "', "\t"])
+
+    def cell(text):
+        pad = st.sampled_from(["", " ", "  ", "\t"])
+        text = draw(pad) + text + draw(pad)
+        return f'"{text}"' if draw(st.booleans()) else text
+
+    rows = []
+    for uid in ids:
+        row = [cell(draw(st.sampled_from([str, "{:+d}".format]))(uid))]
+        row += [cell(draw(fmt)(draw(value))) for _ in range(p)]
+        row.append(draw(blank_y) if draw(st.booleans()) else cell(draw(fmt)(draw(value))))
+        row.append(cell(draw(fmt)(draw(st.floats(1e-3, 1.0)))))
+        rows.append(row)
+
+    fault = draw(st.sampled_from([None] * len(FAULTS) + FAULTS), label="fault")
+    i = draw(st.integers(0, n - 1), label="faulty row")
+    col = draw(st.integers(0, p + 2), label="faulty column")
+    if fault == "bad value":
+        rows[i][col] = draw(st.sampled_from(NOT_A_NUMBER))
+    elif fault == "short row":
+        rows[i].pop()
+    elif fault == "long row":
+        rows[i].append(rows[i][-1])
+    elif fault == "# cell":
+        rows[i][col] = "#" + rows[i][col]
+    elif fault == "non-finite x or pi":
+        col = draw(st.sampled_from([*range(1, p + 1), p + 2]))
+        rows[i][col] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]))
+    elif fault == "non-finite y":
+        rows[i][p + 1] = draw(st.sampled_from(["nan", "-nan", "inf", '"nan"']))
+    elif fault == "duplicate id":
+        rows.append(list(rows[i]))
+    elif fault == "id outside int64":
+        rows[i][0] = draw(st.sampled_from(["99999999999999999999", "-9223372036854775809"]))
+    elif fault == "non-integer id":
+        uid = ids[i]
+        rows[i][0] = cell(draw(st.sampled_from([f"{uid}.7", f"{uid}.0", f"{uid}.", "1e3"])))
+
+    lines = [",".join(["unit_id", *(f"x{j}" for j in range(1, p + 1)), "y", "pi"])]
+    for row in draw(st.permutations(rows), label="row order"):
+        lines += [""] * draw(st.integers(0, 2), label="blank lines")
+        lines.append(",".join(row))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if draw(st.booleans(), label="no final line end"):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)), fault
+
+
+def assert_bit_equal(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()  # NaN equal to NaN, 0.0 unequal to -0.0
+
+
+class TestVectorisedParse:
+    """read_estimate_csv parses a well-formed file with one np.loadtxt
+    call and falls back to the csv-module row loop, which names the
+    faulty line; the row loop is the reference for both."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sample_csv_texts())
+    def test_matches_the_row_loop(self, case):
+        text, fault = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.csv")
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            got = read_outcome(read_estimate_csv, path)
+            want = read_outcome(read_by_row_loop, path)
+            if fault is None:
+                assert cli._load_columns(path) is not None
+            else:
+                assert got[0] == "error"
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert_bit_equal(got[1], want[1])
+        else:
+            assert got[1] == want[1]
+
+    def test_header_only_file_has_no_rows_and_no_warning(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("unit_id,x1,y,pi\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="no rows"):
+                read_estimate_csv(path)
+
+    @pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
+    def test_well_formed_file_never_reaches_the_row_loop(self, tmp_path, monkeypatch, quoting):
+        def row_loop(path):
+            raise AssertionError("a well-formed file fell back to the row loop")
+
+        monkeypatch.setattr(cli, "_read_rows", row_loop)
+        ids, X, y, pi = sample_data()
+        path = tmp_path / "d.csv"
+        write_sample_csv(path, ids, X, y, pi, missing={1, 4}, quoting=quoting)
+        got_ids, got_X, got_y, got_pi, resp = read_estimate_csv(path)
+        assert np.array_equal(got_ids, ids)
+        assert np.array_equal(got_X, X) and np.array_equal(got_pi, pi)
+        assert np.flatnonzero(~resp).tolist() == [1, 4]
+        assert np.array_equal(got_y[resp], y[resp])
 
 
 class TestUnreadableInput:
@@ -512,3 +703,58 @@ def test_tiny_estimate_inputs_exit_0_or_2(data):
         fits = fit_candidates(X[r], y[r], models)
         usable = any(f is not None and f.n_r_used > m.p_alpha for m, f in fits.items())
         assert (code == EXIT_OK) == usable, err
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_malformed_csv_exits_0_or_2(data):
+    """A sample CSV truncated at a random byte, with stray or unbalanced
+    quotes, a UTF-8 byte order mark, or duplicated or reordered header
+    columns: estimate exits 0 or 2, never with a traceback, and an exit
+    2 prints one stderr line."""
+    ids, X, y, pi = sample_data(n=6)
+    quoting = data.draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]), label="quoting")
+    missing = data.draw(st.sets(st.integers(0, 5), max_size=3), label="missing")
+    fault = data.draw(st.sampled_from(["truncated", "stray quote", "unbalanced quote", "bom",
+                                       "duplicated header", "reordered header"]), label="fault")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        write_sample_csv(path, ids, X, y, pi, missing=missing, quoting=quoting)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        if fault == "truncated":
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")]
+        elif fault == "stray quote":
+            at = data.draw(st.integers(0, len(raw)), label="at")
+            raw = raw[:at] + b'"' + raw[at:]
+        elif fault == "unbalanced quote":
+            quotes = [i for i, b in enumerate(raw) if b == ord('"')]
+            if quotes:
+                at = data.draw(st.sampled_from(quotes), label="dropped quote")
+                raw = raw[:at] + raw[at + 1:]
+            else:
+                raw = b'"' + raw
+        elif fault == "bom":
+            raw = b"\xef\xbb\xbf" + raw
+        else:
+            header, rest = raw.split(b"\r\n", 1)
+            names = header.split(b",")
+            if fault == "duplicated header":
+                j = data.draw(st.integers(0, len(names) - 1), label="column")
+                names.insert(data.draw(st.integers(0, len(names)), label="at"), names[j])
+            else:
+                names = data.draw(st.permutations(names), label="order")
+            raw = b",".join(names) + b"\r\n" + rest
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        cfg = os.path.join(tmp, "est.json")
+        with open(cfg, "w") as fh:
+            json.dump({"criterion": "bic", "design": {"kind": "srswor", "N": 50}}, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["estimate", "--data", path, "--config", cfg])
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_CONFIG), err
+    assert "Traceback" not in err
+    if code == EXIT_CONFIG:
+        assert err.count("\n") == 1, err

@@ -285,3 +285,11 @@ class TestValidation:
                 STRATIFIED, 6, 3,
                 (Stratum(np.arange(3), 1), Stratum(np.arange(3, 6), 2)),
             )
+
+    def test_stratum_units_sorted_and_distinct(self):
+        s = Stratum(np.array([7, 2, 9, 4]), 2)
+        assert np.array_equal(s._sorted_units, [2, 4, 7, 9])
+        assert not s._sorted_units.flags.writeable
+        assert np.array_equal(s.units, [7, 2, 9, 4])  # kept in the given order
+        with pytest.raises(InvalidDesignError, match="distinct"):
+            Stratum(np.array([3, 1, 3, 2]), 2)
