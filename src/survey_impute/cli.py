@@ -5,7 +5,8 @@ survey-impute simulate --config study.json [--out-dir D] [--threads K]
 survey-impute estimate --data sample.csv --config est.json
                        [--out-dir D] [--dry-run]
 
-SURVEY_IMPUTE_SEED overrides the config's master_seed. Exit codes:
+SURVEY_IMPUTE_SEED overrides the config's master_seed. Data and config
+files are read as UTF-8, with or without a byte-order mark. Exit codes:
 0 success, 2 malformed config or data, data that no candidate model
 can fit, or data whose estimate or variance is not finite, 3 failure
 rate above the configured threshold, 1 anything else.
@@ -13,6 +14,7 @@ rate above the configured threshold, 1 anything else.
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -78,7 +80,7 @@ def cmd_simulate(args):
     cfg = parse_study_config(load_json(args.config))
     seed = _env_seed()
     if seed is not None:
-        cfg = parse_study_config({**resolved_study_config(cfg), "master_seed": seed})
+        cfg = dataclasses.replace(cfg, master_seed=seed)
     if args.dry_run:
         print(json.dumps(resolved_study_config(cfg), indent=2))
         return EXIT_OK
@@ -115,7 +117,8 @@ def _decoded_lines(fh, path):
 
 def _open_data(path):
     try:
-        return open(path, newline="")
+        # utf-8-sig: spreadsheet programs start a UTF-8 CSV with a byte-order mark
+        return open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read data file: {exc}")
 
@@ -291,9 +294,7 @@ def cmd_estimate(args):
     cfg = parse_estimate_config(load_json(args.config))
     seed = _env_seed()
     if seed is not None:
-        cfg = parse_estimate_config(
-            {**resolved_estimate_config(cfg), "master_seed": seed}
-        )
+        cfg = dataclasses.replace(cfg, master_seed=seed)
     if args.dry_run:
         print(json.dumps(resolved_estimate_config(cfg), indent=2))
         return EXIT_OK

@@ -352,7 +352,7 @@ def resolved_estimate_config(cfg):
 
 def load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return json.load(fh)
     except FileNotFoundError:
         _fail(str(path), "config file not found")

@@ -1,5 +1,8 @@
 """Sampling designs: SRSWOR and stratified SRSWOR.
 
+SRSWOR is the one-stratum case (N_h = N, n_h = n): the descriptor
+exposes per-stratum sizes and allocations for both kinds, so pi_k,
+pi_kl and the variance downstream each have one stratum-wise formula.
 Inclusion probabilities are exact (no approximations), so the
 Horvitz-Thompson machinery downstream can rely on them bit for bit.
 Unit ids are 0-based positions into the population arrays.
@@ -17,23 +20,21 @@ STRATIFIED = "stratified"
 
 @dataclass(frozen=True)
 class Stratum:
-    """One stratum: its population units and its sample allocation."""
+    """One stratum: its population units (stored sorted and read-only)
+    and its sample allocation."""
 
     units: np.ndarray
     n_h: int
 
     def __post_init__(self):
         units = np.asarray(self.units, dtype=np.int64)
-        units.setflags(write=False)
-        object.__setattr__(self, "units", units)
         if units.ndim != 1 or units.size == 0:
             raise InvalidDesignError("stratum must hold a 1-d nonempty unit array")
-        sorted_units = np.sort(units)
-        if np.any(sorted_units[1:] == sorted_units[:-1]):
+        units = np.sort(units)
+        if np.any(units[1:] == units[:-1]):
             raise InvalidDesignError("stratum units must be distinct")
-        sorted_units.setflags(write=False)
-        # not a field: a lookup aid for stratum_labels, kept out of eq/repr
-        object.__setattr__(self, "_sorted_units", sorted_units)
+        units.setflags(write=False)
+        object.__setattr__(self, "units", units)
         if not 1 <= self.n_h <= units.size:
             raise InvalidDesignError(
                 f"stratum allocation n_h={self.n_h} outside [1, {units.size}]"
@@ -81,6 +82,20 @@ class DesignDescriptor:
             if s.units.size < 2:
                 raise InvalidDesignError(f"stratum {h}: N_h={s.units.size} < 2")
 
+    @property
+    def population_sizes(self):
+        """N_h per stratum; [N] for SRSWOR."""
+        if self.kind == SRSWOR:
+            return np.array([self.population_size])
+        return np.array([s.units.size for s in self.strata])
+
+    @property
+    def allocations(self):
+        """n_h per stratum; [n] for SRSWOR."""
+        if self.kind == SRSWOR:
+            return np.array([self.sample_size])
+        return np.array([s.n_h for s in self.strata])
+
 
 @dataclass(frozen=True)
 class SampleDraw:
@@ -104,7 +119,8 @@ class SampleDraw:
             raise InvalidDesignError("draw size does not match design sample_size")
         if np.any(ids < 0) or np.any(ids >= self.design.population_size):
             raise InvalidDesignError("unit ids out of range")
-        if np.unique(ids).size != ids.size:
+        sorted_ids = np.sort(ids)
+        if np.any(sorted_ids[1:] == sorted_ids[:-1]):
             raise InvalidDesignError("duplicate unit ids in draw")
         if np.any(pi <= 0.0) or np.any(pi > 1.0):
             raise InvalidDesignError("inclusion probabilities must lie in (0, 1]")
@@ -115,92 +131,69 @@ class SampleDraw:
 
 
 def first_order(design, unit_ids):
-    """pi_k for the given units (any units in the population)."""
-    unit_ids = np.asarray(unit_ids, dtype=np.int64)
-    if design.kind == SRSWOR:
-        frac = design.sample_size / design.population_size
-        return np.full(unit_ids.shape, frac, dtype=np.float64)
-    rates = np.array([s.n_h / s.units.size for s in design.strata])
+    """pi_k = n_h / N_h for the given units (any units in the population)."""
+    rates = design.allocations / design.population_sizes
     return rates[stratum_labels(design, unit_ids)]
 
 
 def stratum_labels(design, unit_ids):
-    """Stratum index of each unit (stratified designs only).
+    """Stratum index of each unit; all zeros under SRSWOR.
 
     Binary search in each stratum's sorted units: O(H m log N_h) for m
     units, with no N-length lookup table.
     """
-    if design.kind != STRATIFIED:
-        raise InvalidDesignError("stratum_labels needs a stratified design")
     unit_ids = np.asarray(unit_ids, dtype=np.int64)
-    labels = np.full(unit_ids.shape, -1, dtype=np.int64)
-    for h, s in enumerate(design.strata):
-        units = s._sorted_units
-        pos = np.minimum(np.searchsorted(units, unit_ids), units.size - 1)
-        labels[units[pos] == unit_ids] = h
+    if design.kind == SRSWOR:
+        labels = np.where((unit_ids >= 0) & (unit_ids < design.population_size), 0, -1)
+    else:
+        labels = np.full(unit_ids.shape, -1, dtype=np.int64)
+        for h, s in enumerate(design.strata):
+            pos = np.minimum(np.searchsorted(s.units, unit_ids), s.units.size - 1)
+            labels[s.units[pos] == unit_ids] = h
     if np.any(labels < 0):
         raise InvalidDesignError("unit ids outside the design's strata")
     return labels
 
 
 def joint_inclusion(design, k, l):
-    """pi_kl for one pair of distinct units.
+    """pi_kl for one pair of distinct units, read off `joint_matrix`.
 
     Test oracle: production variance code uses the stratum-wise closed
     form in `variance.v1_hat` and never evaluates pairs.
     """
     if k == l:
         raise ValueError("joint_inclusion is defined for distinct units; use first_order")
-    pair = np.asarray([k, l], dtype=np.int64)
-    if design.kind == SRSWOR:
-        N, n = design.population_size, design.sample_size
-        if N < 2:
-            raise InvalidDesignError("joint inclusion undefined for N < 2")
-        return n * (n - 1) / (N * (N - 1))
-    labels = stratum_labels(design, pair)
-    pi = first_order(design, pair)
-    if labels[0] != labels[1]:
-        # independent draws across strata
-        return float(pi[0] * pi[1])
-    s = design.strata[labels[0]]
-    N_h = s.units.size
-    return s.n_h * (s.n_h - 1) / (N_h * (N_h - 1))
+    return float(joint_matrix(design, [k, l])[0, 1])
 
 
 def delta(design, k, l):
-    """Delta_kl = pi_kl - pi_k pi_l, with Delta_kk = pi_k (1 - pi_k).
+    """Delta_kl = pi_kl - pi_k pi_l, with pi_kk = pi_k, read off
+    `joint_matrix`.
 
     Test oracle for the double-sum variance; not on any production path.
     """
-    if k == l:
-        pi = float(first_order(design, np.asarray([k]))[0])
-        return pi * (1.0 - pi)
-    pi = first_order(design, np.asarray([k, l], dtype=np.int64))
-    return joint_inclusion(design, k, l) - float(pi[0] * pi[1])
+    J = joint_matrix(design, [k, l])
+    pi_kl = J[0, 0] if k == l else J[0, 1]
+    return float(pi_kl - J[0, 0] * J[1, 1])
 
 
 def joint_matrix(design, unit_ids):
     """Matrix of pi_kl over the given units, with pi_kk = pi_k on the
-    diagonal.
+    diagonal: n_h (n_h - 1) / (N_h (N_h - 1)) within stratum h and
+    pi_k pi_l across strata, whose draws are independent.
 
     Test oracle only: it costs O(m^2) time and memory for m units. The
     Horvitz-Thompson double sum built from it must equal the O(n)
     stratum-wise form that `variance.v1_hat` evaluates.
     """
-    unit_ids = np.asarray(unit_ids, dtype=np.int64)
+    N_h, n_h = design.population_sizes, design.allocations
+    if np.any(N_h < 2):
+        raise InvalidDesignError("joint inclusion undefined for N_h < 2")
+    labels = stratum_labels(design, unit_ids)
     pi = first_order(design, unit_ids)
-    if design.kind == SRSWOR:
-        N, n = design.population_size, design.sample_size
-        if N < 2:
-            raise InvalidDesignError("joint inclusion undefined for N < 2")
-        J = np.full((unit_ids.size, unit_ids.size), n * (n - 1) / (N * (N - 1)))
-    else:
-        labels = stratum_labels(design, unit_ids)
-        within = np.array(
-            [s.n_h * (s.n_h - 1) / (s.units.size * (s.units.size - 1)) for s in design.strata]
-        )
-        same = labels[:, None] == labels[None, :]
-        J = np.where(same, within[labels][:, None], pi[:, None] * pi[None, :])
+    within = n_h * (n_h - 1) / (N_h * (N_h - 1))
+    same = labels[:, None] == labels[None, :]
+    J = np.where(same, within[labels][:, None], pi[:, None] * pi[None, :])
     np.fill_diagonal(J, pi)
     return J
 
@@ -339,9 +332,7 @@ def draw_stratified(sort_key, alloc_variable, fractions, sample_size, rng):
     sds = np.array([np.std(alloc_variable[b], ddof=1) for b in blocks])
     alloc = neyman_allocation(sizes, sds, sample_size, min_size=2)
 
-    strata = tuple(
-        Stratum(np.sort(b), int(n_h)) for b, n_h in zip(blocks, alloc)
-    )
+    strata = tuple(Stratum(b, int(n_h)) for b, n_h in zip(blocks, alloc))
     design = DesignDescriptor(STRATIFIED, N, sample_size, strata)
 
     picks = [rng.choice(s.units, size=s.n_h, replace=False) for s in strata]

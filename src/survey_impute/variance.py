@@ -12,7 +12,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
-from .design import SRSWOR, stratum_labels
+from .design import stratum_labels
 from .errors import DegenerateFitError, EstimationFailureError, InvalidDesignError
 from .estimators import design_matrix, imputed_mean
 from .selection import select
@@ -79,31 +79,25 @@ def v1_hat(sample, eta):
     For SRSWOR and stratified SRSWOR this equals the Horvitz-Thompson
     double sum (1/N^2) sum_kl (Delta_kl / pi_kl)(eta_k/pi_k)(eta_l/pi_l)
     exactly (Sarndal, Swensson & Wretman 1992, sections 3.7-3.8). The
-    double sum over `design.joint_matrix` is kept as a test oracle. An
-    SRSWOR draw of one unit has no pairs and keeps the diagonal term
+    double sum over `design.joint_matrix` is kept as a test oracle. A
+    draw of one unit has no pairs and keeps the diagonal term
     (1 - pi)(eta/pi)^2 / N^2.
     """
     eta = np.asarray(eta, dtype=np.float64)
     design = sample.design
     N = design.population_size
-    if design.kind == SRSWOR:
-        if sample.n == 1:
-            pi = float(sample.pi_first[0])
-            return (1.0 - pi) * (float(eta[0]) / pi) ** 2 / (N * N)
-        labels = np.zeros(sample.n, dtype=np.int64)
-        N_h = np.array([N])
-        n_h = np.array([sample.n])
-    else:
-        labels = stratum_labels(design, sample.unit_ids)
-        N_h = np.array([s.units.size for s in design.strata])
-        n_h = np.array([s.n_h for s in design.strata])
-        counts = np.bincount(labels, minlength=n_h.size)
-        # the identity needs the realized per-stratum counts to be n_h
-        if not np.array_equal(counts, n_h):
-            raise InvalidDesignError(
-                f"sampled units per stratum {counts.tolist()} differ from "
-                f"the allocation {n_h.tolist()}"
-            )
+    if sample.n == 1:
+        pi = float(sample.pi_first[0])
+        return (1.0 - pi) * (float(eta[0]) / pi) ** 2 / (N * N)
+    labels = stratum_labels(design, sample.unit_ids)
+    N_h, n_h = design.population_sizes, design.allocations
+    counts = np.bincount(labels, minlength=n_h.size)
+    # the identity needs the realized per-stratum counts to be n_h
+    if not np.array_equal(counts, n_h):
+        raise InvalidDesignError(
+            f"sampled units per stratum {counts.tolist()} differ from "
+            f"the allocation {n_h.tolist()}"
+        )
     mean = np.bincount(labels, weights=eta, minlength=n_h.size) / n_h
     dev2 = (eta - mean[labels]) ** 2
     s2 = np.bincount(labels, weights=dev2, minlength=n_h.size) / (n_h - 1)

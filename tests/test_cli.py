@@ -448,6 +448,38 @@ class TestUnreadableInput:
         assert str(tmp_path) in err
 
 
+class TestByteOrderMark:
+    """A UTF-8 file that starts with a byte-order mark, as spreadsheet
+    programs write it, reads the same as the plain file."""
+
+    def stdout(self, argv, capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == EXIT_OK, err
+        return out
+
+    def test_data_file(self, tmp_path, capsys):
+        ids, X, y, pi = sample_data()
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_sample_csv(plain, ids, X, y, pi, missing={1, 4})
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps({"criterion": "bic", "design": {"kind": "srswor", "N": 50}}))
+        want = self.stdout(["estimate", "--data", str(plain), "--config", str(cfg)], capsys)
+        got = self.stdout(["estimate", "--data", str(marked), "--config", str(cfg)], capsys)
+        assert got == want
+
+    def test_config_file(self, tmp_path, capsys):
+        plain = study_json(tmp_path, name="plain.json")
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want = self.stdout(["simulate", "--config", str(plain),
+                            "--out-dir", str(tmp_path / "a")], capsys)
+        got = self.stdout(["simulate", "--config", str(marked),
+                           "--out-dir", str(tmp_path / "b")], capsys)
+        assert got == want
+
+
 class TestEstimate:
     def est_config(self, tmp_path, **extra):
         raw = {"criterion": "bic", "design": {"kind": "srswor", "N": 50}}

@@ -19,9 +19,11 @@ from survey_impute.design import (
     joint_inclusion,
     joint_matrix,
     neyman_allocation,
+    stratum_labels,
     stratum_sizes,
 )
 from survey_impute.errors import InvalidDesignError
+from survey_impute.variance import v1_hat
 
 
 def srswor_design(N, n):
@@ -242,13 +244,22 @@ class TestDraws:
         assert np.array_equal(s.design.strata[0].units, np.arange(6))
 
     def test_single_stratum_equals_srswor(self):
+        # SRSWOR is the one-stratum design: on the same draw, every
+        # design quantity is bit-equal to that of one Stratum(N, n)
         rng = np.random.default_rng(11)
         s = draw_stratified(rng.normal(size=15), rng.normal(size=15), [1.0], 5, rng)
         d_flat = srswor_design(15, 5)
-        assert np.all(s.pi_first == first_order(d_flat, s.unit_ids))
-        assert joint_inclusion(s.design, 0, 1) == pytest.approx(
-            joint_inclusion(d_flat, 0, 1), abs=1e-15
-        )
+        flat = SampleDraw(s.unit_ids, first_order(d_flat, s.unit_ids), d_flat)
+        assert np.array_equal(s.pi_first, flat.pi_first)
+        ids = np.arange(15)
+        assert np.array_equal(first_order(s.design, ids), first_order(d_flat, ids))
+        assert np.array_equal(joint_matrix(s.design, ids), joint_matrix(d_flat, ids))
+        assert joint_inclusion(s.design, 0, 1) == joint_inclusion(d_flat, 0, 1)
+        eta = rng.normal(size=5) * 3.0 + 10.0
+        assert v1_hat(s, eta) == v1_hat(flat, eta)
+        assert np.array_equal(stratum_labels(d_flat, ids), np.zeros(15))
+        with pytest.raises(InvalidDesignError):
+            stratum_labels(d_flat, np.array([3, 15]))
 
     def test_draw_determinism(self):
         a = draw_srswor(100, 10, np.random.default_rng(5)).unit_ids
@@ -287,9 +298,10 @@ class TestValidation:
             )
 
     def test_stratum_units_sorted_and_distinct(self):
-        s = Stratum(np.array([7, 2, 9, 4]), 2)
-        assert np.array_equal(s._sorted_units, [2, 4, 7, 9])
-        assert not s._sorted_units.flags.writeable
-        assert np.array_equal(s.units, [7, 2, 9, 4])  # kept in the given order
+        given = np.array([7, 2, 9, 4])
+        s = Stratum(given, 2)
+        assert np.array_equal(s.units, [2, 4, 7, 9])
+        assert not s.units.flags.writeable
+        assert given.flags.writeable  # the caller's array is left alone
         with pytest.raises(InvalidDesignError, match="distinct"):
             Stratum(np.array([3, 1, 3, 2]), 2)
