@@ -20,7 +20,8 @@ from survey_impute import (
     generate_response,
     ht_mean,
     imputed_mean,
-    joint_inclusion,
+    joint_matrix,
+    stratum_sizes,
 )
 
 N = 1_000
@@ -55,23 +56,26 @@ def main():
 
     draw = draw_stratified(sort_key, pop.X[:, 1], FRACTIONS, n, rng)
     design = draw.design
+    # the draw's strata: contiguous blocks of the units ranked by sort_key
+    order = np.argsort(sort_key, kind="stable")
+    sizes = stratum_sizes(N, FRACTIONS)
+    blocks = [np.sort(b) for b in np.split(order, np.cumsum(sizes)[:-1])]
+    N_h, n_h = design.population_sizes, design.allocations
     print(f"N={N}, n={n}, strata fractions {FRACTIONS}, Neyman on sd(x2)")
     print(f"\n{'stratum':>8} {'N_h':>5} {'sd(x2)':>8} {'n_h':>4} {'pi_h':>7}")
-    for h, s in enumerate(design.strata):
-        sd = np.std(pop.X[s.units, 1], ddof=1)
-        print(f"{h:>8} {s.units.size:>5} {sd:>8.3f} {s.n_h:>4}"
-              f" {s.n_h / s.units.size:>7.3f}")
+    for h, block in enumerate(blocks):
+        sd = np.std(pop.X[block, 1], ddof=1)
+        print(f"{h:>8} {N_h[h]:>5} {sd:>8.3f} {n_h[h]:>4}"
+              f" {n_h[h] / N_h[h]:>7.3f}")
     print(f"\ninclusion probabilities vary by stratum;"
-          f" sum over the population = {sum(s.n_h for s in design.strata)} = n")
+          f" sum over the population = {n_h.sum()} = n")
 
-    # joint inclusion: dependent within a stratum, independent across
-    a, b = design.strata[0].units[:2]
-    c = design.strata[1].units[0]
-    s0, s1 = design.strata[0], design.strata[1]
-    within = joint_inclusion(design, int(a), int(b))
-    naive = (s0.n_h / s0.units.size) ** 2
-    across = joint_inclusion(design, int(a), int(c))
-    prod = (s0.n_h / s0.units.size) * (s1.n_h / s1.units.size)
+    # joint inclusion: dependent within a stratum, independent across;
+    # two units of stratum 0 and one of stratum 1
+    J = joint_matrix(design, [0, 0, 1])
+    within, across = J[0, 1], J[0, 2]
+    naive = (n_h[0] / N_h[0]) ** 2
+    prod = (n_h[0] / N_h[0]) * (n_h[1] / N_h[1])
     print(f"\njoint inclusion, same stratum:  {within:.5f}"
           f"  (product would say {naive:.5f})")
     print(f"joint inclusion, cross stratum: {across:.5f}"

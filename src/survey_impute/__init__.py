@@ -11,16 +11,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 from .design import (  # noqa: E402
-    SRSWOR,
-    STRATIFIED,
     DesignDescriptor,
     SampleDraw,
-    Stratum,
-    delta,
     draw_srswor,
     draw_stratified,
     first_order,
-    joint_inclusion,
     joint_matrix,
     neyman_allocation,
     stratum_sizes,

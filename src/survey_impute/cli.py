@@ -30,7 +30,7 @@ from .config import (
     resolved_estimate_config,
     resolved_study_config,
 )
-from .design import SRSWOR, STRATIFIED, DesignDescriptor, SampleDraw, Stratum, first_order
+from .design import DesignDescriptor, SampleDraw
 from .errors import ConfigError, EstimationFailureError, SelectionFailureError, SurveyImputeError
 from .estimators import build_candidates, fit_candidates
 from .population import ResponseMask
@@ -254,40 +254,39 @@ def read_estimate_csv(path):
 
 
 def build_estimate_design(cfg, ids, pi):
-    """Rebuild a full design descriptor from the estimate config.
+    """The sample the estimate config declares, and the order of the data
+    rows (given in sorted-id order) within it.
 
     Original unit ids are opaque labels here: the inclusion probabilities
-    and V1 depend only on (N, n) per stratum, so sampled units are mapped
-    onto a synthetic 0..N-1 universe in sorted-id order.
+    and V1 depend only on N_h, n_h and each unit's stratum, so the sample
+    numbers its units 0..n-1, stratum by stratum in config order and by
+    id within a stratum.
     """
     n = ids.size
     if cfg.design_kind == "srswor":
         if n > cfg.N:
             raise ConfigError("design.N", f"{n} sampled units exceed N={cfg.N}")
-        design = DesignDescriptor(SRSWOR, cfg.N, n)
-        synth = np.arange(n, dtype=np.int64)
+        design = DesignDescriptor((cfg.N,), (n,))
+        labels = np.zeros(n, dtype=np.int64)
     else:
-        declared = sorted(u for _, units in cfg.strata for u in units)
-        if list(ids) != declared:
+        design = DesignDescriptor([N_h for N_h, _ in cfg.strata],
+                                  [len(units) for _, units in cfg.strata])
+        try:
+            declared = np.array([u for _, units in cfg.strata for u in units], dtype=np.int64)
+            by_id = np.argsort(declared)
+            matched = declared.size == n and np.array_equal(declared[by_id], ids)
+        except OverflowError:  # an id beyond int64 matches no data row
+            matched = False
+        if not matched:
             raise ConfigError(
                 "design.strata", "sampled_units do not match the data file's unit ids"
             )
-        strata, units, sampled = [], [], []
-        offset = 0
-        for N_h, stratum_units in cfg.strata:
-            block = np.arange(offset, offset + N_h, dtype=np.int64)
-            units.append(np.sort(stratum_units))
-            sampled.append(block[:len(stratum_units)])
-            strata.append(Stratum(block, len(stratum_units)))
-            offset += N_h
-        design = DesignDescriptor(STRATIFIED, offset, n, tuple(strata))
-        # ids are the declared units in sorted order, so sorting the units
-        # puts each one's synthetic id at its place in ids
-        synth = np.concatenate(sampled)[np.argsort(np.concatenate(units), kind="stable")]
-    expected = first_order(design, synth)
-    if np.max(np.abs(pi - expected)) > 1e-9:
+        labels = np.repeat(np.arange(len(cfg.strata)), design.allocations)[by_id]
+    order = np.argsort(labels, kind="stable")
+    sample = SampleDraw(np.arange(n), labels[order], design)
+    if np.max(np.abs(pi[order] - sample.pi_first)) > 1e-9:
         raise ConfigError("pi", "pi column inconsistent with the declared design")
-    return SampleDraw(np.sort(synth), expected[np.argsort(synth)], design), np.argsort(synth)
+    return sample, order
 
 
 def cmd_estimate(args):

@@ -14,6 +14,7 @@ from .errors import ConfigError, InvalidDesignError
 from .selection import parse_criterion
 
 DEFAULT_CRITERIA = ("aic", "bic", "cv5")
+_INT64_MAX = 2**63 - 1  # population sizes are held as int64
 
 _LAW_PARAMS = {
     "gamma": {"shape": None, "scale": None},
@@ -54,6 +55,14 @@ def _num(value, path, minimum=None):
 def _str(value, path):
     if not isinstance(value, str):
         _fail(path, f"expected a string, got {value!r}")
+    return value
+
+
+def _one_of(obj, key, path, options):
+    """The required string obj[key], which must be one of options."""
+    value = _str(_get(obj, key, path), f"{path}.{key}")
+    if value not in options:
+        _fail(f"{path}.{key}", f"expected {' or '.join(map(repr, options))}, got {value!r}")
     return value
 
 
@@ -192,9 +201,7 @@ def parse_study_config(obj):
     design = _get(obj, "design", "")
     if not isinstance(design, dict):
         _fail("design", "expected an object")
-    kind = _str(_get(design, "kind", "design"), "design.kind")
-    if kind not in ("srswor", "stratified"):
-        _fail("design.kind", f"expected 'srswor' or 'stratified', got {kind!r}")
+    kind = _one_of(design, "kind", "design", ("srswor", "stratified"))
     n = _int(_get(design, "n", "design"), "design.n", minimum=1)
     if n > N:
         _fail("design.n", f"sample size {n} exceeds population size {N}")
@@ -293,13 +300,13 @@ def parse_estimate_config(obj):
     design = _get(obj, "design", "")
     if not isinstance(design, dict):
         _fail("design", "expected an object")
-    kind = _str(_get(design, "kind", "design"), "design.kind")
+    kind = _one_of(design, "kind", "design", ("srswor", "stratified"))
     if kind == "srswor":
         _no_unknown(design, {"kind", "N"}, "design")
         N = _int(_get(design, "N", "design"), "design.N", minimum=1)
+        if N > _INT64_MAX:
+            _fail("design.N", "does not fit in 64 bits")
         return EstimateConfig(level, criterion, raw_candidates, kind, master_seed=seed, N=N)
-    if kind != "stratified":
-        _fail("design.kind", f"expected 'srswor' or 'stratified', got {kind!r}")
     _no_unknown(design, {"kind", "strata"}, "design")
     raw = _get(design, "strata", "design")
     if not isinstance(raw, list) or not raw:
@@ -315,17 +322,24 @@ def parse_estimate_config(obj):
         units = _get(entry, "sampled_units", path)
         if not isinstance(units, list) or not units:
             _fail(f"{path}.sampled_units", "expected a nonempty list of unit ids")
-        ids = tuple(_int(u, f"{path}.sampled_units", minimum=0) for u in units)
-        if len(set(ids)) != len(ids):
+        # one pass over the ids; _int words the error for the first bad one
+        bad = [u for u in units if type(u) is not int or u < 0]  # type(True) is bool
+        if bad:
+            _int(bad[0], f"{path}.sampled_units", minimum=0)
+        ids = tuple(units)
+        distinct = set(ids)
+        if len(distinct) != len(ids):
             _fail(f"{path}.sampled_units", "duplicate unit ids")
-        if seen & set(ids):
+        if seen & distinct:
             _fail(f"{path}.sampled_units", "unit id appears in more than one stratum")
-        seen |= set(ids)
+        seen |= distinct
         if len(ids) < 2:
             _fail(f"{path}.sampled_units", "need at least 2 sampled units per stratum")
         if len(ids) > N_h:
             _fail(f"{path}.sampled_units", f"{len(ids)} sampled units exceed stratum size {N_h}")
         strata.append((N_h, ids))
+    if sum(N_h for N_h, _ in strata) > _INT64_MAX:
+        _fail("design.strata", "total population size does not fit in 64 bits")
     return EstimateConfig(
         level, criterion, raw_candidates, kind, master_seed=seed, strata=tuple(strata)
     )

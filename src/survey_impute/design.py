@@ -1,120 +1,76 @@
 """Sampling designs: SRSWOR and stratified SRSWOR.
 
-SRSWOR is the one-stratum case (N_h = N, n_h = n): the descriptor
-exposes per-stratum sizes and allocations for both kinds, so pi_k,
-pi_kl and the variance downstream each have one stratum-wise formula.
-Inclusion probabilities are exact (no approximations), so the
+A design is its stratum sizes: N_h and n_h per stratum, with SRSWOR the
+one stratum (N, n). A sample records the stratum each of its units was
+drawn from. pi_k, pi_kl and the design variance downstream depend on
+nothing else (Sarndal, Swensson & Wretman 1992, sections 3.7-3.8), so
+each has one stratum-wise formula and no design carries its population
+partition. Inclusion probabilities are exact (no approximations), so the
 Horvitz-Thompson machinery downstream can rely on them bit for bit.
 Unit ids are 0-based positions into the population arrays.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidDesignError
 
-SRSWOR = "srswor"
-STRATIFIED = "stratified"
-
-
-@dataclass(frozen=True)
-class Stratum:
-    """One stratum: its population units (stored sorted and read-only)
-    and its sample allocation."""
-
-    units: np.ndarray
-    n_h: int
-
-    def __post_init__(self):
-        units = np.asarray(self.units, dtype=np.int64)
-        if units.ndim != 1 or units.size == 0:
-            raise InvalidDesignError("stratum must hold a 1-d nonempty unit array")
-        units = np.sort(units)
-        if np.any(units[1:] == units[:-1]):
-            raise InvalidDesignError("stratum units must be distinct")
-        units.setflags(write=False)
-        object.__setattr__(self, "units", units)
-        if not 1 <= self.n_h <= units.size:
-            raise InvalidDesignError(
-                f"stratum allocation n_h={self.n_h} outside [1, {units.size}]"
-            )
-
 
 @dataclass(frozen=True)
 class DesignDescriptor:
-    """Everything needed to recompute first and second order inclusion
-    probabilities after the fact.
+    """Per-stratum population sizes N_h and allocations n_h, stored as
+    read-only int arrays; SRSWOR is ((N,), (n,))."""
 
-    kind : "srswor" or "stratified"
-    population_size : N
-    sample_size : n (total over strata when stratified)
-    strata : tuple of Stratum, stratified only; must partition 0..N-1
-    """
-
-    kind: str
-    population_size: int
-    sample_size: int
-    strata: tuple = None
+    population_sizes: np.ndarray
+    allocations: np.ndarray
 
     def __post_init__(self):
-        N, n = self.population_size, self.sample_size
-        if self.kind not in (SRSWOR, STRATIFIED):
-            raise InvalidDesignError(f"unknown design kind {self.kind!r}")
-        if N < 1 or not 1 <= n <= N:
-            raise InvalidDesignError(f"need 1 <= n <= N, got n={n}, N={N}")
-        if self.kind == SRSWOR:
-            if self.strata is not None:
-                raise InvalidDesignError("srswor design takes no strata")
-            return
-        if not self.strata:
-            raise InvalidDesignError("stratified design needs strata")
-        object.__setattr__(self, "strata", tuple(self.strata))
-        all_units = np.concatenate([s.units for s in self.strata])
-        if all_units.size != N or not np.array_equal(np.sort(all_units), np.arange(N)):
-            raise InvalidDesignError("strata must partition units 0..N-1")
-        if sum(s.n_h for s in self.strata) != n:
-            raise InvalidDesignError("stratum allocations must sum to sample_size")
-        for h, s in enumerate(self.strata):
-            # n_h >= 2 so within-stratum joint probabilities exist
-            if s.n_h < 2:
-                raise InvalidDesignError(f"stratum {h}: n_h={s.n_h} < 2")
-            if s.units.size < 2:
-                raise InvalidDesignError(f"stratum {h}: N_h={s.units.size} < 2")
+        N_h = np.array(self.population_sizes, dtype=np.int64)
+        n_h = np.array(self.allocations, dtype=np.int64)
+        if N_h.ndim != 1 or N_h.size == 0 or n_h.shape != N_h.shape:
+            raise InvalidDesignError("need matching nonempty 1-d stratum sizes and allocations")
+        if np.any(n_h < 1) or np.any(n_h > N_h):
+            raise InvalidDesignError(
+                f"need 1 <= n_h <= N_h, got n_h={n_h.tolist()}, N_h={N_h.tolist()}"
+            )
+        # n_h >= 2 so within-stratum joint probabilities exist
+        if N_h.size > 1 and np.any(n_h < 2):
+            raise InvalidDesignError(f"every stratum needs n_h >= 2, got {n_h.tolist()}")
+        N_h.setflags(write=False)
+        n_h.setflags(write=False)
+        object.__setattr__(self, "population_sizes", N_h)
+        object.__setattr__(self, "allocations", n_h)
 
     @property
-    def population_sizes(self):
-        """N_h per stratum; [N] for SRSWOR."""
-        if self.kind == SRSWOR:
-            return np.array([self.population_size])
-        return np.array([s.units.size for s in self.strata])
+    def population_size(self):
+        return int(self.population_sizes.sum())
 
     @property
-    def allocations(self):
-        """n_h per stratum; [n] for SRSWOR."""
-        if self.kind == SRSWOR:
-            return np.array([self.sample_size])
-        return np.array([s.n_h for s in self.strata])
+    def sample_size(self):
+        return int(self.allocations.sum())
 
 
 @dataclass(frozen=True)
 class SampleDraw:
-    """A realized sample: sorted unit ids, their first-order inclusion
-    probabilities, and the design that produced them."""
+    """A realized sample: unit ids, the stratum each was drawn from, and
+    the design; pi_first is derived from the strata."""
 
     unit_ids: np.ndarray
-    pi_first: np.ndarray
+    strata: np.ndarray
     design: DesignDescriptor
+    pi_first: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ids = np.asarray(self.unit_ids, dtype=np.int64)
-        pi = np.asarray(self.pi_first, dtype=np.float64)
+        labels = np.asarray(self.strata, dtype=np.int64)
         ids.setflags(write=False)
-        pi.setflags(write=False)
+        labels.setflags(write=False)
         object.__setattr__(self, "unit_ids", ids)
-        object.__setattr__(self, "pi_first", pi)
-        if ids.ndim != 1 or pi.shape != ids.shape:
-            raise InvalidDesignError("unit_ids and pi_first must be matching 1-d arrays")
+        object.__setattr__(self, "strata", labels)
+        n_h = self.design.allocations
+        if ids.ndim != 1 or labels.shape != ids.shape:
+            raise InvalidDesignError("unit_ids and strata must be matching 1-d arrays")
         if ids.size != self.design.sample_size:
             raise InvalidDesignError("draw size does not match design sample_size")
         if np.any(ids < 0) or np.any(ids >= self.design.population_size):
@@ -122,65 +78,33 @@ class SampleDraw:
         sorted_ids = np.sort(ids)
         if np.any(sorted_ids[1:] == sorted_ids[:-1]):
             raise InvalidDesignError("duplicate unit ids in draw")
-        if np.any(pi <= 0.0) or np.any(pi > 1.0):
-            raise InvalidDesignError("inclusion probabilities must lie in (0, 1]")
+        if np.any(labels < 0) or np.any(labels >= n_h.size):
+            raise InvalidDesignError("stratum labels out of range")
+        counts = np.bincount(labels, minlength=n_h.size)
+        if not np.array_equal(counts, n_h):
+            raise InvalidDesignError(
+                f"sampled units per stratum {counts.tolist()} differ from "
+                f"the allocation {n_h.tolist()}"
+            )
+        pi = first_order(self.design, labels)
+        pi.setflags(write=False)
+        object.__setattr__(self, "pi_first", pi)
 
     @property
     def n(self):
         return self.unit_ids.size
 
 
-def first_order(design, unit_ids):
-    """pi_k = n_h / N_h for the given units (any units in the population)."""
+def first_order(design, strata):
+    """pi_k = n_h / N_h for units in the given strata."""
     rates = design.allocations / design.population_sizes
-    return rates[stratum_labels(design, unit_ids)]
+    return rates[strata]
 
 
-def stratum_labels(design, unit_ids):
-    """Stratum index of each unit; all zeros under SRSWOR.
-
-    Binary search in each stratum's sorted units: O(H m log N_h) for m
-    units, with no N-length lookup table.
-    """
-    unit_ids = np.asarray(unit_ids, dtype=np.int64)
-    if design.kind == SRSWOR:
-        labels = np.where((unit_ids >= 0) & (unit_ids < design.population_size), 0, -1)
-    else:
-        labels = np.full(unit_ids.shape, -1, dtype=np.int64)
-        for h, s in enumerate(design.strata):
-            pos = np.minimum(np.searchsorted(s.units, unit_ids), s.units.size - 1)
-            labels[s.units[pos] == unit_ids] = h
-    if np.any(labels < 0):
-        raise InvalidDesignError("unit ids outside the design's strata")
-    return labels
-
-
-def joint_inclusion(design, k, l):
-    """pi_kl for one pair of distinct units, read off `joint_matrix`.
-
-    Test oracle: production variance code uses the stratum-wise closed
-    form in `variance.v1_hat` and never evaluates pairs.
-    """
-    if k == l:
-        raise ValueError("joint_inclusion is defined for distinct units; use first_order")
-    return float(joint_matrix(design, [k, l])[0, 1])
-
-
-def delta(design, k, l):
-    """Delta_kl = pi_kl - pi_k pi_l, with pi_kk = pi_k, read off
-    `joint_matrix`.
-
-    Test oracle for the double-sum variance; not on any production path.
-    """
-    J = joint_matrix(design, [k, l])
-    pi_kl = J[0, 0] if k == l else J[0, 1]
-    return float(pi_kl - J[0, 0] * J[1, 1])
-
-
-def joint_matrix(design, unit_ids):
-    """Matrix of pi_kl over the given units, with pi_kk = pi_k on the
-    diagonal: n_h (n_h - 1) / (N_h (N_h - 1)) within stratum h and
-    pi_k pi_l across strata, whose draws are independent.
+def joint_matrix(design, strata):
+    """Matrix of pi_kl over distinct units in the given strata, with
+    pi_kk = pi_k on the diagonal: n_h (n_h - 1) / (N_h (N_h - 1)) within
+    stratum h and pi_k pi_l across strata, whose draws are independent.
 
     Test oracle only: it costs O(m^2) time and memory for m units. The
     Horvitz-Thompson double sum built from it must equal the O(n)
@@ -189,8 +113,8 @@ def joint_matrix(design, unit_ids):
     N_h, n_h = design.population_sizes, design.allocations
     if np.any(N_h < 2):
         raise InvalidDesignError("joint inclusion undefined for N_h < 2")
-    labels = stratum_labels(design, unit_ids)
-    pi = first_order(design, unit_ids)
+    labels = np.asarray(strata, dtype=np.int64)
+    pi = first_order(design, labels)
     within = n_h * (n_h - 1) / (N_h * (N_h - 1))
     same = labels[:, None] == labels[None, :]
     J = np.where(same, within[labels][:, None], pi[:, None] * pi[None, :])
@@ -307,9 +231,9 @@ def _floors_first(sizes, weights, n, min_size):
 
 def draw_srswor(population_size, sample_size, rng):
     """Simple random sample without replacement; ids returned sorted."""
-    design = DesignDescriptor(SRSWOR, population_size, sample_size)
+    design = DesignDescriptor((population_size,), (sample_size,))
     ids = np.sort(rng.choice(population_size, size=sample_size, replace=False))
-    return SampleDraw(ids, first_order(design, ids), design)
+    return SampleDraw(ids, np.zeros(sample_size, dtype=np.int64), design)
 
 
 def draw_stratified(sort_key, alloc_variable, fractions, sample_size, rng):
@@ -318,7 +242,8 @@ def draw_stratified(sort_key, alloc_variable, fractions, sample_size, rng):
     The population is ranked by `sort_key` (ascending, ties broken by
     unit id) and cut into contiguous strata of the given fractions.
     Allocation is Neyman on the within-stratum sd of `alloc_variable`
-    with a floor of 2 per stratum.
+    with a floor of 2 per stratum. Each stratum's units are drawn from
+    its sorted ids; the sample's ids come back sorted.
     """
     sort_key = np.asarray(sort_key, dtype=np.float64)
     alloc_variable = np.asarray(alloc_variable, dtype=np.float64)
@@ -331,10 +256,9 @@ def draw_stratified(sort_key, alloc_variable, fractions, sample_size, rng):
     blocks = np.split(order, np.cumsum(sizes)[:-1])
     sds = np.array([np.std(alloc_variable[b], ddof=1) for b in blocks])
     alloc = neyman_allocation(sizes, sds, sample_size, min_size=2)
+    design = DesignDescriptor(sizes, alloc)
 
-    strata = tuple(Stratum(b, int(n_h)) for b, n_h in zip(blocks, alloc))
-    design = DesignDescriptor(STRATIFIED, N, sample_size, strata)
-
-    picks = [rng.choice(s.units, size=s.n_h, replace=False) for s in strata]
-    ids = np.sort(np.concatenate(picks))
-    return SampleDraw(ids, first_order(design, ids), design)
+    picks = [rng.choice(np.sort(b), n_h, replace=False) for b, n_h in zip(blocks, alloc)]
+    ids = np.concatenate(picks)
+    by_id = np.argsort(ids)
+    return SampleDraw(ids[by_id], np.repeat(np.arange(alloc.size), alloc)[by_id], design)

@@ -8,6 +8,7 @@ rep_id order.
 """
 
 import csv
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -15,7 +16,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .design import draw_srswor, draw_stratified
-from .errors import EstimationFailureError, MetricError, SelectionFailureError
+from .errors import ConfigError, EstimationFailureError, MetricError, SelectionFailureError
 from .estimators import build_candidates, classify_model, fit_candidates, ht_mean, imputed_mean
 from .population import generate_population, generate_response
 from .variance import estimate_with_inference
@@ -134,9 +135,13 @@ def _run_chunk(args):
 
 
 def run_records(cfg, threads=1):
-    """All replication records, in rep_id order."""
+    """All replication records, in rep_id order. The pool holds at most
+    one worker per CPU; the chunks depend on threads alone, so the
+    records do not depend on the CPU count."""
+    if threads < 1:
+        raise ConfigError("--threads", f"must be >= 1, got {threads}")
     B = cfg.replications
-    if threads <= 1:
+    if threads == 1:
         return [run_replication(cfg, r) for r in range(B)]
     chunks = [
         (cfg, tuple(ids))
@@ -145,7 +150,8 @@ def run_records(cfg, threads=1):
     ]
     records = []
     # spawn, not fork: workers must re-import with a clean RNG/BLAS state
-    with ProcessPoolExecutor(max_workers=threads, mp_context=get_context("spawn")) as pool:
+    workers = min(threads, os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
         for batch in pool.map(_run_chunk, chunks):
             records.extend(batch)
     return records

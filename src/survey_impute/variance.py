@@ -12,8 +12,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
-from .design import stratum_labels
-from .errors import DegenerateFitError, EstimationFailureError, InvalidDesignError
+from .errors import DegenerateFitError, EstimationFailureError
 from .estimators import design_matrix, imputed_mean
 from .selection import select
 
@@ -73,8 +72,9 @@ def v1_hat(sample, eta):
     """Design variance of the HT mean of the eta values, stratum by
     stratum: (1/N^2) sum_h N_h^2 (1 - f_h) s_h^2 / n_h, where
     f_h = n_h / N_h and s_h^2 is the ddof=1 sample variance of eta in
-    stratum h. SRSWOR is one stratum with N_h = N and n_h = n. Time and
-    memory are O(n).
+    stratum h, read off the draw's stratum labels (their counts are n_h,
+    as `SampleDraw` checks). SRSWOR is one stratum with N_h = N and
+    n_h = n. Time and memory are O(n).
 
     For SRSWOR and stratified SRSWOR this equals the Horvitz-Thompson
     double sum (1/N^2) sum_kl (Delta_kl / pi_kl)(eta_k/pi_k)(eta_l/pi_l)
@@ -89,15 +89,8 @@ def v1_hat(sample, eta):
     if sample.n == 1:
         pi = float(sample.pi_first[0])
         return (1.0 - pi) * (float(eta[0]) / pi) ** 2 / (N * N)
-    labels = stratum_labels(design, sample.unit_ids)
+    labels = sample.strata
     N_h, n_h = design.population_sizes, design.allocations
-    counts = np.bincount(labels, minlength=n_h.size)
-    # the identity needs the realized per-stratum counts to be n_h
-    if not np.array_equal(counts, n_h):
-        raise InvalidDesignError(
-            f"sampled units per stratum {counts.tolist()} differ from "
-            f"the allocation {n_h.tolist()}"
-        )
     mean = np.bincount(labels, weights=eta, minlength=n_h.size) / n_h
     dev2 = (eta - mean[labels]) ** 2
     s2 = np.bincount(labels, weights=dev2, minlength=n_h.size) / (n_h - 1)

@@ -17,14 +17,10 @@ import scipy.stats
 from conftest import CONFIG_DIR
 
 from survey_impute.design import (
-    SRSWOR,
-    STRATIFIED,
     DesignDescriptor,
     SampleDraw,
-    Stratum,
     draw_srswor,
     draw_stratified,
-    first_order,
 )
 from survey_impute.estimators import (
     ModelSpec,
@@ -257,7 +253,7 @@ def test_criterion_10_design_unbiasedness(acceptance):
     rng = np.random.default_rng(99201)
     worst = 0.0
 
-    def check(design, samples):
+    def check(design, samples, stratum_of):
         nonlocal worst
         N = design.population_size
         prob = 1.0 / len(samples)
@@ -267,7 +263,7 @@ def test_criterion_10_design_unbiasedness(acceptance):
             hts, v1s = [], []
             for ids in samples:
                 ids = np.asarray(ids)
-                s = SampleDraw(ids, first_order(design, ids), design)
+                s = SampleDraw(ids, stratum_of(ids), design)
                 hts.append(ht_mean(s, eta_pop[ids]))
                 v1s.append(v1_hat(s, eta_pop[ids]))
             e_ht = prob * np.sum(hts)
@@ -280,19 +276,17 @@ def test_criterion_10_design_unbiasedness(acceptance):
                 abs(e_v1 - true_var) / max(true_var, 1e-12),
             )
 
-    srs = DesignDescriptor(SRSWOR, 8, 3)
-    check(srs, list(itertools.combinations(range(8), 3)))
+    srs = DesignDescriptor((8,), (3,))
+    check(srs, list(itertools.combinations(range(8), 3)), np.zeros_like)
 
-    strat = DesignDescriptor(
-        STRATIFIED, 9, 4,
-        (Stratum(np.arange(5), 2), Stratum(np.arange(5, 9), 2)),
-    )
+    # strata: units 0..4 and 5..8
+    strat = DesignDescriptor((5, 4), (2, 2))
     samples = [
         tuple(a) + tuple(b)
         for a in itertools.combinations(range(5), 2)
         for b in itertools.combinations(range(5, 9), 2)
     ]
-    check(strat, samples)
+    check(strat, samples, lambda ids: (ids >= 5).astype(np.int64))
 
     acceptance(
         10, worst <= 1e-12,
@@ -350,9 +344,8 @@ def test_criterion_12_noiseless_recovery(acceptance):
     best, _ = select("bic", cands, X_r, y_r, fit_candidates(X_r, y_r, cands))
     picks_smallest = best == m2
 
-    census = DesignDescriptor(SRSWOR, 40, 40)
-    ids = np.arange(40)
-    cs = SampleDraw(ids, first_order(census, ids), census)
+    census = DesignDescriptor((40,), (40,))
+    cs = SampleDraw(np.arange(40), np.zeros(40, dtype=np.int64), census)
     bundle = estimate_with_inference(
         cs, ResponseMask(np.ones(40, dtype=bool)), pop.X, pop.y,
         cands, fit_candidates(pop.X, pop.y, cands), "bic", 0.95,

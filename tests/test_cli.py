@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through main(), plus the data-file reader."""
 
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -23,7 +24,7 @@ from survey_impute.cli import (
     main,
     read_estimate_csv,
 )
-from survey_impute.design import SRSWOR, DesignDescriptor, SampleDraw, first_order
+from survey_impute.design import DesignDescriptor, SampleDraw
 from survey_impute.errors import ConfigError
 from survey_impute.estimators import build_candidates, fit_candidates, ht_mean, nested_candidates
 from survey_impute.population import ResponseMask
@@ -115,6 +116,16 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "design.n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_fewer_than_one_thread_exits_2(self, tmp_path, capsys, threads):
+        cfg_path = study_json(tmp_path)
+        code = main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path),
+                     "--threads", threads])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "--threads" in err and err.count("\n") == 1
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "absent.json")])
@@ -509,9 +520,8 @@ class TestEstimate:
 
         # independent route: construct the design by hand
         n, N = len(ids), 50
-        design = DesignDescriptor(SRSWOR, N, n)
-        synth = np.arange(n)
-        sample = SampleDraw(synth, first_order(design, synth), design)
+        design = DesignDescriptor((N,), (n,))
+        sample = SampleDraw(np.arange(n), np.zeros(n, dtype=np.int64), design)
         r = np.ones(n, dtype=bool)
         r[list(missing)] = False
         fits = fit_candidates(X[r], y[r], nested_candidates(2))
@@ -539,8 +549,8 @@ class TestEstimate:
         assert code == EXIT_OK
         got = json.loads(capsys.readouterr().out)
         n, N = len(ids), 50
-        design = DesignDescriptor(SRSWOR, N, n)
-        sample = SampleDraw(np.arange(n), first_order(design, np.arange(n)), design)
+        design = DesignDescriptor((N,), (n,))
+        sample = SampleDraw(np.arange(n), np.zeros(n, dtype=np.int64), design)
         assert got["mu_hat"] == _round10(ht_mean(sample, y))
 
     def test_cv_criterion_is_reproducible(self, tmp_path, capsys):
@@ -660,6 +670,57 @@ class TestEstimate:
         assert got["n"] == 7 and got["n_respondents"] == 5
         assert got["v_total"] >= 0.0
 
+    def test_stratified_rows_run_in_stratum_major_order(self, tmp_path, capsys):
+        # the strata interleave ids and stratum 0 holds the larger ones, so
+        # sorted-id order is not the sample's order: stratum by stratum in
+        # config order, by id within a stratum. cv5's fold split follows
+        # that order, and on these data the wrong order picks another model.
+        s0 = [3, 9, 12, 20, 25, 31, 40, 44, 47, 52, 58, 61]
+        s1 = [1, 5, 7, 10, 15, 22, 27, 33, 38, 50]
+        rng = np.random.default_rng(2)
+        X = rng.gamma(5.0, 2.0, size=(22, 3))
+        y = 2.0 + X @ [1.0, 0.3, 0.15] + rng.normal(size=22) * 2
+        r = rng.random(22) < 0.8
+        ids = np.array(s0 + s1)  # stratum-major rows
+        pi = np.repeat([12 / 80, 10 / 60], [12, 10])
+        shuffled = np.random.default_rng(3).permutation(22)
+        data = tmp_path / "d.csv"
+        write_sample_csv(data, ids[shuffled], X[shuffled], y[shuffled], pi[shuffled],
+                         missing=set(np.flatnonzero(~r[shuffled]).tolist()))
+        cfg_path = tmp_path / "est.json"
+        cfg_path.write_text(json.dumps({
+            "criterion": "cv5", "master_seed": 2,
+            "design": {"kind": "stratified", "strata": [
+                {"N": 80, "sampled_units": s0[::-1]},
+                {"N": 60, "sampled_units": s1[::-1]},
+            ]},
+        }))
+        code = main(["estimate", "--data", str(data), "--config", str(cfg_path)])
+        assert code == EXIT_OK
+        got = json.loads(capsys.readouterr().out)
+
+        design = DesignDescriptor((80, 60), (12, 10))
+        cands = nested_candidates(3)
+
+        def in_process(order):
+            sample = SampleDraw(np.arange(22), np.repeat([0, 1], [12, 10])[order], design)
+            Xo, yo, ro = X[order], y[order], r[order]
+            rng = np.random.default_rng(np.random.SeedSequence([2, 0]))
+            return estimate_with_inference(
+                sample, ResponseMask(ro), Xo, np.where(ro, yo, np.nan), cands,
+                fit_candidates(Xo[ro], yo[ro], cands), "cv5", 0.95, rng,
+            )
+
+        bundle = in_process(np.arange(22))
+        assert got["selected"]["included"] == list(bundle.model.included)
+        assert got["mu_hat"] == _round10(bundle.mu_hat)
+        assert got["v1"] == _round10(bundle.variance.v1)
+        assert got["v2"] == _round10(bundle.variance.v2)
+        assert got["sigma2_hat"] == _round10(bundle.variance.sigma2_hat)
+        assert got["ci"]["lower"] == _round10(bundle.ci.lower)
+        assert got["ci"]["upper"] == _round10(bundle.ci.upper)
+        assert in_process(np.argsort(ids)).model != bundle.model
+
     def test_stratified_id_mismatch_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(12)
         ids = np.array([0, 1, 2, 3, 10, 11, 12])
@@ -679,6 +740,23 @@ class TestEstimate:
         code = main(["estimate", "--data", str(data), "--config", str(cfg_path)])
         assert code == EXIT_CONFIG
         assert "strata" in capsys.readouterr().err
+
+    def test_stratified_id_beyond_int64_exits_2(self, tmp_path, capsys):
+        ids, X, y, pi = sample_data(n=4)
+        data = tmp_path / "d.csv"
+        write_sample_csv(data, ids, X, y, np.full(4, 0.1))
+        cfg_path = tmp_path / "est.json"
+        cfg_path.write_text(json.dumps({
+            "criterion": "aic",
+            "design": {"kind": "stratified", "strata": [
+                {"N": 20, "sampled_units": [int(ids[0]), int(ids[1])]},
+                {"N": 20, "sampled_units": [int(ids[2]), 2**64]},
+            ]},
+        }))
+        code = main(["estimate", "--data", str(data), "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "sampled_units do not match" in err and err.count("\n") == 1
 
 
 def test_round10_formatting():
@@ -785,6 +863,114 @@ def test_malformed_csv_exits_0_or_2(data):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["estimate", "--data", path, "--config", cfg])
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_CONFIG), err
+    assert "Traceback" not in err
+    if code == EXIT_CONFIG:
+        assert err.count("\n") == 1, err
+
+
+# a valid estimate config for each design kind, and the ids and pi of the
+# eight-row sample it declares
+FUZZ_CONFIGS = {
+    "srswor": ({"criterion": "bic", "level": 0.9, "candidates": "nested", "master_seed": 4,
+                "design": {"kind": "srswor", "N": 40}},
+               np.arange(8), np.full(8, 8 / 40)),
+    "stratified": ({"criterion": "cv3", "candidates": [[1], [1, 2]],
+                    "design": {"kind": "stratified", "strata": [
+                        {"N": 20, "sampled_units": [6, 0, 4, 2]},
+                        {"N": 30, "sampled_units": [1, 3, 7, 5]},
+                    ]}},
+                   np.arange(8), np.array([4 / 20, 4 / 30] * 4)),
+}
+FUZZ_VALUES = [None, True, False, 0, -1, 1, 3.5, "7", "", [], {}, [1], 2**63 - 1, 2**63,
+               2**64, -(2**63) - 1, 10**30, float("inf")]
+
+
+def config_paths(node, path=()):
+    """Every (path, node) below the root of a JSON value."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,), child
+        yield from config_paths(child, path + (key,))
+
+
+def targeted_fault(data, cfg, fault):
+    """A bad unit id, too small an N or N_h, or a repeated id, on an
+    intact config."""
+    strata = cfg["design"].get("strata")
+    if fault == "unit":
+        value = data.draw(st.sampled_from([True, -1, 2**63, 2**70, 1.0, "3", None]), label="id")
+        if strata is None:
+            cfg["design"]["N"] = value
+            return
+        units = strata[data.draw(st.integers(0, len(strata) - 1), label="h")]["sampled_units"]
+        units[data.draw(st.integers(0, len(units) - 1), label="j")] = value
+    elif fault == "too many units":
+        if strata is None:
+            cfg["design"]["N"] = data.draw(st.integers(1, 7), label="N")
+            return
+        entry = strata[data.draw(st.integers(0, len(strata) - 1), label="h")]
+        entry["N"] = len(entry["sampled_units"]) - data.draw(st.integers(1, 3), label="short")
+    else:
+        h = data.draw(st.integers(0, len(strata) - 1), label="h")
+        to = h if fault == "duplicate within" else 1 - h
+        unit = data.draw(st.sampled_from(strata[h]["sampled_units"]), label="unit")
+        strata[to]["sampled_units"].append(unit)
+
+
+def generic_fault(data, cfg):
+    """Replace or delete any value, or add an unknown key to any object."""
+    fault = data.draw(st.sampled_from(["replace", "delete", "unknown key"]), label="fault")
+    paths = [path for path, _ in config_paths(cfg)]
+    if fault == "unknown key":
+        paths = [()] + [path for path, node in config_paths(cfg) if isinstance(node, dict)]
+    if not paths:
+        return
+    path = data.draw(st.sampled_from(paths), label="path")
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if fault == "unknown key":
+        (parent[path[-1]] if path else parent)["bogus"] = 1
+    elif fault == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(FUZZ_VALUES), label="value"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_malformed_estimate_config_exits_0_or_2(data):
+    """A valid SRSWOR or stratified estimate config with one to three
+    faults: wrong types, bool, negative or beyond-int64 ids, ids repeated
+    within or across strata, more units than N_h, missing or unknown keys.
+    estimate exits 0 or 2, never with a traceback, and an exit 2 prints
+    one stderr line."""
+    kind = data.draw(st.sampled_from(sorted(FUZZ_CONFIGS)), label="kind")
+    base, ids, pi = FUZZ_CONFIGS[kind]
+    cfg = copy.deepcopy(base)
+    targeted = ["unit", "too many units"]
+    if kind == "stratified":
+        targeted += ["duplicate within", "duplicate across"]
+    fault = data.draw(st.sampled_from([None] + targeted), label="targeted fault")
+    if fault is not None:
+        targeted_fault(data, cfg, fault)
+    for _ in range(data.draw(st.integers(0 if fault else 1, 2), label="generic faults")):
+        generic_fault(data, cfg)
+    rng = np.random.default_rng(0)
+    X = rng.gamma(5.0, 2.0, size=(8, 2))
+    y = 1.0 + X @ [2.0, -1.0] + rng.normal(size=8)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        write_sample_csv(path, ids, X, y, pi, missing={1})
+        cfg_path = os.path.join(tmp, "est.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["estimate", "--data", path, "--config", cfg_path])
     err = err.getvalue()
     assert code in (EXIT_OK, EXIT_CONFIG), err
     assert "Traceback" not in err

@@ -244,6 +244,30 @@ class TestEstimateParsing:
         empty["design"]["strata"] = []
         expect_field(empty, "design.strata", parse_estimate_config)
 
+    @pytest.mark.parametrize("unit,message", [
+        (True, "expected an integer, got True"),
+        (2.0, "expected an integer, got 2.0"),
+        ("3", "expected an integer, got '3'"),
+        (-1, "must be >= 0, got -1"),
+    ])
+    def test_bad_sampled_unit(self, unit, message):
+        raw = self.stratified()
+        raw["design"]["strata"][1]["sampled_units"] = [10, unit, -5]
+        with pytest.raises(ConfigError) as err:
+            parse_estimate_config(raw)
+        assert (err.value.field, err.value.message) == ("design.strata[1].sampled_units", message)
+
+    def test_population_sizes_fit_in_int64(self):
+        raw = self.srswor()
+        raw["design"]["N"] = 2**63 - 1
+        assert parse_estimate_config(raw).N == 2**63 - 1
+        raw["design"]["N"] = 2**63
+        expect_field(raw, "design.N", parse_estimate_config)
+        raw = self.stratified()
+        for entry in raw["design"]["strata"]:
+            entry["N"] = 2**62
+        expect_field(raw, "design.strata", parse_estimate_config)
+
     def test_bad_criterion(self):
         raw = self.srswor()
         raw["criterion"] = "press"

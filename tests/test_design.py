@@ -7,19 +7,13 @@ import pytest
 from scipy.stats import chisquare
 
 from survey_impute.design import (
-    SRSWOR,
-    STRATIFIED,
     DesignDescriptor,
     SampleDraw,
-    Stratum,
-    delta,
     draw_srswor,
     draw_stratified,
     first_order,
-    joint_inclusion,
     joint_matrix,
     neyman_allocation,
-    stratum_labels,
     stratum_sizes,
 )
 from survey_impute.errors import InvalidDesignError
@@ -27,15 +21,28 @@ from survey_impute.variance import v1_hat
 
 
 def srswor_design(N, n):
-    return DesignDescriptor(SRSWOR, N, n)
+    return DesignDescriptor((N,), (n,))
 
 
 def two_strata_design(N1, N2, n1, n2):
-    strata = (
-        Stratum(np.arange(N1), n1),
-        Stratum(np.arange(N1, N1 + N2), n2),
-    )
-    return DesignDescriptor(STRATIFIED, N1 + N2, n1 + n2, strata)
+    return DesignDescriptor((N1, N2), (n1, n2))
+
+
+def population_strata(design):
+    """Stratum label of every population unit, strata as id blocks."""
+    return np.repeat(np.arange(design.population_sizes.size), design.population_sizes)
+
+
+def joint_inclusion(design, strata, k, l):
+    """pi_kl of two distinct units k, l, read off joint_matrix."""
+    return float(joint_matrix(design, [strata[k], strata[l]])[0, 1])
+
+
+def delta(design, strata, k, l):
+    """Delta_kl = pi_kl - pi_k pi_l, with pi_kk = pi_k, read off joint_matrix."""
+    J = joint_matrix(design, [strata[k], strata[l]])
+    pi_kl = J[0, 0] if k == l else J[0, 1]
+    return float(pi_kl - J[0, 0] * J[1, 1])
 
 
 class TestFirstOrder:
@@ -50,39 +57,47 @@ class TestFirstOrder:
 
     def test_stratified_per_stratum(self):
         d = two_strata_design(10, 20, 2, 5)
-        pi = first_order(d, np.arange(30))
+        pi = first_order(d, population_strata(d))
         assert np.all(pi[:10] == 0.2)
         assert np.all(pi[10:] == 0.25)
 
     def test_pi_sums_to_n_both_designs(self):
         d1 = srswor_design(100, 17)
-        assert abs(first_order(d1, np.arange(100)).sum() - 17) < 1e-12
+        assert abs(first_order(d1, population_strata(d1)).sum() - 17) < 1e-12
         d2 = two_strata_design(13, 9, 4, 3)
-        assert abs(first_order(d2, np.arange(22)).sum() - 7) < 1e-12
+        assert abs(first_order(d2, population_strata(d2)).sum() - 7) < 1e-12
 
 
 class TestJointInclusion:
     def test_srswor_pair(self):
-        assert joint_inclusion(srswor_design(4, 2), 0, 3) == pytest.approx(1 / 6, abs=1e-15)
+        d = srswor_design(4, 2)
+        assert joint_inclusion(d, population_strata(d), 0, 3) == pytest.approx(1 / 6, abs=1e-15)
 
     def test_cross_stratum_is_product(self):
         d = two_strata_design(10, 20, 2, 5)
         # 0.2 and 0.25, independent draws
-        assert joint_inclusion(d, 0, 10) == pytest.approx(0.05, abs=1e-15)
+        assert joint_inclusion(d, population_strata(d), 0, 10) == pytest.approx(0.05, abs=1e-15)
 
     def test_same_stratum(self):
         d = two_strata_design(10, 10, 3, 2)
-        assert joint_inclusion(d, 0, 1) == pytest.approx(3 * 2 / (10 * 9), abs=1e-15)
+        assert joint_inclusion(d, population_strata(d), 0, 1) == pytest.approx(
+            3 * 2 / (10 * 9), abs=1e-15
+        )
 
-    def test_diagonal_rejected(self):
-        with pytest.raises(ValueError):
-            joint_inclusion(srswor_design(5, 2), 2, 2)
+    def test_diagonal_is_first_order(self):
+        # a unit is one unit: pi_kk = pi_k, not the within-stratum pair value
+        d = two_strata_design(5, 6, 2, 3)
+        J = joint_matrix(d, [0, 0, 1, 1])
+        assert np.array_equal(np.diag(J), [0.4, 0.4, 0.5, 0.5])
+        assert J[0, 1] == pytest.approx(2 / 20, abs=1e-15)
+        assert J[2, 3] == pytest.approx(6 / 30, abs=1e-15)
 
     def test_fixed_size_identity(self):
         # sum over l != k of pi_kl = (n - 1) pi_k for a fixed-size design
         d = srswor_design(9, 4)
+        strata = population_strata(d)
         for k in range(9):
-            total = sum(joint_inclusion(d, k, l) for l in range(9) if l != k)
+            total = sum(joint_inclusion(d, strata, k, l) for l in range(9) if l != k)
             assert total == pytest.approx(3 * 4 / 9, abs=1e-12)
 
     def test_exhaustive_enumeration_n8(self):
@@ -100,48 +115,61 @@ class TestJointInclusion:
                 count_kl[l, k] += 1
         count_k /= len(samples)
         count_kl /= len(samples)
-        assert np.allclose(count_k, first_order(d, np.arange(N)), atol=1e-12)
+        strata = population_strata(d)
+        assert np.allclose(count_k, first_order(d, strata), atol=1e-12)
         for k in range(N):
             for l in range(N):
                 if k != l:
                     assert count_kl[k, l] == pytest.approx(
-                        joint_inclusion(d, k, l), abs=1e-12
+                        joint_inclusion(d, strata, k, l), abs=1e-12
                     )
-                    assert joint_inclusion(d, k, l) == pytest.approx(3 * 2 / 56, abs=1e-15)
+                    assert joint_inclusion(d, strata, k, l) == pytest.approx(
+                        3 * 2 / 56, abs=1e-15
+                    )
 
 
 class TestDelta:
     def test_census_zero(self):
         d = srswor_design(5, 5)
-        assert delta(d, 0, 1) == pytest.approx(0.0, abs=1e-15)
-        assert delta(d, 2, 2) == pytest.approx(0.0, abs=1e-15)
+        strata = population_strata(d)
+        assert delta(d, strata, 0, 1) == pytest.approx(0.0, abs=1e-15)
+        assert delta(d, strata, 2, 2) == pytest.approx(0.0, abs=1e-15)
 
     def test_srswor_off_diagonal(self):
-        assert delta(srswor_design(4, 2), 0, 1) == pytest.approx(-1 / 12, abs=1e-15)
+        d = srswor_design(4, 2)
+        assert delta(d, population_strata(d), 0, 1) == pytest.approx(-1 / 12, abs=1e-15)
 
     def test_diagonal_is_bernoulli_variance(self):
         d = srswor_design(10, 3)
-        assert delta(d, 4, 4) == pytest.approx(0.3 * 0.7, abs=1e-15)
+        assert delta(d, population_strata(d), 4, 4) == pytest.approx(0.3 * 0.7, abs=1e-15)
 
     def test_cross_stratum_zero(self):
         d = two_strata_design(6, 8, 2, 3)
-        assert delta(d, 0, 7) == pytest.approx(0.0, abs=1e-15)
+        assert delta(d, population_strata(d), 0, 7) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestJointMatrix:
     @pytest.mark.parametrize("design", [srswor_design(12, 5), two_strata_design(7, 6, 3, 2)])
     def test_matches_scalar_ops(self, design):
-        ids = np.arange(design.population_size)
-        J = joint_matrix(design, ids)
-        assert np.allclose(np.diag(J), first_order(design, ids), atol=1e-15)
+        # every entry against the textbook pair formulas
+        strata = population_strata(design)
+        J = joint_matrix(design, strata)
+        N_h, n_h = design.population_sizes, design.allocations
+        assert np.allclose(np.diag(J), first_order(design, strata), atol=1e-15)
         for k in range(0, design.population_size, 2):
             for l in range(1, design.population_size, 3):
-                if k != l:
-                    assert J[k, l] == pytest.approx(joint_inclusion(design, k, l), abs=1e-15)
+                if k == l:
+                    continue
+                h, g = strata[k], strata[l]
+                if h == g:
+                    want = n_h[h] * (n_h[h] - 1) / (N_h[h] * (N_h[h] - 1))
+                else:
+                    want = (n_h[h] / N_h[h]) * (n_h[g] / N_h[g])
+                assert J[k, l] == pytest.approx(want, abs=1e-15)
 
     def test_symmetric(self):
         d = two_strata_design(5, 5, 2, 2)
-        J = joint_matrix(d, np.arange(10))
+        J = joint_matrix(d, population_strata(d))
         assert np.array_equal(J, J.T)
 
 
@@ -229,11 +257,12 @@ class TestDraws:
         s = draw_stratified(sort_key, alloc_var, [0.5, 0.5], 10, rng)
         d = s.design
         # ascending sort of an already sorted key: contiguous halves
-        assert np.array_equal(d.strata[0].units, np.arange(20))
-        assert np.array_equal(d.strata[1].units, np.arange(20, 40))
-        assert sum(st.n_h for st in d.strata) == 10
+        assert np.array_equal(d.population_sizes, [20, 20])
+        assert np.array_equal(s.strata, s.unit_ids >= 20)
+        assert np.all(np.diff(s.unit_ids) > 0)
+        assert d.allocations.sum() == 10
         assert np.allclose(
-            s.pi_first, first_order(d, s.unit_ids), atol=0
+            s.pi_first, first_order(d, s.strata), atol=0
         )
 
     def test_stratified_tie_break_by_unit_index(self):
@@ -241,25 +270,22 @@ class TestDraws:
         N = 12
         s = draw_stratified(np.zeros(N), np.arange(N, dtype=float), [0.5, 0.5], 6, rng)
         # all keys equal: stable sort keeps id order, strata are id blocks
-        assert np.array_equal(s.design.strata[0].units, np.arange(6))
+        assert np.array_equal(s.strata, s.unit_ids >= 6)
 
     def test_single_stratum_equals_srswor(self):
         # SRSWOR is the one-stratum design: on the same draw, every
-        # design quantity is bit-equal to that of one Stratum(N, n)
+        # design quantity is bit-equal to that of the flat (N, n) design
         rng = np.random.default_rng(11)
         s = draw_stratified(rng.normal(size=15), rng.normal(size=15), [1.0], 5, rng)
         d_flat = srswor_design(15, 5)
-        flat = SampleDraw(s.unit_ids, first_order(d_flat, s.unit_ids), d_flat)
+        flat = SampleDraw(s.unit_ids, np.zeros(5, dtype=np.int64), d_flat)
+        assert np.array_equal(s.strata, np.zeros(5))
         assert np.array_equal(s.pi_first, flat.pi_first)
-        ids = np.arange(15)
-        assert np.array_equal(first_order(s.design, ids), first_order(d_flat, ids))
-        assert np.array_equal(joint_matrix(s.design, ids), joint_matrix(d_flat, ids))
-        assert joint_inclusion(s.design, 0, 1) == joint_inclusion(d_flat, 0, 1)
+        strata = np.zeros(15, dtype=np.int64)
+        assert np.array_equal(first_order(s.design, strata), first_order(d_flat, strata))
+        assert np.array_equal(joint_matrix(s.design, strata), joint_matrix(d_flat, strata))
         eta = rng.normal(size=5) * 3.0 + 10.0
         assert v1_hat(s, eta) == v1_hat(flat, eta)
-        assert np.array_equal(stratum_labels(d_flat, ids), np.zeros(15))
-        with pytest.raises(InvalidDesignError):
-            stratum_labels(d_flat, np.array([3, 15]))
 
     def test_draw_determinism(self):
         a = draw_srswor(100, 10, np.random.default_rng(5)).unit_ids
@@ -270,38 +296,51 @@ class TestDraws:
 class TestValidation:
     def test_sample_draw_checks(self):
         d = srswor_design(10, 3)
-        with pytest.raises(InvalidDesignError):
-            SampleDraw(np.array([1, 1, 2]), np.full(3, 0.3), d)
-        with pytest.raises(InvalidDesignError):
-            SampleDraw(np.array([1, 2, 3]), np.array([0.3, 0.3, 1.5]), d)
-        with pytest.raises(InvalidDesignError):
-            SampleDraw(np.array([1, 2]), np.full(2, 0.3), d)
-        with pytest.raises(InvalidDesignError):
-            SampleDraw(np.array([1, 2, 10]), np.full(3, 0.3), d)
+        zeros = np.zeros(3, dtype=np.int64)
+        with pytest.raises(InvalidDesignError, match="duplicate"):
+            SampleDraw(np.array([1, 1, 2]), zeros, d)
+        with pytest.raises(InvalidDesignError, match="labels out of range"):
+            SampleDraw(np.array([1, 2, 3]), np.array([0, 0, 1]), d)
+        with pytest.raises(InvalidDesignError, match="labels out of range"):
+            SampleDraw(np.array([1, 2, 3]), np.array([0, -1, 0]), d)
+        with pytest.raises(InvalidDesignError, match="sample_size"):
+            SampleDraw(np.array([1, 2]), zeros[:2], d)
+        with pytest.raises(InvalidDesignError, match="matching"):
+            SampleDraw(np.array([1, 2, 3]), zeros[:2], d)
+        with pytest.raises(InvalidDesignError, match="out of range"):
+            SampleDraw(np.array([1, 2, 10]), zeros, d)
+        with pytest.raises(InvalidDesignError, match="out of range"):
+            SampleDraw(np.array([-1, 2, 3]), zeros, d)
+        s = SampleDraw(np.array([4, 0, 7]), zeros, d)
+        assert np.array_equal(s.pi_first, np.full(3, 0.3))
+        assert not s.pi_first.flags.writeable
 
     def test_descriptor_checks(self):
         with pytest.raises(InvalidDesignError):
-            DesignDescriptor("poisson", 10, 2)
+            DesignDescriptor((10,), (11,))
         with pytest.raises(InvalidDesignError):
-            DesignDescriptor(SRSWOR, 10, 11)
+            DesignDescriptor((10,), (0,))
         with pytest.raises(InvalidDesignError):
-            # strata must partition 0..N-1
-            DesignDescriptor(
-                STRATIFIED, 6, 4,
-                (Stratum(np.arange(3), 2), Stratum(np.arange(4, 7), 2)),
-            )
+            DesignDescriptor((), ())
+        with pytest.raises(InvalidDesignError):
+            DesignDescriptor((3, 3), (2,))
+        with pytest.raises(InvalidDesignError):
+            DesignDescriptor((3, 3), (2, 4))
         with pytest.raises(InvalidDesignError):
             # n_h = 1 breaks within-stratum joint inclusion
-            DesignDescriptor(
-                STRATIFIED, 6, 3,
-                (Stratum(np.arange(3), 1), Stratum(np.arange(3, 6), 2)),
-            )
+            DesignDescriptor((3, 3), (1, 2))
+        # a one-unit SRSWOR draw stays legal, and so does a census
+        assert DesignDescriptor((10,), (1,)).sample_size == 1
+        assert DesignDescriptor((4, 5), (4, 5)).population_size == 9
 
-    def test_stratum_units_sorted_and_distinct(self):
-        given = np.array([7, 2, 9, 4])
-        s = Stratum(given, 2)
-        assert np.array_equal(s.units, [2, 4, 7, 9])
-        assert not s.units.flags.writeable
-        assert given.flags.writeable  # the caller's array is left alone
-        with pytest.raises(InvalidDesignError, match="distinct"):
-            Stratum(np.array([3, 1, 3, 2]), 2)
+    def test_descriptor_arrays_are_read_only_copies(self):
+        sizes, alloc = np.array([7, 9]), np.array([2, 4])
+        d = DesignDescriptor(sizes, alloc)
+        assert np.array_equal(d.population_sizes, [7, 9])
+        assert np.array_equal(d.allocations, [2, 4])
+        assert (d.population_size, d.sample_size) == (16, 6)
+        assert not d.population_sizes.flags.writeable
+        assert not d.allocations.flags.writeable
+        assert sizes.flags.writeable and alloc.flags.writeable  # the caller's arrays are left alone
+        sizes[0] = 1
+        assert d.population_sizes[0] == 7

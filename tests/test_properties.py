@@ -8,15 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survey_impute.design import (
-    SRSWOR,
-    STRATIFIED,
     DesignDescriptor,
     SampleDraw,
-    Stratum,
     _largest_remainder,
-    delta,
     draw_srswor,
-    first_order,
     joint_matrix,
     neyman_allocation,
     stratum_sizes,
@@ -140,10 +135,11 @@ def random_draw(seed, stratified):
     if sizes.size > 1:
         alloc[-1] = int(sizes[-1])
     blocks = np.split(rng.permutation(int(sizes.sum())), np.cumsum(sizes)[:-1])
-    strata = tuple(Stratum(b, n_h) for b, n_h in zip(blocks, alloc))
-    design = DesignDescriptor(STRATIFIED, int(sizes.sum()), sum(alloc), strata)
-    ids = np.sort(np.concatenate([rng.choice(s.units, s.n_h, replace=False) for s in strata]))
-    return SampleDraw(ids, first_order(design, ids), design), rng
+    design = DesignDescriptor(sizes, alloc)
+    picks = [rng.choice(np.sort(b), n_h, replace=False) for b, n_h in zip(blocks, alloc)]
+    by_id = np.argsort(np.concatenate(picks))
+    strata = np.repeat(np.arange(sizes.size), alloc)[by_id]
+    return SampleDraw(np.concatenate(picks)[by_id], strata, design), rng
 
 
 @settings(max_examples=80, deadline=None)
@@ -152,7 +148,7 @@ def test_v1_closed_form_equals_joint_matrix_double_sum(seed, stratified):
     s, rng = random_draw(seed, stratified)
     eta = rng.normal(size=s.n) * rng.uniform(1.0, 20.0) + rng.uniform(-10.0, 10.0)
     pi = s.pi_first
-    J = joint_matrix(s.design, s.unit_ids)
+    J = joint_matrix(s.design, s.strata)
     t = eta / pi
     terms = (J - np.outer(pi, pi)) / J * np.outer(t, t)
     N2 = s.design.population_size ** 2
@@ -178,9 +174,11 @@ def test_delta_is_symmetric(seed):
     rng = np.random.default_rng(seed)
     N = int(rng.integers(4, 30))
     n = int(rng.integers(2, N + 1))
-    design = DesignDescriptor(SRSWOR, N, n)
+    design = DesignDescriptor((N,), (n,))
+    J = joint_matrix(design, np.zeros(N, dtype=np.int64))
+    delta = J - np.outer(np.diag(J), np.diag(J))
     k, l = rng.choice(N, size=2, replace=False)
-    assert delta(design, int(k), int(l)) == pytest.approx(delta(design, int(l), int(k)), rel=1e-14)
+    assert delta[k, l] == pytest.approx(delta[l, k], rel=1e-14)
 
 
 @settings(max_examples=60, deadline=None)

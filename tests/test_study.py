@@ -9,9 +9,10 @@ from conftest import load_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from survey_impute import study
 from survey_impute.config import parse_study_config
 from survey_impute.design import draw_srswor
-from survey_impute.errors import MetricError
+from survey_impute.errors import ConfigError, MetricError
 from survey_impute.estimators import fit_candidates, nested_candidates
 from survey_impute.population import ResponseMask
 from survey_impute.study import (
@@ -165,6 +166,47 @@ def count_factorizations(monkeypatch):
 
     monkeypatch.setattr(est, "qr_checked", counted)
     return calls
+
+
+class TestThreads:
+    """The worker pool is sized without starting a process: a stand-in
+    executor records its size and maps in this process."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(study, "ProcessPoolExecutor", SerialPool)
+        return sizes
+
+    @pytest.mark.parametrize("cpus,want", [(2, 2), (None, 1)])
+    def test_pool_is_capped_at_the_cpu_count(self, pool_sizes, monkeypatch, cpus, want):
+        monkeypatch.setattr(study.os, "cpu_count", lambda: cpus)
+        cfg = tiny_config(replications=6)
+        serial = run_records(cfg, 1)
+        assert pool_sizes == []
+        for threads in (2, 3, 5000):
+            assert run_records(cfg, threads) == serial
+        assert pool_sizes == [min(2, want), min(3, want), want]
+
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_fewer_than_one_thread_is_a_config_error(self, pool_sizes, threads):
+        with pytest.raises(ConfigError, match="--threads"):
+            run_records(tiny_config(), threads)
+        assert pool_sizes == []
 
 
 class TestFitSharing:

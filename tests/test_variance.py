@@ -7,16 +7,11 @@ import numpy as np
 import pytest
 
 from survey_impute.design import (
-    SRSWOR,
-    STRATIFIED,
     DesignDescriptor,
     SampleDraw,
-    Stratum,
-    delta,
     draw_srswor,
     draw_stratified,
-    first_order,
-    joint_inclusion,
+    joint_matrix,
 )
 from survey_impute.errors import DegenerateFitError, EstimationFailureError, InvalidDesignError
 from survey_impute.estimators import (FitResult, ModelSpec, fit_candidates, fit_ols, ht_mean,
@@ -159,27 +154,23 @@ class TestEta:
 
 
 def v1_loop(sample, eta):
-    # literal double sum, scalar pair functions only
+    # literal double sum over pairs, each pi_kl read off joint_matrix
     pi = sample.pi_first
-    ids = sample.unit_ids
+    J = joint_matrix(sample.design, sample.strata)
     N = sample.design.population_size
     total = 0.0
-    for k in range(ids.size):
-        for l in range(ids.size):
-            if k == l:
-                d, pkl = delta(sample.design, ids[k], ids[k]), pi[k]
-            else:
-                d = delta(sample.design, ids[k], ids[l])
-                pkl = joint_inclusion(sample.design, ids[k], ids[l])
+    for k in range(sample.n):
+        for l in range(sample.n):
+            pkl = J[k, l]  # pi_kk = pi_k on the diagonal
+            d = pkl - pi[k] * pi[l]
             total += (d / pkl) * (eta[k] / pi[k]) * (eta[l] / pi[l])
     return total / N**2
 
 
 class TestV1:
     def test_census_is_zero(self):
-        design = DesignDescriptor(SRSWOR, 5, 5)
-        ids = np.arange(5)
-        s = SampleDraw(ids, first_order(design, ids), design)
+        design = DesignDescriptor((5,), (5,))
+        s = SampleDraw(np.arange(5), np.zeros(5, dtype=np.int64), design)
         assert v1_hat(s, np.array([3.0, 1.0, 4.0, 1.0, 5.0])) == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("build,seed", [("srswor", 10), ("stratified", 11)])
@@ -202,25 +193,25 @@ class TestV1:
         N, n = 8, 3
         rng = np.random.default_rng(12)
         eta_pop = rng.normal(size=N) * 4 + 2
-        design = DesignDescriptor(SRSWOR, N, n)
+        design = DesignDescriptor((N,), (n,))
         mu = eta_pop.mean()
         draws = list(itertools.combinations(range(N), n))
         means, v1s = [], []
         for ids in draws:
             ids = np.asarray(ids)
-            s = SampleDraw(ids, first_order(design, ids), design)
+            s = SampleDraw(ids, np.zeros(n, dtype=np.int64), design)
             means.append(ht_mean(s, eta_pop[ids]))
             v1s.append(v1_hat(s, eta_pop[ids]))
         true_var = float(np.mean([(m - mu) ** 2 for m in means]))
         assert float(np.mean(v1s)) == pytest.approx(true_var, rel=1e-12)
 
     def test_stratum_counts_must_match_allocation(self):
-        strata = (Stratum(np.arange(10), 3), Stratum(np.arange(10, 20), 3))
-        design = DesignDescriptor(STRATIFIED, 20, 6, strata)
+        # the draw checks its per-stratum counts, so v1_hat never sees a
+        # sample whose strata disagree with the allocation
+        design = DesignDescriptor((10, 10), (3, 3))
         ids = np.array([0, 1, 2, 3, 10, 11])  # 4 + 2 drawn, allocation 3 + 3
-        s = SampleDraw(ids, first_order(design, ids), design)
         with pytest.raises(InvalidDesignError):
-            v1_hat(s, np.arange(6.0))
+            SampleDraw(ids, np.array([0, 0, 0, 0, 1, 1]), design)
 
     def test_memory_is_linear_at_large_n(self):
         # n = 200k: an n x n intermediate would need 320 GB, the stratum-wise
@@ -229,10 +220,11 @@ class TestV1:
         sizes, alloc = (150_000, 100_000, 100_000, 50_000), (80_000, 60_000, 40_000, 20_000)
         perm = rng.permutation(sum(sizes))
         blocks = np.split(perm, np.cumsum(sizes)[:-1])
-        strata = tuple(Stratum(b, n_h) for b, n_h in zip(blocks, alloc))
-        design = DesignDescriptor(STRATIFIED, sum(sizes), sum(alloc), strata)
-        ids = np.sort(np.concatenate([rng.choice(s.units, s.n_h, replace=False) for s in strata]))
-        s = SampleDraw(ids, first_order(design, ids), design)
+        design = DesignDescriptor(sizes, alloc)
+        picks = [rng.choice(np.sort(b), n_h, replace=False) for b, n_h in zip(blocks, alloc)]
+        by_id = np.argsort(np.concatenate(picks))
+        ids = np.concatenate(picks)[by_id]
+        s = SampleDraw(ids, np.repeat(np.arange(4), alloc)[by_id], design)
         eta = rng.normal(size=s.n) * 5.0 + 100.0
         tracemalloc.start()
         try:
@@ -361,9 +353,8 @@ class TestPipeline:
     def test_census_full_response_interval_is_the_truth(self):
         rng = np.random.default_rng(23)
         N = 25
-        design = DesignDescriptor(SRSWOR, N, N)
-        ids = np.arange(N)
-        s = SampleDraw(ids, first_order(design, ids), design)
+        design = DesignDescriptor((N,), (N,))
+        s = SampleDraw(np.arange(N), np.zeros(N, dtype=np.int64), design)
         X = rng.gamma(5.0, 2.0, size=(N, 2))
         y = 1.0 + X @ [2.0, -1.0] + rng.normal(size=N)
         mask = ResponseMask(np.ones(N, dtype=bool))
