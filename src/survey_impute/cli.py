@@ -7,9 +7,9 @@ survey-impute estimate --data sample.csv --config est.json
 
 SURVEY_IMPUTE_SEED overrides the config's master_seed. Data and config
 files are read as UTF-8, with or without a byte-order mark. Exit codes:
-0 success, 2 malformed config or data, data that no candidate model
-can fit, or data whose estimate or variance is not finite, 3 failure
-rate above the configured threshold, 1 anything else.
+0 success, 2 malformed config, data or output path, data that no
+candidate model can fit, or data whose estimate or variance is not
+finite, 3 failure rate above the configured threshold, 1 anything else.
 """
 
 import argparse
@@ -50,17 +50,34 @@ def _round10(x):
     return float(f"{x:.10g}")
 
 
-def _env_seed():
+def _with_env_seed(cfg):
+    """cfg with SURVEY_IMPUTE_SEED, when set, as its master_seed."""
     raw = os.environ.get("SURVEY_IMPUTE_SEED")
     if raw is None or raw == "":
-        return None
+        return cfg
     try:
         seed = int(raw)
     except ValueError:
         raise ConfigError("SURVEY_IMPUTE_SEED", f"not an integer: {raw!r}")
     if seed < 0:
         raise ConfigError("SURVEY_IMPUTE_SEED", "must be >= 0")
-    return seed
+    return dataclasses.replace(cfg, master_seed=seed)
+
+
+def _check_outputs(out_dir, reps_out=None):
+    """Refuse, before any work and creating nothing, an out_dir that
+    os.makedirs cannot make, or a reps_out that names no file in an
+    existing directory or in out_dir."""
+    top = os.path.abspath(out_dir)
+    while not os.path.lexists(top):
+        top = os.path.dirname(top)
+    if not os.path.isdir(top):
+        raise ConfigError("--out-dir", f"{top} is not a directory")
+    if reps_out is not None:
+        where = os.path.abspath(os.path.dirname(reps_out))
+        if (not os.path.basename(reps_out) or os.path.isdir(reps_out)
+                or not (os.path.isdir(where) or where == os.path.abspath(out_dir))):
+            raise ConfigError("--reps-out", f"cannot write a file at {reps_out!r}")
 
 
 def _print_summary_table(cfg, summary, out):
@@ -77,18 +94,16 @@ def _print_summary_table(cfg, summary, out):
 
 
 def cmd_simulate(args):
-    cfg = parse_study_config(load_json(args.config))
-    seed = _env_seed()
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, master_seed=seed)
+    cfg = _with_env_seed(parse_study_config(load_json(args.config)))
     if args.dry_run:
         print(json.dumps(resolved_study_config(cfg), indent=2))
         return EXIT_OK
 
     out_dir = args.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
+    _check_outputs(out_dir, args.reps_out)
+    # run_study refuses --threads < 1 before any work, so a refused run creates nothing
     summary, records = run_study(cfg, threads=args.threads)
-
+    os.makedirs(out_dir, exist_ok=True)
     summary_to_csv(summary, os.path.join(out_dir, "summary.csv"))
     if args.reps_out is not None:
         reps_to_csv(records, args.reps_out, cfg)
@@ -290,13 +305,12 @@ def build_estimate_design(cfg, ids, pi):
 
 
 def cmd_estimate(args):
-    cfg = parse_estimate_config(load_json(args.config))
-    seed = _env_seed()
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, master_seed=seed)
+    cfg = _with_env_seed(parse_estimate_config(load_json(args.config)))
     if args.dry_run:
         print(json.dumps(resolved_estimate_config(cfg), indent=2))
         return EXIT_OK
+    if args.out_dir:
+        _check_outputs(args.out_dir)
 
     ids, X, y, pi, resp = read_estimate_csv(args.data)
     p = X.shape[1]

@@ -8,7 +8,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import SingularFitError
 
@@ -123,7 +122,7 @@ def fit_ols(X_r, y_r, model):
     Z = design_matrix(X_r, model)
     y_r = np.asarray(y_r, dtype=np.float64)
     Q, R = qr_checked(Z, model)
-    beta = solve_triangular(R, Q.T @ y_r)
+    beta = np.linalg.solve(R, Q.T @ y_r)
     resid = y_r - Z @ beta
     return FitResult(beta, float(resid @ resid), Z.shape[0], R)
 

@@ -15,7 +15,6 @@ is what separates candidate models.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .estimators import design_matrix, qr_checked
 
@@ -47,7 +46,7 @@ def loss_closed_form(sample, mask, X, model, beta_true, sigma):
 
     pi_m = sample.pi_first[miss]
     w = design_matrix(X[miss], model).T @ (1.0 / pi_m)
-    u = solve_triangular(R, w, trans="T")
+    u = np.linalg.solve(R.T, w)
 
     # noiseless respondent means under the full generating model
     mu_r = beta_true[0] + X[resp] @ beta_true[1:]
@@ -89,7 +88,7 @@ def mc_loss_oracle(sample, mask, X, model, beta_true, sigma, draws, rng,
         E_r = rng.standard_normal((resp.size, b))
         Y_r = mu_r[:, None] + sigma * E_r
         # beta_hat for every draw at once: R beta = Q'Y
-        B = solve_triangular(R, Q.T @ Y_r)
+        B = np.linalg.solve(R, Q.T @ Y_r)
         e_m = rng.standard_normal((miss.size, b))
         G = w @ B - t1 - sigma * (inv_pi_m @ e_m)
         samples[done:done + b] = G * G - const

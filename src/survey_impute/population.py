@@ -7,7 +7,6 @@ nothing downstream of generation can couple response to y.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError
 
@@ -60,7 +59,7 @@ def _draw_covariates(N, p, law, rng):
 
 def generate_population(N, p, covariate_law, beta, sigma, response, rng):
     """Draw X, build y = [1 X] beta + eps, and store logistic response
-    probabilities expit(scale * (offset + x' zeta)).
+    probabilities 1 / (1 + exp(-t)), t = scale * (offset + x' zeta).
 
     beta has length p + 1 (intercept first); response is an
     (offset, scale, zeta) triple with zeta of length p. sigma >= 0; the
@@ -84,10 +83,12 @@ def generate_population(N, p, covariate_law, beta, sigma, response, rng):
     X = _draw_covariates(N, p, covariate_law, rng)
     eps = rng.normal(0.0, 1.0, size=N) * sigma
     y = beta[0] + X @ beta[1:] + eps
-    resp_prob = expit(scale * (offset + X @ zeta))
+    t = scale * (offset + X @ zeta)
+    e = np.exp(-np.abs(t))  # the logistic as 1/(1+e) or, for t < 0, e/(1+e): no overflow
+    resp_prob = np.where(t >= 0, 1.0, e) / (1.0 + e)
     if np.any(resp_prob <= 0.0) or np.any(resp_prob >= 1.0):
-        # expit saturates to exactly 0/1 around |arg| ~ 37; refuse rather
-        # than clip, since pi-weighting assumes an interior probability
+        # the logistic rounds to exactly 1 above about 36.7 but to 0 only below about
+        # -745; refuse rather than clip, since pi-weighting assumes an interior probability
         raise ConfigError("response_coefs", "response probabilities hit 0 or 1")
 
     support = tuple(int(j) for j in np.flatnonzero(beta[1:]) + 1)

@@ -16,7 +16,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import SelectionFailureError
 from .estimators import deleted_rows_factor, design_matrix
@@ -79,14 +78,14 @@ def score_kfold_cv(X_r, y_r, model, fit, folds):
     the score +inf."""
     Z = design_matrix(X_r, model)
     e = np.asarray(y_r, dtype=np.float64) - Z @ fit.beta_hat
-    Q = solve_triangular(fit.R, Z.T, trans="T").T
+    Q = np.linalg.solve(fit.R.T, Z.T).T
     mses = []
     for test in folds:
         Q_t, e_t = Q[test], e[test]
         L = deleted_rows_factor(Q_t, fit.R, e.size - test.size)
         if L is None:
             return float("inf")
-        r = e_t + Q_t @ cho_solve((L, True), Q_t.T @ e_t)
+        r = e_t + Q_t @ np.linalg.solve(L.T, np.linalg.solve(L, Q_t.T @ e_t))
         mses.append(float(r @ r) / test.size)
     return float(np.mean(mses))
 

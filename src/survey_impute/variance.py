@@ -7,10 +7,9 @@ mean and v2 adds the model component from predicting the missing y.
 """
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import ndtri
 
 from .errors import DegenerateFitError, EstimationFailureError
 from .estimators import design_matrix, imputed_mean
@@ -42,14 +41,14 @@ def c_hat(sample, mask, X, model, fit):
     carries the missing units' leverage back onto the respondents.
 
     fit is the model's respondent fit from fit_ols: sum_r z z' = R'R for
-    its triangular factor R, so c takes two triangular solves and no new
-    factorization or rank check."""
+    its triangular factor R, so c solves against R' and then R, with no
+    new factorization or rank check."""
     X = np.asarray(X, dtype=np.float64)
     miss = mask.nonrespondents
     if miss.size == 0:
         return np.zeros(model.p_alpha)
     w = design_matrix(X[miss], model).T @ (1.0 / sample.pi_first[miss])
-    return solve_triangular(fit.R, solve_triangular(fit.R, w, trans="T"))
+    return np.linalg.solve(fit.R, np.linalg.solve(fit.R.T, w))
 
 
 def eta_hat(sample, mask, X, y, model, fit, c):
@@ -120,17 +119,17 @@ def v2_hat(sample, mask, X, model, sigma2, c):
 
 
 def confidence_interval(point, v_total, level):
-    """Normal interval point +/- z * sqrt(v_total) at the given
-    confidence level (z taken at (1 + level) / 2). A non-finite point or
-    variance (finite data can overflow) or a negative variance raises
-    EstimationFailureError."""
+    """Normal interval point +/- z * sqrt(v_total) at the given confidence
+    level, z from the lower tail (1 - level) / 2, which unlike (1 + level) / 2
+    never rounds to 1. A non-finite point or variance (finite data can
+    overflow) or a negative variance raises EstimationFailureError."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     if not (np.isfinite(point) and np.isfinite(v_total)):
         raise EstimationFailureError(f"non-finite estimate {point} or variance {v_total}")
     if v_total < 0.0:
         raise EstimationFailureError(f"negative variance estimate {v_total}")
-    z = float(ndtri((1.0 + level) / 2.0))
+    z = -NormalDist().inv_cdf((1.0 - level) / 2.0)
     half = z * np.sqrt(v_total)
     return ConfidenceInterval(float(point - half), float(point + half), level, float(point))
 

@@ -173,6 +173,71 @@ class TestSimulate:
         assert (tmp_path / "o" / "summary.csv").exists()
 
 
+def tree(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+class TestOutputPaths:
+    """An output path that cannot be used, or a --threads below 1, exits 2
+    with one stderr line before any work, and creates no file or directory."""
+
+    def refused(self, tmp_path, capsys, argv, flag):
+        before = tree(tmp_path)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert flag in captured.err and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert tree(tmp_path) == before
+
+    def test_simulate_out_dir_is_a_file(self, tmp_path, capsys):
+        cfg_path = study_json(tmp_path)
+        (tmp_path / "taken").write_text("")
+        self.refused(tmp_path, capsys, ["simulate", "--config", str(cfg_path),
+                                        "--out-dir", str(tmp_path / "taken")], "--out-dir")
+
+    def test_simulate_out_dir_below_a_file(self, tmp_path, capsys):
+        cfg_path = study_json(tmp_path)
+        (tmp_path / "taken").write_text("")
+        self.refused(tmp_path, capsys, ["simulate", "--config", str(cfg_path),
+                                        "--out-dir", str(tmp_path / "taken" / "o")], "--out-dir")
+
+    @pytest.mark.parametrize("reps", ["missing/reps.csv", "existing_dir"])
+    def test_simulate_reps_out_unwritable(self, tmp_path, capsys, reps):
+        cfg_path = study_json(tmp_path)
+        (tmp_path / "existing_dir").mkdir()
+        with mock.patch.object(cli, "run_study") as run_study:
+            self.refused(tmp_path, capsys, ["simulate", "--config", str(cfg_path),
+                                            "--out-dir", str(tmp_path / "o"),
+                                            "--reps-out", str(tmp_path / reps)], "--reps-out")
+        run_study.assert_not_called()
+
+    def test_simulate_refused_threads_leave_no_out_dir(self, tmp_path, capsys):
+        cfg_path = study_json(tmp_path)
+        self.refused(tmp_path, capsys, ["simulate", "--config", str(cfg_path),
+                                        "--out-dir", str(tmp_path / "thr" / "out"),
+                                        "--threads", "0"], "--threads")
+
+    def test_estimate_out_dir_is_a_file(self, tmp_path, capsys):
+        ids, X, y, pi = sample_data()
+        write_sample_csv(tmp_path / "d.csv", ids, X, y, pi, missing={2})
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps({"criterion": "bic", "design": {"kind": "srswor", "N": 50}}))
+        (tmp_path / "taken").write_text("")
+        self.refused(tmp_path, capsys, ["estimate", "--data", str(tmp_path / "d.csv"),
+                                        "--config", str(cfg),
+                                        "--out-dir", str(tmp_path / "taken")], "--out-dir")
+
+    def test_reps_out_may_go_into_the_new_out_dir(self, tmp_path, capsys):
+        cfg_path = study_json(tmp_path)
+        out = tmp_path / "a" / "b"
+        code = main(["simulate", "--config", str(cfg_path), "--out-dir", str(out),
+                     "--reps-out", str(out / "reps.csv")])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert (out / "summary.csv").exists() and (out / "reps.csv").exists()
+
+
 class TestReadEstimateCsv:
     def test_round_trip_and_sorting(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from survey_impute.errors import ConfigError
 from survey_impute.population import (
@@ -68,16 +69,63 @@ class TestGeneratePopulation:
             )
 
     def test_saturated_probability_rejected(self):
-        # expit(100) rounds to exactly 1.0 in double precision
+        # logistic(1000) rounds to exactly 1.0 in double precision
         with pytest.raises(ConfigError):
             generate_population(
                 10, 1, {"name": "uniform"}, (0.0, 1.0), 1.0,
                 (1000.0, 1.0, (0.0,)), np.random.default_rng(3),
             )
+        # and logistic(-1000) to exactly 0.0
+        with pytest.raises(ConfigError):
+            generate_population(
+                10, 1, {"name": "uniform"}, (0.0, 1.0), 1.0,
+                (-1000.0, 1.0, (0.0,)), np.random.default_rng(3),
+            )
 
     def test_mismatched_population_fields(self):
         with pytest.raises(ConfigError):
             Population(np.ones((4, 2)), np.ones(3), np.ones(3), 1.0, np.full(4, 0.5), (1,))
+
+
+def response_probability(t):
+    """The one response probability of a population whose every unit has
+    logistic argument t (zeta = 0, scale = 1, offset = t)."""
+    pop = generate_population(
+        1, 1, {"name": "uniform"}, (0.0, 0.0), 1.0, (t, 1.0, (0.0,)), np.random.default_rng(0)
+    )
+    return pop.resp_prob[0]
+
+
+class TestLogistic:
+    """Response probabilities against scipy.special.expit as the oracle."""
+
+    EDGES = [1e-300, -1e-300, 36.7, -36.7, -40.0, -700.0]
+
+    def test_matches_expit_on_a_grid(self):
+        pop = generate_population(
+            20_001, 1, {"name": "uniform", "low": -60.0, "high": 36.0}, (0.0, 1.0), 1.0,
+            (0.0, 1.0, (1.0,)), np.random.default_rng(5),
+        )
+        t = pop.X[:, 0]
+        assert np.all(np.abs(pop.resp_prob - expit(t)) <= 1e-15 * expit(t))
+
+    @pytest.mark.parametrize("t", EDGES)
+    def test_matches_expit_at_the_edges(self, t):
+        assert abs(response_probability(t) - expit(t)) <= 1e-15 * expit(t)
+
+    @pytest.mark.parametrize("t", [40.0, 700.0, 745.0, 36.8])
+    def test_refused_where_expit_is_exactly_one(self, t):
+        assert expit(t) == 1.0
+        with pytest.raises(ConfigError):
+            response_probability(t)
+
+    def test_reaches_zero_only_below_minus_745(self):
+        # expit's 1/(1 + exp(-t)) overflows to 0 below about -709.78; the
+        # two-branch form returns e/(1+e) = exp(t) down to the subnormals
+        assert expit(-745.0) == 0.0
+        assert response_probability(-745.0) == np.exp(-745.0) == 2.0**-1074
+        with pytest.raises(ConfigError):
+            response_probability(-746.0)
 
 
 class TestResponse:

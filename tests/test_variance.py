@@ -343,6 +343,11 @@ class TestConfidenceInterval:
         with pytest.raises(EstimationFailureError):
             confidence_interval(point, v_total, 0.95)
 
+    def test_level_next_to_one_gives_a_finite_interval(self):
+        # (1 + level) / 2 rounds to 1.0, the upper quantile of which is inf
+        ci = confidence_interval(0.0, 1.0, 1.0 - 2.0**-53)
+        assert 8.0 < ci.upper < 9.0 and ci.lower == -ci.upper
+
     @pytest.mark.parametrize("level", [0.0, 1.0, -0.1, 1.5])
     def test_level_bounds(self, level):
         with pytest.raises(ValueError):
