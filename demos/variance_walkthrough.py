@@ -17,6 +17,7 @@ from survey_impute import (
     ModelSpec,
     c_hat,
     confidence_interval,
+    design_matrix,
     draw_srswor,
     eta_hat,
     fit_ols,
@@ -55,13 +56,14 @@ def main():
           f" mu_hat = {mu_hat:.6f}")
 
     # --- step 1: the correction vector --------------------------------------
-    c = c_hat(sample, mask, X_s, model, fit)
+    Z = design_matrix(X_s, model)
+    c = c_hat(sample, mask, Z, fit)
     print(f"\nc_hat = {np.array2string(c, precision=4)}")
     print("c weights each respondent residual by how much leverage it has"
           " over the imputed units")
 
     # --- step 2: pseudo-values and the exact identity ------------------------
-    eta = eta_hat(sample, mask, X_s, y_s, model, fit, c)
+    eta = eta_hat(sample, mask, Z, y_s, fit, Z @ c)
     ht_eta = ht_mean(sample, eta)
     print(f"\nHT mean of eta = {ht_eta:.6f}")
     print(f"gap to mu_hat  = {abs(ht_eta - mu_hat):.2e}   (identical up to rounding)")
@@ -69,7 +71,7 @@ def main():
     # --- step 3: the two variance components ---------------------------------
     v1 = v1_hat(sample, eta)
     s2 = sigma2_hat(fit, model)
-    v2 = v2_hat(sample, mask, X_s, model, s2, c)
+    v2 = v2_hat(sample, mask, s2, Z @ c)
     print(f"\nV1 (design variance of the eta total) = {v1:.4f}")
     print(f"sigma2_hat = {s2:.1f}   (true sigma^2 = {SIGMA ** 2:.0f})")
     print(f"V2 (imputation noise)                 = {v2:.4f}")
@@ -89,7 +91,8 @@ def main():
         Xs, ys = pop.X[s.unit_ids], pop.y[s.unit_ids]
         f = fit_ols(Xs[m.respondents], ys[m.respondents], model)
         mu_r = imputed_mean(s, m, Xs, ys, model, f)
-        e = eta_hat(s, m, Xs, ys, model, f, c_hat(s, m, Xs, model, f))
+        Zs = design_matrix(Xs, model)
+        e = eta_hat(s, m, Zs, ys, f, Zs @ c_hat(s, m, Zs, f))
         worst = max(worst, abs(ht_mean(s, e) - mu_r) / abs(mu_r))
     print(f"\nidentity over 50 fresh draws: worst relative gap = {worst:.2e}")
 

@@ -40,6 +40,7 @@ from .estimators import (  # noqa: E402
     fit_ols,
     ht_mean,
     imputed_mean,
+    imputed_means,
     nested_candidates,
 )
 from .loss import LossValue, loss_closed_form, mc_loss_oracle  # noqa: E402

@@ -189,6 +189,9 @@ def parse_study_config(obj):
     )
     N = _int(_get(pop, "N", "population"), "population.N", minimum=1)
     p = _int(_get(pop, "p", "population"), "population.p", minimum=1)
+    if N * p * 8 > _INT64_MAX:
+        _fail("population.N", f"an N x p = {N} x {p} population of 8-byte values "
+              "does not fit in 64-bit memory")
     law = _parse_covariate_law(_get(pop, "covariate_law", "population"), "population.covariate_law")
     beta = _numlist(_get(pop, "beta", "population"), "population.beta", length=p + 1)
     sigma = _num(_get(pop, "sigma", "population"), "population.sigma", minimum=0.0)

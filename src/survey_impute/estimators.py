@@ -2,6 +2,14 @@
 
 Working models are unweighted OLS fits on the respondents; the missing
 units are filled with fitted values and everything is HT-averaged.
+
+Candidates are fitted by prefix chain: models whose columns each lead
+the next one's (the nested list is one chain) share one QR of the
+widest design. The leading q x q block of its R is the triangular factor
+of the first q columns, and the first q columns of its Q their Q
+(Golub & Van Loan, Matrix Computations, section 5.2), so every model of
+a chain is read off one factorization. Unrelated models are chains of
+one.
 """
 
 import enum
@@ -48,12 +56,16 @@ class ModelSpec:
 class FitResult:
     """An OLS fit on the respondents. R is the upper triangular factor of
     the respondent design Z = QR, so R'R = Z'Z; consumers solve against
-    it instead of factoring the design again."""
+    it instead of factoring the design again. Q is the thin Q of Z and
+    resid the residuals y - Z beta_hat; a chain's fits hold views of its
+    one Q and one residual matrix."""
 
     beta_hat: np.ndarray
     rss: float
     n_r_used: int
     R: np.ndarray
+    Q: np.ndarray = None
+    resid: np.ndarray = None
 
 
 def classify_model(model, true_support):
@@ -78,65 +90,98 @@ def design_matrix(X, model):
 
 
 def _rank_deficient(d):
-    """The one rank rule, on the diagonal d of a design's triangular factor."""
+    """The one rank rule, on the diagonal d of a design's triangular
+    factor; on a stack of diagonals, one verdict per row."""
     d = np.abs(d)
-    return d.min() <= RCOND_MIN * d.max()
+    return d.min(axis=-1) <= RCOND_MIN * d.max(axis=-1)
 
 
-def qr_checked(Z, model):
-    """Reduced QR (Q, R) of a respondent design Z under the package's one
-    rank rule: raises SingularFitError when Z has fewer rows than columns
-    or the smallest |diag(R)| is at most RCOND_MIN times the largest."""
-    n, q = Z.shape
-    if n < q:
-        raise SingularFitError(f"{n} respondents cannot identify {q} coefficients", model)
+def qr_checked(Z):
+    """Reduced QR (Q, R) of a respondent design Z, and the width w of
+    its widest prefix that the package's one rank rule accepts: the
+    first q columns pass when Z has at least q rows and _rank_deficient
+    rejects no diag(R)[:q]. Every narrower prefix passes too, since the
+    smallest |diag| only falls and the largest only grows with q."""
     Q, R = np.linalg.qr(Z)
-    if _rank_deficient(np.diag(R)):
-        raise SingularFitError("rank deficient design matrix", model)
-    return Q, R
+    d = np.abs(np.diag(R))
+    deficient = np.minimum.accumulate(d) <= RCOND_MIN * np.maximum.accumulate(d)
+    width = int(deficient.argmax()) if deficient.any() else d.size
+    return Q, R, width
 
 
 def deleted_rows_factor(Q_t, R, n_left):
-    """Lower Cholesky factor L of I - Q_t'Q_t, where Q_t holds some rows of
-    Q = ZR^-1 for a fit's design Z; L'R is then the triangular factor of
-    the n_left rows of Z that remain. None when that design is singular:
-    fewer rows than columns, a failed Cholesky, min diag(L) at most
+    """Lower Cholesky factors L of I - Q_t'Q_t for a stack of folds:
+    Q_t is (K, s, q) and holds each fold's test rows of Q = ZR^-1 for a
+    fit's design Z (zero rows pad the shorter folds), n_left the rows
+    each fold leaves. L'R is then the triangular factor of the rows of Z
+    that remain. None when any fold's training design is singular: fewer
+    rows than columns, a failed Cholesky, min diag(L) at most
     sqrt(RCOND_MIN) (I - Q_t'Q_t is formed at Gram scale, so L resolves
     only to about sqrt(eps)), or qr_checked's rule on diag(L) diag(R)."""
     q = R.shape[0]
-    if n_left < q:
+    if np.min(n_left) < q:
         return None
     try:
-        L = np.linalg.cholesky(np.eye(q) - Q_t.T @ Q_t)
+        L = np.linalg.cholesky(np.eye(q) - np.swapaxes(Q_t, 1, 2) @ Q_t)
     except np.linalg.LinAlgError:
         return None
-    d = np.diag(L)
-    if d.min() <= np.sqrt(RCOND_MIN) or _rank_deficient(d * np.diag(R)):
+    d = np.diagonal(L, axis1=1, axis2=2)
+    if d.min() <= np.sqrt(RCOND_MIN) or _rank_deficient(d * np.diag(R)).any():
         return None
     return L
 
 
-def fit_ols(X_r, y_r, model):
-    """Unweighted least squares via orthogonal decomposition; raises
-    SingularFitError as qr_checked does."""
-    Z = design_matrix(X_r, model)
-    y_r = np.asarray(y_r, dtype=np.float64)
-    Q, R = qr_checked(Z, model)
-    beta = np.linalg.solve(R, Q.T @ y_r)
-    resid = y_r - Z @ beta
-    return FitResult(beta, float(resid @ resid), Z.shape[0], R)
+def _prefix_chains(models):
+    """Group models into chains, widest first, in which every model's
+    columns lead the widest one's."""
+    chains = []
+    for m in sorted(models, key=lambda m: -len(m.included)):
+        for chain in chains:
+            if chain[0].included[:len(m.included)] == m.included:
+                chain.append(m)
+                break
+        else:
+            chains.append([m])
+    return chains
 
 
 def fit_candidates(X_r, y_r, candidates):
     """Each candidate's respondent fit, once per dataset, for every consumer:
-    {model: FitResult, or None where fit_ols raises SingularFitError}."""
-    fits = {}
-    for model in candidates:
-        try:
-            fits[model] = fit_ols(X_r, y_r, model)
-        except SingularFitError:
-            fits[model] = None
+    {model: FitResult, or None where fit_ols raises SingularFitError}.
+
+    One QR per prefix chain: with Z = QR the widest design of the chain
+    and g = Q'y, a model of q columns has R_q = R[:q, :q], beta solving
+    R_q beta = g[:q] and residuals y - Q[:, :q] g[:q], the q-th column
+    of y - cumsum(Q * g, axis=1). A model is None when the chain's
+    qr_checked width is below q (n_r < q, or a rank deficient prefix)."""
+    X_r = np.asarray(X_r, dtype=np.float64)
+    y_r = np.asarray(y_r, dtype=np.float64)
+    n = y_r.size
+    fits = dict.fromkeys(candidates)
+    for chain in _prefix_chains(fits):
+        Q, R, width = qr_checked(design_matrix(X_r, chain[0]))
+        g = Q.T @ y_r
+        resid = y_r[:, None] - np.cumsum(Q * g, axis=1)
+        for m in chain:
+            q = m.p_alpha
+            if q <= width:
+                e = resid[:, q - 1]
+                beta = np.linalg.solve(R[:q, :q], g[:q])
+                fits[m] = FitResult(beta, float(e @ e), n, R[:q, :q], Q[:, :q], e)
     return fits
+
+
+def fit_ols(X_r, y_r, model):
+    """Unweighted least squares for one model, the chain of that model
+    alone; raises SingularFitError where fit_candidates gives None."""
+    fit = fit_candidates(X_r, y_r, [model])[model]
+    if fit is None:
+        n = np.shape(y_r)[0]
+        if n < model.p_alpha:
+            raise SingularFitError(f"{n} respondents cannot identify {model.p_alpha} "
+                                   "coefficients", model)
+        raise SingularFitError("rank deficient design matrix", model)
+    return fit
 
 
 def ht_mean(sample, y):
@@ -146,18 +191,29 @@ def ht_mean(sample, y):
     return float(np.sum(y / sample.pi_first) / sample.design.population_size)
 
 
-def imputed_mean(sample, mask, X, y, model, fit):
-    """Imputation estimator: observed y for respondents, model
-    predictions for the missing, averaged with HT weights.
+def imputed_means(sample, mask, X, y, fits):
+    """Imputation estimator of every model in fits ({model: FitResult or
+    None}, as from fit_candidates): observed y for respondents, model
+    predictions for the missing, averaged with HT weights. X and y are
+    aligned with sample.unit_ids. With t = sum_r y/pi and w = sum_m
+    (1, x)/pi taken once, mu_hat = (t + w[cols] . beta_hat) / N, where
+    cols are the model's design columns; None for a None fit."""
+    resp, miss = mask.respondents, mask.nonrespondents
+    pi = sample.pi_first
+    t = float(np.sum(np.asarray(y, dtype=np.float64)[resp] / pi[resp]))
+    inv = 1.0 / pi[miss]
+    w = np.concatenate(([inv.sum()], inv @ np.asarray(X, dtype=np.float64)[miss]))
+    N = sample.design.population_size
+    return {
+        m: None if fit is None else (t + float(w[[0, *m.included]] @ fit.beta_hat)) / N
+        for m, fit in fits.items()
+    }
 
-    X and y are aligned with sample.unit_ids; fit is the model's
-    respondent fit (from fit_candidates or fit_ols). Returns mu_hat.
-    """
-    miss = mask.nonrespondents
-    filled = np.array(y, dtype=np.float64)
-    if miss.size:
-        filled[miss] = design_matrix(np.asarray(X)[miss], model) @ fit.beta_hat
-    return ht_mean(sample, filled)
+
+def imputed_mean(sample, mask, X, y, model, fit):
+    """imputed_means for one model and its respondent fit (from
+    fit_candidates or fit_ols). Returns mu_hat."""
+    return imputed_means(sample, mask, X, y, {model: fit})[model]
 
 
 def nested_candidates(p):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import design_matrix, qr_checked
+from .estimators import design_matrix, fit_ols
 
 
 @dataclass(frozen=True)
@@ -41,18 +41,17 @@ def loss_closed_form(sample, mask, X, model, beta_true, sigma):
     if miss.size == 0:
         return LossValue(0.0, 0.0)
 
-    Z_r = design_matrix(X[resp], model)
-    Q, R = qr_checked(Z_r, model)
+    # noiseless respondent means under the full generating model, and
+    # the model's fit to them (its R serves l2)
+    mu_r = beta_true[0] + X[resp] @ beta_true[1:]
+    fit = fit_ols(X[resp], mu_r, model)
 
     pi_m = sample.pi_first[miss]
     w = design_matrix(X[miss], model).T @ (1.0 / pi_m)
-    u = np.linalg.solve(R.T, w)
-
-    # noiseless respondent means under the full generating model
-    mu_r = beta_true[0] + X[resp] @ beta_true[1:]
+    u = np.linalg.solve(fit.R.T, w)
     t1 = float(np.sum((beta_true[0] + X[miss] @ beta_true[1:]) / pi_m))
 
-    l1 = (t1 - float(u @ (Q.T @ mu_r))) ** 2
+    l1 = (t1 - float(w @ fit.beta_hat)) ** 2
     l2 = sigma * sigma * float(u @ u)
     return LossValue(l1, l2)
 
@@ -71,13 +70,12 @@ def mc_loss_oracle(sample, mask, X, model, beta_true, sigma, draws, rng,
     if miss.size == 0:
         return 0.0, 0.0
 
-    Z_r = design_matrix(X[resp], model)
-    Q, R = qr_checked(Z_r, model)
+    mu_r = beta_true[0] + X[resp] @ beta_true[1:]
+    fit = fit_ols(X[resp], mu_r, model)
     pi_m = sample.pi_first[miss]
     inv_pi_m = 1.0 / pi_m
     w = design_matrix(X[miss], model).T @ inv_pi_m
 
-    mu_r = beta_true[0] + X[resp] @ beta_true[1:]
     t1 = float(np.sum((beta_true[0] + X[miss] @ beta_true[1:]) * inv_pi_m))
     const = sigma * sigma * float(inv_pi_m @ inv_pi_m)
 
@@ -88,7 +86,7 @@ def mc_loss_oracle(sample, mask, X, model, beta_true, sigma, draws, rng,
         E_r = rng.standard_normal((resp.size, b))
         Y_r = mu_r[:, None] + sigma * E_r
         # beta_hat for every draw at once: R beta = Q'Y
-        B = np.linalg.solve(R, Q.T @ Y_r)
+        B = np.linalg.solve(fit.R, fit.Q.T @ Y_r)
         e_m = rng.standard_normal((miss.size, b))
         G = w @ B - t1 - sigma * (inv_pi_m @ e_m)
         samples[done:done + b] = G * G - const

@@ -2,12 +2,13 @@
 
 Criterion names are the strings "aic", "bic", or "cvK" (e.g. "cv5").
 Every criterion reads each candidate's one respondent fit (from
-fit_candidates): AIC and BIC its rss, K-fold CV its coefficients and R
-factor, from which the held-out residuals of every training fold follow
-in closed form, so no score refits anything. Scores are compared as
-(score, p_alpha, included), so ties go to the smaller model and then
-lexicographically. A candidate that is rank deficient, or has no
-residual degrees of freedom (n_r <= p_alpha) and so no sigma^2 and no
+fit_candidates, which factors each prefix chain of candidates with one
+QR): AIC and BIC its rss, K-fold CV its Q, R and residuals, from which
+the held-out residuals of every training fold follow in closed form, all
+K folds in one batched solve, so no score refits anything. Scores are
+compared as (score, p_alpha, included), so ties go to the smaller model
+and then lexicographically. A candidate that is rank deficient, or has
+no residual degrees of freedom (n_r <= p_alpha) and so no sigma^2 and no
 interval, scores +inf; under cvK so does one with a singular training
 fold.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SelectionFailureError
-from .estimators import deleted_rows_factor, design_matrix
+from .estimators import deleted_rows_factor
 
 # rss at or below this fraction of the centered total sum of squares is
 # treated as an exact interpolation that only floating point kept nonzero
@@ -71,23 +72,28 @@ def make_folds(n, k, rng):
 
 def score_kfold_cv(X_r, y_r, model, fit, folds):
     """Mean held-out MSE over the folds, read off the model's respondent
-    fit with no refits. With e the fit's residuals and Q = ZR^-1, the fit
-    without test rows t leaves held-out residuals
-    e_t + Q_t M^-1 Q_t'e_t, M = I - Q_t'Q_t (the leave-n_v-out identity).
-    A fold whose training design is singular (deleted_rows_factor) makes
+    fit of X_r, y_r with no refits. With e the fit's residuals and
+    Q = ZR^-1 its thin Q, the fit without test rows t leaves held-out
+    residuals e_t + Q_t M^-1 Q_t'e_t, M = I - Q_t'Q_t (the leave-n_v-out
+    identity, Shao 1993). All K folds are scored at once: the test rows
+    are padded with zero rows to one size, M is Cholesky-factored as one
+    (K, q, q) stack and M^-1 Q_t'e_t is two batched triangular solves. A
+    fold whose training design is singular (deleted_rows_factor) makes
     the score +inf."""
-    Z = design_matrix(X_r, model)
-    e = np.asarray(y_r, dtype=np.float64) - Z @ fit.beta_hat
-    Q = np.linalg.solve(fit.R.T, Z.T).T
-    mses = []
-    for test in folds:
-        Q_t, e_t = Q[test], e[test]
-        L = deleted_rows_factor(Q_t, fit.R, e.size - test.size)
-        if L is None:
-            return float("inf")
-        r = e_t + Q_t @ np.linalg.solve(L.T, np.linalg.solve(L, Q_t.T @ e_t))
-        mses.append(float(r @ r) / test.size)
-    return float(np.mean(mses))
+    Q, e = fit.Q, fit.resid
+    sizes = np.array([t.size for t in folds])
+    pad = np.arange(sizes.max()) < sizes[:, None]
+    order = np.concatenate(folds)
+    Q_t = np.zeros(pad.shape + (Q.shape[1],))
+    Q_t[pad] = Q[order]
+    e_t = np.zeros(pad.shape)
+    e_t[pad] = e[order]
+    L = deleted_rows_factor(Q_t, fit.R, e.size - sizes)
+    if L is None:
+        return float("inf")
+    g = np.linalg.solve(L, np.swapaxes(Q_t, 1, 2) @ e_t[..., None])
+    r = e_t + (Q_t @ np.linalg.solve(np.swapaxes(L, 1, 2), g))[..., 0]
+    return float(np.mean(np.einsum("ks,ks->k", r, r) / sizes))
 
 
 def score_candidates(criterion, candidates, X_r, y_r, fits, rng=None):

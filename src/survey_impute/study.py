@@ -9,15 +9,13 @@ rep_id order.
 
 import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
 
 from .design import draw_srswor, draw_stratified
 from .errors import ConfigError, EstimationFailureError, MetricError, SelectionFailureError
-from .estimators import build_candidates, classify_model, fit_candidates, ht_mean, imputed_mean
+from .estimators import build_candidates, classify_model, fit_candidates, ht_mean, imputed_means
 from .population import generate_population, generate_response
 from .variance import estimate_with_inference
 
@@ -96,12 +94,11 @@ def run_replication(cfg, rep_id):
     candidates = build_candidates(cfg.candidates, cfg.p)
     labels = candidate_labels(cfg)
     fits = fit_candidates(X_s[mask.respondents], y_s[mask.respondents], candidates)
+    mu_hats = imputed_means(sample, mask, X_s, y_s, fits)
     models = []
     for label, m in zip(labels, candidates):
         klass = classify_model(m, pop.true_support).value
-        fit = fits[m]
-        mu_hat = None if fit is None else imputed_mean(sample, mask, X_s, y_s, m, fit)
-        models.append(ModelResult(label, klass, fit is not None, mu_hat))
+        models.append(ModelResult(label, klass, fits[m] is not None, mu_hats[m]))
 
     by_model = dict(zip(candidates, labels))
     crit_results = []
@@ -148,6 +145,10 @@ def run_records(cfg, threads=1):
         for ids in np.array_split(np.arange(B), min(B, threads * 4))
         if ids.size
     ]
+    # imported here: only a pool run pays for loading the process machinery
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
     records = []
     # spawn, not fork: workers must re-import with a clean RNG/BLAS state
     workers = min(threads, os.cpu_count() or 1)

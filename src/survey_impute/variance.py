@@ -36,33 +36,33 @@ class ConfidenceInterval:
     point: float
 
 
-def c_hat(sample, mask, X, model, fit):
+def c_hat(sample, mask, Z, fit):
     """Solve (sum_r z z') c = sum_m z / pi for the weighting vector that
-    carries the missing units' leverage back onto the respondents.
+    carries the missing units' leverage back onto the respondents. Z is
+    the model's design over the sample, rows aligned with
+    sample.unit_ids.
 
-    fit is the model's respondent fit from fit_ols: sum_r z z' = R'R for
-    its triangular factor R, so c solves against R' and then R, with no
-    new factorization or rank check."""
-    X = np.asarray(X, dtype=np.float64)
+    fit is the model's respondent fit from fit_candidates: sum_r z z' =
+    R'R for its triangular factor R, so c solves against R' and then R,
+    with no new factorization or rank check."""
     miss = mask.nonrespondents
     if miss.size == 0:
-        return np.zeros(model.p_alpha)
-    w = design_matrix(X[miss], model).T @ (1.0 / sample.pi_first[miss])
+        return np.zeros(Z.shape[1])
+    w = Z[miss].T @ (1.0 / sample.pi_first[miss])
     return np.linalg.solve(fit.R, np.linalg.solve(fit.R.T, w))
 
 
-def eta_hat(sample, mask, X, y, model, fit, c):
+def eta_hat(sample, mask, Z, y, fit, zc):
     """Per-sampled-unit linearized values
-    z'b + r_k (1 + pi_k c'z_k)(y_k - z'b), with b = fit.beta_hat and c
-    from c_hat; nonrespondents keep the bare prediction z'b. Their HT
-    mean reproduces the imputation estimator."""
-    X = np.asarray(X, dtype=np.float64)
+    z'b + r_k (1 + pi_k c'z_k)(y_k - z'b), with Z the model's design over
+    the sample (rows aligned with sample.unit_ids), b = fit.beta_hat and
+    zc = Z @ c for c from c_hat; nonrespondents keep the bare prediction
+    z'b. Their HT mean reproduces the imputation estimator."""
     y = np.asarray(y, dtype=np.float64)
-    Z = design_matrix(X, model)
     pred = Z @ fit.beta_hat
     eta = pred.copy()
     resp = mask.respondents
-    adj = 1.0 + sample.pi_first[resp] * (Z[resp] @ c)
+    adj = 1.0 + sample.pi_first[resp] * zc[resp]
     eta[resp] = pred[resp] + adj * (y[resp] - pred[resp])
     return eta
 
@@ -105,15 +105,14 @@ def sigma2_hat(fit, model):
     return fit.rss / nu
 
 
-def v2_hat(sample, mask, X, model, sigma2, c):
+def v2_hat(sample, mask, sigma2, zc):
     """Model component: sigma^2 sum_k [1 - r_k + r_k (pi_k c'z_k)^2] /
-    (N^2 pi_k). Every summand is nonnegative."""
-    X = np.asarray(X, dtype=np.float64)
-    Z = design_matrix(X, model)
+    (N^2 pi_k), with zc = Z @ c as for eta_hat. Every summand is
+    nonnegative."""
     pi = sample.pi_first
     r = np.zeros(pi.size)
     r[mask.respondents] = 1.0
-    term = (1.0 - r) + r * (pi * (Z @ c)) ** 2
+    term = (1.0 - r) + r * (pi * zc) ** 2
     N = sample.design.population_size
     return float(sigma2 * np.sum(term / pi) / (N * N))
 
@@ -144,11 +143,15 @@ class EstimateBundle:
 
 
 def variance_for_model(sample, mask, X, y, model, fit):
-    c = c_hat(sample, mask, X, model, fit)
-    eta = eta_hat(sample, mask, X, y, model, fit, c)
-    v1 = v1_hat(sample, eta)
+    """v1, v2 and sigma^2 of the model's imputation estimator. The
+    model's design Z over the sample is built once, for c_hat and
+    eta_hat, and Z @ c once, for eta_hat and v2_hat."""
+    Z = design_matrix(X, model)
+    c = c_hat(sample, mask, Z, fit)
+    zc = Z @ c
+    v1 = v1_hat(sample, eta_hat(sample, mask, Z, y, fit, zc))
     s2 = sigma2_hat(fit, model)
-    v2 = v2_hat(sample, mask, X, model, s2, c)
+    v2 = v2_hat(sample, mask, s2, zc)
     return VarianceEstimate(v1, v2, s2, c)
 
 

@@ -24,6 +24,7 @@ from survey_impute.design import (
 )
 from survey_impute.estimators import (
     ModelSpec,
+    design_matrix,
     fit_candidates,
     fit_ols,
     ht_mean,
@@ -317,7 +318,8 @@ def test_criterion_11_linearization_identity(acceptance):
             m = ModelSpec((1, 2)) if seed % 2 else ModelSpec((1,))
             fit = fit_ols(X[mask.respondents], y[mask.respondents], m)
             mu = imputed_mean(s, mask, X, y, m, fit)
-            eta = eta_hat(s, mask, X, y, m, fit, c_hat(s, mask, X, m, fit))
+            Z = design_matrix(X, m)
+            eta = eta_hat(s, mask, Z, y, fit, Z @ c_hat(s, mask, Z, fit))
             worst = max(worst, abs(ht_mean(s, eta) - mu) / max(abs(mu), 1.0))
             count += 1
     acceptance(

@@ -1041,3 +1041,62 @@ def test_malformed_estimate_config_exits_0_or_2(data):
     assert "Traceback" not in err
     if code == EXIT_CONFIG:
         assert err.count("\n") == 1, err
+
+
+# a valid study config for each design kind, small enough that one
+# replication takes milliseconds
+FUZZ_STUDIES = {
+    "srswor": {"name": "fuzz", "replications": 1, "master_seed": 3, "level": 0.9,
+               "criteria": ["aic", "cv3"], "candidates": "nested", "failure_threshold": 0.5,
+               "population": {"N": 60, "p": 2,
+                              "covariate_law": {"name": "gamma", "shape": 5.0, "scale": 2.0},
+                              "beta": [0.0, 2.0, 0.0], "sigma": 1.0, "response_offset": 1.0,
+                              "response_scale": 1.0, "response_coefs": [0.0, 0.0]},
+               "design": {"kind": "srswor", "n": 20}},
+    "stratified": {"replications": 1, "master_seed": 3, "criteria": ["bic"],
+                   "candidates": [[1], [1, 2]],
+                   "population": {"N": 80, "p": 2,
+                                  "covariate_law": {"name": "uniform", "low": 0.0, "high": 4.0},
+                                  "beta": [1.0, 2.0, -1.0], "sigma": 1.0,
+                                  "response_offset": 1.0, "response_scale": 1.0,
+                                  "response_coefs": [0.5, 0.0]},
+                   "design": {"kind": "stratified", "n": 24, "sort_coefs": [1.0, 0.0],
+                              "alloc_covariate": 2, "fractions": [0.5, 0.5]}},
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_malformed_study_config_exits_0_or_2(data):
+    """A valid SRSWOR or stratified study config with one to three
+    generic faults: a value replaced by a wrong type, bool, negative,
+    beyond-int64 or infinite one, a field deleted, an unknown key added.
+    simulate --dry-run exits 0 or 2 and a one-replication simulate exits
+    0 or 2, or 3 when its one replication fails (the documented
+    failure-rate exit); never a traceback, and an exit 2 prints one
+    stderr line. A fault that leaves replications a valid count is run
+    as one replication, since a count like 2**63 - 1 is valid but would
+    never finish."""
+    cfg = copy.deepcopy(FUZZ_STUDIES[data.draw(st.sampled_from(sorted(FUZZ_STUDIES)),
+                                               label="kind")])
+    for _ in range(data.draw(st.integers(1, 3), label="faults")):
+        generic_fault(data, cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "study.json")
+        for dry_run in (True, False):
+            B = cfg.get("replications") if isinstance(cfg, dict) else None
+            if not dry_run and type(B) is int and B > 1:
+                cfg["replications"] = 1
+            with open(cfg_path, "w") as fh:
+                json.dump(cfg, fh)
+            argv = ["simulate", "--config", cfg_path, "--out-dir", os.path.join(tmp, "out")]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + ["--dry-run"] if dry_run else argv)
+            err = err.getvalue()
+            allowed = (EXIT_OK, EXIT_CONFIG) if dry_run else (EXIT_OK, EXIT_CONFIG,
+                                                              EXIT_FAILURE_RATE)
+            assert code in allowed, err
+            assert "Traceback" not in err
+            if code == EXIT_CONFIG:
+                assert err.count("\n") == 1, err

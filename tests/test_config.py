@@ -146,6 +146,14 @@ class TestStudyParsing:
         big = base_study(n=51)
         expect_field(big, "design.n")
 
+    @pytest.mark.parametrize("N", [2**63 // 24 + 1, 2**63 - 1, 2**64, 10**30])
+    def test_population_must_fit_in_64_bit_memory(self, N):
+        # p = 3 covariates of 8 bytes: 2**63 // 24 units is the most
+        # numpy can index, so one more fails before any allocation
+        cfg = base_study()
+        cfg["population"]["N"] = N
+        expect_field(cfg, "population.N")
+
     def test_level_bounds(self):
         bad = base_study()
         bad["level"] = 1.0

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survey_impute.design import DesignDescriptor, SampleDraw, draw_srswor
 from survey_impute.errors import SingularFitError
@@ -237,6 +239,57 @@ class TestFitCandidates:
     def test_build_candidates(self):
         assert build_candidates("nested", 3) == nested_candidates(3)
         assert build_candidates([[2], [1, 3]], 3) == [ModelSpec((2,)), ModelSpec((1, 3))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.sampled_from(["normal", "collinear", "short", "binary"]),
+    nested=st.booleans(),
+)
+def test_prefix_chain_fits_match_per_model_fits(seed, data, nested):
+    # every fit read off a chain's one QR equals that model's own fit:
+    # "collinear" makes x2 = 2 x1, so the prefixes past it are None;
+    # "short" has fewer respondents than the widest model's columns;
+    # "binary" makes x3 a 10%-ones indicator beside gamma covariates
+    rng = np.random.default_rng(seed)
+    p = 5
+    n_r = int(rng.integers(3, p + 1)) if data == "short" else int(rng.integers(8, 40))
+    X = rng.normal(size=(n_r, p))
+    if data == "collinear":
+        X[:, 1] = 2.0 * X[:, 0]
+    if data == "binary":
+        X = np.column_stack([rng.gamma(5.0, 2.0, size=(n_r, 2)), rng.random(n_r) < 0.1,
+                             rng.gamma(5.0, 2.0, size=(n_r, 2))])
+    y = 1.0 + X @ rng.normal(size=p) + rng.normal(size=n_r)
+    if nested:
+        cands = nested_candidates(p)
+    else:
+        cands = [ModelSpec(rng.choice(np.arange(1, p + 1), size=rng.integers(1, p + 1),
+                                      replace=False)) for _ in range(4)]
+    fits = fit_candidates(X, y, cands)
+    assert list(fits) == list(dict.fromkeys(cands))
+    for m in cands:
+        try:
+            ref = fit_ols(X, y, m)
+        except SingularFitError:
+            assert fits[m] is None
+            continue
+        got = fits[m]
+        assert got is not None
+        # a QR solution agrees to eps kappa^2 at worst; 1e-12 on
+        # well-conditioned designs
+        kappa = np.linalg.cond(design_matrix(X, m))
+        tol = 1e-12 + 1e-14 * kappa**2
+        scale = np.linalg.norm(ref.beta_hat)
+        assert np.allclose(got.beta_hat, ref.beta_hat, rtol=0, atol=tol * scale)
+        assert np.allclose(got.R, ref.R, rtol=0, atol=tol * np.linalg.norm(ref.R))
+        assert got.rss == pytest.approx(ref.rss, rel=tol, abs=tol * float(y @ y))
+        assert got.n_r_used == ref.n_r_used == n_r
+    if data == "collinear" and nested:
+        assert [fits[m] is None for m in cands] == [False] + [True] * (p - 1)
+    if data == "short" and nested:
+        assert [fits[m] is None for m in cands] == [m.p_alpha > n_r for m in cands]
 
 
 def test_nested_candidates_shape():

@@ -18,6 +18,7 @@ from survey_impute.design import (
 )
 from survey_impute.estimators import (
     ModelSpec,
+    design_matrix,
     fit_candidates,
     fit_ols,
     ht_mean,
@@ -106,8 +107,9 @@ def test_ht_mean_is_linear(seed):
 def test_v2_is_nonnegative(seed, sigma2):
     s, mask, X, y = instance(seed)
     m = ModelSpec((1, 2))
-    c = c_hat(s, mask, X, m, fit_ols(X[mask.respondents], y[mask.respondents], m))
-    assert v2_hat(s, mask, X, m, sigma2, c) >= 0.0
+    Z = design_matrix(X, m)
+    c = c_hat(s, mask, Z, fit_ols(X[mask.respondents], y[mask.respondents], m))
+    assert v2_hat(s, mask, sigma2, Z @ c) >= 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,7 +119,8 @@ def test_eta_ht_mean_reproduces_the_estimator(seed):
     m = ModelSpec((1, 2))
     fit = fit_ols(X[mask.respondents], y[mask.respondents], m)
     mu = imputed_mean(s, mask, X, y, m, fit)
-    eta = eta_hat(s, mask, X, y, m, fit, c_hat(s, mask, X, m, fit))
+    Z = design_matrix(X, m)
+    eta = eta_hat(s, mask, Z, y, fit, Z @ c_hat(s, mask, Z, fit))
     assert ht_mean(s, eta) == pytest.approx(mu, rel=1e-10)
 
 

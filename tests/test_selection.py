@@ -135,6 +135,25 @@ class TestCvScore:
         assert singular >= 50
 
 
+@pytest.mark.parametrize("n_r,k", [(23, 5), (31, 4), (17, 17), (12, 12)])
+def test_batched_folds_pad_unequal_and_singleton_folds(n_r, k):
+    # n_r not divisible by K leaves folds of two sizes, padded with zero
+    # rows to one; K = n_r is leave-one-out. Each candidate's score must
+    # equal the refits' mean held-out MSE
+    rng = np.random.default_rng(n_r * 100 + k)
+    X = rng.normal(size=(n_r, 3))
+    y = 1.0 + X @ [1.0, -2.0, 0.5] + rng.normal(size=n_r)
+    cands = nested_candidates(3)
+    fits = fit_candidates(X, y, cands)
+    scores = score_candidates(f"cv{k}", cands, X, y, fits, np.random.default_rng(7))
+    fold_rng = np.random.default_rng(7)
+    for m, cs in zip(cands, scores):
+        folds = make_folds(n_r, k, fold_rng)
+        assert len({t.size for t in folds}) == (1 if n_r % k == 0 else 2)
+        assert np.isfinite(cs.score)
+        assert cs.score == pytest.approx(refit_cv_score(X, y, m, folds), rel=1e-10)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),

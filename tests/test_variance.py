@@ -14,8 +14,8 @@ from survey_impute.design import (
     joint_matrix,
 )
 from survey_impute.errors import DegenerateFitError, EstimationFailureError, InvalidDesignError
-from survey_impute.estimators import (FitResult, ModelSpec, fit_candidates, fit_ols, ht_mean,
-                                      imputed_mean)
+from survey_impute.estimators import (FitResult, ModelSpec, design_matrix, fit_candidates, fit_ols,
+                                      ht_mean, imputed_mean)
 from survey_impute.population import ResponseMask, generate_population, generate_response
 from survey_impute.variance import (
     c_hat,
@@ -68,18 +68,18 @@ class TestCHat:
         s, _, X, y = srswor_instance(1)
         mask = ResponseMask(np.ones(s.n, dtype=bool))
         m = ModelSpec((1, 2))
-        assert np.array_equal(c_hat(s, mask, X, m, respondent_fit(mask, X, y, m)), np.zeros(3))
+        got = c_hat(s, mask, design_matrix(X, m), respondent_fit(mask, X, y, m))
+        assert np.array_equal(got, np.zeros(3))
 
     def test_intercept_only_scalar(self):
         s, mask, X, y = srswor_instance(2)
         m = ModelSpec(())
-        got = c_hat(s, mask, X, m, respondent_fit(mask, X, y, m))
+        got = c_hat(s, mask, design_matrix(X, m), respondent_fit(mask, X, y, m))
         pi = s.design.sample_size / s.design.population_size
         assert got.shape == (1,)
         assert got[0] == pytest.approx(mask.n_m / (pi * mask.n_r), rel=1e-12)
 
     def test_dense_solve_oracle(self):
-        from survey_impute.estimators import design_matrix
         s, mask, X, y = srswor_instance(3)
         m = ModelSpec((1, 3))
         Z_r = design_matrix(X[mask.respondents], m)
@@ -87,7 +87,8 @@ class TestCHat:
             1.0 / s.pi_first[mask.nonrespondents]
         )
         ref = np.linalg.solve(Z_r.T @ Z_r, w)
-        assert np.allclose(c_hat(s, mask, X, m, respondent_fit(mask, X, y, m)), ref, atol=1e-10)
+        got = c_hat(s, mask, design_matrix(X, m), respondent_fit(mask, X, y, m))
+        assert np.allclose(got, ref, atol=1e-10)
 
     @pytest.mark.parametrize("eps", [1e-7, 1e-8, 1e-9])
     def test_near_collinear_design_that_fit_ols_accepts(self, eps):
@@ -106,20 +107,21 @@ class TestCHat:
         mu = imputed_mean(s, mask, X, y, m, fit)
         var = variance_for_model(s, mask, X, y, m, fit)
         assert np.isfinite(var.v_total)
-        c = c_hat(s, mask, X, m, fit)
+        Z = design_matrix(X, m)
+        c = c_hat(s, mask, Z, fit)
         assert np.all(np.isfinite(c))
-        eta = eta_hat(s, mask, X, y, m, fit, c)
+        eta = eta_hat(s, mask, Z, y, fit, Z @ c)
         assert ht_mean(s, eta) == pytest.approx(mu, rel=1e-6)
 
 
 class TestEta:
     def test_nonrespondents_keep_prediction(self):
-        from survey_impute.estimators import design_matrix
         s, mask, X, y = srswor_instance(4)
         m = ModelSpec((1, 2, 3))
         fit = fit_ols(X[mask.respondents], y[mask.respondents], m)
-        c = c_hat(s, mask, X, m, fit)
-        eta = eta_hat(s, mask, X, y, m, fit, c)
+        Z = design_matrix(X, m)
+        c = c_hat(s, mask, Z, fit)
+        eta = eta_hat(s, mask, Z, y, fit, Z @ c)
         miss = mask.nonrespondents
         assert np.allclose(eta[miss], design_matrix(X[miss], m) @ fit.beta_hat, atol=1e-12)
 
@@ -129,8 +131,9 @@ class TestEta:
         # noiseless y: every respondent residual is exactly zero
         y = 3.0 + 2.0 * X[:, 0]
         fit = fit_ols(X[mask.respondents], y[mask.respondents], m)
-        c = c_hat(s, mask, X, m, fit)
-        eta = eta_hat(s, mask, X, y, m, fit, c)
+        Z = design_matrix(X, m)
+        c = c_hat(s, mask, Z, fit)
+        eta = eta_hat(s, mask, Z, y, fit, Z @ c)
         assert np.allclose(eta, 3.0 + 2.0 * X[:, 0], rtol=1e-9)
 
     @pytest.mark.parametrize("seed", [6, 7, 8])
@@ -139,8 +142,9 @@ class TestEta:
         m = ModelSpec((1, 2))
         fit = respondent_fit(mask, X, y, m)
         mu = imputed_mean(s, mask, X, y, m, fit)
-        c = c_hat(s, mask, X, m, fit)
-        eta = eta_hat(s, mask, X, y, m, fit, c)
+        Z = design_matrix(X, m)
+        c = c_hat(s, mask, Z, fit)
+        eta = eta_hat(s, mask, Z, y, fit, Z @ c)
         assert ht_mean(s, eta) == pytest.approx(mu, rel=1e-10)
 
     def test_identity_holds_on_stratified_draw(self):
@@ -148,8 +152,9 @@ class TestEta:
         m = ModelSpec((1, 2))
         fit = respondent_fit(mask, X, y, m)
         mu = imputed_mean(s, mask, X, y, m, fit)
-        c = c_hat(s, mask, X, m, fit)
-        eta = eta_hat(s, mask, X, y, m, fit, c)
+        Z = design_matrix(X, m)
+        c = c_hat(s, mask, Z, fit)
+        eta = eta_hat(s, mask, Z, y, fit, Z @ c)
         assert ht_mean(s, eta) == pytest.approx(mu, rel=1e-10)
 
 
@@ -282,22 +287,23 @@ class TestV2:
         s, _, X, y = srswor_instance(14)
         mask = ResponseMask(np.ones(s.n, dtype=bool))
         m = ModelSpec((1,))
-        c = c_hat(s, mask, X, m, respondent_fit(mask, X, y, m))
-        assert v2_hat(s, mask, X, m, 5.0, c) == pytest.approx(0.0, abs=1e-18)
+        Z = design_matrix(X, m)
+        c = c_hat(s, mask, Z, respondent_fit(mask, X, y, m))
+        assert v2_hat(s, mask, 5.0, Z @ c) == pytest.approx(0.0, abs=1e-18)
 
     def test_zero_sigma2_is_zero(self):
         s, mask, X, y = srswor_instance(15)
         m = ModelSpec((1, 2))
-        c = c_hat(s, mask, X, m, respondent_fit(mask, X, y, m))
-        assert v2_hat(s, mask, X, m, 0.0, c) == 0.0
+        Z = design_matrix(X, m)
+        c = c_hat(s, mask, Z, respondent_fit(mask, X, y, m))
+        assert v2_hat(s, mask, 0.0, Z @ c) == 0.0
 
     def test_resummation_oracle(self):
-        from survey_impute.estimators import design_matrix
         s, mask, X, y = srswor_instance(16)
         m = ModelSpec((1, 3))
-        c = c_hat(s, mask, X, m, respondent_fit(mask, X, y, m))
-        sigma2 = 2.7
         Z = design_matrix(X, m)
+        c = c_hat(s, mask, Z, respondent_fit(mask, X, y, m))
+        sigma2 = 2.7
         N = s.design.population_size
         total = 0.0
         for k in range(s.n):
@@ -305,14 +311,15 @@ class TestV2:
             pi_k = s.pi_first[k]
             total += ((1 - r_k) + r_k * (pi_k * float(Z[k] @ c)) ** 2) / pi_k
         ref = sigma2 * total / N**2
-        assert v2_hat(s, mask, X, m, sigma2, c) == pytest.approx(ref, rel=1e-12)
+        assert v2_hat(s, mask, sigma2, Z @ c) == pytest.approx(ref, rel=1e-12)
 
     def test_nonnegative(self):
         for seed in range(17, 22):
             s, mask, X, y = srswor_instance(seed)
             m = ModelSpec((1,))
-            c = c_hat(s, mask, X, m, respondent_fit(mask, X, y, m))
-            assert v2_hat(s, mask, X, m, 1.3, c) >= 0.0
+            Z = design_matrix(X, m)
+            c = c_hat(s, mask, Z, respondent_fit(mask, X, y, m))
+            assert v2_hat(s, mask, 1.3, Z @ c) >= 0.0
 
 
 class TestConfidenceInterval:
@@ -377,9 +384,10 @@ class TestPipeline:
         m = ModelSpec((1, 2))
         fit = fit_ols(X[mask.respondents], y[mask.respondents], m)
         var = variance_for_model(s, mask, X, y, m, fit)
-        c = c_hat(s, mask, X, m, fit)
-        eta = eta_hat(s, mask, X, y, m, fit, c)
+        Z = design_matrix(X, m)
+        c = c_hat(s, mask, Z, fit)
+        eta = eta_hat(s, mask, Z, y, fit, Z @ c)
         assert var.v1 == pytest.approx(v1_hat(s, eta), rel=1e-12)
         assert var.sigma2_hat == pytest.approx(sigma2_hat(fit, m), rel=1e-12)
-        assert var.v2 == pytest.approx(v2_hat(s, mask, X, m, var.sigma2_hat, c), rel=1e-12)
+        assert var.v2 == pytest.approx(v2_hat(s, mask, var.sigma2_hat, Z @ c), rel=1e-12)
         assert var.v_total == var.v1 + var.v2
