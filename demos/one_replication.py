@@ -82,7 +82,7 @@ def main():
     print("alpha1 is visibly biased; past alpha3 the rss plateaus and the fits chase noise")
 
     # --- selection, variance, interval --------------------------------------
-    model, scores = select("bic", candidates, X_s[resp], y_s[resp], fits)
+    model, scores = select("bic", fits, y_s[resp])
     chosen = f"alpha{max(model.included)}"
     print(f"\nBIC scores: " + ", ".join(
         f"alpha{max(s.model.included)}={s.score:.1f}" for s in scores[:5]) + ", ...")

@@ -85,7 +85,6 @@ from .config import (  # noqa: E402
 from .study import (  # noqa: E402
     CriterionResult,
     CriterionSummary,
-    ModelResult,
     ModelSummary,
     ReplicationRecord,
     StudySummary,

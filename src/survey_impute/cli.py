@@ -34,7 +34,7 @@ from .design import DesignDescriptor, SampleDraw
 from .errors import ConfigError, EstimationFailureError, SelectionFailureError, SurveyImputeError
 from .estimators import build_candidates, fit_candidates
 from .population import ResponseMask
-from .study import SUMMARY_COLUMNS, reps_to_csv, run_study, summary_rows, summary_to_csv
+from .study import SUMMARY_COLUMNS, float_text, reps_to_csv, run_study, summary_rows, summary_to_csv
 from .variance import estimate_with_inference
 
 EXIT_OK = 0
@@ -46,8 +46,8 @@ _INT64 = np.iinfo(np.int64)
 
 
 def _round10(x):
-    """Floats leave the program with 10 significant digits."""
-    return float(f"{x:.10g}")
+    """x as study.float_text writes it, as a float."""
+    return float(float_text(x))
 
 
 def _with_env_seed(cfg):
@@ -318,7 +318,6 @@ def cmd_estimate(args):
         bad = [m for m in cfg.candidates if m[-1] > p]
         if bad:
             raise ConfigError("candidates", f"covariate index {bad[0][-1]} exceeds p={p}")
-    candidates = build_candidates(cfg.candidates, p)
 
     sample, order = build_estimate_design(cfg, ids, pi)
     X, y, resp, ids = X[order], y[order], resp[order], ids[order]
@@ -330,9 +329,9 @@ def cmd_estimate(args):
     # finite but huge data can overflow; the estimate or variance then is
     # not finite and confidence_interval reports it as the one error line
     with np.errstate(over="ignore", invalid="ignore"):
-        fits = fit_candidates(X[resp], y[resp], candidates)
+        fits = fit_candidates(X[resp], y[resp], build_candidates(cfg.candidates, p))
         bundle = estimate_with_inference(
-            sample, mask, X, y, candidates, fits, cfg.criterion, cfg.level, rng
+            sample, mask, X, y, fits, cfg.criterion, cfg.level, rng
         )
 
     out = {

@@ -16,6 +16,10 @@ import numpy as np
 
 from .errors import InvalidDesignError
 
+# n_h floor of a design with more than one stratum, so within-stratum
+# joint probabilities exist; Neyman allocation floors at it
+MIN_STRATUM_SIZE = 2
+
 
 @dataclass(frozen=True)
 class DesignDescriptor:
@@ -34,9 +38,8 @@ class DesignDescriptor:
             raise InvalidDesignError(
                 f"need 1 <= n_h <= N_h, got n_h={n_h.tolist()}, N_h={N_h.tolist()}"
             )
-        # n_h >= 2 so within-stratum joint probabilities exist
-        if N_h.size > 1 and np.any(n_h < 2):
-            raise InvalidDesignError(f"every stratum needs n_h >= 2, got {n_h.tolist()}")
+        if N_h.size > 1 and np.any(n_h < MIN_STRATUM_SIZE):
+            raise InvalidDesignError(f"each n_h must be >= {MIN_STRATUM_SIZE}, got {n_h.tolist()}")
         N_h.setflags(write=False)
         n_h.setflags(write=False)
         object.__setattr__(self, "population_sizes", N_h)
@@ -156,12 +159,12 @@ def stratum_sizes(population_size, fractions):
     return sizes
 
 
-def neyman_allocation(sizes, sds, n, min_size=1):
+def neyman_allocation(sizes, sds, n):
     """Neyman allocation n_h proportional to N_h * S_h, clamped to
-    [min_size, N_h] and redistributed.
+    [MIN_STRATUM_SIZE, N_h] and redistributed.
 
     Oversized strata are fixed at N_h first (they free budget), then
-    undersized ones are raised to min_size; repeating until stable keeps
+    undersized ones are raised to the floor; repeating until stable keeps
     the proportional shares on the remaining free strata correct.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -171,12 +174,12 @@ def neyman_allocation(sizes, sds, n, min_size=1):
         raise InvalidDesignError("sizes and sds must have matching length")
     if np.any(sds < 0) or not np.all(np.isfinite(sds)):
         raise InvalidDesignError("stratum sds must be finite and nonnegative")
-    if not min_size * H <= n <= sizes.sum():
+    if not MIN_STRATUM_SIZE * H <= n <= sizes.sum():
         raise InvalidDesignError(
-            f"total n={n} infeasible for {H} strata with min_size={min_size}"
+            f"total n={n} infeasible for {H} strata of at least {MIN_STRATUM_SIZE} units"
         )
-    if np.any(sizes < min_size):
-        raise InvalidDesignError("min_size exceeds a stratum population size")
+    if np.any(sizes < MIN_STRATUM_SIZE):
+        raise InvalidDesignError(f"a stratum has fewer than {MIN_STRATUM_SIZE} population units")
     weights = sizes * sds
     if weights.sum() == 0:
         weights = sizes.astype(np.float64)  # all-equal spread: fall back to proportional
@@ -186,10 +189,10 @@ def neyman_allocation(sizes, sds, n, min_size=1):
     while True:
         free = ~fixed
         remaining = n - int(alloc[fixed].sum())
-        if remaining < min_size * int(free.sum()):
+        if remaining < MIN_STRATUM_SIZE * int(free.sum()):
             # cap-fixing stranded the floors of the remaining strata;
             # restart with floors reserved up front (caps stay honored)
-            return _floors_first(sizes, weights, n, min_size)
+            return _floors_first(sizes, weights, n)
         w = weights[free]
         if w.sum() == 0:
             w = sizes[free].astype(np.float64)
@@ -199,24 +202,24 @@ def neyman_allocation(sizes, sds, n, min_size=1):
             alloc[too_big] = sizes[too_big]
             fixed |= too_big
             continue
-        too_small = free & (alloc < min_size)
+        too_small = free & (alloc < MIN_STRATUM_SIZE)
         if too_small.any():
-            alloc[too_small] = min_size
+            alloc[too_small] = MIN_STRATUM_SIZE
             fixed |= too_small
             continue
         break
     return alloc
 
 
-def _floors_first(sizes, weights, n, min_size):
-    """Fallback allocation: every stratum gets min_size, the surplus is
+def _floors_first(sizes, weights, n):
+    """Fallback allocation: every stratum gets the floor, the surplus is
     apportioned over spare capacity with only the cap clamp active."""
-    caps = sizes - min_size
+    caps = sizes - MIN_STRATUM_SIZE
     extra = np.zeros(sizes.size, dtype=np.int64)
     fixed = np.zeros(sizes.size, dtype=bool)
     while True:
         free = ~fixed
-        remaining = n - min_size * sizes.size - int(extra[fixed].sum())
+        remaining = n - MIN_STRATUM_SIZE * sizes.size - int(extra[fixed].sum())
         w = weights[free]
         if free.any() and w.sum() == 0:
             w = np.maximum(caps[free], 1).astype(np.float64)
@@ -226,7 +229,7 @@ def _floors_first(sizes, weights, n, min_size):
             break
         extra[over] = caps[over]
         fixed |= over
-    return min_size + extra
+    return MIN_STRATUM_SIZE + extra
 
 
 def draw_srswor(population_size, sample_size, rng):
@@ -255,7 +258,7 @@ def draw_stratified(sort_key, alloc_variable, fractions, sample_size, rng):
     order = np.argsort(sort_key, kind="stable")
     blocks = np.split(order, np.cumsum(sizes)[:-1])
     sds = np.array([np.std(alloc_variable[b], ddof=1) for b in blocks])
-    alloc = neyman_allocation(sizes, sds, sample_size, min_size=2)
+    alloc = neyman_allocation(sizes, sds, sample_size)
     design = DesignDescriptor(sizes, alloc)
 
     picks = [rng.choice(np.sort(b), n_h, replace=False) for b, n_h in zip(blocks, alloc)]

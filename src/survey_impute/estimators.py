@@ -54,18 +54,18 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class FitResult:
-    """An OLS fit on the respondents. R is the upper triangular factor of
-    the respondent design Z = QR, so R'R = Z'Z; consumers solve against
-    it instead of factoring the design again. Q is the thin Q of Z and
-    resid the residuals y - Z beta_hat; a chain's fits hold views of its
-    one Q and one residual matrix."""
+    """An OLS fit on the respondents, a value of the candidate set from
+    fit_candidates. R is the upper triangular factor of the respondent
+    design Z = QR, so R'R = Z'Z; consumers solve against it instead of
+    factoring the design again. Q is the thin Q of Z and resid the n_r
+    residuals y - Z beta_hat; a chain's fits hold views of its one Q and
+    one residual matrix."""
 
     beta_hat: np.ndarray
     rss: float
-    n_r_used: int
     R: np.ndarray
-    Q: np.ndarray = None
-    resid: np.ndarray = None
+    Q: np.ndarray
+    resid: np.ndarray
 
 
 def classify_model(model, true_support):
@@ -146,8 +146,9 @@ def _prefix_chains(models):
 
 
 def fit_candidates(X_r, y_r, candidates):
-    """Each candidate's respondent fit, once per dataset, for every consumer:
-    {model: FitResult, or None where fit_ols raises SingularFitError}.
+    """The candidate set: {model: FitResult, or None where fit_ols raises
+    SingularFitError}, one fit per candidate and dataset, keyed in the
+    order of candidates, which is the order selection scores them in.
 
     One QR per prefix chain: with Z = QR the widest design of the chain
     and g = Q'y, a model of q columns has R_q = R[:q, :q], beta solving
@@ -156,7 +157,6 @@ def fit_candidates(X_r, y_r, candidates):
     qr_checked width is below q (n_r < q, or a rank deficient prefix)."""
     X_r = np.asarray(X_r, dtype=np.float64)
     y_r = np.asarray(y_r, dtype=np.float64)
-    n = y_r.size
     fits = dict.fromkeys(candidates)
     for chain in _prefix_chains(fits):
         Q, R, width = qr_checked(design_matrix(X_r, chain[0]))
@@ -167,7 +167,7 @@ def fit_candidates(X_r, y_r, candidates):
             if q <= width:
                 e = resid[:, q - 1]
                 beta = np.linalg.solve(R[:q, :q], g[:q])
-                fits[m] = FitResult(beta, float(e @ e), n, R[:q, :q], Q[:, :q], e)
+                fits[m] = FitResult(beta, float(e @ e), R[:q, :q], Q[:, :q], e)
     return fits
 
 

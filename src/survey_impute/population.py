@@ -57,6 +57,11 @@ def _draw_covariates(N, p, law, rng):
     raise ConfigError("covariate_law.name", f"unknown law {name!r}")
 
 
+def true_support(beta):
+    """1-based indices of the covariates with a nonzero coefficient in beta."""
+    return tuple(int(j) for j in np.flatnonzero(np.asarray(beta)[1:]) + 1)
+
+
 def generate_population(N, p, covariate_law, beta, sigma, response, rng):
     """Draw X, build y = [1 X] beta + eps, and store logistic response
     probabilities 1 / (1 + exp(-t)), t = scale * (offset + x' zeta).
@@ -91,8 +96,7 @@ def generate_population(N, p, covariate_law, beta, sigma, response, rng):
         # -745; refuse rather than clip, since pi-weighting assumes an interior probability
         raise ConfigError("response_coefs", "response probabilities hit 0 or 1")
 
-    support = tuple(int(j) for j in np.flatnonzero(beta[1:]) + 1)
-    return Population(X, y, beta, float(sigma), resp_prob, support)
+    return Population(X, y, beta, float(sigma), resp_prob, true_support(beta))
 
 
 @dataclass(frozen=True)

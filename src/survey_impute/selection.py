@@ -1,9 +1,10 @@
 """Model selection on the respondent set: AIC, BIC, K-fold CV.
 
 Criterion names are the strings "aic", "bic", or "cvK" (e.g. "cv5").
-Every criterion reads each candidate's one respondent fit (from
-fit_candidates, which factors each prefix chain of candidates with one
-QR): AIC and BIC its rss, K-fold CV its Q, R and residuals, from which
+The candidate set is the dict of respondent fits from fit_candidates
+(which factors each prefix chain of candidates with one QR), and its key
+order is the scoring order. Every criterion reads each candidate's one
+fit: AIC and BIC its rss, K-fold CV its Q, R and residuals, from which
 the held-out residuals of every training fold follow in closed form, all
 K folds in one batched solve, so no score refits anything. Scores are
 compared as (score, p_alpha, included), so ties go to the smaller model
@@ -32,7 +33,6 @@ _CV_RE = re.compile(r"^cv([0-9]+)$")
 class CriterionScore:
     model: object
     score: float
-    criterion: str
 
 
 def parse_criterion(name):
@@ -70,9 +70,9 @@ def make_folds(n, k, rng):
     return np.array_split(rng.permutation(n), k)
 
 
-def score_kfold_cv(X_r, y_r, model, fit, folds):
-    """Mean held-out MSE over the folds, read off the model's respondent
-    fit of X_r, y_r with no refits. With e the fit's residuals and
+def score_kfold_cv(fit, folds):
+    """Mean held-out MSE over the folds of the respondents, read off a
+    model's respondent fit with no refits. With e the fit's residuals and
     Q = ZR^-1 its thin Q, the fit without test rows t leaves held-out
     residuals e_t + Q_t M^-1 Q_t'e_t, M = I - Q_t'Q_t (the leave-n_v-out
     identity, Shao 1993). All K folds are scored at once: the test rows
@@ -96,10 +96,11 @@ def score_kfold_cv(X_r, y_r, model, fit, folds):
     return float(np.mean(np.einsum("ks,ks->k", r, r) / sizes))
 
 
-def score_candidates(criterion, candidates, X_r, y_r, fits, rng=None):
-    """Score every candidate on its respondent fit in fits (from
-    fit_candidates; no criterion fits anything); a None fit, or one with
-    n_r <= p_alpha, scores +inf. Returns CriterionScores in candidate order.
+def score_candidates(criterion, fits, y_r, rng=None):
+    """Score the candidate set fits (from fit_candidates on y_r; no
+    criterion fits anything) in its key order, in which cvK draws each
+    candidate's folds from rng. A None fit, or n_r <= p_alpha, scores
+    +inf. y_r gives n_r, needed even when every fit is None, and tss.
     """
     kind, k = parse_criterion(criterion)
     y_r = np.asarray(y_r, dtype=np.float64)
@@ -112,29 +113,28 @@ def score_candidates(criterion, candidates, X_r, y_r, fits, rng=None):
     tss = float(np.sum((y_r - y_r.mean()) ** 2)) if n_r else 0.0
 
     out = []
-    for model in candidates:
+    for model, fit in fits.items():
         # each candidate gets its own random split, as when a CV routine
         # is called once per model, even when its score is already +inf
         folds = make_folds(n_r, k, rng) if kind == "cv" else None
-        fit = fits[model]
-        if fit is None or fit.n_r_used <= model.p_alpha:
+        if fit is None or n_r <= model.p_alpha:
             score = float("inf")
         elif kind == "cv":
-            score = score_kfold_cv(X_r, y_r, model, fit, folds)
+            score = score_kfold_cv(fit, folds)
         else:
             rss = 0.0 if fit.rss <= RSS_INTERP_REL * tss else fit.rss
             scorer = score_aic if kind == "aic" else score_bic
             score = scorer(rss, n_r, model.p_alpha)
-        out.append(CriterionScore(model, float(score), criterion))
+        out.append(CriterionScore(model, float(score)))
     return out
 
 
-def select(criterion, candidates, X_r, y_r, fits, rng=None):
-    """Pick the best candidate, scored on the respondent fits in fits
-    (see score_candidates). Returns (model, scores)."""
-    if not candidates:
+def select(criterion, fits, y_r, rng=None):
+    """Pick the best candidate of the candidate set fits, scored in its
+    key order (see score_candidates). Returns (model, scores)."""
+    if not fits:
         raise SelectionFailureError("no candidate models")
-    scores = score_candidates(criterion, candidates, X_r, y_r, fits, rng)
+    scores = score_candidates(criterion, fits, y_r, rng)
     finite = [s for s in scores if s.score < float("inf")]
     if not finite:
         raise SelectionFailureError("every candidate model is rank deficient or "

@@ -16,7 +16,7 @@ import numpy as np
 from .design import draw_srswor, draw_stratified
 from .errors import ConfigError, EstimationFailureError, MetricError, SelectionFailureError
 from .estimators import build_candidates, classify_model, fit_candidates, ht_mean, imputed_means
-from .population import generate_population, generate_response
+from .population import generate_population, generate_response, true_support
 from .variance import estimate_with_inference
 
 # the only errors estimate_with_inference raises on a replication:
@@ -27,19 +27,8 @@ _FAILURES = (SelectionFailureError, EstimationFailureError)
 
 
 @dataclass(frozen=True)
-class ModelResult:
-    label: str
-    model_class: str          # "true" | "overfit" | "wrong"
-    ok: bool
-    mu_hat: float = None
-
-
-@dataclass(frozen=True)
 class CriterionResult:
-    criterion: str
-    ok: bool
     selected: str = None
-    selected_class: str = None
     mu_hat: float = None
     v1: float = None
     v2: float = None
@@ -47,6 +36,10 @@ class CriterionResult:
     ci_upper: float = None
     covered: bool = None
     failure: str = None
+
+    @property
+    def ok(self):
+        return self.failure is None
 
     @property
     def v_total(self):
@@ -57,10 +50,13 @@ class CriterionResult:
 
 @dataclass(frozen=True)
 class ReplicationRecord:
+    """One replication's numbers; mu_hats in candidate order, None where
+    the fit is None. Labels and classes come from the config."""
+
     rep_id: int
     mu_true: float
     ht_complete: float
-    models: tuple
+    mu_hats: tuple
     criteria: tuple
 
 
@@ -92,38 +88,29 @@ def run_replication(cfg, rep_id):
     ht_complete = ht_mean(sample, y_s)
 
     candidates = build_candidates(cfg.candidates, cfg.p)
-    labels = candidate_labels(cfg)
     fits = fit_candidates(X_s[mask.respondents], y_s[mask.respondents], candidates)
-    mu_hats = imputed_means(sample, mask, X_s, y_s, fits)
-    models = []
-    for label, m in zip(labels, candidates):
-        klass = classify_model(m, pop.true_support).value
-        models.append(ModelResult(label, klass, fits[m] is not None, mu_hats[m]))
+    mu_hats = tuple(imputed_means(sample, mask, X_s, y_s, fits).values())
 
-    by_model = dict(zip(candidates, labels))
+    label_of = dict(zip(candidates, candidate_labels(cfg)))
     crit_results = []
     for crit in cfg.criteria:
         try:
             bundle = estimate_with_inference(
-                sample, mask, X_s, y_s, candidates, fits, crit, cfg.level, crit_rng
+                sample, mask, X_s, y_s, fits, crit, cfg.level, crit_rng
             )
         except _FAILURES as exc:
-            crit_results.append(
-                CriterionResult(crit, False, failure=type(exc).__name__)
-            )
+            crit_results.append(CriterionResult(failure=type(exc).__name__))
             continue
-        label = by_model[bundle.model]
-        klass = classify_model(bundle.model, pop.true_support).value
         covered = bool(bundle.ci.lower <= pop.mu <= bundle.ci.upper)
         crit_results.append(
             CriterionResult(
-                crit, True, label, klass, bundle.mu_hat,
+                label_of[bundle.model], bundle.mu_hat,
                 bundle.variance.v1, bundle.variance.v2,
                 bundle.ci.lower, bundle.ci.upper, covered,
             )
         )
 
-    return ReplicationRecord(rep_id, pop.mu, ht_complete, tuple(models), tuple(crit_results))
+    return ReplicationRecord(rep_id, pop.mu, ht_complete, mu_hats, tuple(crit_results))
 
 
 def _run_chunk(args):
@@ -266,12 +253,14 @@ def summarize(cfg, records):
     mu_true = np.array([r.mu_true for r in records])
     ht = np.array([r.ht_complete for r in records])
     labels = candidate_labels(cfg)
+    support = true_support(cfg.beta)
+    classes = [classify_model(m, support).value for m in build_candidates(cfg.candidates, cfg.p)]
 
     model_rows = []
-    for i, label in enumerate(labels):
-        ok = np.array([r.models[i].ok for r in records])
-        mu = np.array([r.models[i].mu_hat if r.models[i].ok else np.nan for r in records])
-        klass = records[0].models[i].model_class if records else ""
+    for i, (label, klass) in enumerate(zip(labels, classes)):
+        # a NaN mu_hat from an existing fit is ok; only a None fit fails
+        ok = np.array([r.mu_hats[i] is not None for r in records])
+        mu = np.array([np.nan if r.mu_hats[i] is None else r.mu_hats[i] for r in records])
         rb = _guarded(relative_bias, mu[ok], mu_true[ok])
         re = _guarded(relative_efficiency, mu[ok], mu_true[ok], ht[ok])
         loss = _guarded(mc_loss, mu[ok], ht[ok], cfg.N)
@@ -279,6 +268,7 @@ def summarize(cfg, records):
             ModelSummary(label, klass, rb, re, loss, 100.0 * (B - ok.sum()) / B)
         )
 
+    class_of = dict(zip(labels, classes))
     criterion_rows = []
     for j, crit in enumerate(cfg.criteria):
         results = [r.criteria[j] for r in records]
@@ -286,8 +276,8 @@ def summarize(cfg, records):
         mu = np.array([c.mu_hat if c.ok else np.nan for c in results])
         vt = np.array([c.v_total if c.ok else np.nan for c in results])
         covered = np.array([bool(c.covered) for c in results])[ok]
-        classes = [c.selected_class for c in results if c.ok]
-        n_class = {k: sum(1 for c in classes if c == k) for k in ("wrong", "true", "overfit")}
+        picked = [class_of[c.selected] for c in results if c.ok]
+        n_class = {k: picked.count(k) for k in ("wrong", "true", "overfit")}
         criterion_rows.append(
             CriterionSummary(
                 name=crit,
@@ -320,11 +310,16 @@ SUMMARY_COLUMNS = (
 )
 
 
+def float_text(x):
+    """Floats leave the program with 10 significant digits."""
+    return f"{x:.10g}"
+
+
 def _fmt(v):
     if v is None:
         return ""
     if isinstance(v, float):
-        return f"{v:.10g}"
+        return float_text(v)
     return str(v)
 
 
@@ -361,11 +356,11 @@ def reps_to_csv(records, path, cfg):
         w.writerow(header)
         for r in records:
             row = [r.rep_id, _fmt(r.mu_true), _fmt(r.ht_complete)]
-            row += [_fmt(m.mu_hat) for m in r.models]
+            row += [_fmt(v) for v in r.mu_hats]
             for c in r.criteria:
                 if c.ok:
                     row += [c.selected, _fmt(c.mu_hat), _fmt(c.v1), _fmt(c.v2),
                             _fmt(c.ci_lower), _fmt(c.ci_upper), int(c.covered)]
                 else:
-                    row += [c.failure or "failed", "", "", "", "", "", ""]
+                    row += [c.failure, "", "", "", "", "", ""]
             w.writerow(row)

@@ -1,5 +1,6 @@
 """Variance estimation for the imputation estimator and the resulting
-confidence interval.
+confidence interval, all read off the candidate set: the fits from
+fit_candidates, which selection scores in their key order.
 
 The estimator is linearized through per-unit values eta_hat whose HT
 mean reproduces mu_hat exactly; v1 is the design variance of that HT
@@ -97,10 +98,10 @@ def v1_hat(sample, eta):
 
 
 def sigma2_hat(fit, model):
-    nu = fit.n_r_used - model.p_alpha
+    nu = fit.resid.size - model.p_alpha
     if nu <= 0:
         raise DegenerateFitError(
-            f"no residual degrees of freedom: n_r={fit.n_r_used}, p_alpha={model.p_alpha}"
+            f"no residual degrees of freedom: n_r={fit.resid.size}, p_alpha={model.p_alpha}"
         )
     return fit.rss / nu
 
@@ -155,14 +156,12 @@ def variance_for_model(sample, mask, X, y, model, fit):
     return VarianceEstimate(v1, v2, s2, c)
 
 
-def estimate_with_inference(sample, mask, X, y, candidates, fits, criterion, level, rng=None):
+def estimate_with_inference(sample, mask, X, y, fits, criterion, level, rng=None):
     """Full pipeline on one dataset: select a model on the respondents,
     impute, estimate the variance, and build the interval, all from the
-    candidates' respondent fits in fits (from fit_candidates)."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    resp = mask.respondents
-    model, scores = select(criterion, candidates, X[resp], y[resp], fits, rng)
+    candidate set fits (from fit_candidates), scored in its key order."""
+    y_r = np.asarray(y, dtype=np.float64)[mask.respondents]
+    model, scores = select(criterion, fits, y_r, rng)
     mu = imputed_mean(sample, mask, X, y, model, fits[model])
     var = variance_for_model(sample, mask, X, y, model, fits[model])
     ci = confidence_interval(mu, var.v_total, level)

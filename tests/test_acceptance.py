@@ -343,14 +343,14 @@ def test_criterion_12_noiseless_recovery(acceptance):
     beta_exact = bool(np.allclose(fit.beta_hat, [0.5, 2.0, -1.0], rtol=1e-9, atol=1e-9))
     s2_zero = sigma2_hat(fit, m2) <= 1e-18
     X_r, y_r, cands = X[mask.respondents], y[mask.respondents], nested_candidates(4)
-    best, _ = select("bic", cands, X_r, y_r, fit_candidates(X_r, y_r, cands))
+    best, _ = select("bic", fit_candidates(X_r, y_r, cands), y_r)
     picks_smallest = best == m2
 
     census = DesignDescriptor((40,), (40,))
     cs = SampleDraw(np.arange(40), np.zeros(40, dtype=np.int64), census)
     bundle = estimate_with_inference(
         cs, ResponseMask(np.ones(40, dtype=bool)), pop.X, pop.y,
-        cands, fit_candidates(pop.X, pop.y, cands), "bic", 0.95,
+        fit_candidates(pop.X, pop.y, cands), "bic", 0.95,
     )
     degenerate = (
         bundle.ci.lower == bundle.ci.upper == bundle.mu_hat

@@ -591,8 +591,7 @@ class TestEstimate:
         r[list(missing)] = False
         fits = fit_candidates(X[r], y[r], nested_candidates(2))
         bundle = estimate_with_inference(
-            sample, ResponseMask(r), X, np.where(r, y, np.nan),
-            nested_candidates(2), fits, "bic", 0.95,
+            sample, ResponseMask(r), X, np.where(r, y, np.nan), fits, "bic", 0.95,
         )
         assert got["selected"]["included"] == list(bundle.model.included)
         assert got["mu_hat"] == _round10(bundle.mu_hat)
@@ -765,15 +764,14 @@ class TestEstimate:
         got = json.loads(capsys.readouterr().out)
 
         design = DesignDescriptor((80, 60), (12, 10))
-        cands = nested_candidates(3)
 
         def in_process(order):
             sample = SampleDraw(np.arange(22), np.repeat([0, 1], [12, 10])[order], design)
             Xo, yo, ro = X[order], y[order], r[order]
             rng = np.random.default_rng(np.random.SeedSequence([2, 0]))
             return estimate_with_inference(
-                sample, ResponseMask(ro), Xo, np.where(ro, yo, np.nan), cands,
-                fit_candidates(Xo[ro], yo[ro], cands), "cv5", 0.95, rng,
+                sample, ResponseMask(ro), Xo, np.where(ro, yo, np.nan),
+                fit_candidates(Xo[ro], yo[ro], nested_candidates(3)), "cv5", 0.95, rng,
             )
 
         bundle = in_process(np.arange(22))
@@ -876,7 +874,7 @@ def test_tiny_estimate_inputs_exit_0_or_2(data):
     if criterion in ("aic", "bic"):
         models = build_candidates(candidates, p)
         fits = fit_candidates(X[r], y[r], models)
-        usable = any(f is not None and f.n_r_used > m.p_alpha for m, f in fits.items())
+        usable = any(f is not None and f.resid.size > m.p_alpha for m, f in fits.items())
         assert (code == EXIT_OK) == usable, err
 
 

@@ -195,37 +195,38 @@ class TestStratumSizes:
 
 class TestNeymanAllocation:
     def test_hand_example(self):
-        # N_h S_h weights 4 and 12 split n=4 as 1 and 3
-        alloc = neyman_allocation([4, 4], [1.0, 3.0], 4)
-        assert np.array_equal(alloc, [1, 3])
+        # N_h S_h weights 10 and 30 split n=12 as 3 and 9
+        alloc = neyman_allocation([10, 10], [1.0, 3.0], 12)
+        assert np.array_equal(alloc, [3, 9])
 
     def test_constant_alloc_variable_falls_back_to_proportional(self):
-        alloc = neyman_allocation([30, 10], [0.0, 0.0], 8)
-        assert np.array_equal(alloc, [6, 2])
+        alloc = neyman_allocation([30, 10], [0.0, 0.0], 12)
+        assert np.array_equal(alloc, [9, 3])
 
     def test_min_size_clamp(self):
-        alloc = neyman_allocation([4, 4], [1.0, 3.0], 4, min_size=2)
+        # weights 4 and 12 would split n=4 as 1 and 3; the floor is 2
+        alloc = neyman_allocation([4, 4], [1.0, 3.0], 4)
         assert np.array_equal(alloc, [2, 2])
 
     def test_cap_clamp(self):
         # huge sd on a small stratum: capped at N_h, rest spills over
-        alloc = neyman_allocation([3, 50], [100.0, 1.0], 20, min_size=2)
+        alloc = neyman_allocation([3, 50], [100.0, 1.0], 20)
         assert alloc[0] == 3
         assert alloc.sum() == 20
 
     def test_cap_fixing_cannot_strand_floors(self):
         # heavy first stratum takes nearly everything, then the floors
         # of the others must still be honored
-        alloc = neyman_allocation([3, 10, 10], [1000.0, 1.0, 1.0], 6, min_size=2)
+        alloc = neyman_allocation([3, 10, 10], [1000.0, 1.0, 1.0], 6)
         assert alloc.sum() == 6
         assert np.all(alloc >= 2)
         assert np.all(alloc <= [3, 10, 10])
 
     def test_infeasible(self):
         with pytest.raises(InvalidDesignError):
-            neyman_allocation([4, 4], [1.0, 1.0], 3, min_size=2)
+            neyman_allocation([4, 4], [1.0, 1.0], 3)  # below the floor of 2 each
         with pytest.raises(InvalidDesignError):
-            neyman_allocation([4, 4], [1.0, 1.0], 9)
+            neyman_allocation([4, 4], [1.0, 1.0], 9)  # above the population
 
 
 class TestDraws:

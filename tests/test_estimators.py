@@ -214,7 +214,7 @@ class TestImputedMean:
         y = rng.normal(size=5)
         mask = ResponseMask(np.array([True, True, True, False, False]))
         m = ModelSpec((1,))
-        fit = FitResult(np.array([0.0, 0.0]), 0.0, 3, np.eye(2))
+        fit = FitResult(np.array([0.0, 0.0]), 0.0, np.eye(2), np.zeros((3, 2)), np.zeros(3))
         mu = imputed_mean(s, mask, X, y, m, fit)
         # zero coefficients: missing contribute nothing
         expect = sum(y[i] / s.pi_first[i] for i in range(3)) / 20
@@ -235,6 +235,9 @@ class TestFitCandidates:
             ref = fit_ols(X, y, m)
             assert np.array_equal(fits[m].beta_hat, ref.beta_hat)
             assert fits[m].rss == ref.rss
+        # keys keep the caller's order, not the widest-first chain order
+        order = [ModelSpec((2,)), ModelSpec((1, 2, 3)), ModelSpec((1,)), ModelSpec((1, 2))]
+        assert list(fit_candidates(X, y, order)) == order
 
     def test_build_candidates(self):
         assert build_candidates("nested", 3) == nested_candidates(3)
@@ -285,7 +288,7 @@ def test_prefix_chain_fits_match_per_model_fits(seed, data, nested):
         assert np.allclose(got.beta_hat, ref.beta_hat, rtol=0, atol=tol * scale)
         assert np.allclose(got.R, ref.R, rtol=0, atol=tol * np.linalg.norm(ref.R))
         assert got.rss == pytest.approx(ref.rss, rel=tol, abs=tol * float(y @ y))
-        assert got.n_r_used == ref.n_r_used == n_r
+        assert got.resid.size == ref.resid.size == n_r
     if data == "collinear" and nested:
         assert [fits[m] is None for m in cands] == [False] + [True] * (p - 1)
     if data == "short" and nested:

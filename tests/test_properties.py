@@ -66,8 +66,8 @@ def test_selection_ignores_y_scale(seed, crit, c):
     X = rng.normal(size=(30, 3))
     y = X[:, 0] + 0.5 * rng.normal(size=30)
     cands = nested_candidates(3)
-    a, _ = select(crit, cands, X, y, fit_candidates(X, y, cands))
-    b, _ = select(crit, cands, X, c * y, fit_candidates(X, c * y, cands))
+    a, _ = select(crit, fit_candidates(X, y, cands), y)
+    b, _ = select(crit, fit_candidates(X, c * y, cands), c * y)
     assert a == b
 
 
@@ -208,7 +208,7 @@ def test_neyman_allocation_is_feasible(seed):
     if lo > hi:
         return
     n = int(rng.integers(lo, hi + 1))
-    alloc = neyman_allocation(sizes, sds, n, min_size=2)
+    alloc = neyman_allocation(sizes, sds, n)
     assert alloc.sum() == n
     assert np.all(alloc >= 2)
     assert np.all(alloc <= sizes)

@@ -97,7 +97,7 @@ class TestCvScore:
         y = rng.normal(size=10)
         m = ModelSpec((1, 2))
         folds = [np.array([i]) for i in range(10)]
-        got = score_kfold_cv(X, y, m, fit_ols(X, y, m), folds)
+        got = score_kfold_cv(fit_ols(X, y, m), folds)
 
         Z = design_matrix(X, m)
         H = Z @ np.linalg.solve(Z.T @ Z, Z.T)
@@ -112,7 +112,7 @@ class TestCvScore:
         y = 1.0 + X @ [2.0, 3.0]
         m = ModelSpec((1, 2))
         folds = make_folds(12, 3, np.random.default_rng(4))
-        assert score_kfold_cv(X, y, m, fit_ols(X, y, m), folds) <= 1e-18
+        assert score_kfold_cv(fit_ols(X, y, m), folds) <= 1e-18
 
     def test_binary_covariate_data_match_the_refit_rank_rule(self):
         # two gamma covariates and a ~10%-ones indicator on 30
@@ -130,7 +130,7 @@ class TestCvScore:
                 continue
             folds = make_folds(30, 5, rng)
             refit_singular = refit_cv_score(X, y, m, folds) == float("inf")
-            assert (score_kfold_cv(X, y, m, fit, folds) == float("inf")) == refit_singular
+            assert (score_kfold_cv(fit, folds) == float("inf")) == refit_singular
             singular += refit_singular
         assert singular >= 50
 
@@ -145,12 +145,29 @@ def test_batched_folds_pad_unequal_and_singleton_folds(n_r, k):
     y = 1.0 + X @ [1.0, -2.0, 0.5] + rng.normal(size=n_r)
     cands = nested_candidates(3)
     fits = fit_candidates(X, y, cands)
-    scores = score_candidates(f"cv{k}", cands, X, y, fits, np.random.default_rng(7))
+    scores = score_candidates(f"cv{k}", fits, y, np.random.default_rng(7))
     fold_rng = np.random.default_rng(7)
     for m, cs in zip(cands, scores):
         folds = make_folds(n_r, k, fold_rng)
         assert len({t.size for t in folds}) == (1 if n_r % k == 0 else 2)
         assert np.isfinite(cs.score)
+        assert cs.score == pytest.approx(refit_cv_score(X, y, m, folds), rel=1e-10)
+
+
+def test_scores_and_folds_follow_the_order_of_fits():
+    # fit_candidates factors the chain (1, 2, 3) > (1, 2) > (1,) widest
+    # first, but fits keeps the caller's order, and cvK scores in it and
+    # draws each candidate's folds in it
+    rng = np.random.default_rng(24)
+    X = rng.normal(size=(25, 3))
+    y = 1.0 + X @ [1.0, -2.0, 0.5] + rng.normal(size=25)
+    cands = [ModelSpec((2,)), ModelSpec((1, 2, 3)), ModelSpec((1,)), ModelSpec((1, 2))]
+    fits = fit_candidates(X, y, cands)
+    scores = score_candidates("cv3", fits, y, np.random.default_rng(25))
+    assert [cs.model for cs in scores] == cands
+    fold_rng = np.random.default_rng(25)
+    for m, cs in zip(cands, scores):
+        folds = make_folds(25, 3, fold_rng)
         assert cs.score == pytest.approx(refit_cv_score(X, y, m, folds), rel=1e-10)
 
 
@@ -182,13 +199,14 @@ def test_cv_identity_matches_refits(seed, n_r, p, k, nested, delta, binary):
         cands = [ModelSpec(rng.choice(np.arange(1, p + 1), size=rng.integers(1, p + 1),
                                       replace=False)) for _ in range(3)]
     fits = fit_candidates(X, y, cands)
-    scores = score_candidates(f"cv{k}", cands, X, y, fits, np.random.default_rng(seed))
+    scores = score_candidates(f"cv{k}", fits, y, np.random.default_rng(seed))
 
+    # a random explicit list may name one model twice; fits holds it once
+    assert [cs.model for cs in scores] == list(fits)
     fold_rng = np.random.default_rng(seed)
-    for m, cs in zip(cands, scores):
+    for (m, fit), cs in zip(fits.items(), scores):
         folds = make_folds(n_r, k, fold_rng)
-        fit = fits[m]
-        if fit is None or fit.n_r_used <= m.p_alpha:
+        if fit is None or n_r <= m.p_alpha:
             ref = float("inf")
         else:
             ref = refit_cv_score(X, y, m, folds)
@@ -209,23 +227,23 @@ class TestScoreCandidates:
         y = np.random.default_rng(6).normal(size=20)
         cands = nested_candidates(2)
         with pytest.raises(ValueError):
-            score_candidates("cv5", cands, X, y, fit_candidates(X, y, cands))
+            score_candidates("cv5", fit_candidates(X, y, cands), y)
 
     def test_cv_with_fewer_respondents_than_folds_fails(self):
         rng = np.random.default_rng(8)
         X, y = rng.normal(size=(3, 2)), rng.normal(size=3)
         cands = nested_candidates(2)
         with pytest.raises(SelectionFailureError):
-            score_candidates("cv5", cands, X, y, fit_candidates(X, y, cands), rng)
+            score_candidates("cv5", fit_candidates(X, y, cands), y, rng)
         # n_r = K is still feasible: one held-out unit per fold
         cands = nested_candidates(1)
-        assert len(score_candidates("cv3", cands, X, y, fit_candidates(X, y, cands), rng)) == 1
+        assert len(score_candidates("cv3", fit_candidates(X, y, cands), y, rng)) == 1
 
     def test_unscorable_candidate_gets_inf(self):
         X = np.ones((6, 2))  # second column collinear with the intercept
         y = np.arange(6.0)
         cands = nested_candidates(2)
-        scores = score_candidates("bic", cands, X, y, fit_candidates(X, y, cands))
+        scores = score_candidates("bic", fit_candidates(X, y, cands), y)
         assert scores[0].score == float("inf")
         assert scores[1].score == float("inf")
 
@@ -237,8 +255,8 @@ class TestScoreCandidates:
         X, y = rng.normal(size=(4, 3)), rng.normal(size=4)
         cands = nested_candidates(3)
         fits = fit_candidates(X, y, cands)
-        assert fits[cands[2]].n_r_used == cands[2].p_alpha
-        scores = score_candidates(criterion, cands, X, y, fits)
+        assert fits[cands[2]].resid.size == cands[2].p_alpha
+        scores = score_candidates(criterion, fits, y)
         assert scores[2].score == float("inf")
         assert scores[1].score < float("inf")
 
@@ -247,7 +265,7 @@ class TestScoreCandidates:
         X = rng.normal(size=(30, 4))
         y = rng.normal(size=30)
         cands = nested_candidates(4)
-        scores = score_candidates("bic", cands, X, y, fit_candidates(X, y, cands))
+        scores = score_candidates("bic", fit_candidates(X, y, cands), y)
         for cs in scores:
             rss = fit_ols(X, y, cs.model).rss
             assert cs.score == pytest.approx(score_bic(rss, 30, cs.model.p_alpha))
@@ -259,9 +277,9 @@ class TestScoreCandidates:
         X, y = rng.normal(size=(20, 2)), rng.normal(size=20)
         cands = nested_candidates(2)
         fits = fit_candidates(X, y, cands)
-        full = score_candidates("cv4", cands, X, y, fits, np.random.default_rng(3))
+        full = score_candidates("cv4", fits, y, np.random.default_rng(3))
         fits[cands[0]] = None
-        part = score_candidates("cv4", cands, X, y, fits, np.random.default_rng(3))
+        part = score_candidates("cv4", fits, y, np.random.default_rng(3))
         assert part[0].score == float("inf") and full[0].score < float("inf")
         assert part[1].score == full[1].score
 
@@ -272,7 +290,7 @@ class TestSelect:
         X = rng.uniform(0, 4, size=(40, 5))
         y = 1.0 + 2.0 * X[:, 0] - 1.0 * X[:, 1]
         cands = nested_candidates(5)
-        best, _ = select("bic", cands, X, y, fit_candidates(X, y, cands))
+        best, _ = select("bic", fit_candidates(X, y, cands), y)
         assert best.included == (1, 2)
 
     def test_tie_goes_to_smaller_model(self):
@@ -281,7 +299,7 @@ class TestSelect:
         X = np.array([[0.0, 5.0], [1.0, 2.0], [2.0, 9.0]])
         y = 1.0 + 3.0 * X[:, 0]
         cands = nested_candidates(2)
-        best, scores = select("aic", cands, X, y, fit_candidates(X, y, cands))
+        best, scores = select("aic", fit_candidates(X, y, cands), y)
         assert [s.score for s in scores] == [float("-inf"), float("inf")]
         assert best.included == (1,)
 
@@ -291,7 +309,7 @@ class TestSelect:
         X = np.array([[0.0, 5.0], [1.0, 2.0], [2.0, 9.0], [3.0, 4.0]])
         y = 1.0 + 3.0 * X[:, 0]
         cands = nested_candidates(2)
-        best, scores = select("aic", cands, X, y, fit_candidates(X, y, cands))
+        best, scores = select("aic", fit_candidates(X, y, cands), y)
         assert [s.score for s in scores] == [float("-inf")] * 2
         assert best.included == (1,)
 
@@ -301,8 +319,8 @@ class TestSelect:
         y = X[:, 0] + 0.5 * rng.normal(size=50)
         cands = nested_candidates(4)
         for crit in ("aic", "bic"):
-            a, _ = select(crit, cands, X, y, fit_candidates(X, y, cands))
-            b, _ = select(crit, cands, X, 17.0 * y, fit_candidates(X, 17.0 * y, cands))
+            a, _ = select(crit, fit_candidates(X, y, cands), y)
+            b, _ = select(crit, fit_candidates(X, 17.0 * y, cands), 17.0 * y)
             assert a == b
 
     def test_single_candidate(self):
@@ -310,7 +328,7 @@ class TestSelect:
         X = rng.normal(size=(12, 2))
         y = rng.normal(size=12)
         cands = [ModelSpec((2,))]
-        best, scores = select("aic", cands, X, y, fit_candidates(X, y, cands))
+        best, scores = select("aic", fit_candidates(X, y, cands), y)
         assert best == ModelSpec((2,))
         assert len(scores) == 1
 
@@ -319,19 +337,19 @@ class TestSelect:
         y = np.arange(3.0)
         cands = [ModelSpec((1, 2))]
         with pytest.raises(SelectionFailureError):
-            select("bic", cands, X, y, fit_candidates(X, y, cands))
+            select("bic", fit_candidates(X, y, cands), y)
 
     def test_failure_names_both_causes(self):
         rng = np.random.default_rng(17)
         X, y = rng.normal(size=(3, 2)), rng.normal(size=3)
         cands = [ModelSpec((1, 2))]
         with pytest.raises(SelectionFailureError, match="rank deficient") as exc:
-            select("bic", cands, X, y, fit_candidates(X, y, cands))
+            select("bic", fit_candidates(X, y, cands), y)
         assert "no residual degrees of freedom" in str(exc.value)
 
     def test_no_candidates_raises(self):
         with pytest.raises(SelectionFailureError):
-            select("aic", [], np.ones((3, 1)), np.ones(3), {})
+            select("aic", {}, np.ones(3))
 
     def test_cv_deterministic_given_seed(self):
         rng = np.random.default_rng(11)
@@ -339,18 +357,22 @@ class TestSelect:
         y = X[:, 0] + rng.normal(size=40)
         cands = nested_candidates(3)
         fits = fit_candidates(X, y, cands)
-        a, sa = select("cv5", cands, X, y, fits, np.random.default_rng(42))
-        b, sb = select("cv5", cands, X, y, fits, np.random.default_rng(42))
+        a, sa = select("cv5", fits, y, np.random.default_rng(42))
+        b, sb = select("cv5", fits, y, np.random.default_rng(42))
         assert a == b
         assert [s.score for s in sa] == [s.score for s in sb]
 
     def test_cv_draws_fresh_folds_per_candidate(self):
-        # scoring the same model listed twice must consume two splits and
-        # (generically) give two different scores
+        # each candidate consumes its own split, in the key order of fits:
+        # the second scores on the second split drawn, not on the first
         rng = np.random.default_rng(12)
         X = rng.normal(size=(30, 2))
         y = rng.normal(size=30)
-        m = ModelSpec((1,))
-        fits = fit_candidates(X, y, [m])
-        scores = score_candidates("cv3", [m, m], X, y, fits, np.random.default_rng(13))
-        assert scores[0].score != scores[1].score
+        m1, m2 = ModelSpec((1,)), ModelSpec((2,))
+        fits = fit_candidates(X, y, [m1, m2])
+        scores = score_candidates("cv3", fits, y, np.random.default_rng(13))
+        fold_rng = np.random.default_rng(13)
+        first, second = make_folds(30, 3, fold_rng), make_folds(30, 3, fold_rng)
+        assert scores[0].score == score_kfold_cv(fits[m1], first)
+        assert scores[1].score == score_kfold_cv(fits[m2], second)
+        assert scores[1].score != score_kfold_cv(fits[m2], first)

@@ -225,7 +225,7 @@ class TestFitSharing:
         )
         calls = count_factorizations(monkeypatch)
         rec = run_replication(cfg, 0)
-        assert all(m.ok for m in rec.models) and all(c.ok for c in rec.criteria)
+        assert None not in rec.mu_hats and all(c.ok for c in rec.criteria)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("criterion", ["aic", "bic", "cv5"])
@@ -238,7 +238,7 @@ class TestFitSharing:
         cands = nested_candidates(3)
         fits = fit_candidates(X[mask.respondents], y[mask.respondents], cands)
         calls = count_factorizations(monkeypatch)
-        bundle = estimate_with_inference(sample, mask, X, y, cands, fits, criterion, 0.95,
+        bundle = estimate_with_inference(sample, mask, X, y, fits, criterion, 0.95,
                                          np.random.default_rng(22))
         assert np.isfinite(bundle.variance.v_total)
         assert calls == []
@@ -412,13 +412,10 @@ class TestGoldenReplication:
         rec = run_replication(cfg, 0)
         assert rec.mu_true == pytest.approx(511.2509109, rel=1e-9)
         assert rec.ht_complete == pytest.approx(514.0659101, rel=1e-9)
-        alpha6 = rec.models[5]
-        assert alpha6.ok
-        assert alpha6.mu_hat == pytest.approx(511.0395697, rel=1e-9)
+        assert rec.mu_hats[5] == pytest.approx(511.0395697, rel=1e-9)  # alpha6
         bic = rec.criteria[list(cfg.criteria).index("bic")]
         assert bic.ok
         assert bic.selected == "alpha6"
-        assert bic.selected_class == "true"
         assert bic.v1 == pytest.approx(28.34810904, rel=1e-9)
         assert bic.v2 == pytest.approx(0.7220067505, rel=1e-9)
         assert bic.ci_lower == pytest.approx(500.4720888, rel=1e-9)

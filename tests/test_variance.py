@@ -248,11 +248,11 @@ class TestV1:
 
 class TestSigma2:
     def test_hand_value(self):
-        fit = FitResult(np.array([0.0]), rss=2.0, n_r_used=3, R=np.eye(1))
+        fit = FitResult(np.array([0.0]), rss=2.0, R=np.eye(1), Q=np.zeros((3, 1)), resid=np.ones(3))
         assert sigma2_hat(fit, ModelSpec(())) == pytest.approx(1.0)
 
     def test_no_degrees_of_freedom(self):
-        fit = FitResult(np.zeros(3), rss=0.0, n_r_used=3, R=np.eye(3))
+        fit = FitResult(np.zeros(3), rss=0.0, R=np.eye(3), Q=np.eye(3), resid=np.zeros(3))
         with pytest.raises(DegenerateFitError):
             sigma2_hat(fit, ModelSpec((1, 2)))
 
@@ -370,9 +370,8 @@ class TestPipeline:
         X = rng.gamma(5.0, 2.0, size=(N, 2))
         y = 1.0 + X @ [2.0, -1.0] + rng.normal(size=N)
         mask = ResponseMask(np.ones(N, dtype=bool))
-        cands = [ModelSpec((1, 2))]
-        fits = fit_candidates(X, y, cands)
-        bundle = estimate_with_inference(s, mask, X, y, cands, fits, "bic", 0.95)
+        fits = fit_candidates(X, y, [ModelSpec((1, 2))])
+        bundle = estimate_with_inference(s, mask, X, y, fits, "bic", 0.95)
         mu = float(y.mean())
         assert bundle.mu_hat == pytest.approx(mu, rel=1e-12)
         assert bundle.variance.v_total == pytest.approx(0.0, abs=1e-15)
