@@ -89,14 +89,14 @@ def main():
     print(f"BIC picks {chosen} ({classify_model(model, pop.true_support).value})")
 
     mu_hat = imputed_mean(sample, mask, X_s, y_s, model, fits[model])
-    var = variance_for_model(sample, mask, X_s, y_s, model, fits[model])
-    ci = confidence_interval(mu_hat, var.v_total, 0.95)
+    v1, v2, _ = variance_for_model(sample, mask, X_s, y_s, model, fits[model])
+    lower, upper = confidence_interval(mu_hat, v1 + v2, 0.95)
     print(f"\npoint estimate    {mu_hat:.4f}")
-    print(f"sampling variance V1 = {var.v1:.4f}")
-    print(f"imputation variance V2 = {var.v2:.4f}"
-          f"  ({100 * var.v2 / var.v_total:.1f}% of the total)")
-    print(f"95% CI [{ci.lower:.4f}, {ci.upper:.4f}]"
-          f"   covers mu: {ci.lower <= pop.mu <= ci.upper}")
+    print(f"sampling variance V1 = {v1:.4f}")
+    print(f"imputation variance V2 = {v2:.4f}"
+          f"  ({100 * v2 / (v1 + v2):.1f}% of the total)")
+    print(f"95% CI [{lower:.4f}, {upper:.4f}]"
+          f"   covers mu: {lower <= pop.mu <= upper}")
 
 
 if __name__ == "__main__":

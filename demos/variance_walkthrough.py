@@ -76,9 +76,9 @@ def main():
     print(f"sigma2_hat = {s2:.1f}   (true sigma^2 = {SIGMA ** 2:.0f})")
     print(f"V2 (imputation noise)                 = {v2:.4f}")
 
-    ci = confidence_interval(mu_hat, v1 + v2, 0.95)
-    print(f"\n95% CI [{ci.lower:.4f}, {ci.upper:.4f}]"
-          f"   true mean {pop.mu:.4f}, covered: {ci.lower <= pop.mu <= ci.upper}")
+    lower, upper = confidence_interval(mu_hat, v1 + v2, 0.95)
+    print(f"\n95% CI [{lower:.4f}, {upper:.4f}]"
+          f"   true mean {pop.mu:.4f}, covered: {lower <= pop.mu <= upper}")
 
     # the identity is structural, not luck: check it across fresh draws
     worst = 0.0

@@ -61,9 +61,7 @@ from .selection import (  # noqa: E402
     select,
 )
 from .variance import (  # noqa: E402
-    ConfidenceInterval,
-    EstimateBundle,
-    VarianceEstimate,
+    Estimate,
     c_hat,
     confidence_interval,
     estimate_with_inference,
@@ -83,7 +81,6 @@ from .config import (  # noqa: E402
     resolved_study_config,
 )
 from .study import (  # noqa: E402
-    CriterionResult,
     CriterionSummary,
     ModelSummary,
     ReplicationRecord,

@@ -64,20 +64,26 @@ def _with_env_seed(cfg):
     return dataclasses.replace(cfg, master_seed=seed)
 
 
-def _check_outputs(out_dir, reps_out=None):
+def _check_outputs(out_dir, name, reps_out=None):
     """Refuse, before any work and creating nothing, an out_dir that
-    os.makedirs cannot make, or a reps_out that names no file in an
-    existing directory or in out_dir."""
+    os.makedirs cannot make, an output file out_dir/name that is a
+    directory, or a reps_out that names no file in an existing directory
+    or in out_dir, or that names out_dir/name itself."""
     top = os.path.abspath(out_dir)
     while not os.path.lexists(top):
         top = os.path.dirname(top)
     if not os.path.isdir(top):
         raise ConfigError("--out-dir", f"{top} is not a directory")
+    target = os.path.join(out_dir, name)
+    if os.path.isdir(target):
+        raise ConfigError("--out-dir", f"cannot write {name}: {target} is a directory")
     if reps_out is not None:
         where = os.path.abspath(os.path.dirname(reps_out))
         if (not os.path.basename(reps_out) or os.path.isdir(reps_out)
                 or not (os.path.isdir(where) or where == os.path.abspath(out_dir))):
             raise ConfigError("--reps-out", f"cannot write a file at {reps_out!r}")
+        if os.path.realpath(reps_out) == os.path.realpath(target):
+            raise ConfigError("--reps-out", f"{reps_out!r} is the {name} of --out-dir")
 
 
 def _print_summary_table(cfg, summary, out):
@@ -100,7 +106,7 @@ def cmd_simulate(args):
         return EXIT_OK
 
     out_dir = args.out_dir or "."
-    _check_outputs(out_dir, args.reps_out)
+    _check_outputs(out_dir, "summary.csv", args.reps_out)
     # run_study refuses --threads < 1 before any work, so a refused run creates nothing
     summary, records = run_study(cfg, threads=args.threads)
     os.makedirs(out_dir, exist_ok=True)
@@ -310,7 +316,7 @@ def cmd_estimate(args):
         print(json.dumps(resolved_estimate_config(cfg), indent=2))
         return EXIT_OK
     if args.out_dir:
-        _check_outputs(args.out_dir)
+        _check_outputs(args.out_dir, "estimate.json")
 
     ids, X, y, pi, resp = read_estimate_csv(args.data)
     p = X.shape[1]
@@ -330,26 +336,26 @@ def cmd_estimate(args):
     # not finite and confidence_interval reports it as the one error line
     with np.errstate(over="ignore", invalid="ignore"):
         fits = fit_candidates(X[resp], y[resp], build_candidates(cfg.candidates, p))
-        bundle = estimate_with_inference(
+        est, _ = estimate_with_inference(
             sample, mask, X, y, fits, cfg.criterion, cfg.level, rng
         )
 
     out = {
         "criterion": cfg.criterion,
         "selected": {
-            "included": list(bundle.model.included),
+            "included": list(est.model.included),
             "with_intercept": True,  # every candidate has one
         },
         "n": int(ids.size),
         "n_respondents": int(mask.n_r),
-        "mu_hat": _round10(bundle.mu_hat),
-        "v1": _round10(bundle.variance.v1),
-        "v2": _round10(bundle.variance.v2),
-        "v_total": _round10(bundle.variance.v_total),
-        "sigma2_hat": _round10(bundle.variance.sigma2_hat),
+        "mu_hat": _round10(est.mu_hat),
+        "v1": _round10(est.v1),
+        "v2": _round10(est.v2),
+        "v_total": _round10(est.v_total),
+        "sigma2_hat": _round10(est.sigma2_hat),
         "ci": {
-            "lower": _round10(bundle.ci.lower),
-            "upper": _round10(bundle.ci.upper),
+            "lower": _round10(est.lower),
+            "upper": _round10(est.upper),
             "level": cfg.level,
         },
     }

@@ -7,6 +7,7 @@ itself a valid config and parses back to an identical object.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 from .design import stratum_sizes
@@ -46,7 +47,12 @@ def _int(value, path, minimum=None):
 def _num(value, path, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond a float's range
+        v = math.inf
+    if not math.isfinite(v):  # json reads NaN, Infinity and -Infinity
+        _fail(path, f"expected a finite number, got {v}")
     if minimum is not None and v < minimum:
         _fail(path, f"must be >= {minimum}, got {value}")
     return v
@@ -67,13 +73,11 @@ def _one_of(obj, key, path, options):
 
 
 def _numlist(value, path, length=None):
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
+    if not isinstance(value, list):
         _fail(path, "expected a list of numbers")
     if length is not None and len(value) != length:
         _fail(path, f"expected length {length}, got {len(value)}")
-    return tuple(float(v) for v in value)
+    return tuple(_num(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 def _no_unknown(obj, allowed, path):

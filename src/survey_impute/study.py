@@ -17,7 +17,7 @@ from .design import draw_srswor, draw_stratified
 from .errors import ConfigError, EstimationFailureError, MetricError, SelectionFailureError
 from .estimators import build_candidates, classify_model, fit_candidates, ht_mean, imputed_means
 from .population import generate_population, generate_response, true_support
-from .variance import estimate_with_inference
+from .variance import Estimate, estimate_with_inference
 
 # the only errors estimate_with_inference raises on a replication:
 # fit_candidates turns a singular fit into None, select never picks a
@@ -27,31 +27,11 @@ _FAILURES = (SelectionFailureError, EstimationFailureError)
 
 
 @dataclass(frozen=True)
-class CriterionResult:
-    selected: str = None
-    mu_hat: float = None
-    v1: float = None
-    v2: float = None
-    ci_lower: float = None
-    ci_upper: float = None
-    covered: bool = None
-    failure: str = None
-
-    @property
-    def ok(self):
-        return self.failure is None
-
-    @property
-    def v_total(self):
-        if self.v1 is None or self.v2 is None:
-            return None
-        return self.v1 + self.v2
-
-
-@dataclass(frozen=True)
 class ReplicationRecord:
     """One replication's numbers; mu_hats in candidate order, None where
-    the fit is None. Labels and classes come from the config."""
+    the fit is None, and criteria in config order, each the criterion's
+    Estimate or the class name of the error it failed with. Labels and
+    classes come from the config."""
 
     rep_id: int
     mu_true: float
@@ -91,26 +71,17 @@ def run_replication(cfg, rep_id):
     fits = fit_candidates(X_s[mask.respondents], y_s[mask.respondents], candidates)
     mu_hats = tuple(imputed_means(sample, mask, X_s, y_s, fits).values())
 
-    label_of = dict(zip(candidates, candidate_labels(cfg)))
-    crit_results = []
+    criteria = []
     for crit in cfg.criteria:
         try:
-            bundle = estimate_with_inference(
+            est, _ = estimate_with_inference(
                 sample, mask, X_s, y_s, fits, crit, cfg.level, crit_rng
             )
         except _FAILURES as exc:
-            crit_results.append(CriterionResult(failure=type(exc).__name__))
-            continue
-        covered = bool(bundle.ci.lower <= pop.mu <= bundle.ci.upper)
-        crit_results.append(
-            CriterionResult(
-                label_of[bundle.model], bundle.mu_hat,
-                bundle.variance.v1, bundle.variance.v2,
-                bundle.ci.lower, bundle.ci.upper, covered,
-            )
-        )
+            est = type(exc).__name__
+        criteria.append(est)
 
-    return ReplicationRecord(rep_id, pop.mu, ht_complete, mu_hats, tuple(crit_results))
+    return ReplicationRecord(rep_id, pop.mu, ht_complete, mu_hats, tuple(criteria))
 
 
 def _run_chunk(args):
@@ -206,7 +177,6 @@ def mc_loss(mu_hat, ht, N):
 @dataclass(frozen=True)
 class ModelSummary:
     label: str
-    model_class: str
     rb: float
     re: float
     loss: float
@@ -252,43 +222,40 @@ def summarize(cfg, records):
     B = len(records)
     mu_true = np.array([r.mu_true for r in records])
     ht = np.array([r.ht_complete for r in records])
-    labels = candidate_labels(cfg)
-    support = true_support(cfg.beta)
-    classes = [classify_model(m, support).value for m in build_candidates(cfg.candidates, cfg.p)]
 
     model_rows = []
-    for i, (label, klass) in enumerate(zip(labels, classes)):
+    for i, label in enumerate(candidate_labels(cfg)):
         # a NaN mu_hat from an existing fit is ok; only a None fit fails
         ok = np.array([r.mu_hats[i] is not None for r in records])
         mu = np.array([np.nan if r.mu_hats[i] is None else r.mu_hats[i] for r in records])
         rb = _guarded(relative_bias, mu[ok], mu_true[ok])
         re = _guarded(relative_efficiency, mu[ok], mu_true[ok], ht[ok])
         loss = _guarded(mc_loss, mu[ok], ht[ok], cfg.N)
-        model_rows.append(
-            ModelSummary(label, klass, rb, re, loss, 100.0 * (B - ok.sum()) / B)
-        )
+        model_rows.append(ModelSummary(label, rb, re, loss, 100.0 * (B - ok.sum()) / B))
 
-    class_of = dict(zip(labels, classes))
+    support = true_support(cfg.beta)
+    candidates = build_candidates(cfg.candidates, cfg.p)
+    class_of = {m: classify_model(m, support).value for m in candidates}
     criterion_rows = []
     for j, crit in enumerate(cfg.criteria):
-        results = [r.criteria[j] for r in records]
-        ok = np.array([c.ok for c in results])
-        mu = np.array([c.mu_hat if c.ok else np.nan for c in results])
-        vt = np.array([c.v_total if c.ok else np.nan for c in results])
-        covered = np.array([bool(c.covered) for c in results])[ok]
-        picked = [class_of[c.selected] for c in results if c.ok]
+        ok = np.array([isinstance(r.criteria[j], Estimate) for r in records])
+        ests = [r.criteria[j] for r in records if isinstance(r.criteria[j], Estimate)]
+        mu = np.array([e.mu_hat for e in ests])
+        vt = np.array([e.v_total for e in ests])
+        covered = [e.lower <= m <= e.upper for e, m in zip(ests, mu_true[ok])]
+        picked = [class_of[e.model] for e in ests]
         n_class = {k: picked.count(k) for k in ("wrong", "true", "overfit")}
         criterion_rows.append(
             CriterionSummary(
                 name=crit,
-                rb=_guarded(relative_bias, mu[ok], mu_true[ok]),
-                re=_guarded(relative_efficiency, mu[ok], mu_true[ok], ht[ok]),
-                loss=_guarded(mc_loss, mu[ok], ht[ok], cfg.N),
+                rb=_guarded(relative_bias, mu, mu_true[ok]),
+                re=_guarded(relative_efficiency, mu, mu_true[ok], ht[ok]),
+                loss=_guarded(mc_loss, mu, ht[ok], cfg.N),
                 freq_wrong=100.0 * n_class["wrong"] / B,
                 freq_true=100.0 * n_class["true"] / B,
                 freq_overfit=100.0 * n_class["overfit"] / B,
                 cp=_guarded(coverage_probability, covered),
-                var_rb=_guarded(variance_rb, vt[ok], mu[ok], mu_true[ok]),
+                var_rb=_guarded(variance_rb, vt, mu, mu_true[ok]),
                 failures=100.0 * (B - ok.sum()) / B,
             )
         )
@@ -346,7 +313,9 @@ def summary_to_csv(summary, path):
 
 
 def reps_to_csv(records, path, cfg):
+    """One row per replication; a criterion's covered is lo <= mu_true <= hi."""
     labels = candidate_labels(cfg)
+    label_of = dict(zip(build_candidates(cfg.candidates, cfg.p), labels))
     header = ["rep_id", "mu_true", "ht_complete"]
     header += [f"mu_{lab}" for lab in labels]
     for crit in cfg.criteria:
@@ -357,10 +326,10 @@ def reps_to_csv(records, path, cfg):
         for r in records:
             row = [r.rep_id, _fmt(r.mu_true), _fmt(r.ht_complete)]
             row += [_fmt(v) for v in r.mu_hats]
-            for c in r.criteria:
-                if c.ok:
-                    row += [c.selected, _fmt(c.mu_hat), _fmt(c.v1), _fmt(c.v2),
-                            _fmt(c.ci_lower), _fmt(c.ci_upper), int(c.covered)]
+            for e in r.criteria:
+                if isinstance(e, Estimate):
+                    row += [label_of[e.model], _fmt(e.mu_hat), _fmt(e.v1), _fmt(e.v2),
+                            _fmt(e.lower), _fmt(e.upper), int(e.lower <= r.mu_true <= e.upper)]
                 else:
-                    row += [c.failure, "", "", "", "", "", ""]
+                    row += [e, "", "", "", "", "", ""]
             w.writerow(row)

@@ -5,6 +5,9 @@ fit_candidates, which selection scores in their key order.
 The estimator is linearized through per-unit values eta_hat whose HT
 mean reproduces mu_hat exactly; v1 is the design variance of that HT
 mean and v2 adds the model component from predicting the missing y.
+variance_for_model returns (v1, v2, sigma2_hat), confidence_interval
+(lower, upper), and estimate_with_inference one Estimate per dataset
+together with the selection scores.
 """
 
 from dataclasses import dataclass
@@ -18,23 +21,22 @@ from .selection import select
 
 
 @dataclass(frozen=True)
-class VarianceEstimate:
+class Estimate:
+    """One dataset's result: the selected model, its imputed mean, the
+    variance components v1 and v2 with the sigma^2 behind v2, and the
+    interval [lower, upper]."""
+
+    model: object
+    mu_hat: float
     v1: float
     v2: float
     sigma2_hat: float
-    c_hat: np.ndarray
+    lower: float
+    upper: float
 
     @property
     def v_total(self):
         return self.v1 + self.v2
-
-
-@dataclass(frozen=True)
-class ConfidenceInterval:
-    lower: float
-    upper: float
-    level: float
-    point: float
 
 
 def c_hat(sample, mask, Z, fit):
@@ -119,10 +121,11 @@ def v2_hat(sample, mask, sigma2, zc):
 
 
 def confidence_interval(point, v_total, level):
-    """Normal interval point +/- z * sqrt(v_total) at the given confidence
-    level, z from the lower tail (1 - level) / 2, which unlike (1 + level) / 2
-    never rounds to 1. A non-finite point or variance (finite data can
-    overflow) or a negative variance raises EstimationFailureError."""
+    """(lower, upper) of the normal interval point +/- z * sqrt(v_total)
+    at the given confidence level, z from the lower tail (1 - level) / 2,
+    which unlike (1 + level) / 2 never rounds to 1. A non-finite point or
+    variance (finite data can overflow) or a negative variance raises
+    EstimationFailureError."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     if not (np.isfinite(point) and np.isfinite(v_total)):
@@ -131,38 +134,30 @@ def confidence_interval(point, v_total, level):
         raise EstimationFailureError(f"negative variance estimate {v_total}")
     z = -NormalDist().inv_cdf((1.0 - level) / 2.0)
     half = z * np.sqrt(v_total)
-    return ConfidenceInterval(float(point - half), float(point + half), level, float(point))
-
-
-@dataclass(frozen=True)
-class EstimateBundle:
-    model: object
-    mu_hat: float
-    variance: VarianceEstimate
-    ci: ConfidenceInterval
-    scores: tuple
+    return float(point - half), float(point + half)
 
 
 def variance_for_model(sample, mask, X, y, model, fit):
-    """v1, v2 and sigma^2 of the model's imputation estimator. The
+    """(v1, v2, sigma^2) of the model's imputation estimator. The
     model's design Z over the sample is built once, for c_hat and
     eta_hat, and Z @ c once, for eta_hat and v2_hat."""
     Z = design_matrix(X, model)
-    c = c_hat(sample, mask, Z, fit)
-    zc = Z @ c
+    zc = Z @ c_hat(sample, mask, Z, fit)
     v1 = v1_hat(sample, eta_hat(sample, mask, Z, y, fit, zc))
     s2 = sigma2_hat(fit, model)
     v2 = v2_hat(sample, mask, s2, zc)
-    return VarianceEstimate(v1, v2, s2, c)
+    return v1, v2, s2
 
 
 def estimate_with_inference(sample, mask, X, y, fits, criterion, level, rng=None):
     """Full pipeline on one dataset: select a model on the respondents,
     impute, estimate the variance, and build the interval, all from the
-    candidate set fits (from fit_candidates), scored in its key order."""
+    candidate set fits (from fit_candidates), scored in its key order.
+    -> (Estimate, the selection's scores)."""
     y_r = np.asarray(y, dtype=np.float64)[mask.respondents]
     model, scores = select(criterion, fits, y_r, rng)
-    mu = imputed_mean(sample, mask, X, y, model, fits[model])
-    var = variance_for_model(sample, mask, X, y, model, fits[model])
-    ci = confidence_interval(mu, var.v_total, level)
-    return EstimateBundle(model, mu, var, ci, tuple(scores))
+    fit = fits[model]
+    mu = imputed_mean(sample, mask, X, y, model, fit)
+    v1, v2, s2 = variance_for_model(sample, mask, X, y, model, fit)
+    lower, upper = confidence_interval(mu, v1 + v2, level)
+    return Estimate(model, mu, v1, v2, s2, lower, upper), scores

@@ -228,6 +228,35 @@ class TestOutputPaths:
                                         "--config", str(cfg),
                                         "--out-dir", str(tmp_path / "taken")], "--out-dir")
 
+    def test_simulate_summary_csv_is_a_directory(self, tmp_path, capsys):
+        cfg_path = study_json(tmp_path)
+        (tmp_path / "o" / "summary.csv").mkdir(parents=True)
+        with mock.patch.object(cli, "run_study") as run_study:
+            self.refused(tmp_path, capsys, ["simulate", "--config", str(cfg_path),
+                                            "--out-dir", str(tmp_path / "o")], "--out-dir")
+        run_study.assert_not_called()
+
+    def test_estimate_json_is_a_directory(self, tmp_path, capsys):
+        ids, X, y, pi = sample_data()
+        write_sample_csv(tmp_path / "d.csv", ids, X, y, pi, missing={2})
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps({"criterion": "bic", "design": {"kind": "srswor", "N": 50}}))
+        (tmp_path / "o" / "estimate.json").mkdir(parents=True)
+        self.refused(tmp_path, capsys, ["estimate", "--data", str(tmp_path / "d.csv"),
+                                        "--config", str(cfg),
+                                        "--out-dir", str(tmp_path / "o")], "--out-dir")
+
+    @pytest.mark.parametrize("out", ["existing", "new"])
+    def test_simulate_reps_out_is_the_summary_csv(self, tmp_path, capsys, out):
+        cfg_path = study_json(tmp_path)
+        (tmp_path / "existing").mkdir()
+        reps = tmp_path / out / "." / "summary.csv"
+        with mock.patch.object(cli, "run_study") as run_study:
+            self.refused(tmp_path, capsys, ["simulate", "--config", str(cfg_path),
+                                            "--out-dir", str(tmp_path / out),
+                                            "--reps-out", str(reps)], "--reps-out")
+        run_study.assert_not_called()
+
     def test_reps_out_may_go_into_the_new_out_dir(self, tmp_path, capsys):
         cfg_path = study_json(tmp_path)
         out = tmp_path / "a" / "b"
@@ -590,15 +619,15 @@ class TestEstimate:
         r = np.ones(n, dtype=bool)
         r[list(missing)] = False
         fits = fit_candidates(X[r], y[r], nested_candidates(2))
-        bundle = estimate_with_inference(
+        est, _ = estimate_with_inference(
             sample, ResponseMask(r), X, np.where(r, y, np.nan), fits, "bic", 0.95,
         )
-        assert got["selected"]["included"] == list(bundle.model.included)
-        assert got["mu_hat"] == _round10(bundle.mu_hat)
-        assert got["v1"] == _round10(bundle.variance.v1)
-        assert got["v2"] == _round10(bundle.variance.v2)
-        assert got["ci"]["lower"] == _round10(bundle.ci.lower)
-        assert got["ci"]["upper"] == _round10(bundle.ci.upper)
+        assert got["selected"]["included"] == list(est.model.included)
+        assert got["mu_hat"] == _round10(est.mu_hat)
+        assert got["v1"] == _round10(est.v1)
+        assert got["v2"] == _round10(est.v2)
+        assert got["ci"]["lower"] == _round10(est.lower)
+        assert got["ci"]["upper"] == _round10(est.upper)
         assert got["n_respondents"] == n - len(missing)
 
         on_disk = json.loads((tmp_path / "o" / "estimate.json").read_text())
@@ -769,20 +798,21 @@ class TestEstimate:
             sample = SampleDraw(np.arange(22), np.repeat([0, 1], [12, 10])[order], design)
             Xo, yo, ro = X[order], y[order], r[order]
             rng = np.random.default_rng(np.random.SeedSequence([2, 0]))
-            return estimate_with_inference(
+            est, _ = estimate_with_inference(
                 sample, ResponseMask(ro), Xo, np.where(ro, yo, np.nan),
                 fit_candidates(Xo[ro], yo[ro], nested_candidates(3)), "cv5", 0.95, rng,
             )
+            return est
 
-        bundle = in_process(np.arange(22))
-        assert got["selected"]["included"] == list(bundle.model.included)
-        assert got["mu_hat"] == _round10(bundle.mu_hat)
-        assert got["v1"] == _round10(bundle.variance.v1)
-        assert got["v2"] == _round10(bundle.variance.v2)
-        assert got["sigma2_hat"] == _round10(bundle.variance.sigma2_hat)
-        assert got["ci"]["lower"] == _round10(bundle.ci.lower)
-        assert got["ci"]["upper"] == _round10(bundle.ci.upper)
-        assert in_process(np.argsort(ids)).model != bundle.model
+        est = in_process(np.arange(22))
+        assert got["selected"]["included"] == list(est.model.included)
+        assert got["mu_hat"] == _round10(est.mu_hat)
+        assert got["v1"] == _round10(est.v1)
+        assert got["v2"] == _round10(est.v2)
+        assert got["sigma2_hat"] == _round10(est.sigma2_hat)
+        assert got["ci"]["lower"] == _round10(est.lower)
+        assert got["ci"]["upper"] == _round10(est.upper)
+        assert in_process(np.argsort(ids)).model != est.model
 
     def test_stratified_id_mismatch_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(12)

@@ -282,6 +282,64 @@ class TestEstimateParsing:
         expect_field(raw, "criterion", parse_estimate_config)
 
 
+def _with_law(name, **params):
+    cfg = base_study()
+    cfg["population"]["covariate_law"] = {"name": name, **params}
+    return cfg
+
+
+def _slot(make, keys, field, name=None):
+    """One float slot: the config, the keys down to the slot, and the
+    field path an error there reports."""
+    return pytest.param(make, keys, field, id=name or field)
+
+
+FLOAT_SLOTS = [
+    _slot(base_study, ("level",), "level"),
+    _slot(base_study, ("failure_threshold",), "failure_threshold"),
+    _slot(base_study, ("population", "beta", 1), "population.beta[1]"),
+    _slot(base_study, ("population", "sigma"), "population.sigma"),
+    _slot(base_study, ("population", "response_offset"), "population.response_offset"),
+    _slot(base_study, ("population", "response_scale"), "population.response_scale"),
+    _slot(base_study, ("population", "response_coefs", 2), "population.response_coefs[2]"),
+    _slot(base_study, ("population", "covariate_law", "shape"),
+          "population.covariate_law.shape"),
+    _slot(base_study, ("population", "covariate_law", "scale"),
+          "population.covariate_law.scale"),
+    _slot(lambda: _with_law("normal", loc=0.0, scale=1.0),
+          ("population", "covariate_law", "loc"), "population.covariate_law.loc"),
+    _slot(lambda: _with_law("normal", loc=0.0, scale=1.0),
+          ("population", "covariate_law", "scale"), "population.covariate_law.scale",
+          "normal.scale"),
+    _slot(lambda: _with_law("uniform", low=0.0, high=1.0),
+          ("population", "covariate_law", "low"), "population.covariate_law.low"),
+    _slot(lambda: _with_law("uniform", low=0.0, high=1.0),
+          ("population", "covariate_law", "high"), "population.covariate_law.high"),
+    _slot(base_stratified, ("design", "sort_coefs", 0), "design.sort_coefs[0]"),
+    _slot(base_stratified, ("design", "fractions", 1), "design.fractions[1]"),
+    _slot(lambda: {"criterion": "bic", "design": {"kind": "srswor", "N": 50}},
+          ("level",), "level", "estimate.level"),
+]
+
+
+@pytest.mark.parametrize(
+    "literal", ["NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="10**400")]
+)
+@pytest.mark.parametrize("make, keys, field", FLOAT_SLOTS)
+def test_non_finite_numbers_refused_at_their_field(make, keys, field, literal):
+    # json reads NaN and +-Infinity, and an integer too large for a float
+    cfg = make()
+    slot = cfg
+    for key in keys[:-1]:
+        slot = slot[key]
+    slot[keys[-1]] = "@"
+    obj = json.loads(json.dumps(cfg).replace('"@"', literal))
+    parser = parse_study_config if "population" in obj else parse_estimate_config
+    with pytest.raises(ConfigError) as err:
+        parser(obj)
+    assert (err.value.field, "finite" in err.value.message) == (field, True), err.value
+
+
 class TestLoadJson:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError) as err:

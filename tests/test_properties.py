@@ -244,9 +244,9 @@ def test_modelspec_canonicalization_is_idempotent(idx):
     st.floats(min_value=0.01, max_value=0.99),
 )
 def test_confidence_interval_geometry(point, v, level):
-    ci = confidence_interval(point, v, level)
-    assert ci.lower <= point <= ci.upper
-    assert ci.upper - point == pytest.approx(point - ci.lower, rel=1e-9, abs=1e-9)
+    lower, upper = confidence_interval(point, v, level)
+    assert lower <= point <= upper
+    assert upper - point == pytest.approx(point - lower, rel=1e-9, abs=1e-9)
     from scipy.special import ndtri
     half = float(ndtri((1 + level) / 2)) * np.sqrt(v)
-    assert ci.upper - ci.lower == pytest.approx(2 * half, rel=1e-9, abs=1e-9)
+    assert upper - lower == pytest.approx(2 * half, rel=1e-9, abs=1e-9)

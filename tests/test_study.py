@@ -31,7 +31,7 @@ from survey_impute.study import (
     summary_to_csv,
     variance_rb,
 )
-from survey_impute.variance import estimate_with_inference
+from survey_impute.variance import Estimate, estimate_with_inference
 
 
 def tiny_config(**tweaks):
@@ -120,12 +120,12 @@ class TestRunReplication:
         rec = run_replication(cfg, 0)
         assert rec.ht_complete == pytest.approx(rec.mu_true, rel=1e-14)
         bic = rec.criteria[0]
-        assert bic.ok
+        assert isinstance(bic, Estimate)
         assert bic.mu_hat == pytest.approx(rec.mu_true, rel=1e-14)
         assert bic.v_total == pytest.approx(0.0, abs=1e-15)
-        assert bic.ci_lower == pytest.approx(rec.mu_true, rel=1e-12)
-        assert bic.ci_upper == pytest.approx(rec.mu_true, rel=1e-12)
-        assert bic.covered is True
+        assert bic.lower == pytest.approx(rec.mu_true, rel=1e-12)
+        assert bic.upper == pytest.approx(rec.mu_true, rel=1e-12)
+        assert bic.lower <= rec.mu_true <= bic.upper
 
         summary = summarize(cfg, [rec])
         crit = summary.criterion_rows[0]
@@ -225,7 +225,7 @@ class TestFitSharing:
         )
         calls = count_factorizations(monkeypatch)
         rec = run_replication(cfg, 0)
-        assert None not in rec.mu_hats and all(c.ok for c in rec.criteria)
+        assert None not in rec.mu_hats and all(isinstance(c, Estimate) for c in rec.criteria)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("criterion", ["aic", "bic", "cv5"])
@@ -238,9 +238,9 @@ class TestFitSharing:
         cands = nested_candidates(3)
         fits = fit_candidates(X[mask.respondents], y[mask.respondents], cands)
         calls = count_factorizations(monkeypatch)
-        bundle = estimate_with_inference(sample, mask, X, y, fits, criterion, 0.95,
+        est, _ = estimate_with_inference(sample, mask, X, y, fits, criterion, 0.95,
                                          np.random.default_rng(22))
-        assert np.isfinite(bundle.variance.v_total)
+        assert np.isfinite(est.v_total)
         assert calls == []
 
 
@@ -266,7 +266,7 @@ class TestFailureAccounting:
         assert total == pytest.approx(100.0, abs=1e-9)
         assert crit.failures > 0.0
         assert summary.failure_rate > 0.0
-        names = {c.failure for r in records for c in r.criteria if not c.ok}
+        names = {c for r in records for c in r.criteria if isinstance(c, str)}
         assert names <= {"SelectionFailureError", "EstimationFailureError"}
         assert names
 
@@ -282,7 +282,7 @@ class TestFailureAccounting:
         )
         summary, records = run_study(cfg)
         assert summary.criterion_rows[0].failures > 0.0
-        names = {c.failure for r in records for c in r.criteria if not c.ok}
+        names = {c for r in records for c in r.criteria if isinstance(c, str)}
         assert "SelectionFailureError" in names
 
     def test_model_rows_track_their_own_failures(self):
@@ -351,7 +351,7 @@ def tiny_study(draw):
 def test_tiny_studies_count_their_failures(cfg):
     records = run_records(cfg)
     summary = summarize(cfg, records)
-    names = {c.failure for r in records for c in r.criteria if not c.ok}
+    names = {c for r in records for c in r.criteria if isinstance(c, str)}
     assert names <= {"SelectionFailureError", "EstimationFailureError"}
     for row in summary.criterion_rows:
         total = row.freq_wrong + row.freq_true + row.freq_overfit + row.failures
@@ -414,10 +414,10 @@ class TestGoldenReplication:
         assert rec.ht_complete == pytest.approx(514.0659101, rel=1e-9)
         assert rec.mu_hats[5] == pytest.approx(511.0395697, rel=1e-9)  # alpha6
         bic = rec.criteria[list(cfg.criteria).index("bic")]
-        assert bic.ok
-        assert bic.selected == "alpha6"
+        assert isinstance(bic, Estimate)
+        assert bic.model == nested_candidates(cfg.p)[5]  # alpha6
         assert bic.v1 == pytest.approx(28.34810904, rel=1e-9)
         assert bic.v2 == pytest.approx(0.7220067505, rel=1e-9)
-        assert bic.ci_lower == pytest.approx(500.4720888, rel=1e-9)
-        assert bic.ci_upper == pytest.approx(521.6070506, rel=1e-9)
-        assert bic.covered is True
+        assert bic.lower == pytest.approx(500.4720888, rel=1e-9)
+        assert bic.upper == pytest.approx(521.6070506, rel=1e-9)
+        assert bic.lower <= rec.mu_true <= bic.upper
