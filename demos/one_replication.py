@@ -85,7 +85,7 @@ def main():
     model, scores = select("bic", fits, y_s[resp])
     chosen = f"alpha{max(model.included)}"
     print(f"\nBIC scores: " + ", ".join(
-        f"alpha{max(s.model.included)}={s.score:.1f}" for s in scores[:5]) + ", ...")
+        f"alpha{max(m.included)}={s:.1f}" for m, s in list(scores.items())[:5]) + ", ...")
     print(f"BIC picks {chosen} ({classify_model(model, pop.true_support).value})")
 
     mu_hat = imputed_mean(sample, mask, X_s, y_s, model, fits[model])

@@ -51,7 +51,6 @@ from .population import (  # noqa: E402
     generate_response,
 )
 from .selection import (  # noqa: E402
-    CriterionScore,
     make_folds,
     parse_criterion,
     score_aic,
@@ -81,10 +80,9 @@ from .config import (  # noqa: E402
     resolved_study_config,
 )
 from .study import (  # noqa: E402
-    CriterionSummary,
-    ModelSummary,
     ReplicationRecord,
     StudySummary,
+    SummaryRow,
     coverage_probability,
     mc_loss,
     relative_bias,

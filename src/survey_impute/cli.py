@@ -64,11 +64,11 @@ def _with_env_seed(cfg):
     return dataclasses.replace(cfg, master_seed=seed)
 
 
-def _check_outputs(out_dir, name, reps_out=None):
+def _check_outputs(out_dir, name, inputs, reps_out=None):
     """Refuse, before any work and creating nothing, an out_dir that
     os.makedirs cannot make, an output file out_dir/name that is a
-    directory, or a reps_out that names no file in an existing directory
-    or in out_dir, or that names out_dir/name itself."""
+    directory or an input file, or a reps_out that names no file in an
+    existing directory or in out_dir, or names out_dir/name or an input."""
     top = os.path.abspath(out_dir)
     while not os.path.lexists(top):
         top = os.path.dirname(top)
@@ -84,6 +84,10 @@ def _check_outputs(out_dir, name, reps_out=None):
             raise ConfigError("--reps-out", f"cannot write a file at {reps_out!r}")
         if os.path.realpath(reps_out) == os.path.realpath(target):
             raise ConfigError("--reps-out", f"{reps_out!r} is the {name} of --out-dir")
+    read = {os.path.realpath(path) for path in inputs}
+    for flag, path in (("--out-dir", target), ("--reps-out", reps_out)):
+        if path is not None and os.path.realpath(path) in read:
+            raise ConfigError(flag, f"cannot write {path!r}: it is an input file")
 
 
 def _print_summary_table(cfg, summary, out):
@@ -106,7 +110,7 @@ def cmd_simulate(args):
         return EXIT_OK
 
     out_dir = args.out_dir or "."
-    _check_outputs(out_dir, "summary.csv", args.reps_out)
+    _check_outputs(out_dir, "summary.csv", (args.config,), args.reps_out)
     # run_study refuses --threads < 1 before any work, so a refused run creates nothing
     summary, records = run_study(cfg, threads=args.threads)
     os.makedirs(out_dir, exist_ok=True)
@@ -305,7 +309,7 @@ def build_estimate_design(cfg, ids, pi):
         labels = np.repeat(np.arange(len(cfg.strata)), design.allocations)[by_id]
     order = np.argsort(labels, kind="stable")
     sample = SampleDraw(np.arange(n), labels[order], design)
-    if np.max(np.abs(pi[order] - sample.pi_first)) > 1e-9:
+    if np.any(np.abs(pi[order] - sample.pi_first) > 1e-9 * sample.pi_first):
         raise ConfigError("pi", "pi column inconsistent with the declared design")
     return sample, order
 
@@ -316,7 +320,7 @@ def cmd_estimate(args):
         print(json.dumps(resolved_estimate_config(cfg), indent=2))
         return EXIT_OK
     if args.out_dir:
-        _check_outputs(args.out_dir, "estimate.json")
+        _check_outputs(args.out_dir, "estimate.json", (args.config, args.data))
 
     ids, X, y, pi, resp = read_estimate_csv(args.data)
     p = X.shape[1]

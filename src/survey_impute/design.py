@@ -118,7 +118,8 @@ def joint_matrix(design, strata):
         raise InvalidDesignError("joint inclusion undefined for N_h < 2")
     labels = np.asarray(strata, dtype=np.int64)
     pi = first_order(design, labels)
-    within = n_h * (n_h - 1) / (N_h * (N_h - 1))
+    # as floats: the int64 product N_h (N_h - 1) wraps past about 3e9
+    within = n_h * (n_h - 1) / (N_h.astype(float) * (N_h - 1))
     same = labels[:, None] == labels[None, :]
     J = np.where(same, within[labels][:, None], pi[:, None] * pi[None, :])
     np.fill_diagonal(J, pi)

@@ -6,16 +6,16 @@ The candidate set is the dict of respondent fits from fit_candidates
 order is the scoring order. Every criterion reads each candidate's one
 fit: AIC and BIC its rss, K-fold CV its Q, R and residuals, from which
 the held-out residuals of every training fold follow in closed form, all
-K folds in one batched solve, so no score refits anything. Scores are
-compared as (score, p_alpha, included), so ties go to the smaller model
-and then lexicographically. A candidate that is rank deficient, or has
+K folds in one batched solve, so no score refits anything. The scores
+come back as {model: score}, keyed like the fits, and are compared as
+(score, p_alpha, included), so ties go to the smaller model and then
+lexicographically. A candidate that is rank deficient, or has
 no residual degrees of freedom (n_r <= p_alpha) and so no sigma^2 and no
 interval, scores +inf; under cvK so does one with a singular training
 fold.
 """
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,12 +27,6 @@ from .estimators import deleted_rows_factor
 RSS_INTERP_REL = 1e-16
 
 _CV_RE = re.compile(r"^cv([0-9]+)$")
-
-
-@dataclass(frozen=True)
-class CriterionScore:
-    model: object
-    score: float
 
 
 def parse_criterion(name):
@@ -97,11 +91,11 @@ def score_kfold_cv(fit, folds):
 
 
 def score_candidates(criterion, fits, y_r, rng=None):
-    """Score the candidate set fits (from fit_candidates on y_r; no
-    criterion fits anything) in its key order, in which cvK draws each
-    candidate's folds from rng. A None fit, or n_r <= p_alpha, scores
-    +inf. y_r gives n_r, needed even when every fit is None, and tss.
-    """
+    """{model: score} for the candidate set fits (from fit_candidates on
+    y_r; no criterion fits anything), in its key order, in which cvK
+    draws each candidate's folds from rng. A None fit, or n_r <= p_alpha,
+    scores +inf. y_r gives n_r, needed even when every fit is None, and
+    tss."""
     kind, k = parse_criterion(criterion)
     y_r = np.asarray(y_r, dtype=np.float64)
     n_r = y_r.size
@@ -112,7 +106,7 @@ def score_candidates(criterion, fits, y_r, rng=None):
     # n_r = 0 leaves every fit singular; keep the guard quiet about it
     tss = float(np.sum((y_r - y_r.mean()) ** 2)) if n_r else 0.0
 
-    out = []
+    scores = {}
     for model, fit in fits.items():
         # each candidate gets its own random split, as when a CV routine
         # is called once per model, even when its score is already +inf
@@ -125,19 +119,18 @@ def score_candidates(criterion, fits, y_r, rng=None):
             rss = 0.0 if fit.rss <= RSS_INTERP_REL * tss else fit.rss
             scorer = score_aic if kind == "aic" else score_bic
             score = scorer(rss, n_r, model.p_alpha)
-        out.append(CriterionScore(model, float(score)))
-    return out
+        scores[model] = float(score)
+    return scores
 
 
 def select(criterion, fits, y_r, rng=None):
     """Pick the best candidate of the candidate set fits, scored in its
-    key order (see score_candidates). Returns (model, scores)."""
+    key order (see score_candidates). Returns (model, {model: score})."""
     if not fits:
         raise SelectionFailureError("no candidate models")
     scores = score_candidates(criterion, fits, y_r, rng)
-    finite = [s for s in scores if s.score < float("inf")]
+    finite = [m for m, s in scores.items() if s < float("inf")]
     if not finite:
         raise SelectionFailureError("every candidate model is rank deficient or "
                                     "leaves no residual degrees of freedom")
-    best = min(finite, key=lambda s: (s.score, s.model.p_alpha, s.model.included))
-    return best.model, scores
+    return min(finite, key=lambda m: (scores[m], m.p_alpha, m.included)), scores

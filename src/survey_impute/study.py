@@ -1,4 +1,5 @@
-"""Monte Carlo replication engine and metric aggregation.
+"""Monte Carlo replication engine and metric aggregation into one
+SummaryRow per candidate (labeled by candidate_labels) and per criterion.
 
 Each replication derives its own RNG streams from
 SeedSequence([master_seed, rep_id]).spawn(4), one stream per stage
@@ -9,7 +10,7 @@ rep_id order.
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -31,7 +32,7 @@ class ReplicationRecord:
     """One replication's numbers; mu_hats in candidate order, None where
     the fit is None, and criteria in config order, each the criterion's
     Estimate or the class name of the error it failed with. Labels and
-    classes come from the config."""
+    classes come from the config (candidate_labels)."""
 
     rep_id: int
     mu_true: float
@@ -41,9 +42,11 @@ class ReplicationRecord:
 
 
 def candidate_labels(cfg):
-    if cfg.candidates == "nested":
-        return [f"alpha{j}" for j in range(1, cfg.p + 1)]
-    return [m.label() for m in build_candidates(cfg.candidates, cfg.p)]
+    """{model: label} in config order: alpha1..alphap for the nested
+    list, ModelSpec.label() otherwise."""
+    nested = cfg.candidates == "nested"
+    return {m: f"alpha{j}" if nested else m.label()
+            for j, m in enumerate(build_candidates(cfg.candidates, cfg.p), start=1)}
 
 
 def run_replication(cfg, rep_id):
@@ -67,8 +70,7 @@ def run_replication(cfg, rep_id):
     y_s = pop.y[sample.unit_ids]
     ht_complete = ht_mean(sample, y_s)
 
-    candidates = build_candidates(cfg.candidates, cfg.p)
-    fits = fit_candidates(X_s[mask.respondents], y_s[mask.respondents], candidates)
+    fits = fit_candidates(X_s[mask.respondents], y_s[mask.respondents], candidate_labels(cfg))
     mu_hats = tuple(imputed_means(sample, mask, X_s, y_s, fits).values())
 
     criteria = []
@@ -174,26 +176,20 @@ def mc_loss(mu_hat, ht, N):
 
 # --- aggregation -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelSummary:
-    label: str
-    rb: float
-    re: float
-    loss: float
-    failures: float
+@dataclass(frozen=True, kw_only=True)
+class SummaryRow:
+    """One line of summary.csv after its scope, in column order; model
+    rows leave the selection frequencies, CP and varRB None."""
 
-
-@dataclass(frozen=True)
-class CriterionSummary:
     name: str
     rb: float
     re: float
     loss: float
-    freq_wrong: float
-    freq_true: float
-    freq_overfit: float
-    cp: float
-    var_rb: float
+    freq_wrong: float = None
+    freq_true: float = None
+    freq_overfit: float = None
+    cp: float = None
+    var_rb: float = None
     failures: float
 
 
@@ -218,47 +214,49 @@ def _guarded(fn, *args):
         return None
 
 
+def _summary_row(name, mu, mu_true, ht, B, N, **cells):
+    """A row from the estimates mu of the replications that did not fail
+    and their mu_true and ht; failures is the share of all B that did."""
+    return SummaryRow(
+        name=name,
+        rb=_guarded(relative_bias, mu, mu_true),
+        re=_guarded(relative_efficiency, mu, mu_true, ht),
+        loss=_guarded(mc_loss, mu, ht, N),
+        failures=100.0 * (B - mu.size) / B,
+        **cells,
+    )
+
+
 def summarize(cfg, records):
     B = len(records)
     mu_true = np.array([r.mu_true for r in records])
     ht = np.array([r.ht_complete for r in records])
+    labels = candidate_labels(cfg)
 
     model_rows = []
-    for i, label in enumerate(candidate_labels(cfg)):
-        # a NaN mu_hat from an existing fit is ok; only a None fit fails
+    for i, label in enumerate(labels.values()):
+        # only a None fit fails (None reads as NaN); a NaN mu_hat is ok
         ok = np.array([r.mu_hats[i] is not None for r in records])
-        mu = np.array([np.nan if r.mu_hats[i] is None else r.mu_hats[i] for r in records])
-        rb = _guarded(relative_bias, mu[ok], mu_true[ok])
-        re = _guarded(relative_efficiency, mu[ok], mu_true[ok], ht[ok])
-        loss = _guarded(mc_loss, mu[ok], ht[ok], cfg.N)
-        model_rows.append(ModelSummary(label, rb, re, loss, 100.0 * (B - ok.sum()) / B))
+        mu = np.array([r.mu_hats[i] for r in records], dtype=np.float64)[ok]
+        model_rows.append(_summary_row(label, mu, mu_true[ok], ht[ok], B, cfg.N))
 
     support = true_support(cfg.beta)
-    candidates = build_candidates(cfg.candidates, cfg.p)
-    class_of = {m: classify_model(m, support).value for m in candidates}
+    class_of = {m: classify_model(m, support).value for m in labels}
     criterion_rows = []
     for j, crit in enumerate(cfg.criteria):
         ok = np.array([isinstance(r.criteria[j], Estimate) for r in records])
         ests = [r.criteria[j] for r in records if isinstance(r.criteria[j], Estimate)]
         mu = np.array([e.mu_hat for e in ests])
-        vt = np.array([e.v_total for e in ests])
         covered = [e.lower <= m <= e.upper for e, m in zip(ests, mu_true[ok])]
         picked = [class_of[e.model] for e in ests]
-        n_class = {k: picked.count(k) for k in ("wrong", "true", "overfit")}
-        criterion_rows.append(
-            CriterionSummary(
-                name=crit,
-                rb=_guarded(relative_bias, mu, mu_true[ok]),
-                re=_guarded(relative_efficiency, mu, mu_true[ok], ht[ok]),
-                loss=_guarded(mc_loss, mu, ht[ok], cfg.N),
-                freq_wrong=100.0 * n_class["wrong"] / B,
-                freq_true=100.0 * n_class["true"] / B,
-                freq_overfit=100.0 * n_class["overfit"] / B,
-                cp=_guarded(coverage_probability, covered),
-                var_rb=_guarded(variance_rb, vt, mu, mu_true[ok]),
-                failures=100.0 * (B - ok.sum()) / B,
-            )
-        )
+        criterion_rows.append(_summary_row(
+            crit, mu, mu_true[ok], ht[ok], B, cfg.N,
+            freq_wrong=100.0 * picked.count("wrong") / B,
+            freq_true=100.0 * picked.count("true") / B,
+            freq_overfit=100.0 * picked.count("overfit") / B,
+            cp=_guarded(coverage_probability, covered),
+            var_rb=_guarded(variance_rb, [e.v_total for e in ests], mu, mu_true[ok]),
+        ))
 
     return StudySummary(cfg.name, B, tuple(model_rows), tuple(criterion_rows))
 
@@ -291,17 +289,10 @@ def _fmt(v):
 
 
 def summary_rows(summary):
-    """The summary table as rows of strings in SUMMARY_COLUMNS order;
-    cells a model row does not define are empty."""
-    rows = [
-        ["model", m.label, m.rb, m.re, m.loss, None, None, None, None, None, m.failures]
-        for m in summary.model_rows
-    ]
-    rows += [
-        ["criterion", c.name, c.rb, c.re, c.loss, c.freq_wrong, c.freq_true,
-         c.freq_overfit, c.cp, c.var_rb, c.failures]
-        for c in summary.criterion_rows
-    ]
+    """The summary table as rows of strings in SUMMARY_COLUMNS order: the
+    scope, then the row's fields; a None field is an empty cell."""
+    rows = [("model", *astuple(m)) for m in summary.model_rows]
+    rows += [("criterion", *astuple(c)) for c in summary.criterion_rows]
     return [[_fmt(v) for v in row] for row in rows]
 
 
@@ -315,9 +306,8 @@ def summary_to_csv(summary, path):
 def reps_to_csv(records, path, cfg):
     """One row per replication; a criterion's covered is lo <= mu_true <= hi."""
     labels = candidate_labels(cfg)
-    label_of = dict(zip(build_candidates(cfg.candidates, cfg.p), labels))
     header = ["rep_id", "mu_true", "ht_complete"]
-    header += [f"mu_{lab}" for lab in labels]
+    header += [f"mu_{lab}" for lab in labels.values()]
     for crit in cfg.criteria:
         header += [f"{crit}_{f}" for f in ("selected", "mu", "v1", "v2", "lo", "hi", "covered")]
     with open(path, "w", newline="") as fh:
@@ -328,7 +318,7 @@ def reps_to_csv(records, path, cfg):
             row += [_fmt(v) for v in r.mu_hats]
             for e in r.criteria:
                 if isinstance(e, Estimate):
-                    row += [label_of[e.model], _fmt(e.mu_hat), _fmt(e.v1), _fmt(e.v2),
+                    row += [labels[e.model], _fmt(e.mu_hat), _fmt(e.v1), _fmt(e.v2),
                             _fmt(e.lower), _fmt(e.upper), int(e.lower <= r.mu_true <= e.upper)]
                 else:
                     row += [e, "", "", "", "", "", ""]

@@ -92,7 +92,8 @@ def v1_hat(sample, eta):
         pi = float(sample.pi_first[0])
         return (1.0 - pi) * (float(eta[0]) / pi) ** 2 / (N * N)
     labels = sample.strata
-    N_h, n_h = design.population_sizes, design.allocations
+    # as floats: the int64 product N_h (N_h - n_h) wraps past about 3e9
+    N_h, n_h = design.population_sizes.astype(float), design.allocations
     mean = np.bincount(labels, weights=eta, minlength=n_h.size) / n_h
     dev2 = (eta - mean[labels]) ** 2
     s2 = np.bincount(labels, weights=dev2, minlength=n_h.size) / (n_h - 1)
@@ -153,7 +154,7 @@ def estimate_with_inference(sample, mask, X, y, fits, criterion, level, rng=None
     """Full pipeline on one dataset: select a model on the respondents,
     impute, estimate the variance, and build the interval, all from the
     candidate set fits (from fit_candidates), scored in its key order.
-    -> (Estimate, the selection's scores)."""
+    -> (Estimate, the selection's {model: score})."""
     y_r = np.asarray(y, dtype=np.float64)[mask.respondents]
     model, scores = select(criterion, fits, y_r, rng)
     fit = fits[model]

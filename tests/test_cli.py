@@ -257,6 +257,44 @@ class TestOutputPaths:
                                             "--reps-out", str(reps)], "--reps-out")
         run_study.assert_not_called()
 
+    def refused_untouched(self, tmp_path, capsys, argv, flag):
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        with mock.patch.object(cli, "run_study") as run_study, \
+                mock.patch.object(cli, "read_estimate_csv") as read_data:
+            self.refused(tmp_path, capsys, argv, flag)
+        run_study.assert_not_called()
+        read_data.assert_not_called()
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("how", ["same", "dotted", "symlink"])
+    def test_simulate_reps_out_is_the_config(self, tmp_path, capsys, how):
+        cfg_path = study_json(tmp_path)
+        reps = {"same": cfg_path, "dotted": tmp_path / "." / cfg_path.name,
+                "symlink": tmp_path / "link.csv"}[how]
+        if how == "symlink":
+            reps.symlink_to(cfg_path)
+        self.refused_untouched(tmp_path, capsys, ["simulate", "--config", str(cfg_path),
+                                                  "--out-dir", str(tmp_path / "o"),
+                                                  "--reps-out", str(reps)], "--reps-out")
+
+    def test_simulate_summary_csv_is_the_config(self, tmp_path, capsys):
+        cfg_path = study_json(tmp_path, name="summary.csv")
+        self.refused_untouched(tmp_path, capsys, ["simulate", "--config", str(cfg_path),
+                                                  "--out-dir", str(tmp_path)], "--out-dir")
+
+    @pytest.mark.parametrize("clash", ["--config", "--data"])
+    def test_estimate_json_is_an_input(self, tmp_path, capsys, clash):
+        ids, X, y, pi = sample_data()
+        d = tmp_path / "d"
+        d.mkdir()
+        data = d / ("estimate.json" if clash == "--data" else "d.csv")
+        cfg = d / ("estimate.json" if clash == "--config" else "est.json")
+        write_sample_csv(data, ids, X, y, pi, missing={2})
+        cfg.write_text(json.dumps({"criterion": "bic", "design": {"kind": "srswor", "N": 50}}))
+        self.refused_untouched(tmp_path, capsys, ["estimate", "--data", str(data),
+                                                  "--config", str(cfg),
+                                                  "--out-dir", str(d)], "--out-dir")
+
     def test_reps_out_may_go_into_the_new_out_dir(self, tmp_path, capsys):
         cfg_path = study_json(tmp_path)
         out = tmp_path / "a" / "b"
@@ -731,6 +769,36 @@ class TestEstimate:
         code = main(["estimate", "--data", str(data), "--config", str(cfg)])
         assert code == EXIT_CONFIG
         assert "pi" in capsys.readouterr().err
+
+    def test_pi_off_by_more_than_a_relative_1e9_exits_2(self, tmp_path, capsys):
+        # N = 1e12 and n = 200 give a design pi of 2e-10; a pi column 5
+        # times too large is still within 1e-9 of it in absolute terms
+        ids, X, y, pi = sample_data(n=200, N=1000)
+        data = tmp_path / "d.csv"
+        write_sample_csv(data, ids, X, y, np.full_like(pi, 1e-9), missing={2})
+        cfg = self.est_config(tmp_path, design={"kind": "srswor", "N": 10**12})
+        code = main(["estimate", "--data", str(data), "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert "config error at pi" in captured.err
+
+    @pytest.mark.parametrize("N", [10**10, 10**12])
+    def test_v1_at_huge_N_is_the_srswor_closed_form(self, tmp_path, capsys, N):
+        # eta does not depend on N (pi c'z does not), so v1 = (1 - n/N)
+        # s^2 / n moves with N only through 1 - n/N, which an int64
+        # product N (N - n), wrapping from N about 3.04e9 on, would break
+        ids, X, y, _ = sample_data(n=200, N=1000)
+        data = tmp_path / "d.csv"
+        got = {}
+        for big_N in (10**9, N):
+            write_sample_csv(data, ids, X, y, np.full(200, 200 / big_N), missing={2, 5, 11})
+            cfg = self.est_config(tmp_path, design={"kind": "srswor", "N": big_N})
+            assert main(["estimate", "--data", str(data), "--config", str(cfg)]) == EXIT_OK
+            got[big_N] = json.loads(capsys.readouterr().out)
+        ratio = (1.0 - 200 / N) / (1.0 - 200 / 10**9)
+        assert got[N]["v1"] == pytest.approx(got[10**9]["v1"] * ratio, rel=1e-9)
+        assert got[N]["mu_hat"] == got[10**9]["mu_hat"]
 
     def test_candidate_index_beyond_data_exits_2(self, tmp_path, capsys):
         ids, X, y, pi = sample_data()

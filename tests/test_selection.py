@@ -147,11 +147,12 @@ def test_batched_folds_pad_unequal_and_singleton_folds(n_r, k):
     fits = fit_candidates(X, y, cands)
     scores = score_candidates(f"cv{k}", fits, y, np.random.default_rng(7))
     fold_rng = np.random.default_rng(7)
-    for m, cs in zip(cands, scores):
+    assert list(scores) == cands
+    for m, score in scores.items():
         folds = make_folds(n_r, k, fold_rng)
         assert len({t.size for t in folds}) == (1 if n_r % k == 0 else 2)
-        assert np.isfinite(cs.score)
-        assert cs.score == pytest.approx(refit_cv_score(X, y, m, folds), rel=1e-10)
+        assert np.isfinite(score)
+        assert score == pytest.approx(refit_cv_score(X, y, m, folds), rel=1e-10)
 
 
 def test_scores_and_folds_follow_the_order_of_fits():
@@ -164,11 +165,11 @@ def test_scores_and_folds_follow_the_order_of_fits():
     cands = [ModelSpec((2,)), ModelSpec((1, 2, 3)), ModelSpec((1,)), ModelSpec((1, 2))]
     fits = fit_candidates(X, y, cands)
     scores = score_candidates("cv3", fits, y, np.random.default_rng(25))
-    assert [cs.model for cs in scores] == cands
+    assert list(scores) == cands
     fold_rng = np.random.default_rng(25)
-    for m, cs in zip(cands, scores):
+    for m, score in scores.items():
         folds = make_folds(25, 3, fold_rng)
-        assert cs.score == pytest.approx(refit_cv_score(X, y, m, folds), rel=1e-10)
+        assert score == pytest.approx(refit_cv_score(X, y, m, folds), rel=1e-10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,23 +203,23 @@ def test_cv_identity_matches_refits(seed, n_r, p, k, nested, delta, binary):
     scores = score_candidates(f"cv{k}", fits, y, np.random.default_rng(seed))
 
     # a random explicit list may name one model twice; fits holds it once
-    assert [cs.model for cs in scores] == list(fits)
+    assert list(scores) == list(fits)
     fold_rng = np.random.default_rng(seed)
-    for (m, fit), cs in zip(fits.items(), scores):
+    for (m, fit), score in zip(fits.items(), scores.values()):
         folds = make_folds(n_r, k, fold_rng)
         if fit is None or n_r <= m.p_alpha:
             ref = float("inf")
         else:
             ref = refit_cv_score(X, y, m, folds)
         if ref == float("inf"):
-            assert cs.score == float("inf")
+            assert score == float("inf")
         else:
             # the identity solves against I - Q_t'Q_t, formed at Gram
             # scale like normal equations, so its error grows with the
             # square of a training design's condition number
             Z = design_matrix(X, m)
             kappa = max(np.linalg.cond(np.delete(Z, test, axis=0)) for test in folds)
-            assert cs.score == pytest.approx(ref, rel=1e-9 + 1e-14 * kappa**2)
+            assert score == pytest.approx(ref, rel=1e-9 + 1e-14 * kappa**2)
 
 
 class TestScoreCandidates:
@@ -244,8 +245,7 @@ class TestScoreCandidates:
         y = np.arange(6.0)
         cands = nested_candidates(2)
         scores = score_candidates("bic", fit_candidates(X, y, cands), y)
-        assert scores[0].score == float("inf")
-        assert scores[1].score == float("inf")
+        assert scores == {cands[0]: float("inf"), cands[1]: float("inf")}
 
     @pytest.mark.parametrize("criterion", ["aic", "bic"])
     def test_no_residual_degrees_of_freedom_gets_inf(self, criterion):
@@ -257,8 +257,8 @@ class TestScoreCandidates:
         fits = fit_candidates(X, y, cands)
         assert fits[cands[2]].resid.size == cands[2].p_alpha
         scores = score_candidates(criterion, fits, y)
-        assert scores[2].score == float("inf")
-        assert scores[1].score < float("inf")
+        assert scores[cands[2]] == float("inf")
+        assert scores[cands[1]] < float("inf")
 
     def test_scores_align_with_direct_formula(self):
         rng = np.random.default_rng(7)
@@ -266,9 +266,10 @@ class TestScoreCandidates:
         y = rng.normal(size=30)
         cands = nested_candidates(4)
         scores = score_candidates("bic", fit_candidates(X, y, cands), y)
-        for cs in scores:
-            rss = fit_ols(X, y, cs.model).rss
-            assert cs.score == pytest.approx(score_bic(rss, 30, cs.model.p_alpha))
+        assert list(scores) == cands
+        for m, score in scores.items():
+            rss = fit_ols(X, y, m).rss
+            assert score == pytest.approx(score_bic(rss, 30, m.p_alpha))
 
     def test_cv_draws_folds_for_an_unscorable_candidate(self):
         # a None fit scores +inf without moving the fold stream: the
@@ -280,8 +281,8 @@ class TestScoreCandidates:
         full = score_candidates("cv4", fits, y, np.random.default_rng(3))
         fits[cands[0]] = None
         part = score_candidates("cv4", fits, y, np.random.default_rng(3))
-        assert part[0].score == float("inf") and full[0].score < float("inf")
-        assert part[1].score == full[1].score
+        assert part[cands[0]] == float("inf") and full[cands[0]] < float("inf")
+        assert part[cands[1]] == full[cands[1]]
 
 
 class TestSelect:
@@ -300,7 +301,7 @@ class TestSelect:
         y = 1.0 + 3.0 * X[:, 0]
         cands = nested_candidates(2)
         best, scores = select("aic", fit_candidates(X, y, cands), y)
-        assert [s.score for s in scores] == [float("-inf"), float("inf")]
+        assert scores == {cands[0]: float("-inf"), cands[1]: float("inf")}
         assert best.included == (1,)
 
     def test_exact_fits_with_residual_df_tie_to_smaller_model(self):
@@ -310,7 +311,7 @@ class TestSelect:
         y = 1.0 + 3.0 * X[:, 0]
         cands = nested_candidates(2)
         best, scores = select("aic", fit_candidates(X, y, cands), y)
-        assert [s.score for s in scores] == [float("-inf")] * 2
+        assert scores == dict.fromkeys(cands, float("-inf"))
         assert best.included == (1,)
 
     def test_y_scaling_invariance(self):
@@ -330,7 +331,7 @@ class TestSelect:
         cands = [ModelSpec((2,))]
         best, scores = select("aic", fit_candidates(X, y, cands), y)
         assert best == ModelSpec((2,))
-        assert len(scores) == 1
+        assert list(scores) == cands
 
     def test_all_singular_raises(self):
         X = np.ones((3, 2))
@@ -360,7 +361,7 @@ class TestSelect:
         a, sa = select("cv5", fits, y, np.random.default_rng(42))
         b, sb = select("cv5", fits, y, np.random.default_rng(42))
         assert a == b
-        assert [s.score for s in sa] == [s.score for s in sb]
+        assert list(sa.items()) == list(sb.items())
 
     def test_cv_draws_fresh_folds_per_candidate(self):
         # each candidate consumes its own split, in the key order of fits:
@@ -373,6 +374,6 @@ class TestSelect:
         scores = score_candidates("cv3", fits, y, np.random.default_rng(13))
         fold_rng = np.random.default_rng(13)
         first, second = make_folds(30, 3, fold_rng), make_folds(30, 3, fold_rng)
-        assert scores[0].score == score_kfold_cv(fits[m1], first)
-        assert scores[1].score == score_kfold_cv(fits[m2], second)
-        assert scores[1].score != score_kfold_cv(fits[m2], first)
+        assert scores[m1] == score_kfold_cv(fits[m1], first)
+        assert scores[m2] == score_kfold_cv(fits[m2], second)
+        assert scores[m2] != score_kfold_cv(fits[m2], first)

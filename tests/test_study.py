@@ -14,10 +14,12 @@ from survey_impute import study
 from survey_impute.config import parse_study_config
 from survey_impute.design import draw_srswor
 from survey_impute.errors import ConfigError, MetricError
-from survey_impute.estimators import fit_candidates, nested_candidates
+from survey_impute.estimators import ModelSpec, fit_candidates, nested_candidates
 from survey_impute.population import ResponseMask
 from survey_impute.study import (
     SUMMARY_COLUMNS,
+    StudySummary,
+    SummaryRow,
     candidate_labels,
     coverage_probability,
     mc_loss,
@@ -103,11 +105,13 @@ class TestMetrics:
 class TestLabels:
     def test_nested(self):
         cfg = tiny_config()
-        assert candidate_labels(cfg) == ["alpha1", "alpha2"]
+        labels = candidate_labels(cfg)
+        assert list(labels.items()) == [(ModelSpec((1,)), "alpha1"), (ModelSpec((1, 2)), "alpha2")]
 
     def test_explicit(self):
         cfg = tiny_config(candidates=[[1, 2], [2]])
-        assert candidate_labels(cfg) == ["i1+2", "i2"]
+        labels = candidate_labels(cfg)
+        assert list(labels.items()) == [(ModelSpec((1, 2)), "i1+2"), (ModelSpec((2,)), "i2")]
 
 
 class TestRunReplication:
@@ -298,7 +302,7 @@ class TestFailureAccounting:
             design={"n": 4},
         )
         summary, _ = run_study(cfg)
-        by_label = {m.label: m for m in summary.model_rows}
+        by_label = {m.name: m for m in summary.model_rows}
         # alpha3 needs 4 respondent rows; alpha1 only 2
         assert by_label["alpha3"].failures >= by_label["alpha1"].failures
         assert by_label["alpha3"].failures > 0.0
@@ -375,6 +379,22 @@ class TestCsv:
         for r in model_rows:
             assert r[5:10] == [""] * 5  # frequency and CI columns stay blank
             assert r[10] != ""
+
+    def test_every_field_lands_under_its_header(self, tmp_path):
+        # a distinct value in every field, so a field written under
+        # another field's header shows
+        header_of = {"rb": "RB", "re": "RE", "loss": "loss", "freq_wrong": "freqW",
+                     "freq_true": "freqTrue", "freq_overfit": "freqOverfit", "cp": "CP",
+                     "var_rb": "varRB", "failures": "failures"}
+        model = SummaryRow(name="alpha1", **{f: i + 0.25 for i, f in enumerate(header_of)})
+        crit = SummaryRow(name="bic", **{f: i + 10.5 for i, f in enumerate(header_of)})
+        summary_to_csv(StudySummary("hand", 7, (model,), (crit,)), tmp_path / "summary.csv")
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["scope"], r["name"]) for r in rows] == [("model", "alpha1"), ("criterion", "bic")]
+        for row, want in zip(rows, (model, crit)):
+            for field, header in header_of.items():
+                assert float(row[header]) == getattr(want, field), header
 
     def test_reps_layout(self, tmp_path):
         cfg = tiny_config(replications=2, criteria=["aic", "cv2"])
