@@ -109,26 +109,47 @@ def qr_checked(Z):
     return Q, R, width
 
 
-def deleted_rows_factor(Q_t, R, n_left):
-    """Lower Cholesky factors L of I - Q_t'Q_t for a stack of folds:
-    Q_t is (K, s, q) and holds each fold's test rows of Q = ZR^-1 for a
-    fit's design Z (zero rows pad the shorter folds), n_left the rows
-    each fold leaves. L'R is then the triangular factor of the rows of Z
-    that remain. None when any fold's training design is singular: fewer
-    rows than columns, a failed Cholesky, min diag(L) at most
-    sqrt(RCOND_MIN) (I - Q_t'Q_t is formed at Gram scale, so L resolves
-    only to about sqrt(eps)), or qr_checked's rule on diag(L) diag(R)."""
-    q = R.shape[0]
-    if np.min(n_left) < q:
-        return None
+def deleted_rows_factor(M, Rs, n_left):
+    """Lower Cholesky factors L of a (C, K, P, P) stack M and a verdict
+    per candidate. Candidate c has the triangular factor Rs[c] (q_c x
+    q_c) of its design Z = QR, and M[c, k] is I - Q_t'Q_t for the test
+    rows Q_t of fold k in its leading q_c x q_c block and the identity
+    after it; n_left holds the rows each fold leaves. L[c, k]'s leading
+    block times R is then the triangular factor of the rows of Z that
+    remain. ok[c] is False when any of c's training designs is
+    singular: fewer rows than columns, a failed Cholesky, min diag(L)
+    at most sqrt(RCOND_MIN) (M is formed at Gram scale, so L resolves
+    only to about sqrt(eps)), or qr_checked's rule on diag(L) diag(R),
+    each read on c's first q_c diagonal entries only. Where ok[c] is
+    False, L[c] is the identity, so solves against it stay finite.
+
+    The stack is factored in one call. When that raises, each
+    candidate's (K, P, P) slice is factored alone, so only the
+    candidates whose slice fails are ruled out; a slice's factor is the
+    same either way."""
+    q = np.array([R.shape[0] for R in Rs])
+    P = M.shape[-1]
+    ok = q <= np.min(n_left)
     try:
-        L = np.linalg.cholesky(np.eye(q) - np.swapaxes(Q_t, 1, 2) @ Q_t)
+        L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        return None
-    d = np.diagonal(L, axis1=1, axis2=2)
-    if d.min() <= np.sqrt(RCOND_MIN) or _rank_deficient(d * np.diag(R)).any():
-        return None
-    return L
+        L = np.empty_like(M)
+        for c in range(M.shape[0]):
+            try:
+                L[c] = np.linalg.cholesky(M[c])
+            except np.linalg.LinAlgError:
+                L[c] = np.eye(P)
+                ok[c] = False
+    d = np.diagonal(L, axis1=-2, axis2=-1)
+    cols = np.arange(P) < q[:, None]
+    r = np.ones(cols.shape)
+    r[cols] = np.concatenate([np.diag(R) for R in Rs])
+    # past q_c, repeat the first entry: it moves neither min nor max
+    dr = np.where(cols[:, None], d * r[:, None], d[..., :1] * r[:, None, :1])
+    ok &= (d.min(axis=(1, 2)) > np.sqrt(RCOND_MIN)) & ~_rank_deficient(dr).any(axis=1)
+    if not ok.all():
+        L[~ok] = np.eye(P)
+    return L, ok
 
 
 def _prefix_chains(models):

@@ -5,8 +5,11 @@ The candidate set is the dict of respondent fits from fit_candidates
 (which factors each prefix chain of candidates with one QR), and its key
 order is the scoring order. Every criterion reads each candidate's one
 fit: AIC and BIC its rss, K-fold CV its Q, R and residuals, from which
-the held-out residuals of every training fold follow in closed form, all
-K folds in one batched solve, so no score refits anything. The scores
+the held-out sum of squares of every training fold follows in closed
+form, so no score refits anything. K-fold CV scores all folds of all
+candidates of a dataset in one pass: one identity-padded stack of the
+folds' Gram matrices, one Cholesky of it, and one pair of vectorised
+triangular substitutions (_cv_scores). The scores
 come back as {model: score}, keyed like the fits, and are compared as
 (score, p_alpha, included), so ties go to the smaller model and then
 lexicographically. A candidate that is rank deficient, or has
@@ -56,46 +59,96 @@ def score_bic(rss, n_r, p_alpha):
     return n_r * np.log(rss / n_r) + np.log(n_r) * p_alpha
 
 
+def _fold_sizes(n, k):
+    """Sizes of the k near-equal folds of n units: the first n mod k
+    folds get the extra unit."""
+    sizes = np.full(k, n // k)
+    sizes[:n % k] += 1
+    return sizes
+
+
 def make_folds(n, k, rng):
-    """Near-equal random fold index arrays (first n mod k folds get the
-    extra unit)."""
+    """Near-equal random fold index arrays of sizes _fold_sizes(n, k),
+    cut from one rng.permutation(n)."""
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    return np.array_split(rng.permutation(n), k)
+    return np.split(rng.permutation(n), np.cumsum(_fold_sizes(n, k))[:-1])
+
+
+def _substitute(L, b):
+    """g = L^-1 b and x = L^-T g for a stack of lower triangular L
+    (..., P, P) and b (..., P), by substitution over the P columns,
+    vectorised over the stack. Each entry takes the same operations in
+    the same order whatever the stack's shape, and an identity-padded
+    tail of L, with zeros in b, leaves the leading entries as without
+    it."""
+    g = b.copy()
+    for j in range(g.shape[-1]):
+        g[..., j] /= L[..., j, j]
+        g[..., j + 1:] -= L[..., j + 1:, j] * g[..., j, None]
+    x = g.copy()
+    for j in reversed(range(x.shape[-1])):
+        x[..., j] /= L[..., j, j]
+        x[..., :j] -= L[..., j, :j] * x[..., j, None]
+    return g, x
+
+
+def _cv_scores(fits, orders, sizes):
+    """K-fold CV scores of C candidates at once. Candidate c's rows in
+    fold order are orders[c], cut into folds of the given sizes, and c's
+    Q is fits[c].Q. With e the residuals and, for one fold's test rows,
+    M = I - Q_t'Q_t = LL', b = Q_t'e_t, g = L^-1 b and x = L^-T g, the
+    held-out residuals are r_t = e_t + Q_t x (the leave-n_v-out
+    identity, Shao 1993), and r_t'r_t = e_t'e_t + g'g + x'x, since
+    b'x = g'g and Q_t'Q_t = I - M; no term cancels. M, b and e_t'e_t of
+    every fold come from one Gram matrix of [Q_t, 0, e_t] per candidate,
+    zero-padded to the widest candidate's P columns, so all candidates
+    share one (C, K, P, P) stack, one Cholesky (deleted_rows_factor)
+    and one pair of triangular solves. A candidate's numbers depend on
+    the stack's width P, not on which other candidates share it.
+    -> array of C scores, +inf where a training fold is singular."""
+    C, P = len(fits), max(fit.R.shape[0] for fit in fits)
+    K, s = sizes.size, sizes.max()
+    slot = np.flatnonzero(np.arange(s) < sizes[:, None])
+    G = np.empty((C, K, P + 1, P + 1))
+    for c, (fit, order) in enumerate(zip(fits, orders)):
+        T = np.zeros((K * s, P + 1))
+        T[slot, :fit.R.shape[0]] = fit.Q[order]
+        T[slot, P] = fit.resid[order]
+        T = T.reshape(K, s, P + 1)
+        np.matmul(np.swapaxes(T, 1, 2), T, out=G[c])
+    # in place, G becomes [[M, -b], [-b', -e_t'e_t]]: one contiguous
+    # pass, and the signs drop out of g'g and x'x
+    E = np.eye(P + 1)
+    E[P, P] = 0.0
+    np.subtract(E, G, out=G)
+    L, ok = deleted_rows_factor(G[..., :P, :P], [fit.R for fit in fits],
+                                fits[0].resid.size - sizes)
+    b, ee = G[..., :P, P].copy(), -G[..., P, P]
+    del G  # so that at most two (C, K, P, P) stacks are alive at once
+    g, x = _substitute(L, b)
+    sse = ee + np.sum(g * g, axis=-1) + np.sum(x * x, axis=-1)
+    return np.where(ok, np.mean(sse / sizes, axis=-1), np.inf)
 
 
 def score_kfold_cv(fit, folds):
     """Mean held-out MSE over the folds of the respondents, read off a
-    model's respondent fit with no refits. With e the fit's residuals and
-    Q = ZR^-1 its thin Q, the fit without test rows t leaves held-out
-    residuals e_t + Q_t M^-1 Q_t'e_t, M = I - Q_t'Q_t (the leave-n_v-out
-    identity, Shao 1993). All K folds are scored at once: the test rows
-    are padded with zero rows to one size, M is Cholesky-factored as one
-    (K, q, q) stack and M^-1 Q_t'e_t is two batched triangular solves. A
-    fold whose training design is singular (deleted_rows_factor) makes
-    the score +inf."""
-    Q, e = fit.Q, fit.resid
-    sizes = np.array([t.size for t in folds])
-    pad = np.arange(sizes.max()) < sizes[:, None]
+    model's respondent fit with no refits: _cv_scores for this one
+    candidate, the code score_candidates runs on every candidate of a
+    dataset at once. A fold whose training design is singular
+    (deleted_rows_factor) makes the score +inf."""
     order = np.concatenate(folds)
-    Q_t = np.zeros(pad.shape + (Q.shape[1],))
-    Q_t[pad] = Q[order]
-    e_t = np.zeros(pad.shape)
-    e_t[pad] = e[order]
-    L = deleted_rows_factor(Q_t, fit.R, e.size - sizes)
-    if L is None:
-        return float("inf")
-    g = np.linalg.solve(L, np.swapaxes(Q_t, 1, 2) @ e_t[..., None])
-    r = e_t + (Q_t @ np.linalg.solve(np.swapaxes(L, 1, 2), g))[..., 0]
-    return float(np.mean(np.einsum("ks,ks->k", r, r) / sizes))
+    sizes = np.array([t.size for t in folds])
+    return float(_cv_scores([fit], order[None], sizes)[0])
 
 
 def score_candidates(criterion, fits, y_r, rng=None):
     """{model: score} for the candidate set fits (from fit_candidates on
-    y_r; no criterion fits anything), in its key order, in which cvK
-    draws each candidate's folds from rng. A None fit, or n_r <= p_alpha,
-    scores +inf. y_r gives n_r, needed even when every fit is None, and
-    tss."""
+    y_r; no criterion fits anything), in its key order. cvK draws each
+    candidate's split in that order, as make_folds would (one
+    rng.permutation(n_r) each), and scores every scorable candidate in
+    one _cv_scores call. A None fit, or n_r <= p_alpha, scores +inf.
+    y_r gives n_r, needed even when every fit is None, and tss."""
     kind, k = parse_criterion(criterion)
     y_r = np.asarray(y_r, dtype=np.float64)
     n_r = y_r.size
@@ -106,20 +159,21 @@ def score_candidates(criterion, fits, y_r, rng=None):
     # n_r = 0 leaves every fit singular; keep the guard quiet about it
     tss = float(np.sum((y_r - y_r.mean()) ** 2)) if n_r else 0.0
 
-    scores = {}
-    for model, fit in fits.items():
+    scores = dict.fromkeys(fits, float("inf"))
+    live = [m for m, fit in fits.items() if fit is not None and n_r > m.p_alpha]
+    if kind == "cv":
         # each candidate gets its own random split, as when a CV routine
         # is called once per model, even when its score is already +inf
-        folds = make_folds(n_r, k, rng) if kind == "cv" else None
-        if fit is None or n_r <= model.p_alpha:
-            score = float("inf")
-        elif kind == "cv":
-            score = score_kfold_cv(fit, folds)
-        else:
-            rss = 0.0 if fit.rss <= RSS_INTERP_REL * tss else fit.rss
-            scorer = score_aic if kind == "aic" else score_bic
-            score = scorer(rss, n_r, model.p_alpha)
-        scores[model] = float(score)
+        orders = {m: rng.permutation(n_r) for m in fits}
+        if live:
+            cv = _cv_scores([fits[m] for m in live], np.array([orders[m] for m in live]),
+                            _fold_sizes(n_r, k))
+            scores.update(zip(live, cv.tolist()))
+        return scores
+    scorer = score_aic if kind == "aic" else score_bic
+    for m in live:
+        rss = 0.0 if fits[m].rss <= RSS_INTERP_REL * tss else fits[m].rss
+        scores[m] = float(scorer(rss, n_r, m.p_alpha))
     return scores
 
 

@@ -9,8 +9,10 @@ rep_id order.
 """
 
 import csv
+import functools
 import os
 from dataclasses import astuple, dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,10 +45,18 @@ class ReplicationRecord:
 
 def candidate_labels(cfg):
     """{model: label} in config order: alpha1..alphap for the nested
-    list, ModelSpec.label() otherwise."""
-    nested = cfg.candidates == "nested"
-    return {m: f"alpha{j}" if nested else m.label()
-            for j, m in enumerate(build_candidates(cfg.candidates, cfg.p), start=1)}
+    list, ModelSpec.label() otherwise. The map is the study's candidate
+    set and is built once per process and candidate list, so every
+    replication, summarize and reps_to_csv read the same read-only
+    mapping."""
+    return _labels(cfg.candidates, cfg.p)
+
+
+@functools.lru_cache(maxsize=16)
+def _labels(candidates, p):
+    nested = candidates == "nested"
+    return MappingProxyType({m: f"alpha{j}" if nested else m.label()
+                             for j, m in enumerate(build_candidates(candidates, p), start=1)})
 
 
 def run_replication(cfg, rep_id):
@@ -74,10 +84,11 @@ def run_replication(cfg, rep_id):
     mu_hats = tuple(imputed_means(sample, mask, X_s, y_s, fits).values())
 
     criteria = []
+    estimates = {}  # criteria that pick one model share its Estimate
     for crit in cfg.criteria:
         try:
             est, _ = estimate_with_inference(
-                sample, mask, X_s, y_s, fits, crit, cfg.level, crit_rng
+                sample, mask, X_s, y_s, fits, crit, cfg.level, crit_rng, estimates
             )
         except _FAILURES as exc:
             est = type(exc).__name__

@@ -7,7 +7,8 @@ mean reproduces mu_hat exactly; v1 is the design variance of that HT
 mean and v2 adds the model component from predicting the missing y.
 variance_for_model returns (v1, v2, sigma2_hat), confidence_interval
 (lower, upper), and estimate_with_inference one Estimate per dataset
-together with the selection scores.
+together with the selection scores, estimating each selected model once
+when its callers share a memo.
 """
 
 from dataclasses import dataclass
@@ -150,15 +151,24 @@ def variance_for_model(sample, mask, X, y, model, fit):
     return v1, v2, s2
 
 
-def estimate_with_inference(sample, mask, X, y, fits, criterion, level, rng=None):
+def estimate_with_inference(sample, mask, X, y, fits, criterion, level, rng=None,
+                            estimates=None):
     """Full pipeline on one dataset: select a model on the respondents,
     impute, estimate the variance, and build the interval, all from the
     candidate set fits (from fit_candidates), scored in its key order.
+    estimates, when given, is a {model: Estimate} memo shared by the
+    calls on one dataset at one level: a model already in it is not
+    estimated again, and a new one is added, so criteria that pick the
+    same model share one Estimate.
     -> (Estimate, the selection's {model: score})."""
     y_r = np.asarray(y, dtype=np.float64)[mask.respondents]
     model, scores = select(criterion, fits, y_r, rng)
-    fit = fits[model]
-    mu = imputed_mean(sample, mask, X, y, model, fit)
-    v1, v2, s2 = variance_for_model(sample, mask, X, y, model, fit)
-    lower, upper = confidence_interval(mu, v1 + v2, level)
-    return Estimate(model, mu, v1, v2, s2, lower, upper), scores
+    if estimates is None:
+        estimates = {}
+    if model not in estimates:
+        fit = fits[model]
+        mu = imputed_mean(sample, mask, X, y, model, fit)
+        v1, v2, s2 = variance_for_model(sample, mask, X, y, model, fit)
+        lower, upper = confidence_interval(mu, v1 + v2, level)
+        estimates[model] = Estimate(model, mu, v1, v2, s2, lower, upper)
+    return estimates[model], scores

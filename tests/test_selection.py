@@ -1,5 +1,7 @@
 """Criterion parsing and model selection behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,98 @@ def test_cv_identity_matches_refits(seed, n_r, p, k, nested, delta, binary):
             Z = design_matrix(X, m)
             kappa = max(np.linalg.cond(np.delete(Z, test, axis=0)) for test in folds)
             assert score == pytest.approx(ref, rel=1e-9 + 1e-14 * kappa**2)
+
+
+def count_choleskys(monkeypatch):
+    """Record each np.linalg.cholesky call: its input's shape and
+    whether it raised."""
+    calls, real = [], np.linalg.cholesky
+
+    def counted(a):
+        try:
+            out = real(a)
+        except np.linalg.LinAlgError:
+            calls.append((a.shape, True))
+            raise
+        calls.append((a.shape, False))
+        return out
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls
+
+
+def test_mixed_stack_matches_the_one_candidate_scorer():
+    # one cv5 call on 10 respondents scores, in one stack: the nested
+    # chain (1,) < (1, 2) < (1, 2, 3); unrelated chains of one; (1, 5),
+    # None since x5 = x1; (1, 2, 3, 6, ..., 11), whose fit leaves no
+    # residual degrees of freedom (n_r = p_alpha); and (1, 4), whose
+    # indicator x4 has a single 1, so the fold holding that row leaves a
+    # singular training design though the full fit is regular
+    rng = np.random.default_rng(30)
+    X = rng.gamma(5.0, 2.0, size=(10, 11))
+    X[:, 3] = np.arange(10) == 6
+    X[:, 4] = X[:, 0]
+    y = 1.0 + X[:, :3] @ [1.0, -2.0, 0.5] + rng.normal(size=10)
+    cands = [ModelSpec((1,)), ModelSpec((3, 7)), ModelSpec((1, 2)), ModelSpec((1, 5)),
+             ModelSpec((1, 2, 3)), ModelSpec((1, 4)), ModelSpec((2,)),
+             ModelSpec((1, 2, 3, 6, 7, 8, 9, 10, 11))]
+    fits = fit_candidates(X, y, cands)
+    assert fits[ModelSpec((1, 5))] is None
+    assert fits[ModelSpec((1, 4))] is not None
+    assert fits[cands[-1]] is not None and cands[-1].p_alpha == 10
+
+    split_rng = np.random.default_rng(31)
+    scores = score_candidates("cv5", fits, y, split_rng)
+    fold_rng = np.random.default_rng(31)
+    for m, fit in fits.items():
+        folds = make_folds(10, 5, fold_rng)
+        if fit is None or 10 <= m.p_alpha:
+            solo = float("inf")
+        else:
+            solo = score_kfold_cv(fit, folds)
+        if solo == float("inf"):
+            assert scores[m] == solo, m
+        else:
+            assert scores[m] == pytest.approx(solo, rel=1e-12), m
+    # the split is one draw per candidate, scorable or not
+    assert split_rng.bit_generator.state == fold_rng.bit_generator.state
+    unscorable = {m for m, s in scores.items() if s == float("inf")}
+    assert unscorable == {ModelSpec((1, 5)), ModelSpec((1, 4)), cands[-1]}
+
+
+def test_failing_cholesky_spoils_only_its_own_candidate(monkeypatch):
+    # Q scaled by 3 makes I - Q_t'Q_t about -0.8 I for that candidate,
+    # so the stacked Cholesky raises; each slice is then factored alone
+    rng = np.random.default_rng(32)
+    X = rng.normal(size=(40, 4))
+    y = 1.0 + X @ [1.0, -2.0, 0.5, 0.0] + rng.normal(size=40)
+    cands = nested_candidates(4)
+    fits = fit_candidates(X, y, cands)
+    clean = score_candidates("cv5", fits, y, np.random.default_rng(33))
+    broken = cands[1]
+    fits[broken] = dataclasses.replace(fits[broken], Q=3.0 * fits[broken].Q)
+    calls = count_choleskys(monkeypatch)
+    scores = score_candidates("cv5", fits, y, np.random.default_rng(33))
+    assert calls[0] == ((4, 5, 5, 5), True)
+    assert [raised for _, raised in calls[1:]] == [False, True, False, False]
+    assert scores[broken] == float("inf")
+    fold_rng = np.random.default_rng(33)
+    for m in cands:
+        folds = make_folds(40, 5, fold_rng)
+        if m != broken:
+            assert scores[m] == clean[m]
+            assert scores[m] == pytest.approx(score_kfold_cv(fits[m], folds), rel=1e-12)
+
+
+def test_cv_factors_every_candidate_in_one_cholesky(monkeypatch):
+    rng = np.random.default_rng(34)
+    X = rng.normal(size=(50, 3))
+    y = 1.0 + X @ [1.0, -2.0, 0.5] + rng.normal(size=50)
+    fits = fit_candidates(X, y, nested_candidates(3))
+    calls = count_choleskys(monkeypatch)
+    scores = score_candidates("cv5", fits, y, np.random.default_rng(35))
+    assert all(np.isfinite(s) for s in scores.values())
+    assert calls == [((3, 5, 4, 4), False)]
 
 
 class TestScoreCandidates:

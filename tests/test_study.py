@@ -113,6 +113,13 @@ class TestLabels:
         labels = candidate_labels(cfg)
         assert list(labels.items()) == [(ModelSpec((1, 2)), "i1+2"), (ModelSpec((2,)), "i2")]
 
+    def test_built_once_per_candidate_list_and_read_only(self):
+        labels = candidate_labels(tiny_config())
+        assert candidate_labels(tiny_config(replications=9, master_seed=1)) is labels
+        assert candidate_labels(tiny_config(candidates=[[1]])) is not labels
+        with pytest.raises(TypeError):
+            labels[ModelSpec((2,))] = "x"
+
 
 class TestRunReplication:
     def test_census_full_response_degenerates_cleanly(self):
@@ -246,6 +253,34 @@ class TestFitSharing:
                                          np.random.default_rng(22))
         assert np.isfinite(est.v_total)
         assert calls == []
+
+
+class TestEstimateSharing:
+    def test_criteria_that_pick_one_model_share_its_estimate(self, monkeypatch):
+        # the true model is the widest candidate, so aic, bic and cv5 all
+        # pick it; it is estimated once, and the record equals the one
+        # made when every criterion estimates its pick itself
+        cfg = tiny_config(replications=1, criteria=["aic", "bic", "cv5"],
+                          population={"beta": [1.0, 2.0, 3.0]}, design={"n": 30})
+        import survey_impute.variance as var
+
+        calls, real = [], var.variance_for_model
+
+        def counted(*args):
+            calls.append(args[4])
+            return real(*args)
+
+        monkeypatch.setattr(var, "variance_for_model", counted)
+        shared = run_replication(cfg, 0)
+        assert calls == [ModelSpec((1, 2))]
+        assert {e.model for e in shared.criteria} == {ModelSpec((1, 2))}
+
+        def unshared(*args):
+            return estimate_with_inference(*args[:8])
+
+        monkeypatch.setattr(study, "estimate_with_inference", unshared)
+        assert run_replication(cfg, 0) == shared
+        assert len(calls) == 4
 
 
 class TestFailureAccounting:
