@@ -15,7 +15,7 @@ from survey_impute import (
     ModelSpec,
     draw_srswor,
     draw_stratified,
-    fit_ols,
+    fit_candidates,
     generate_population,
     generate_response,
     ht_mean,
@@ -44,7 +44,7 @@ def one_rep(pop, draw, rng):
     X_s, y_s = pop.X[draw.unit_ids], pop.y[draw.unit_ids]
     if mask.n_r <= MODEL.p_alpha:
         return None, None
-    fit = fit_ols(X_s[mask.respondents], y_s[mask.respondents], MODEL)
+    fit = fit_candidates(X_s[mask.respondents], y_s[mask.respondents], [MODEL])[MODEL]
     mu = imputed_mean(draw, mask, X_s, y_s, MODEL, fit)
     return ht_mean(draw, y_s), mu
 

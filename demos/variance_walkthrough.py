@@ -20,7 +20,7 @@ from survey_impute import (
     design_matrix,
     draw_srswor,
     eta_hat,
-    fit_ols,
+    fit_candidates,
     generate_population,
     generate_response,
     ht_mean,
@@ -50,7 +50,7 @@ def main():
 
     model = ModelSpec((1, 2, 3))
     resp = mask.respondents
-    fit = fit_ols(X_s[resp], y_s[resp], model)
+    fit = fit_candidates(X_s[resp], y_s[resp], [model])[model]
     mu_hat = imputed_mean(sample, mask, X_s, y_s, model, fit)
     print(f"n={sample.n}, respondents={mask.n_r}, model {model.label()},"
           f" mu_hat = {mu_hat:.6f}")
@@ -89,7 +89,7 @@ def main():
         if m.n_r <= model.p_alpha or m.n_m == 0:
             continue
         Xs, ys = pop.X[s.unit_ids], pop.y[s.unit_ids]
-        f = fit_ols(Xs[m.respondents], ys[m.respondents], model)
+        f = fit_candidates(Xs[m.respondents], ys[m.respondents], [model])[model]
         mu_r = imputed_mean(s, m, Xs, ys, model, f)
         Zs = design_matrix(Xs, model)
         e = eta_hat(s, m, Zs, ys, f, Zs @ c_hat(s, m, Zs, f))

@@ -27,7 +27,6 @@ from .errors import (  # noqa: E402
     InvalidDesignError,
     MetricError,
     SelectionFailureError,
-    SingularFitError,
     SurveyImputeError,
 )
 from .estimators import (  # noqa: E402
@@ -37,7 +36,6 @@ from .estimators import (  # noqa: E402
     classify_model,
     design_matrix,
     fit_candidates,
-    fit_ols,
     ht_mean,
     imputed_mean,
     imputed_means,

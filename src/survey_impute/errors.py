@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. A model that cannot be
+fitted is not an error: fit_candidates marks it None."""
 
 
 class SurveyImputeError(Exception):
@@ -20,14 +21,6 @@ class ConfigError(SurveyImputeError):
 
 class InvalidDesignError(SurveyImputeError):
     """Sampling design that violates its own invariants."""
-
-
-class SingularFitError(SurveyImputeError):
-    """Design matrix numerically rank deficient for the requested model."""
-
-    def __init__(self, message, model=None):
-        self.model = model
-        super().__init__(message)
 
 
 class DegenerateFitError(SurveyImputeError):

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularFitError
-
 # relative cutoff on the triangular factor's diagonal below which the
 # normal equations are treated as numerically singular
 RCOND_MIN = 1e-10
@@ -167,9 +165,11 @@ def _prefix_chains(models):
 
 
 def fit_candidates(X_r, y_r, candidates):
-    """The candidate set: {model: FitResult, or None where fit_ols raises
-    SingularFitError}, one fit per candidate and dataset, keyed in the
+    """The candidate set: {model: FitResult, or None where the model
+    cannot be fitted}, one fit per candidate and dataset, keyed in the
     order of candidates, which is the order selection scores them in.
+    None is the package's one mark of an unfittable model; a single
+    model is fitted as fit_candidates(X_r, y_r, [model])[model].
 
     One QR per prefix chain: with Z = QR the widest design of the chain
     and g = Q'y, a model of q columns has R_q = R[:q, :q], beta solving
@@ -190,19 +190,6 @@ def fit_candidates(X_r, y_r, candidates):
                 beta = np.linalg.solve(R[:q, :q], g[:q])
                 fits[m] = FitResult(beta, float(e @ e), R[:q, :q], Q[:, :q], e)
     return fits
-
-
-def fit_ols(X_r, y_r, model):
-    """Unweighted least squares for one model, the chain of that model
-    alone; raises SingularFitError where fit_candidates gives None."""
-    fit = fit_candidates(X_r, y_r, [model])[model]
-    if fit is None:
-        n = np.shape(y_r)[0]
-        if n < model.p_alpha:
-            raise SingularFitError(f"{n} respondents cannot identify {model.p_alpha} "
-                                   "coefficients", model)
-        raise SingularFitError("rank deficient design matrix", model)
-    return fit
 
 
 def ht_mean(sample, y):
@@ -232,8 +219,8 @@ def imputed_means(sample, mask, X, y, fits):
 
 
 def imputed_mean(sample, mask, X, y, model, fit):
-    """imputed_means for one model and its respondent fit (from
-    fit_candidates or fit_ols). Returns mu_hat."""
+    """imputed_means for one model and its respondent fit (a value of
+    fit_candidates). Returns mu_hat, or None for a None fit."""
     return imputed_means(sample, mask, X, y, {model: fit})[model]
 
 

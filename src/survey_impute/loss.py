@@ -9,14 +9,15 @@ gap over the missing units, sum_{S_m} (z_k' beta_hat - y_k) / pi_k,
 where l1 is the squared omitted-variable bias pushed through the
 response-set projection and l2 is the estimation variance term. The
 last term does not involve the model and is subtracted off, so l1 + l2
-is what separates candidate models.
+is what separates candidate models. A model that fit_candidates cannot
+fit on the respondents has no loss: both routes return None for it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import design_matrix, fit_ols
+from .estimators import design_matrix, fit_candidates
 
 
 @dataclass(frozen=True)
@@ -29,28 +30,34 @@ class LossValue:
         return self.l1 + self.l2
 
 
+def _noiseless_fit(sample, mask, X, model, beta_true):
+    """The noiseless respondent means mu_r under the full generating
+    model, the model's fit to them (None where it cannot be fitted),
+    w = sum_m z/pi over the missing and their noiseless HT total t1."""
+    resp, miss = mask.respondents, mask.nonrespondents
+    mu_r = beta_true[0] + X[resp] @ beta_true[1:]
+    fit = fit_candidates(X[resp], mu_r, [model])[model]
+    pi_m = sample.pi_first[miss]
+    w = design_matrix(X[miss], model).T @ (1.0 / pi_m)
+    t1 = float(np.sum((beta_true[0] + X[miss] @ beta_true[1:]) / pi_m))
+    return mu_r, fit, w, t1
+
+
 def loss_closed_form(sample, mask, X, model, beta_true, sigma):
-    """Exact l1 and l2 for one model on one realized configuration.
+    """Exact l1 and l2 for one model on one realized configuration, or
+    None where the model cannot be fitted.
 
     X is aligned with sample.unit_ids; beta_true has length p + 1 with
     the intercept first.
     """
     X = np.asarray(X, dtype=np.float64)
     beta_true = np.asarray(beta_true, dtype=np.float64)
-    resp, miss = mask.respondents, mask.nonrespondents
-    if miss.size == 0:
+    if mask.nonrespondents.size == 0:
         return LossValue(0.0, 0.0)
-
-    # noiseless respondent means under the full generating model, and
-    # the model's fit to them (its R serves l2)
-    mu_r = beta_true[0] + X[resp] @ beta_true[1:]
-    fit = fit_ols(X[resp], mu_r, model)
-
-    pi_m = sample.pi_first[miss]
-    w = design_matrix(X[miss], model).T @ (1.0 / pi_m)
+    _, fit, w, t1 = _noiseless_fit(sample, mask, X, model, beta_true)
+    if fit is None:
+        return None
     u = np.linalg.solve(fit.R.T, w)
-    t1 = float(np.sum((beta_true[0] + X[miss] @ beta_true[1:]) / pi_m))
-
     l1 = (t1 - float(w @ fit.beta_hat)) ** 2
     l2 = sigma * sigma * float(u @ u)
     return LossValue(l1, l2)
@@ -61,22 +68,19 @@ def mc_loss_oracle(sample, mask, X, model, beta_true, sigma, draws, rng,
     """Monte Carlo estimate of l1 + l2 by redrawing the noise vector with
     the sample, response set, and covariates held fixed.
 
-    Returns (estimate, standard_error). Matches loss_closed_form up to
-    MC error; the model-free sigma^2 * sum pi^-2 term is subtracted.
+    Returns (estimate, standard_error), or None where the model cannot
+    be fitted. Matches loss_closed_form up to MC error; the model-free
+    sigma^2 * sum pi^-2 term is subtracted.
     """
     X = np.asarray(X, dtype=np.float64)
     beta_true = np.asarray(beta_true, dtype=np.float64)
     resp, miss = mask.respondents, mask.nonrespondents
     if miss.size == 0:
         return 0.0, 0.0
-
-    mu_r = beta_true[0] + X[resp] @ beta_true[1:]
-    fit = fit_ols(X[resp], mu_r, model)
-    pi_m = sample.pi_first[miss]
-    inv_pi_m = 1.0 / pi_m
-    w = design_matrix(X[miss], model).T @ inv_pi_m
-
-    t1 = float(np.sum((beta_true[0] + X[miss] @ beta_true[1:]) * inv_pi_m))
+    mu_r, fit, w, t1 = _noiseless_fit(sample, mask, X, model, beta_true)
+    if fit is None:
+        return None
+    inv_pi_m = 1.0 / sample.pi_first[miss]
     const = sigma * sigma * float(inv_pi_m @ inv_pi_m)
 
     samples = np.empty(draws, dtype=np.float64)

@@ -26,7 +26,6 @@ from survey_impute.estimators import (
     ModelSpec,
     design_matrix,
     fit_candidates,
-    fit_ols,
     ht_mean,
     imputed_mean,
     nested_candidates,
@@ -317,7 +316,7 @@ def test_criterion_11_linearization_identity(acceptance):
                 r[-1] = False
             mask = ResponseMask(r)
             m = ModelSpec((1, 2)) if seed % 2 else ModelSpec((1,))
-            fit = fit_ols(X[mask.respondents], y[mask.respondents], m)
+            fit = fit_candidates(X[mask.respondents], y[mask.respondents], [m])[m]
             mu = imputed_mean(s, mask, X, y, m, fit)
             Z = design_matrix(X, m)
             eta = eta_hat(s, mask, Z, y, fit, Z @ c_hat(s, mask, Z, fit))
@@ -340,7 +339,7 @@ def test_criterion_12_noiseless_recovery(acceptance):
     mask = generate_response(pop.resp_prob, s.unit_ids, rng)
     X, y = pop.X[s.unit_ids], pop.y[s.unit_ids]
     m2 = ModelSpec((1, 2))
-    fit = fit_ols(X[mask.respondents], y[mask.respondents], m2)
+    fit = fit_candidates(X[mask.respondents], y[mask.respondents], [m2])[m2]
     beta_exact = bool(np.allclose(fit.beta_hat, [0.5, 2.0, -1.0], rtol=1e-9, atol=1e-9))
     s2_zero = sigma2_hat(fit, m2) <= 1e-18
     X_r, y_r, cands = X[mask.respondents], y[mask.respondents], nested_candidates(4)

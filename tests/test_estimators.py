@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survey_impute.design import DesignDescriptor, SampleDraw, draw_srswor
-from survey_impute.errors import SingularFitError
 from survey_impute.estimators import (
     FitResult,
     ModelClass,
@@ -17,10 +16,10 @@ from survey_impute.estimators import (
     build_candidates,
     design_matrix,
     fit_candidates,
-    fit_ols,
     ht_mean,
     imputed_mean,
     nested_candidates,
+    _rank_deficient,
 )
 from survey_impute.population import ResponseMask
 
@@ -29,8 +28,12 @@ def sample_of(N, n, seed=0):
     return draw_srswor(N, n, np.random.default_rng(seed))
 
 
+def fit_one(X, y, model):
+    return fit_candidates(X, y, [model])[model]
+
+
 def respondent_fit(mask, X, y, model):
-    return fit_ols(X[mask.respondents], y[mask.respondents], model)
+    return fit_one(X[mask.respondents], y[mask.respondents], model)
 
 
 class TestModelSpec:
@@ -63,7 +66,7 @@ class TestClassify:
 
 class TestFitOls:
     def test_two_point_interpolation(self):
-        fit = fit_ols(np.array([[0.0], [1.0]]), np.array([1.0, 3.0]), ModelSpec((1,)))
+        fit = fit_one(np.array([[0.0], [1.0]]), np.array([1.0, 3.0]), ModelSpec((1,)))
         assert np.allclose(fit.beta_hat, [1.0, 2.0], atol=1e-12)
         assert fit.rss == pytest.approx(0.0, abs=1e-18)
 
@@ -72,7 +75,7 @@ class TestFitOls:
         X = rng.uniform(0, 5, size=(40, 4))
         beta = np.array([1.5, 2.0, -3.0, 0.0, 0.0])
         y = beta[0] + X @ beta[1:]
-        fit = fit_ols(X, y, ModelSpec((1, 2, 3)))
+        fit = fit_one(X, y, ModelSpec((1, 2, 3)))
         assert np.allclose(fit.beta_hat, [1.5, 2.0, -3.0, 0.0], atol=1e-9)
         assert fit.rss <= 1e-12 * float(y @ y)
 
@@ -81,7 +84,7 @@ class TestFitOls:
         X = rng.normal(size=(30, 5))
         y = rng.normal(size=30)
         m = ModelSpec((1, 3, 5))
-        fit = fit_ols(X, y, m)
+        fit = fit_one(X, y, m)
         Z = design_matrix(X, m)
         ref = np.linalg.solve(Z.T @ Z, Z.T @ y)
         assert np.allclose(fit.beta_hat, ref, atol=1e-8)
@@ -91,26 +94,24 @@ class TestFitOls:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(25, 6))
         y = rng.normal(size=25)
-        rss = [fit_ols(X, y, m).rss for m in nested_candidates(6)]
+        rss = [fit_one(X, y, m).rss for m in nested_candidates(6)]
         assert all(a >= b - 1e-9 for a, b in zip(rss, rss[1:]))
 
-    def test_underdetermined_raises(self):
-        with pytest.raises(SingularFitError):
-            fit_ols(np.ones((2, 3)), np.ones(2), ModelSpec((1, 2, 3)))
+    def test_underdetermined_is_none(self):
+        m = ModelSpec((1, 2, 3))
+        assert fit_candidates(np.ones((2, 3)), np.ones(2), [m]) == {m: None}
 
-    def test_collinear_raises_with_model(self):
+    def test_collinear_is_none(self):
         X = np.ones((10, 2))
         X[:, 1] = 2.0  # both columns constant alongside the intercept
         m = ModelSpec((1, 2))
-        with pytest.raises(SingularFitError) as err:
-            fit_ols(X, np.arange(10.0), m)
-        assert err.value.model == m
+        assert fit_candidates(X, np.arange(10.0), [m]) == {m: None}
 
     def test_r_factor_reproduces_gram_matrix(self):
         rng = np.random.default_rng(4)
         X = rng.gamma(5.0, 2.0, size=(15, 3))
         m = ModelSpec((1, 3))
-        fit = fit_ols(X, rng.normal(size=15), m)
+        fit = fit_one(X, rng.normal(size=15), m)
         Z = design_matrix(X, m)
         assert np.allclose(fit.R, np.triu(fit.R))
         assert np.allclose(fit.R.T @ fit.R, Z.T @ Z, rtol=1e-12)
@@ -120,8 +121,8 @@ class TestFitOls:
         X = rng.normal(size=(20, 3))
         y = rng.normal(size=20)
         perm = rng.permutation(20)
-        a = fit_ols(X, y, ModelSpec((1, 2)))
-        b = fit_ols(X[perm], y[perm], ModelSpec((1, 2)))
+        a = fit_one(X, y, ModelSpec((1, 2)))
+        b = fit_one(X[perm], y[perm], ModelSpec((1, 2)))
         assert np.allclose(a.beta_hat, b.beta_hat, atol=1e-9)
         assert a.rss == pytest.approx(b.rss, rel=1e-9)
 
@@ -232,7 +233,7 @@ class TestFitCandidates:
         assert list(fits) == cands
         assert fits[cands[1]] is None
         for m in (cands[0], cands[2]):
-            ref = fit_ols(X, y, m)
+            ref = fit_one(X, y, m)
             assert np.array_equal(fits[m].beta_hat, ref.beta_hat)
             assert fits[m].rss == ref.rss
         # keys keep the caller's order, not the widest-first chain order
@@ -251,8 +252,11 @@ class TestFitCandidates:
     nested=st.booleans(),
 )
 def test_prefix_chain_fits_match_per_model_fits(seed, data, nested):
-    # every fit read off a chain's one QR equals that model's own fit:
-    # "collinear" makes x2 = 2 x1, so the prefixes past it are None;
+    # every fit read off a chain's one QR equals an independent
+    # per-model reference: lstsq on the model's own design, and None
+    # exactly where that design has fewer rows than columns or its own
+    # QR fails the rank rule. "collinear" makes x2 = 2 x1, so the
+    # prefixes past it are None;
     # "short" has fewer respondents than the widest model's columns;
     # "binary" makes x3 a 10%-ones indicator beside gamma covariates
     rng = np.random.default_rng(seed)
@@ -273,22 +277,24 @@ def test_prefix_chain_fits_match_per_model_fits(seed, data, nested):
     fits = fit_candidates(X, y, cands)
     assert list(fits) == list(dict.fromkeys(cands))
     for m in cands:
-        try:
-            ref = fit_ols(X, y, m)
-        except SingularFitError:
+        Z = design_matrix(X, m)
+        R = np.linalg.qr(Z)[1]
+        if Z.shape[0] < Z.shape[1] or _rank_deficient(np.diag(R)):
             assert fits[m] is None
             continue
         got = fits[m]
         assert got is not None
+        beta = np.linalg.lstsq(Z, y, rcond=None)[0]
+        e = y - Z @ beta
         # a QR solution agrees to eps kappa^2 at worst; 1e-12 on
         # well-conditioned designs
-        kappa = np.linalg.cond(design_matrix(X, m))
+        kappa = np.linalg.cond(Z)
         tol = 1e-12 + 1e-14 * kappa**2
-        scale = np.linalg.norm(ref.beta_hat)
-        assert np.allclose(got.beta_hat, ref.beta_hat, rtol=0, atol=tol * scale)
-        assert np.allclose(got.R, ref.R, rtol=0, atol=tol * np.linalg.norm(ref.R))
-        assert got.rss == pytest.approx(ref.rss, rel=tol, abs=tol * float(y @ y))
-        assert got.resid.size == ref.resid.size == n_r
+        scale = np.linalg.norm(beta)
+        assert np.allclose(got.beta_hat, beta, rtol=0, atol=tol * scale)
+        assert np.allclose(got.R, R, rtol=0, atol=tol * np.linalg.norm(R))
+        assert got.rss == pytest.approx(float(e @ e), rel=tol, abs=tol * float(y @ y))
+        assert got.resid.size == n_r
     if data == "collinear" and nested:
         assert [fits[m] is None for m in cands] == [False] + [True] * (p - 1)
     if data == "short" and nested:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from survey_impute.design import SampleDraw, draw_srswor
-from survey_impute.errors import SingularFitError
-from survey_impute.estimators import ModelSpec, fit_ols, nested_candidates
+from survey_impute.estimators import ModelSpec, fit_candidates, nested_candidates
 from survey_impute.loss import LossValue, loss_closed_form, mc_loss_oracle
 from survey_impute.population import ResponseMask, generate_population, generate_response
 
@@ -26,23 +25,17 @@ def small_instance(seed=0, N=20, n=10, p=3, n_miss=4):
 
 class TestClosedForm:
     # x3 = 2 x1 makes (1, 3) collinear; 2 respondents cannot identify the
-    # 4 coefficients of (1, 2, 3). Both oracles reject what fit_ols rejects
+    # 4 coefficients of (1, 2, 3). Both oracles give None where
+    # fit_candidates does
     @pytest.mark.parametrize("n_miss,included", [(4, (1, 3)), (8, (1, 2, 3))])
     def test_shares_the_fit_rank_rule(self, n_miss, included):
         s, mask, X = small_instance(2, n_miss=n_miss)
         X[:, 2] = 2.0 * X[:, 0]
         m = ModelSpec(included)
-        with pytest.raises(SingularFitError) as err:
-            fit_ols(X[mask.respondents], np.zeros(mask.n_r), m)
-        assert err.value.model == m
-        for oracle in (
-            lambda: loss_closed_form(s, mask, X, m, np.zeros(4), 1.0),
-            lambda: mc_loss_oracle(s, mask, X, m, np.zeros(4), 1.0, 10,
-                                   np.random.default_rng(0)),
-        ):
-            with pytest.raises(SingularFitError) as err:
-                oracle()
-            assert err.value.model == m
+        assert fit_candidates(X[mask.respondents], np.zeros(mask.n_r), [m])[m] is None
+        assert loss_closed_form(s, mask, X, m, np.zeros(4), 1.0) is None
+        assert mc_loss_oracle(s, mask, X, m, np.zeros(4), 1.0, 10,
+                              np.random.default_rng(0)) is None
 
     def test_no_missing_is_zero(self):
         s, _, X = small_instance(1)

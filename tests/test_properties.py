@@ -20,7 +20,6 @@ from survey_impute.estimators import (
     ModelSpec,
     design_matrix,
     fit_candidates,
-    fit_ols,
     ht_mean,
     imputed_mean,
     nested_candidates,
@@ -54,7 +53,7 @@ def test_fit_is_row_permutation_invariant(seed):
     y = rng.normal(size=15)
     perm = rng.permutation(15)
     m = ModelSpec((1, 3))
-    a, b = fit_ols(X, y, m), fit_ols(X[perm], y[perm], m)
+    a, b = fit_candidates(X, y, [m])[m], fit_candidates(X[perm], y[perm], [m])[m]
     assert np.allclose(a.beta_hat, b.beta_hat, atol=1e-8)
     assert a.rss == pytest.approx(b.rss, rel=1e-8, abs=1e-12)
 
@@ -77,7 +76,7 @@ def test_rss_never_grows_with_the_model(seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(20, 4))
     y = rng.normal(size=20)
-    rss = [fit_ols(X, y, m).rss for m in nested_candidates(4)]
+    rss = [fit_candidates(X, y, [m])[m].rss for m in nested_candidates(4)]
     assert all(b <= a + 1e-9 * max(a, 1.0) for a, b in zip(rss, rss[1:]))
 
 
@@ -108,7 +107,7 @@ def test_v2_is_nonnegative(seed, sigma2):
     s, mask, X, y = instance(seed)
     m = ModelSpec((1, 2))
     Z = design_matrix(X, m)
-    c = c_hat(s, mask, Z, fit_ols(X[mask.respondents], y[mask.respondents], m))
+    c = c_hat(s, mask, Z, fit_candidates(X[mask.respondents], y[mask.respondents], [m])[m])
     assert v2_hat(s, mask, sigma2, Z @ c) >= 0.0
 
 
@@ -117,7 +116,7 @@ def test_v2_is_nonnegative(seed, sigma2):
 def test_eta_ht_mean_reproduces_the_estimator(seed):
     s, mask, X, y = instance(seed)
     m = ModelSpec((1, 2))
-    fit = fit_ols(X[mask.respondents], y[mask.respondents], m)
+    fit = fit_candidates(X[mask.respondents], y[mask.respondents], [m])[m]
     mu = imputed_mean(s, mask, X, y, m, fit)
     Z = design_matrix(X, m)
     eta = eta_hat(s, mask, Z, y, fit, Z @ c_hat(s, mask, Z, fit))

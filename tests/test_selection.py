@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survey_impute.errors import SelectionFailureError, SingularFitError
+from survey_impute.errors import SelectionFailureError
 from survey_impute.estimators import (
     ModelSpec,
     design_matrix,
     fit_candidates,
-    fit_ols,
     nested_candidates,
 )
 from survey_impute.selection import (
@@ -33,9 +32,8 @@ def refit_cv_score(X_r, y_r, model, folds):
     for test in folds:
         train = np.ones(y_r.size, dtype=bool)
         train[test] = False
-        try:
-            fit = fit_ols(X_r[train], y_r[train], model)
-        except SingularFitError:
+        fit = fit_candidates(X_r[train], y_r[train], [model])[model]
+        if fit is None:
             return float("inf")
         resid = y_r[test] - design_matrix(X_r[test], model) @ fit.beta_hat
         mses.append(float(resid @ resid) / test.size)
@@ -99,7 +97,7 @@ class TestCvScore:
         y = rng.normal(size=10)
         m = ModelSpec((1, 2))
         folds = [np.array([i]) for i in range(10)]
-        got = score_kfold_cv(fit_ols(X, y, m), folds)
+        got = score_kfold_cv(fit_candidates(X, y, [m])[m], folds)
 
         Z = design_matrix(X, m)
         H = Z @ np.linalg.solve(Z.T @ Z, Z.T)
@@ -114,7 +112,7 @@ class TestCvScore:
         y = 1.0 + X @ [2.0, 3.0]
         m = ModelSpec((1, 2))
         folds = make_folds(12, 3, np.random.default_rng(4))
-        assert score_kfold_cv(fit_ols(X, y, m), folds) <= 1e-18
+        assert score_kfold_cv(fit_candidates(X, y, [m])[m], folds) <= 1e-18
 
     def test_binary_covariate_data_match_the_refit_rank_rule(self):
         # two gamma covariates and a ~10%-ones indicator on 30
@@ -362,7 +360,7 @@ class TestScoreCandidates:
         scores = score_candidates("bic", fit_candidates(X, y, cands), y)
         assert list(scores) == cands
         for m, score in scores.items():
-            rss = fit_ols(X, y, m).rss
+            rss = fit_candidates(X, y, [m])[m].rss
             assert score == pytest.approx(score_bic(rss, 30, m.p_alpha))
 
     def test_cv_draws_folds_for_an_unscorable_candidate(self):

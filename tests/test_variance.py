@@ -14,7 +14,7 @@ from survey_impute.design import (
     joint_matrix,
 )
 from survey_impute.errors import DegenerateFitError, EstimationFailureError, InvalidDesignError
-from survey_impute.estimators import (FitResult, ModelSpec, design_matrix, fit_candidates, fit_ols,
+from survey_impute.estimators import (FitResult, ModelSpec, design_matrix, fit_candidates,
                                       ht_mean, imputed_mean)
 from survey_impute.population import ResponseMask, generate_population, generate_response
 from survey_impute.variance import (
@@ -60,7 +60,7 @@ def stratified_instance(seed, p=2):
 
 
 def respondent_fit(mask, X, y, model):
-    return fit_ols(X[mask.respondents], y[mask.respondents], model)
+    return fit_candidates(X[mask.respondents], y[mask.respondents], [model])[model]
 
 
 class TestCHat:
@@ -91,8 +91,8 @@ class TestCHat:
         assert np.allclose(got, ref, atol=1e-10)
 
     @pytest.mark.parametrize("eps", [1e-7, 1e-8, 1e-9])
-    def test_near_collinear_design_that_fit_ols_accepts(self, eps):
-        # x2 = x1 + eps * noise passes the QR rank rule of fit_ols, but
+    def test_near_collinear_design_that_the_fit_accepts(self, eps):
+        # x2 = x1 + eps * noise passes the QR rank rule of the fit, but
         # Z'Z squares its condition number past what a Cholesky factor
         # of the normal equations survives; c_hat must take the fit as is
         rng = np.random.default_rng(3)
@@ -118,7 +118,7 @@ class TestEta:
     def test_nonrespondents_keep_prediction(self):
         s, mask, X, y = srswor_instance(4)
         m = ModelSpec((1, 2, 3))
-        fit = fit_ols(X[mask.respondents], y[mask.respondents], m)
+        fit = respondent_fit(mask, X, y, m)
         Z = design_matrix(X, m)
         c = c_hat(s, mask, Z, fit)
         eta = eta_hat(s, mask, Z, y, fit, Z @ c)
@@ -130,7 +130,7 @@ class TestEta:
         m = ModelSpec((1,))
         # noiseless y: every respondent residual is exactly zero
         y = 3.0 + 2.0 * X[:, 0]
-        fit = fit_ols(X[mask.respondents], y[mask.respondents], m)
+        fit = respondent_fit(mask, X, y, m)
         Z = design_matrix(X, m)
         c = c_hat(s, mask, Z, fit)
         eta = eta_hat(s, mask, Z, y, fit, Z @ c)
@@ -288,7 +288,7 @@ class TestSigma2:
         X = rng.uniform(0, 2, size=(12, 2))
         y = 1.0 + X @ [2.0, 3.0]
         m = ModelSpec((1, 2))
-        assert sigma2_hat(fit_ols(X, y, m), m) <= 1e-18
+        assert sigma2_hat(fit_candidates(X, y, [m])[m], m) <= 1e-18
 
     def test_sampling_band_at_scale(self):
         # residual variance from the smallest correct model, full-scale
@@ -301,7 +301,7 @@ class TestSigma2:
             mask = generate_response(pop.resp_prob, s.unit_ids, rng)
             X = pop.X[s.unit_ids]
             y = pop.y[s.unit_ids]
-            fit = fit_ols(X[mask.respondents], y[mask.respondents], TRUE_MODEL)
+            fit = respondent_fit(mask, X, y, TRUE_MODEL)
             vals.append(sigma2_hat(fit, TRUE_MODEL))
         vals = np.asarray(vals)
         frac = float(np.mean(np.abs(vals / 3600.0 - 1.0) <= 0.10))
@@ -406,7 +406,7 @@ class TestPipeline:
     def test_variance_for_model_assembles_pieces(self):
         s, mask, X, y = srswor_instance(24)
         m = ModelSpec((1, 2))
-        fit = fit_ols(X[mask.respondents], y[mask.respondents], m)
+        fit = respondent_fit(mask, X, y, m)
         v1, v2, s2 = variance_for_model(s, mask, X, y, m, fit)
         Z = design_matrix(X, m)
         c = c_hat(s, mask, Z, fit)
