@@ -22,16 +22,15 @@ import numpy as np
 
 from survey_impute import (
     classify_model,
-    confidence_interval,
     draw_srswor,
+    estimate_model,
     fit_candidates,
     generate_population,
     generate_response,
     ht_mean,
-    imputed_mean,
+    imputed_means,
     nested_candidates,
     select,
-    variance_for_model,
 )
 
 N = 2_000
@@ -72,9 +71,10 @@ def main():
     resp = mask.respondents
     # one respondent fit per candidate, shared by everything below
     fits = fit_candidates(X_s[resp], y_s[resp], candidates)
+    mu_hats = imputed_means(sample, mask, X_s, y_s, fits)
     for model in candidates:
         fit = fits[model]
-        mu_a = imputed_mean(sample, mask, X_s, y_s, model, fit)
+        mu_a = mu_hats[model]
         cls = classify_model(model, pop.true_support).value
         label = f"alpha{max(model.included)}"
         print(f"{label:>8} {cls:>8} {model.p_alpha:>4} {fit.rss:>12.1f}"
@@ -88,15 +88,13 @@ def main():
         f"alpha{max(m.included)}={s:.1f}" for m, s in list(scores.items())[:5]) + ", ...")
     print(f"BIC picks {chosen} ({classify_model(model, pop.true_support).value})")
 
-    mu_hat = imputed_mean(sample, mask, X_s, y_s, model, fits[model])
-    v1, v2, _ = variance_for_model(sample, mask, X_s, y_s, model, fits[model])
-    lower, upper = confidence_interval(mu_hat, v1 + v2, 0.95)
-    print(f"\npoint estimate    {mu_hat:.4f}")
-    print(f"sampling variance V1 = {v1:.4f}")
-    print(f"imputation variance V2 = {v2:.4f}"
-          f"  ({100 * v2 / (v1 + v2):.1f}% of the total)")
-    print(f"95% CI [{lower:.4f}, {upper:.4f}]"
-          f"   covers mu: {lower <= pop.mu <= upper}")
+    est = estimate_model(sample, mask, X_s, y_s, model, fits[model], 0.95)
+    print(f"\npoint estimate    {est.mu_hat:.4f}")
+    print(f"sampling variance V1 = {est.v1:.4f}")
+    print(f"imputation variance V2 = {est.v2:.4f}"
+          f"  ({100 * est.v2 / est.v_total:.1f}% of the total)")
+    print(f"95% CI [{est.lower:.4f}, {est.upper:.4f}]"
+          f"   covers mu: {est.lower <= pop.mu <= est.upper}")
 
 
 if __name__ == "__main__":

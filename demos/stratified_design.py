@@ -19,7 +19,7 @@ from survey_impute import (
     generate_population,
     generate_response,
     ht_mean,
-    imputed_mean,
+    imputed_means,
     joint_matrix,
     stratum_sizes,
 )
@@ -45,7 +45,7 @@ def one_rep(pop, draw, rng):
     if mask.n_r <= MODEL.p_alpha:
         return None, None
     fit = fit_candidates(X_s[mask.respondents], y_s[mask.respondents], [MODEL])[MODEL]
-    mu = imputed_mean(draw, mask, X_s, y_s, MODEL, fit)
+    mu = imputed_means(draw, mask, X_s, y_s, {MODEL: fit})[MODEL]
     return ht_mean(draw, y_s), mu
 
 

@@ -37,7 +37,6 @@ from .estimators import (  # noqa: E402
     design_matrix,
     fit_candidates,
     ht_mean,
-    imputed_mean,
     imputed_means,
     nested_candidates,
 )
@@ -59,14 +58,11 @@ from .selection import (  # noqa: E402
 )
 from .variance import (  # noqa: E402
     Estimate,
-    c_hat,
     confidence_interval,
+    estimate_model,
     estimate_with_inference,
-    eta_hat,
     sigma2_hat,
     v1_hat,
-    v2_hat,
-    variance_for_model,
 )
 from .config import (  # noqa: E402
     EstimateConfig,

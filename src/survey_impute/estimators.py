@@ -205,7 +205,9 @@ def imputed_means(sample, mask, X, y, fits):
     predictions for the missing, averaged with HT weights. X and y are
     aligned with sample.unit_ids. With t = sum_r y/pi and w = sum_m
     (1, x)/pi taken once, mu_hat = (t + w[cols] . beta_hat) / N, where
-    cols are the model's design columns; None for a None fit."""
+    cols are the model's design columns; None for a None fit. One
+    model's mean is imputed_means(..., {model: fit})[model], which is
+    how variance.estimate_model reads it."""
     resp, miss = mask.respondents, mask.nonrespondents
     pi = sample.pi_first
     t = float(np.sum(np.asarray(y, dtype=np.float64)[resp] / pi[resp]))
@@ -216,12 +218,6 @@ def imputed_means(sample, mask, X, y, fits):
         m: None if fit is None else (t + float(w[[0, *m.included]] @ fit.beta_hat)) / N
         for m, fit in fits.items()
     }
-
-
-def imputed_mean(sample, mask, X, y, model, fit):
-    """imputed_means for one model and its respondent fit (a value of
-    fit_candidates). Returns mu_hat, or None for a None fit."""
-    return imputed_means(sample, mask, X, y, {model: fit})[model]
 
 
 def nested_candidates(p):

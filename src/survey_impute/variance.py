@@ -2,13 +2,15 @@
 confidence interval, all read off the candidate set: the fits from
 fit_candidates, which selection scores in their key order.
 
-The estimator is linearized through per-unit values eta_hat whose HT
-mean reproduces mu_hat exactly; v1 is the design variance of that HT
-mean and v2 adds the model component from predicting the missing y.
-variance_for_model returns (v1, v2, sigma2_hat), confidence_interval
-(lower, upper), and estimate_with_inference one Estimate per dataset
-together with the selection scores, estimating each selected model once
-when its callers share a memo.
+The estimator is linearized through per-unit values eta whose HT mean
+reproduces mu_hat exactly; v1 is the design variance of that HT mean
+and v2 adds the model component from predicting the missing y.
+estimate_model reads both off one model's respondent fit (its Q, R and
+residuals), with no design over the respondents and no new
+factorization, and returns the model's Estimate. confidence_interval
+gives (lower, upper), and estimate_with_inference one Estimate per
+dataset together with the selection scores, estimating each selected
+model once when its callers share a memo.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DegenerateFitError, EstimationFailureError
-from .estimators import design_matrix, imputed_mean
+from .estimators import design_matrix, imputed_means
 from .selection import select
 
 
@@ -38,37 +40,6 @@ class Estimate:
     @property
     def v_total(self):
         return self.v1 + self.v2
-
-
-def c_hat(sample, mask, Z, fit):
-    """Solve (sum_r z z') c = sum_m z / pi for the weighting vector that
-    carries the missing units' leverage back onto the respondents. Z is
-    the model's design over the sample, rows aligned with
-    sample.unit_ids.
-
-    fit is the model's respondent fit from fit_candidates: sum_r z z' =
-    R'R for its triangular factor R, so c solves against R' and then R,
-    with no new factorization or rank check."""
-    miss = mask.nonrespondents
-    if miss.size == 0:
-        return np.zeros(Z.shape[1])
-    w = Z[miss].T @ (1.0 / sample.pi_first[miss])
-    return np.linalg.solve(fit.R, np.linalg.solve(fit.R.T, w))
-
-
-def eta_hat(sample, mask, Z, y, fit, zc):
-    """Per-sampled-unit linearized values
-    z'b + r_k (1 + pi_k c'z_k)(y_k - z'b), with Z the model's design over
-    the sample (rows aligned with sample.unit_ids), b = fit.beta_hat and
-    zc = Z @ c for c from c_hat; nonrespondents keep the bare prediction
-    z'b. Their HT mean reproduces the imputation estimator."""
-    y = np.asarray(y, dtype=np.float64)
-    pred = Z @ fit.beta_hat
-    eta = pred.copy()
-    resp = mask.respondents
-    adj = 1.0 + sample.pi_first[resp] * zc[resp]
-    eta[resp] = pred[resp] + adj * (y[resp] - pred[resp])
-    return eta
 
 
 def v1_hat(sample, eta):
@@ -101,25 +72,16 @@ def v1_hat(sample, eta):
     return float(np.sum(N_h * (N_h - n_h) * s2 / n_h)) / (N * N)
 
 
-def sigma2_hat(fit, model):
-    nu = fit.resid.size - model.p_alpha
+def sigma2_hat(fit):
+    """Residual variance rss / (n_r - q) of a respondent fit, q its
+    column count, read off the fit itself."""
+    q = fit.R.shape[0]
+    nu = fit.resid.size - q
     if nu <= 0:
         raise DegenerateFitError(
-            f"no residual degrees of freedom: n_r={fit.resid.size}, p_alpha={model.p_alpha}"
+            f"no residual degrees of freedom: n_r={fit.resid.size}, p_alpha={q}"
         )
     return fit.rss / nu
-
-
-def v2_hat(sample, mask, sigma2, zc):
-    """Model component: sigma^2 sum_k [1 - r_k + r_k (pi_k c'z_k)^2] /
-    (N^2 pi_k), with zc = Z @ c as for eta_hat. Every summand is
-    nonnegative."""
-    pi = sample.pi_first
-    r = np.zeros(pi.size)
-    r[mask.respondents] = 1.0
-    term = (1.0 - r) + r * (pi * zc) ** 2
-    N = sample.design.population_size
-    return float(sigma2 * np.sum(term / pi) / (N * N))
 
 
 def confidence_interval(point, v_total, level):
@@ -139,24 +101,39 @@ def confidence_interval(point, v_total, level):
     return float(point - half), float(point + half)
 
 
-def variance_for_model(sample, mask, X, y, model, fit):
-    """(v1, v2, sigma^2) of the model's imputation estimator. The
-    model's design Z over the sample is built once, for c_hat and
-    eta_hat, and Z @ c once, for eta_hat and v2_hat."""
-    Z = design_matrix(X, model)
-    zc = Z @ c_hat(sample, mask, Z, fit)
-    v1 = v1_hat(sample, eta_hat(sample, mask, Z, y, fit, zc))
-    s2 = sigma2_hat(fit, model)
-    v2 = v2_hat(sample, mask, s2, zc)
-    return v1, v2, s2
+def estimate_model(sample, mask, X, y, model, fit, level):
+    """One model's Estimate from its respondent fit (a value of
+    fit_candidates): mu_hat, v1, v2 and the interval at level. X and y
+    are aligned with sample.unit_ids.
+
+    c solves (sum_r z z') c = w for w = sum_m z / pi; the fit holds
+    Z_r = QR, so on the respondents z'c = Q R^-T w, with no respondent
+    design and no new factorization. eta is y + pi (z'c) e on the
+    respondents, e the fit's residuals, and z'beta on the missing; its
+    HT mean is mu_hat, and v1 = v1_hat(eta).
+    v2 = sigma^2 (sum_m 1/pi + sum_r pi (z'c)^2) / N^2."""
+    resp, miss = mask.respondents, mask.nonrespondents
+    pi = sample.pi_first
+    Z_m = design_matrix(np.asarray(X)[miss], model)
+    inv_m = 1.0 / pi[miss]
+    zc = fit.Q @ np.linalg.solve(fit.R.T, Z_m.T @ inv_m)
+    eta = np.empty(sample.n)
+    eta[resp] = np.asarray(y, dtype=np.float64)[resp] + pi[resp] * zc * fit.resid
+    eta[miss] = Z_m @ fit.beta_hat
+    v1 = v1_hat(sample, eta)
+    s2 = sigma2_hat(fit)
+    N = sample.design.population_size
+    v2 = float(s2 * (inv_m.sum() + np.sum(pi[resp] * zc**2)) / (N * N))
+    mu = imputed_means(sample, mask, X, y, {model: fit})[model]
+    lower, upper = confidence_interval(mu, v1 + v2, level)
+    return Estimate(model, mu, v1, v2, s2, lower, upper)
 
 
 def estimate_with_inference(sample, mask, X, y, fits, criterion, level, rng=None,
                             estimates=None):
-    """Full pipeline on one dataset: select a model on the respondents,
-    impute, estimate the variance, and build the interval, all from the
-    candidate set fits (from fit_candidates), scored in its key order.
-    estimates, when given, is a {model: Estimate} memo shared by the
+    """Full pipeline on one dataset: select a model on the respondents
+    from the candidate set fits (from fit_candidates), scored in its key
+    order, and estimate it with estimate_model on its fit. estimates, when given, is a {model: Estimate} memo shared by the
     calls on one dataset at one level: a model already in it is not
     estimated again, and a new one is added, so criteria that pick the
     same model share one Estimate.
@@ -166,9 +143,5 @@ def estimate_with_inference(sample, mask, X, y, fits, criterion, level, rng=None
     if estimates is None:
         estimates = {}
     if model not in estimates:
-        fit = fits[model]
-        mu = imputed_mean(sample, mask, X, y, model, fit)
-        v1, v2, s2 = variance_for_model(sample, mask, X, y, model, fit)
-        lower, upper = confidence_interval(mu, v1 + v2, level)
-        estimates[model] = Estimate(model, mu, v1, v2, s2, lower, upper)
+        estimates[model] = estimate_model(sample, mask, X, y, model, fits[model], level)
     return estimates[model], scores

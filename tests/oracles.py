@@ -1,0 +1,78 @@
+"""Literal forms of the linearized variance's pieces, test references
+for `variance.estimate_model`, which reads them off the respondent fit.
+
+Each is written from its definition over the model's design Z on the
+whole sample, rows aligned with sample.unit_ids: c from the normal
+equations, eta unit by unit, v2 as its per-unit sum, and v1 as the
+Horvitz-Thompson double sum over `design.joint_matrix`.
+estimate_and_eta reads the eta that estimate_model computes, which it
+keeps internal, where it is passed to v1_hat.
+"""
+
+import numpy as np
+import pytest
+
+import survey_impute.variance as variance
+from survey_impute.design import joint_matrix
+from survey_impute.estimators import design_matrix
+
+
+def estimate_and_eta(sample, mask, X, y, model, fit):
+    """estimate_model's Estimate at level 0.95, and the eta it passes to
+    variance.v1_hat, captured by wrapping that name for the one call."""
+    real, seen = variance.v1_hat, []
+
+    def capture(s, eta):
+        seen.append(np.array(eta, copy=True))
+        return real(s, eta)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(variance, "v1_hat", capture)
+        est = variance.estimate_model(sample, mask, X, y, model, fit, 0.95)
+    (eta,) = seen
+    return est, eta
+
+
+def c_oracle(sample, mask, X, model):
+    """The c solving (sum_r z z') c = sum_m z / pi."""
+    Z = design_matrix(X, model)
+    miss = mask.nonrespondents
+    Z_r = Z[mask.respondents]
+    w = Z[miss].T @ (1.0 / sample.pi_first[miss])
+    return np.linalg.solve(Z_r.T @ Z_r, w)
+
+
+def eta_oracle(sample, mask, X, y, model, beta, c):
+    """Per sampled unit, z'b + r_k (1 + pi_k c'z_k)(y_k - z'b) for the
+    coefficients b = beta: the bare prediction on the missing."""
+    Z = design_matrix(X, model)
+    pred = Z @ beta
+    eta = pred.copy()
+    for k in mask.respondents:
+        adj = 1.0 + sample.pi_first[k] * float(Z[k] @ c)
+        eta[k] = pred[k] + adj * (float(y[k]) - pred[k])
+    return eta
+
+
+def v2_oracle(sample, mask, sigma2, X, model, c):
+    """sigma^2 sum_k [1 - r_k + r_k (pi_k c'z_k)^2] / (N^2 pi_k)."""
+    Z = design_matrix(X, model)
+    total = 0.0
+    for k in range(sample.n):
+        r_k = 1.0 if mask.r[k] else 0.0
+        pi_k = sample.pi_first[k]
+        total += ((1.0 - r_k) + r_k * (pi_k * float(Z[k] @ c)) ** 2) / pi_k
+    N = sample.design.population_size
+    return sigma2 * total / N**2
+
+
+def v1_double_sum(sample, eta):
+    """(1/N^2) sum_kl (Delta_kl / pi_kl)(eta_k / pi_k)(eta_l / pi_l),
+    each pi_kl read off joint_matrix, and the same sum of the terms'
+    absolute values, the scale of its rounding error."""
+    pi = sample.pi_first
+    J = joint_matrix(sample.design, sample.strata)
+    t = eta / pi
+    terms = (J - np.outer(pi, pi)) / J * np.outer(t, t)
+    N2 = sample.design.population_size ** 2
+    return float(terms.sum()) / N2, float(np.abs(terms).sum()) / N2

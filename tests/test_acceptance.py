@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.stats
 from conftest import CONFIG_DIR
+from oracles import c_oracle, eta_oracle
 
 from survey_impute.design import (
     DesignDescriptor,
@@ -24,10 +25,9 @@ from survey_impute.design import (
 )
 from survey_impute.estimators import (
     ModelSpec,
-    design_matrix,
     fit_candidates,
     ht_mean,
-    imputed_mean,
+    imputed_means,
     nested_candidates,
 )
 from survey_impute.loss import loss_closed_form, mc_loss_oracle
@@ -35,9 +35,7 @@ from survey_impute.population import ResponseMask, generate_population, generate
 from survey_impute.selection import select
 from survey_impute.variance import (
     Estimate,
-    c_hat,
     estimate_with_inference,
-    eta_hat,
     sigma2_hat,
     v1_hat,
 )
@@ -317,9 +315,8 @@ def test_criterion_11_linearization_identity(acceptance):
             mask = ResponseMask(r)
             m = ModelSpec((1, 2)) if seed % 2 else ModelSpec((1,))
             fit = fit_candidates(X[mask.respondents], y[mask.respondents], [m])[m]
-            mu = imputed_mean(s, mask, X, y, m, fit)
-            Z = design_matrix(X, m)
-            eta = eta_hat(s, mask, Z, y, fit, Z @ c_hat(s, mask, Z, fit))
+            mu = imputed_means(s, mask, X, y, {m: fit})[m]
+            eta = eta_oracle(s, mask, X, y, m, fit.beta_hat, c_oracle(s, mask, X, m))
             worst = max(worst, abs(ht_mean(s, eta) - mu) / max(abs(mu), 1.0))
             count += 1
     acceptance(
@@ -341,7 +338,7 @@ def test_criterion_12_noiseless_recovery(acceptance):
     m2 = ModelSpec((1, 2))
     fit = fit_candidates(X[mask.respondents], y[mask.respondents], [m2])[m2]
     beta_exact = bool(np.allclose(fit.beta_hat, [0.5, 2.0, -1.0], rtol=1e-9, atol=1e-9))
-    s2_zero = sigma2_hat(fit, m2) <= 1e-18
+    s2_zero = sigma2_hat(fit) <= 1e-18
     X_r, y_r, cands = X[mask.respondents], y[mask.respondents], nested_candidates(4)
     best, _ = select("bic", fit_candidates(X_r, y_r, cands), y_r)
     picks_smallest = best == m2

@@ -17,7 +17,7 @@ from survey_impute.estimators import (
     design_matrix,
     fit_candidates,
     ht_mean,
-    imputed_mean,
+    imputed_means,
     nested_candidates,
     _rank_deficient,
 )
@@ -167,7 +167,7 @@ class TestImputedMean:
         y = rng.normal(size=10)
         mask = ResponseMask(np.ones(10, dtype=bool))
         m = ModelSpec((1, 2))
-        mu = imputed_mean(s, mask, X, y, m, respondent_fit(mask, X, y, m))
+        mu = imputed_means(s, mask, X, y, {m: respondent_fit(mask, X, y, m)})[m]
         assert mu == pytest.approx(ht_mean(s, y), abs=1e-12)
 
     def test_noiseless_correct_model_equals_ht(self):
@@ -178,7 +178,7 @@ class TestImputedMean:
         mask = ResponseMask(rng.random(12) < 0.6)
         assert mask.n_r >= 4 and mask.n_m >= 1
         m = ModelSpec((1, 2, 3))
-        mu = imputed_mean(s, mask, X, y, m, respondent_fit(mask, X, y, m))
+        mu = imputed_means(s, mask, X, y, {m: respondent_fit(mask, X, y, m)})[m]
         assert mu == pytest.approx(ht_mean(s, y), rel=1e-12)
 
     def test_resummation_oracle(self):
@@ -189,7 +189,7 @@ class TestImputedMean:
         mask = ResponseMask(np.array([True, False, True, True, False, True]))
         m = ModelSpec((1,))
         fit = respondent_fit(mask, X, y, m)
-        mu = imputed_mean(s, mask, X, y, m, fit)
+        mu = imputed_means(s, mask, X, y, {m: fit})[m]
         # independent two-term sum
         pred = fit.beta_hat[0] + X[:, 0] * fit.beta_hat[1]
         total = sum(
@@ -204,8 +204,8 @@ class TestImputedMean:
         y = rng.normal(size=10)
         mask = ResponseMask(rng.random(10) < 0.7)
         m = ModelSpec((1, 2))
-        mu1 = imputed_mean(s, mask, X, y, m, respondent_fit(mask, X, y, m))
-        mu2 = imputed_mean(s, mask, X, 2 * y, m, respondent_fit(mask, X, 2 * y, m))
+        mu1 = imputed_means(s, mask, X, y, {m: respondent_fit(mask, X, y, m)})[m]
+        mu2 = imputed_means(s, mask, X, 2 * y, {m: respondent_fit(mask, X, 2 * y, m)})[m]
         assert mu2 == pytest.approx(2 * mu1, rel=1e-10)
 
     def test_reuses_supplied_fit(self):
@@ -216,7 +216,7 @@ class TestImputedMean:
         mask = ResponseMask(np.array([True, True, True, False, False]))
         m = ModelSpec((1,))
         fit = FitResult(np.array([0.0, 0.0]), 0.0, np.eye(2), np.zeros((3, 2)), np.zeros(3))
-        mu = imputed_mean(s, mask, X, y, m, fit)
+        mu = imputed_means(s, mask, X, y, {m: fit})[m]
         # zero coefficients: missing contribute nothing
         expect = sum(y[i] / s.pi_first[i] for i in range(3)) / 20
         assert mu == pytest.approx(expect, abs=1e-12)

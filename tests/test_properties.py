@@ -2,32 +2,35 @@
 the data itself still comes from seeded numpy generators so shrinking
 stays meaningful)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import c_oracle, estimate_and_eta, eta_oracle, v1_double_sum, v2_oracle
 
 from survey_impute.design import (
     DesignDescriptor,
     SampleDraw,
     _largest_remainder,
     draw_srswor,
+    draw_stratified,
     joint_matrix,
     neyman_allocation,
     stratum_sizes,
 )
 from survey_impute.estimators import (
     ModelSpec,
-    design_matrix,
     fit_candidates,
     ht_mean,
-    imputed_mean,
+    imputed_means,
     nested_candidates,
 )
 from survey_impute.loss import loss_closed_form
 from survey_impute.population import ResponseMask
 from survey_impute.selection import select
-from survey_impute.variance import c_hat, confidence_interval, eta_hat, v1_hat, v2_hat
+from survey_impute.variance import confidence_interval, estimate_model, v1_hat
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -106,9 +109,10 @@ def test_ht_mean_is_linear(seed):
 def test_v2_is_nonnegative(seed, sigma2):
     s, mask, X, y = instance(seed)
     m = ModelSpec((1, 2))
-    Z = design_matrix(X, m)
-    c = c_hat(s, mask, Z, fit_candidates(X[mask.respondents], y[mask.respondents], [m])[m])
-    assert v2_hat(s, mask, sigma2, Z @ c) >= 0.0
+    fit = fit_candidates(X[mask.respondents], y[mask.respondents], [m])[m]
+    # an rss that makes sigma2_hat = sigma2
+    fit = dataclasses.replace(fit, rss=sigma2 * (mask.n_r - m.p_alpha))
+    assert estimate_model(s, mask, X, y, m, fit, 0.95).v2 >= 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,10 +121,47 @@ def test_eta_ht_mean_reproduces_the_estimator(seed):
     s, mask, X, y = instance(seed)
     m = ModelSpec((1, 2))
     fit = fit_candidates(X[mask.respondents], y[mask.respondents], [m])[m]
-    mu = imputed_mean(s, mask, X, y, m, fit)
-    Z = design_matrix(X, m)
-    eta = eta_hat(s, mask, Z, y, fit, Z @ c_hat(s, mask, Z, fit))
-    assert ht_mean(s, eta) == pytest.approx(mu, rel=1e-10)
+    est, eta = estimate_and_eta(s, mask, X, y, m, fit)
+    assert ht_mean(s, eta) == pytest.approx(est.mu_hat, rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.booleans(), st.booleans(), st.booleans())
+def test_estimate_model_matches_the_literal_forms(seed, stratified, nested, full_response):
+    # every candidate of a nested chain (whose fits hold views of one Q)
+    # or of an explicit list, on SRSWOR or stratified draws
+    rng = np.random.default_rng(seed)
+    p = 3
+    if stratified:
+        key = rng.normal(size=60)
+        s = draw_stratified(key, np.abs(key) + 1.0, (0.5, 0.3, 0.2), 20, rng)
+    else:
+        s = draw_srswor(60, 20, rng)
+    X = rng.gamma(5.0, 2.0, size=(s.n, p))
+    y = 1.0 + X @ np.arange(1.0, p + 1) + rng.normal(size=s.n)
+    r = np.ones(s.n, dtype=bool) if full_response else rng.random(s.n) < 0.6
+    r[: p + 2] = True
+    mask = ResponseMask(r)
+    if nested:
+        cands = nested_candidates(p)
+    else:
+        cands = list({ModelSpec(tuple(rng.choice(np.arange(1, p + 1), size=k, replace=False)))
+                      for k in rng.integers(0, p + 1, size=4)})
+    resp = mask.respondents
+    fits = fit_candidates(X[resp], y[resp], cands)
+    mus = imputed_means(s, mask, X, y, fits)
+    for m, fit in fits.items():
+        est, eta = estimate_and_eta(s, mask, X, y, m, fit)
+        assert est.mu_hat == mus[m]
+        c = c_oracle(s, mask, X, m)
+        want = eta_oracle(s, mask, X, y, m, fit.beta_hat, c)
+        assert np.allclose(eta, want, rtol=0.0, atol=1e-12 * np.abs(y).max())
+        v1, scale = v1_double_sum(s, want)
+        assert est.v1 == pytest.approx(v1, rel=1e-10, abs=1e-12 * scale)
+        assert est.v2 == pytest.approx(v2_oracle(s, mask, est.sigma2_hat, X, m, c), rel=1e-10)
+        if full_response:
+            assert np.array_equal(eta, y)
+            assert est.v2 == 0.0
 
 
 def random_draw(seed, stratified):
@@ -149,16 +190,10 @@ def random_draw(seed, stratified):
 def test_v1_closed_form_equals_joint_matrix_double_sum(seed, stratified):
     s, rng = random_draw(seed, stratified)
     eta = rng.normal(size=s.n) * rng.uniform(1.0, 20.0) + rng.uniform(-10.0, 10.0)
-    pi = s.pi_first
-    J = joint_matrix(s.design, s.strata)
-    t = eta / pi
-    terms = (J - np.outer(pi, pi)) / J * np.outer(t, t)
-    N2 = s.design.population_size ** 2
-    oracle = float(terms.sum()) / N2
+    oracle, scale = v1_double_sum(s, eta)
     # the oracle's rounding error scales with its summands, not its value:
     # sampling fractions near 1 cancel most of the sum (n = N - 1 loses
     # ~1e-12 of the value), and census strata can cancel all of it
-    scale = float(np.abs(terms).sum()) / N2
     assert v1_hat(s, eta) == pytest.approx(oracle, rel=1e-12, abs=1e-12 * scale)
 
 

@@ -264,13 +264,13 @@ class TestEstimateSharing:
                           population={"beta": [1.0, 2.0, 3.0]}, design={"n": 30})
         import survey_impute.variance as var
 
-        calls, real = [], var.variance_for_model
+        calls, real = [], var.estimate_model
 
         def counted(*args):
             calls.append(args[4])
             return real(*args)
 
-        monkeypatch.setattr(var, "variance_for_model", counted)
+        monkeypatch.setattr(var, "estimate_model", counted)
         shared = run_replication(cfg, 0)
         assert calls == [ModelSpec((1, 2))]
         assert {e.model for e in shared.criteria} == {ModelSpec((1, 2))}

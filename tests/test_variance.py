@@ -1,10 +1,17 @@
-"""Linearized variance estimator, its pieces, and the interval."""
+"""Linearized variance estimator, its pieces, and the interval.
 
+estimate_model keeps z'c and eta internal, so the tests read eta where
+it is passed to v1_hat, and check c through it: on a respondent,
+eta = y + pi (z'c) e.
+"""
+
+import dataclasses
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import c_oracle, estimate_and_eta, eta_oracle, v2_oracle
 
 from survey_impute.design import (
     DesignDescriptor,
@@ -15,17 +22,14 @@ from survey_impute.design import (
 )
 from survey_impute.errors import DegenerateFitError, EstimationFailureError, InvalidDesignError
 from survey_impute.estimators import (FitResult, ModelSpec, design_matrix, fit_candidates,
-                                      ht_mean, imputed_mean)
+                                      ht_mean, imputed_means)
 from survey_impute.population import ResponseMask, generate_population, generate_response
 from survey_impute.variance import (
-    c_hat,
     confidence_interval,
+    estimate_model,
     estimate_with_inference,
-    eta_hat,
     sigma2_hat,
     v1_hat,
-    v2_hat,
-    variance_for_model,
 )
 
 BETA = np.array([0.0, 10.0, 9.0, 9.0, 8.0, 8.0, 7.0] + [0.0] * 14)
@@ -65,36 +69,39 @@ def respondent_fit(mask, X, y, model):
 
 class TestCHat:
     def test_full_response_is_zero(self):
+        # w = 0, so z'c = 0: eta is y itself and v2 vanishes
         s, _, X, y = srswor_instance(1)
         mask = ResponseMask(np.ones(s.n, dtype=bool))
         m = ModelSpec((1, 2))
-        got = c_hat(s, mask, design_matrix(X, m), respondent_fit(mask, X, y, m))
-        assert np.array_equal(got, np.zeros(3))
+        est, eta = estimate_and_eta(s, mask, X, y, m, respondent_fit(mask, X, y, m))
+        assert np.array_equal(eta, y)
+        assert est.v2 == 0.0
 
     def test_intercept_only_scalar(self):
         s, mask, X, y = srswor_instance(2)
         m = ModelSpec(())
-        got = c_hat(s, mask, design_matrix(X, m), respondent_fit(mask, X, y, m))
+        fit = respondent_fit(mask, X, y, m)
+        _, eta = estimate_and_eta(s, mask, X, y, m, fit)
         pi = s.design.sample_size / s.design.population_size
-        assert got.shape == (1,)
-        assert got[0] == pytest.approx(mask.n_m / (pi * mask.n_r), rel=1e-12)
+        c = mask.n_m / (pi * mask.n_r)
+        resp = mask.respondents
+        assert np.allclose(eta[resp], y[resp] + pi * c * fit.resid, rtol=1e-12, atol=0.0)
 
     def test_dense_solve_oracle(self):
         s, mask, X, y = srswor_instance(3)
         m = ModelSpec((1, 3))
-        Z_r = design_matrix(X[mask.respondents], m)
-        w = design_matrix(X[mask.nonrespondents], m).T @ (
-            1.0 / s.pi_first[mask.nonrespondents]
-        )
-        ref = np.linalg.solve(Z_r.T @ Z_r, w)
-        got = c_hat(s, mask, design_matrix(X, m), respondent_fit(mask, X, y, m))
-        assert np.allclose(got, ref, atol=1e-10)
+        fit = respondent_fit(mask, X, y, m)
+        _, eta = estimate_and_eta(s, mask, X, y, m, fit)
+        zc = design_matrix(X, m) @ c_oracle(s, mask, X, m)
+        resp = mask.respondents
+        want = y[resp] + s.pi_first[resp] * zc[resp] * fit.resid
+        assert np.allclose(eta[resp], want, atol=1e-10)
 
     @pytest.mark.parametrize("eps", [1e-7, 1e-8, 1e-9])
     def test_near_collinear_design_that_the_fit_accepts(self, eps):
         # x2 = x1 + eps * noise passes the QR rank rule of the fit, but
         # Z'Z squares its condition number past what a Cholesky factor
-        # of the normal equations survives; c_hat must take the fit as is
+        # of the normal equations survives; z'c must come from the fit
         rng = np.random.default_rng(3)
         n = 40
         s = draw_srswor(200, n, rng)
@@ -103,15 +110,10 @@ class TestCHat:
         y = 1.0 + 2.0 * x + rng.normal(size=n)
         mask = ResponseMask(rng.random(n) < 0.7)
         m = ModelSpec((1, 2))
-        fit = respondent_fit(mask, X, y, m)
-        mu = imputed_mean(s, mask, X, y, m, fit)
-        v1, v2, _ = variance_for_model(s, mask, X, y, m, fit)
-        assert np.isfinite(v1 + v2)
-        Z = design_matrix(X, m)
-        c = c_hat(s, mask, Z, fit)
-        assert np.all(np.isfinite(c))
-        eta = eta_hat(s, mask, Z, y, fit, Z @ c)
-        assert ht_mean(s, eta) == pytest.approx(mu, rel=1e-6)
+        est, eta = estimate_and_eta(s, mask, X, y, m, respondent_fit(mask, X, y, m))
+        assert np.isfinite(est.v1 + est.v2)
+        assert np.all(np.isfinite(eta))
+        assert ht_mean(s, eta) == pytest.approx(est.mu_hat, rel=1e-6)
 
 
 class TestEta:
@@ -119,43 +121,42 @@ class TestEta:
         s, mask, X, y = srswor_instance(4)
         m = ModelSpec((1, 2, 3))
         fit = respondent_fit(mask, X, y, m)
-        Z = design_matrix(X, m)
-        c = c_hat(s, mask, Z, fit)
-        eta = eta_hat(s, mask, Z, y, fit, Z @ c)
+        _, eta = estimate_and_eta(s, mask, X, y, m, fit)
         miss = mask.nonrespondents
         assert np.allclose(eta[miss], design_matrix(X[miss], m) @ fit.beta_hat, atol=1e-12)
 
     def test_zero_residual_respondent_keeps_prediction(self):
         s, mask, X, _ = srswor_instance(5)
-        m = ModelSpec((1,))
         # noiseless y: every respondent residual is exactly zero
         y = 3.0 + 2.0 * X[:, 0]
-        fit = respondent_fit(mask, X, y, m)
-        Z = design_matrix(X, m)
-        c = c_hat(s, mask, Z, fit)
-        eta = eta_hat(s, mask, Z, y, fit, Z @ c)
+        m = ModelSpec((1,))
+        _, eta = estimate_and_eta(s, mask, X, y, m, respondent_fit(mask, X, y, m))
         assert np.allclose(eta, 3.0 + 2.0 * X[:, 0], rtol=1e-9)
 
     @pytest.mark.parametrize("seed", [6, 7, 8])
     def test_ht_mean_of_eta_reproduces_estimator(self, seed):
         s, mask, X, y = srswor_instance(seed)
         m = ModelSpec((1, 2))
-        fit = respondent_fit(mask, X, y, m)
-        mu = imputed_mean(s, mask, X, y, m, fit)
-        Z = design_matrix(X, m)
-        c = c_hat(s, mask, Z, fit)
-        eta = eta_hat(s, mask, Z, y, fit, Z @ c)
-        assert ht_mean(s, eta) == pytest.approx(mu, rel=1e-10)
+        est, eta = estimate_and_eta(s, mask, X, y, m, respondent_fit(mask, X, y, m))
+        assert ht_mean(s, eta) == pytest.approx(est.mu_hat, rel=1e-10)
 
     def test_identity_holds_on_stratified_draw(self):
         s, mask, X, y = stratified_instance(9)
         m = ModelSpec((1, 2))
+        est, eta = estimate_and_eta(s, mask, X, y, m, respondent_fit(mask, X, y, m))
+        assert ht_mean(s, eta) == pytest.approx(est.mu_hat, rel=1e-10)
+
+    @pytest.mark.parametrize("build,seed,m", [("srswor", 6, (1, 2)), ("srswor", 7, (1, 2, 3)),
+                                              ("stratified", 9, (1, 2))],
+                             ids=["srswor-i1+2", "srswor-i1+2+3", "stratified-i1+2"])
+    def test_matches_the_literal_form(self, build, seed, m):
+        make = srswor_instance if build == "srswor" else stratified_instance
+        s, mask, X, y = make(seed)
+        m = ModelSpec(m)
         fit = respondent_fit(mask, X, y, m)
-        mu = imputed_mean(s, mask, X, y, m, fit)
-        Z = design_matrix(X, m)
-        c = c_hat(s, mask, Z, fit)
-        eta = eta_hat(s, mask, Z, y, fit, Z @ c)
-        assert ht_mean(s, eta) == pytest.approx(mu, rel=1e-10)
+        _, eta = estimate_and_eta(s, mask, X, y, m, fit)
+        want = eta_oracle(s, mask, X, y, m, fit.beta_hat, c_oracle(s, mask, X, m))
+        assert np.allclose(eta, want, rtol=1e-12, atol=0.0)
 
 
 def v1_loop(sample, eta):
@@ -276,19 +277,19 @@ class TestV1:
 class TestSigma2:
     def test_hand_value(self):
         fit = FitResult(np.array([0.0]), rss=2.0, R=np.eye(1), Q=np.zeros((3, 1)), resid=np.ones(3))
-        assert sigma2_hat(fit, ModelSpec(())) == pytest.approx(1.0)
+        assert sigma2_hat(fit) == pytest.approx(1.0)
 
     def test_no_degrees_of_freedom(self):
         fit = FitResult(np.zeros(3), rss=0.0, R=np.eye(3), Q=np.eye(3), resid=np.zeros(3))
-        with pytest.raises(DegenerateFitError):
-            sigma2_hat(fit, ModelSpec((1, 2)))
+        with pytest.raises(DegenerateFitError, match="n_r=3, p_alpha=3"):
+            sigma2_hat(fit)
 
     def test_noiseless_is_zero(self):
         rng = np.random.default_rng(13)
         X = rng.uniform(0, 2, size=(12, 2))
         y = 1.0 + X @ [2.0, 3.0]
         m = ModelSpec((1, 2))
-        assert sigma2_hat(fit_candidates(X, y, [m])[m], m) <= 1e-18
+        assert sigma2_hat(fit_candidates(X, y, [m])[m]) <= 1e-18
 
     def test_sampling_band_at_scale(self):
         # residual variance from the smallest correct model, full-scale
@@ -302,7 +303,7 @@ class TestSigma2:
             X = pop.X[s.unit_ids]
             y = pop.y[s.unit_ids]
             fit = respondent_fit(mask, X, y, TRUE_MODEL)
-            vals.append(sigma2_hat(fit, TRUE_MODEL))
+            vals.append(sigma2_hat(fit))
         vals = np.asarray(vals)
         frac = float(np.mean(np.abs(vals / 3600.0 - 1.0) <= 0.10))
         assert 0.63 <= frac <= 0.82
@@ -314,39 +315,29 @@ class TestV2:
         s, _, X, y = srswor_instance(14)
         mask = ResponseMask(np.ones(s.n, dtype=bool))
         m = ModelSpec((1,))
-        Z = design_matrix(X, m)
-        c = c_hat(s, mask, Z, respondent_fit(mask, X, y, m))
-        assert v2_hat(s, mask, 5.0, Z @ c) == pytest.approx(0.0, abs=1e-18)
+        est = estimate_model(s, mask, X, y, m, respondent_fit(mask, X, y, m), 0.95)
+        assert est.v2 == pytest.approx(0.0, abs=1e-18)
 
     def test_zero_sigma2_is_zero(self):
         s, mask, X, y = srswor_instance(15)
         m = ModelSpec((1, 2))
-        Z = design_matrix(X, m)
-        c = c_hat(s, mask, Z, respondent_fit(mask, X, y, m))
-        assert v2_hat(s, mask, 0.0, Z @ c) == 0.0
+        fit = dataclasses.replace(respondent_fit(mask, X, y, m), rss=0.0)
+        est = estimate_model(s, mask, X, y, m, fit, 0.95)
+        assert est.sigma2_hat == 0.0
+        assert est.v2 == 0.0
 
     def test_resummation_oracle(self):
         s, mask, X, y = srswor_instance(16)
         m = ModelSpec((1, 3))
-        Z = design_matrix(X, m)
-        c = c_hat(s, mask, Z, respondent_fit(mask, X, y, m))
-        sigma2 = 2.7
-        N = s.design.population_size
-        total = 0.0
-        for k in range(s.n):
-            r_k = 1.0 if mask.r[k] else 0.0
-            pi_k = s.pi_first[k]
-            total += ((1 - r_k) + r_k * (pi_k * float(Z[k] @ c)) ** 2) / pi_k
-        ref = sigma2 * total / N**2
-        assert v2_hat(s, mask, sigma2, Z @ c) == pytest.approx(ref, rel=1e-12)
+        est = estimate_model(s, mask, X, y, m, respondent_fit(mask, X, y, m), 0.95)
+        ref = v2_oracle(s, mask, est.sigma2_hat, X, m, c_oracle(s, mask, X, m))
+        assert est.v2 == pytest.approx(ref, rel=1e-12)
 
     def test_nonnegative(self):
         for seed in range(17, 22):
             s, mask, X, y = srswor_instance(seed)
             m = ModelSpec((1,))
-            Z = design_matrix(X, m)
-            c = c_hat(s, mask, Z, respondent_fit(mask, X, y, m))
-            assert v2_hat(s, mask, 1.3, Z @ c) >= 0.0
+            assert estimate_model(s, mask, X, y, m, respondent_fit(mask, X, y, m), 0.95).v2 >= 0.0
 
 
 class TestConfidenceInterval:
@@ -403,14 +394,19 @@ class TestPipeline:
         assert est.lower == pytest.approx(mu, rel=1e-12)
         assert est.upper == pytest.approx(mu, rel=1e-12)
 
-    def test_variance_for_model_assembles_pieces(self):
+    def test_estimate_model_assembles_pieces(self):
         s, mask, X, y = srswor_instance(24)
         m = ModelSpec((1, 2))
         fit = respondent_fit(mask, X, y, m)
-        v1, v2, s2 = variance_for_model(s, mask, X, y, m, fit)
-        Z = design_matrix(X, m)
-        c = c_hat(s, mask, Z, fit)
-        eta = eta_hat(s, mask, Z, y, fit, Z @ c)
-        assert v1 == pytest.approx(v1_hat(s, eta), rel=1e-12)
-        assert s2 == pytest.approx(sigma2_hat(fit, m), rel=1e-12)
-        assert v2 == pytest.approx(v2_hat(s, mask, s2, Z @ c), rel=1e-12)
+        est = estimate_model(s, mask, X, y, m, fit, 0.9)
+        eta = eta_oracle(s, mask, X, y, m, fit.beta_hat, c_oracle(s, mask, X, m))
+        assert est.model == m
+        assert est.mu_hat == imputed_means(s, mask, X, y, {m: fit})[m]
+        assert est.v1 == pytest.approx(v1_hat(s, eta), rel=1e-12)
+        assert est.sigma2_hat == sigma2_hat(fit)
+        assert est.v2 == pytest.approx(v2_oracle(s, mask, est.sigma2_hat, X, m,
+                                                 c_oracle(s, mask, X, m)), rel=1e-12)
+        assert (est.lower, est.upper) == confidence_interval(est.mu_hat, est.v1 + est.v2, 0.9)
+        # the pipeline's estimate of its pick is this one
+        fits = {m: fit}
+        assert estimate_with_inference(s, mask, X, y, fits, "bic", 0.9)[0] == est
