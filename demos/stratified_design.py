@@ -4,7 +4,7 @@ The population is ranked by a linear combination of covariates that tracks
 the study variable, cut into four contiguous strata of very different
 sizes, and sampled with Neyman allocation (sd-proportional, floor of two
 units per stratum). The script prints the realized allocation and the
-resulting inclusion probabilities, spot-checks the joint-inclusion rules,
+resulting inclusion probabilities, writes out the joint-inclusion rules,
 and finishes with a small Monte Carlo showing the design effect carry over
 from the Horvitz-Thompson estimator to the imputed estimator.
 """
@@ -20,7 +20,6 @@ from survey_impute import (
     generate_response,
     ht_mean,
     imputed_means,
-    joint_matrix,
     stratum_sizes,
 )
 
@@ -70,16 +69,17 @@ def main():
     print(f"\ninclusion probabilities vary by stratum;"
           f" sum over the population = {n_h.sum()} = n")
 
-    # joint inclusion: dependent within a stratum, independent across;
-    # two units of stratum 0 and one of stratum 1
-    J = joint_matrix(design, [0, 0, 1])
-    within, across = J[0, 1], J[0, 2]
-    naive = (n_h[0] / N_h[0]) ** 2
-    prod = (n_h[0] / N_h[0]) * (n_h[1] / N_h[1])
+    # joint inclusion: two units of stratum h are drawn together with
+    # probability n_h (n_h - 1) / (N_h (N_h - 1)); draws in different
+    # strata are independent, so a unit of stratum 0 and one of stratum 1
+    # are drawn together with probability pi_k pi_l
+    pi = n_h / N_h
+    within = n_h[0] * (n_h[0] - 1) / (N_h[0] * (N_h[0] - 1.0))
+    across = pi[0] * pi[1]
     print(f"\njoint inclusion, same stratum:  {within:.5f}"
-          f"  (product would say {naive:.5f})")
+          f"  (product would say {pi[0] ** 2:.5f})")
     print(f"joint inclusion, cross stratum: {across:.5f}"
-          f"  = product {prod:.5f} exactly")
+          f"  = product {across:.5f} exactly")
 
     # --- design effect, HT and imputed ------------------------------------
     print(f"\nMonte Carlo over {B} samples from the same population:")

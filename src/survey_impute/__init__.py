@@ -16,7 +16,6 @@ from .design import (  # noqa: E402
     draw_srswor,
     draw_stratified,
     first_order,
-    joint_matrix,
     neyman_allocation,
     stratum_sizes,
 )
@@ -48,12 +47,10 @@ from .population import (  # noqa: E402
     generate_response,
 )
 from .selection import (  # noqa: E402
-    make_folds,
     parse_criterion,
     score_aic,
     score_bic,
     score_candidates,
-    score_kfold_cv,
     select,
 )
 from .variance import (  # noqa: E402

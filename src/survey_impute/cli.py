@@ -8,8 +8,9 @@ survey-impute estimate --data sample.csv --config est.json
 SURVEY_IMPUTE_SEED overrides the config's master_seed. Data and config
 files are read as UTF-8, with or without a byte-order mark. Exit codes:
 0 success, 2 malformed config, data or output path, data that no
-candidate model can fit, or data whose estimate or variance is not
-finite, 3 failure rate above the configured threshold, 1 anything else.
+candidate model can fit, data whose estimate or variance is not finite,
+or a run that does not fit in memory, 3 failure rate above the
+configured threshold, 1 anything else.
 """
 
 import argparse
@@ -180,15 +181,10 @@ def _y_value(text):
     return value
 
 
-def _non_finite(X, y, pi, resp):
-    """Cells that are not finite numbers; a missing y is the only NaN allowed."""
-    return ~np.column_stack([np.isfinite(X), np.isfinite(y) | ~resp, np.isfinite(pi)])
-
-
 def _load_columns(path):
-    """The data rows in one vectorised parse: (header, None, ids, X, y,
-    pi, resp) in file order, or None when some row is faulty or holds a
-    non-finite cell, which the row loop then names."""
+    """The data rows in one vectorised parse: (ids, X, y, pi, resp) in
+    file order, or None when some row is faulty or holds a non-finite
+    cell, which the row loop then names."""
     with _open_data(path) as fh:
         header = _data_header(csv.reader(_decoded_lines(fh, path)))
         p = len(header) - 3
@@ -206,47 +202,54 @@ def _load_columns(path):
         except ValueError:  # also an undecodable byte
             return None
     X, y, pi = rows["x"], rows["y"], rows["pi"]
-    resp = ~np.isnan(y)
-    if _non_finite(X, y, pi, resp).any():
+    # a missing y is the only NaN allowed
+    if not (np.isfinite(X).all() and np.isfinite(pi).all()) or np.isinf(y).any():
         return None
-    return header, None, rows["id"], X, y, pi, resp
+    return rows["id"], X, y, pi, ~np.isnan(y)
 
 
 def _read_rows(path):
-    """The data rows through the csv module, one row at a time: (header,
-    line numbers, ids, X, y, pi, resp) in file order. Slow, but it names
-    the line of a faulty cell and accepts what only Python's int() and
-    float() read, such as 1_000."""
+    """The data rows through the csv module, one row at a time: (ids, X,
+    y, pi, resp) in file order. Slow, but it names the line of the first
+    faulty cell, a missing y being the only NaN allowed, and accepts
+    what only Python's int() and float() read, such as 1_000."""
     with _open_data(path) as fh:
         reader = csv.reader(_decoded_lines(fh, path))
         header = _data_header(reader)
         p = len(header) - 3
-        ids, X, y, pi, resp, linenos = [], [], [], [], [], []
+        ids, X, y, pi, resp = [], [], [], [], []
         lineno = 1
         try:
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                linenos.append(lineno)
                 if len(row) != p + 3:
                     raise ConfigError(f"line {lineno}", f"expected {p + 3} fields, got {len(row)}")
                 try:
                     uid = int(row[0])
-                    X.append([float(v) for v in row[1:p + 1]])
+                    x = [float(v) for v in row[1:p + 1]]
                     missing = row[p + 1].strip() == ""
-                    resp.append(not missing)
-                    y.append(np.nan if missing else float(row[p + 1]))
-                    pi.append(float(row[p + 2]))
+                    y_k = np.nan if missing else float(row[p + 1])
+                    pi_k = float(row[p + 2])
                 except ValueError as exc:
                     raise ConfigError(f"line {lineno}", f"bad value: {exc}")
                 if not _INT64.min <= uid <= _INT64.max:
                     raise ConfigError(f"line {lineno}", f"unit_id {uid} does not fit in 64 bits")
+                finite = [*map(math.isfinite, x), missing or math.isfinite(y_k),
+                          math.isfinite(pi_k)]
+                if not all(finite):  # float() reads nan and inf
+                    name = header[1 + finite.index(False)]
+                    raise ConfigError(f"line {lineno}", f"{name} is not a finite number")
                 ids.append(uid)
+                X.append(x)
+                y.append(y_k)
+                pi.append(pi_k)
+                resp.append(not missing)
         except csv.Error as exc:  # e.g. an unbalanced quote runs past the field size limit
             raise ConfigError(f"line {lineno + 1}", f"malformed CSV: {exc}")
-    return (header, linenos, np.asarray(ids, dtype=np.int64),
-            np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64),
-            np.asarray(pi, dtype=np.float64), np.asarray(resp, dtype=bool))
+    return (np.asarray(ids, dtype=np.int64), np.asarray(X, dtype=np.float64),
+            np.asarray(y, dtype=np.float64), np.asarray(pi, dtype=np.float64),
+            np.asarray(resp, dtype=bool))
 
 
 def read_estimate_csv(path):
@@ -254,22 +257,13 @@ def read_estimate_csv(path):
 
     Returns (unit_ids, X, y, pi, respondent mask) in unit-id-sorted order.
     """
-    parsed = _load_columns(path)
-    if parsed is None:
-        parsed = _read_rows(path)
-    # the vectorised parse gives no line numbers, but only cells that are
-    # all finite, so the finiteness check below never needs them from it
-    header, linenos, ids, X, y, pi, resp = parsed
+    ids, X, y, pi, resp = _load_columns(path) or _read_rows(path)
     if ids.size == 0:
         raise ConfigError(str(path), "data file has no rows")
     order = np.argsort(ids, kind="stable")
     ids = ids[order]
     if np.any(ids[1:] == ids[:-1]):
         raise ConfigError("unit_id", "duplicate unit ids")
-    bad = _non_finite(X, y, pi, resp)  # float() reads nan and inf
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise ConfigError(f"line {linenos[row]}", f"{header[1 + col]} is not a finite number")
     X, y, pi, resp = X[order], y[order], pi[order], resp[order]
     if np.any(pi <= 0.0) or np.any(pi > 1.0):
         raise ConfigError("pi", "inclusion probabilities must lie in (0, 1]")
@@ -413,6 +407,10 @@ def main(argv=None):
     except SurveyImputeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:
+        # e.g. a population within config's 64-bit bound that no host can hold
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -104,28 +104,6 @@ def first_order(design, strata):
     return rates[strata]
 
 
-def joint_matrix(design, strata):
-    """Matrix of pi_kl over distinct units in the given strata, with
-    pi_kk = pi_k on the diagonal: n_h (n_h - 1) / (N_h (N_h - 1)) within
-    stratum h and pi_k pi_l across strata, whose draws are independent.
-
-    Test oracle only: it costs O(m^2) time and memory for m units. The
-    Horvitz-Thompson double sum built from it must equal the O(n)
-    stratum-wise form that `variance.v1_hat` evaluates.
-    """
-    N_h, n_h = design.population_sizes, design.allocations
-    if np.any(N_h < 2):
-        raise InvalidDesignError("joint inclusion undefined for N_h < 2")
-    labels = np.asarray(strata, dtype=np.int64)
-    pi = first_order(design, labels)
-    # as floats: the int64 product N_h (N_h - 1) wraps past about 3e9
-    within = n_h * (n_h - 1) / (N_h.astype(float) * (N_h - 1))
-    same = labels[:, None] == labels[None, :]
-    J = np.where(same, within[labels][:, None], pi[:, None] * pi[None, :])
-    np.fill_diagonal(J, pi)
-    return J
-
-
 def _largest_remainder(raw, total):
     """Integer apportionment of `total` proportional to nonnegative `raw`.
 

@@ -6,14 +6,15 @@ The candidate set is the dict of respondent fits from fit_candidates
 order is the scoring order. Every criterion reads each candidate's one
 fit: AIC and BIC its rss, K-fold CV its Q, R and residuals, from which
 the held-out sum of squares of every training fold follows in closed
-form, so no score refits anything. K-fold CV scores all folds of all
-candidates of a dataset in one pass: one identity-padded stack of the
-folds' Gram matrices, one Cholesky of it, and one pair of vectorised
-triangular substitutions (_cv_scores). The scores
-come back as {model: score}, keyed like the fits, and are compared as
-(score, p_alpha, included), so ties go to the smaller model and then
-lexicographically. A candidate that is rank deficient, or has
-no residual degrees of freedom (n_r <= p_alpha) and so no sigma^2 and no
+form, so no score refits anything. K-fold CV draws each candidate its
+own split (score_candidates, the one CV entry point) and scores all
+folds of all candidates of a dataset in one pass: one identity-padded
+stack of the folds' Gram matrices, one Cholesky of it, and one pair of
+vectorised triangular substitutions (_cv_scores). The scores come back
+as {model: score}, keyed like the fits, and are compared as (score,
+p_alpha, included), so ties go to the smaller model and then
+lexicographically. A candidate that is rank deficient, or has no
+residual degrees of freedom (n_r <= p_alpha) and so no sigma^2 and no
 interval, scores +inf; under cvK so does one with a singular training
 fold.
 """
@@ -65,14 +66,6 @@ def _fold_sizes(n, k):
     sizes = np.full(k, n // k)
     sizes[:n % k] += 1
     return sizes
-
-
-def make_folds(n, k, rng):
-    """Near-equal random fold index arrays of sizes _fold_sizes(n, k),
-    cut from one rng.permutation(n)."""
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    return np.split(rng.permutation(n), np.cumsum(_fold_sizes(n, k))[:-1])
 
 
 def _substitute(L, b):
@@ -131,23 +124,12 @@ def _cv_scores(fits, orders, sizes):
     return np.where(ok, np.mean(sse / sizes, axis=-1), np.inf)
 
 
-def score_kfold_cv(fit, folds):
-    """Mean held-out MSE over the folds of the respondents, read off a
-    model's respondent fit with no refits: _cv_scores for this one
-    candidate, the code score_candidates runs on every candidate of a
-    dataset at once. A fold whose training design is singular
-    (deleted_rows_factor) makes the score +inf."""
-    order = np.concatenate(folds)
-    sizes = np.array([t.size for t in folds])
-    return float(_cv_scores([fit], order[None], sizes)[0])
-
-
 def score_candidates(criterion, fits, y_r, rng=None):
     """{model: score} for the candidate set fits (from fit_candidates on
     y_r; no criterion fits anything), in its key order. cvK draws each
-    candidate's split in that order, as make_folds would (one
-    rng.permutation(n_r) each), and scores every scorable candidate in
-    one _cv_scores call. A None fit, or n_r <= p_alpha, scores +inf.
+    candidate's split in that order (one rng.permutation(n_r) each, cut
+    by _fold_sizes), and scores every scorable candidate in one
+    _cv_scores call. A None fit, or n_r <= p_alpha, scores +inf.
     y_r gives n_r, needed even when every fit is None, and tss."""
     kind, k = parse_criterion(criterion)
     y_r = np.asarray(y_r, dtype=np.float64)

@@ -111,11 +111,8 @@ def run_records(cfg, threads=1):
     B = cfg.replications
     if threads == 1:
         return [run_replication(cfg, r) for r in range(B)]
-    chunks = [
-        (cfg, tuple(ids))
-        for ids in np.array_split(np.arange(B), min(B, threads * 4))
-        if ids.size
-    ]
+    m = min(B, 4 * threads)
+    chunks = [(cfg, range(B * i // m, B * (i + 1) // m)) for i in range(m)]
     # imported here: only a pool run pays for loading the process machinery
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context

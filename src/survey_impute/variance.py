@@ -53,7 +53,8 @@ def v1_hat(sample, eta):
     For SRSWOR and stratified SRSWOR this equals the Horvitz-Thompson
     double sum (1/N^2) sum_kl (Delta_kl / pi_kl)(eta_k/pi_k)(eta_l/pi_l)
     exactly (Sarndal, Swensson & Wretman 1992, sections 3.7-3.8). The
-    double sum over `design.joint_matrix` is kept as a test oracle. A
+    double sum over the matrix of joint inclusion probabilities is a
+    test oracle in tests/oracles.py, not part of the package. A
     draw of one unit has no pairs and keeps the diagonal term
     (1 - pi)(eta/pi)^2 / N^2.
     """

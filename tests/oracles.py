@@ -1,20 +1,60 @@
-"""Literal forms of the linearized variance's pieces, test references
-for `variance.estimate_model`, which reads them off the respondent fit.
+"""Exact general forms that the package does not ship, kept as test
+references for the production path.
 
+joint_matrix is the pi_kl matrix of a stratified SRSWOR draw, whose
+Horvitz-Thompson double sum v1_double_sum checks `variance.v1_hat`'s
+O(n) stratum-wise form. make_folds is the K-fold cut that
+`selection.score_candidates` applies to each candidate's permutation,
+written from its definition so that a change to the production cut
+shows against the refits.
+
+The linearized variance's pieces are references for
+`variance.estimate_model`, which reads them off the respondent fit.
 Each is written from its definition over the model's design Z on the
 whole sample, rows aligned with sample.unit_ids: c from the normal
 equations, eta unit by unit, v2 as its per-unit sum, and v1 as the
-Horvitz-Thompson double sum over `design.joint_matrix`.
-estimate_and_eta reads the eta that estimate_model computes, which it
-keeps internal, where it is passed to v1_hat.
+double sum over joint_matrix. estimate_and_eta reads the eta that
+estimate_model computes, which it keeps internal, where it is passed to
+v1_hat.
 """
 
 import numpy as np
 import pytest
 
 import survey_impute.variance as variance
-from survey_impute.design import joint_matrix
+from survey_impute.design import first_order
+from survey_impute.errors import InvalidDesignError
 from survey_impute.estimators import design_matrix
+
+
+def joint_matrix(design, strata):
+    """Matrix of pi_kl over distinct units in the given strata, with
+    pi_kk = pi_k on the diagonal: n_h (n_h - 1) / (N_h (N_h - 1)) within
+    stratum h and pi_k pi_l across strata, whose draws are independent.
+
+    It costs O(m^2) time and memory for m units. The Horvitz-Thompson
+    double sum built from it must equal the O(n) stratum-wise form that
+    `variance.v1_hat` evaluates.
+    """
+    N_h, n_h = design.population_sizes, design.allocations
+    if np.any(N_h < 2):
+        raise InvalidDesignError("joint inclusion undefined for N_h < 2")
+    labels = np.asarray(strata, dtype=np.int64)
+    pi = first_order(design, labels)
+    # as floats: the int64 product N_h (N_h - 1) wraps past about 3e9
+    within = n_h * (n_h - 1) / (N_h.astype(float) * (N_h - 1))
+    same = labels[:, None] == labels[None, :]
+    J = np.where(same, within[labels][:, None], pi[:, None] * pi[None, :])
+    np.fill_diagonal(J, pi)
+    return J
+
+
+def make_folds(n, k, rng):
+    """k folds of one rng.permutation(n), cut in order: each holds
+    n // k units, and the first n mod k hold one more."""
+    perm = rng.permutation(n)
+    sizes = [n // k + (i < n % k) for i in range(k)]
+    return np.split(perm, np.cumsum(sizes)[:-1])
 
 
 def estimate_and_eta(sample, mask, X, y, model, fit):

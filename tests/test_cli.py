@@ -127,6 +127,18 @@ class TestSimulate:
         assert "--threads" in err and err.count("\n") == 1
         assert not (tmp_path / "summary.csv").exists()
 
+    def test_population_beyond_any_address_space_exits_2(self, tmp_path, capsys):
+        # N x p = 2**59 float64 covariates is 4 EiB, more than any 64-bit
+        # user address space, so the allocation fails at once
+        cfg_path = study_json(tmp_path, replications=1, population={"N": 2**58})
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(cfg_path), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "absent.json")])
         assert code == EXIT_CONFIG
@@ -359,6 +371,28 @@ class TestReadEstimateCsv:
         err = capsys.readouterr().err
         assert "line 3" in err and rows[0][col] in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("later", [(4, 1, "abc"), (4, 0, None)],
+                             ids=["bad-value", "duplicate-id"])
+    def test_first_faulty_line_is_named(self, tmp_path, capsys, later):
+        # a nan in x1 on line 3 and, on line 5, a bad value or the
+        # duplicate of line 2's unit id: line 3 is the one named
+        path = tmp_path / "d.csv"
+        ids, X, y, pi = sample_data(n=4)
+        write_sample_csv(path, ids, X, y, pi)
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
+        rows[2][1] = "nan"
+        row, col, value = later
+        rows[row][col] = rows[1][col] if value is None else value
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps({"criterion": "bic", "design": {"kind": "srswor", "N": 50}}))
+        code = main(["estimate", "--data", str(path), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err == "config error at line 3: x1 is not a finite number\n"
 
     def test_all_missing_rejected(self, tmp_path):
         path = tmp_path / "d.csv"

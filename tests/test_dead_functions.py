@@ -13,8 +13,10 @@ import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "survey_impute"
 
-# exact forms that only the tests call, as references for the production path
-ORACLES = ("joint_matrix", "loss_closed_form", "mc_loss_oracle", "make_folds", "score_kfold_cv")
+# exact forms that only the tests call, as references for the production
+# path; they move to tests/oracles.py once the prefix-form loss is the
+# production loss (ROADMAP item 3)
+ORACLES = ("loss_closed_form", "mc_loss_oracle")
 
 
 def dead_functions(modules, exempt=()):

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import joint_matrix
 from scipy.stats import chisquare
 
 from survey_impute.design import (
@@ -12,7 +13,6 @@ from survey_impute.design import (
     draw_srswor,
     draw_stratified,
     first_order,
-    joint_matrix,
     neyman_allocation,
     stratum_sizes,
 )

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import c_oracle, estimate_and_eta, eta_oracle, v1_double_sum, v2_oracle
+from oracles import (c_oracle, estimate_and_eta, eta_oracle, joint_matrix, v1_double_sum,
+                     v2_oracle)
 
 from survey_impute.design import (
     DesignDescriptor,
@@ -16,7 +17,6 @@ from survey_impute.design import (
     _largest_remainder,
     draw_srswor,
     draw_stratified,
-    joint_matrix,
     neyman_allocation,
     stratum_sizes,
 )

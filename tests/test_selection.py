@@ -1,11 +1,13 @@
 """Criterion parsing and model selection behavior."""
 
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import make_folds
 
 from survey_impute.errors import SelectionFailureError
 from survey_impute.estimators import (
@@ -15,12 +17,10 @@ from survey_impute.estimators import (
     nested_candidates,
 )
 from survey_impute.selection import (
-    make_folds,
     parse_criterion,
     score_aic,
     score_bic,
     score_candidates,
-    score_kfold_cv,
     select,
 )
 
@@ -38,6 +38,17 @@ def refit_cv_score(X_r, y_r, model, folds):
         resid = y_r[test] - design_matrix(X_r[test], model) @ fit.beta_hat
         mses.append(float(resid @ resid) / test.size)
     return float(np.mean(mses))
+
+
+def split_rng(seed, i, n_r):
+    """A fresh default_rng(seed) that has drawn i permutations of n_r.
+    Candidate i of a cvK call on default_rng(seed) scores on the
+    (i + 1)-th permutation drawn, so a one-candidate call on this rng
+    scores it on the same split."""
+    rng = np.random.default_rng(seed)
+    for _ in range(i):
+        rng.permutation(n_r)
+    return rng
 
 
 class TestParseCriterion:
@@ -71,33 +82,15 @@ class TestInformationCriteria:
         assert score_bic(0.0, 10, 2) == float("-inf")
 
 
-class TestFolds:
-    def test_partition_and_balance(self):
-        rng = np.random.default_rng(0)
-        folds = make_folds(23, 5, rng)
-        sizes = [f.size for f in folds]
-        assert max(sizes) - min(sizes) <= 1
-        assert sorted(np.concatenate(folds)) == list(range(23))
-
-    def test_bounds(self):
-        rng = np.random.default_rng(1)
-        with pytest.raises(ValueError):
-            make_folds(10, 1, rng)
-        with pytest.raises(ValueError):
-            make_folds(10, 11, rng)
-        assert len(make_folds(10, 10, rng)) == 10
-
-
 class TestCvScore:
     def test_leave_one_out_identity(self):
-        # with singleton folds the CV score equals the classical
-        # sum of (e_k / (1 - h_k))^2 / n
+        # cv10 on 10 respondents holds out one unit per fold, in any
+        # order: the score equals the classical sum of (e_k / (1 - h_k))^2 / n
         rng = np.random.default_rng(2)
         X = rng.normal(size=(10, 2))
         y = rng.normal(size=10)
         m = ModelSpec((1, 2))
-        folds = [np.array([i]) for i in range(10)]
-        got = score_kfold_cv(fit_candidates(X, y, [m])[m], folds)
+        got = score_candidates("cv10", fit_candidates(X, y, [m]), y, rng)[m]
 
         Z = design_matrix(X, m)
         H = Z @ np.linalg.solve(Z.T @ Z, Z.T)
@@ -111,8 +104,8 @@ class TestCvScore:
         X = np.vstack([base, base])
         y = 1.0 + X @ [2.0, 3.0]
         m = ModelSpec((1, 2))
-        folds = make_folds(12, 3, np.random.default_rng(4))
-        assert score_kfold_cv(fit_candidates(X, y, [m])[m], folds) <= 1e-18
+        fits = fit_candidates(X, y, [m])
+        assert score_candidates("cv3", fits, y, np.random.default_rng(4))[m] <= 1e-18
 
     def test_binary_covariate_data_match_the_refit_rank_rule(self):
         # two gamma covariates and a ~10%-ones indicator on 30
@@ -128,9 +121,11 @@ class TestCvScore:
             fit = fit_candidates(X, y, [m])[m]
             if fit is None:
                 continue
+            # a copy of rng draws the permutation that make_folds cuts
+            score = score_candidates("cv5", {m: fit}, y, copy.deepcopy(rng))[m]
             folds = make_folds(30, 5, rng)
             refit_singular = refit_cv_score(X, y, m, folds) == float("inf")
-            assert (score_kfold_cv(fit, folds) == float("inf")) == refit_singular
+            assert (score == float("inf")) == refit_singular
             singular += refit_singular
         assert singular >= 50
 
@@ -260,21 +255,16 @@ def test_mixed_stack_matches_the_one_candidate_scorer():
     assert fits[ModelSpec((1, 4))] is not None
     assert fits[cands[-1]] is not None and cands[-1].p_alpha == 10
 
-    split_rng = np.random.default_rng(31)
-    scores = score_candidates("cv5", fits, y, split_rng)
-    fold_rng = np.random.default_rng(31)
-    for m, fit in fits.items():
-        folds = make_folds(10, 5, fold_rng)
-        if fit is None or 10 <= m.p_alpha:
-            solo = float("inf")
-        else:
-            solo = score_kfold_cv(fit, folds)
+    rng = np.random.default_rng(31)
+    scores = score_candidates("cv5", fits, y, rng)
+    for i, (m, fit) in enumerate(fits.items()):
+        solo = score_candidates("cv5", {m: fit}, y, split_rng(31, i, 10))[m]
         if solo == float("inf"):
             assert scores[m] == solo, m
         else:
             assert scores[m] == pytest.approx(solo, rel=1e-12), m
     # the split is one draw per candidate, scorable or not
-    assert split_rng.bit_generator.state == fold_rng.bit_generator.state
+    assert rng.bit_generator.state == split_rng(31, len(fits), 10).bit_generator.state
     unscorable = {m for m, s in scores.items() if s == float("inf")}
     assert unscorable == {ModelSpec((1, 5)), ModelSpec((1, 4)), cands[-1]}
 
@@ -295,12 +285,11 @@ def test_failing_cholesky_spoils_only_its_own_candidate(monkeypatch):
     assert calls[0] == ((4, 5, 5, 5), True)
     assert [raised for _, raised in calls[1:]] == [False, True, False, False]
     assert scores[broken] == float("inf")
-    fold_rng = np.random.default_rng(33)
-    for m in cands:
-        folds = make_folds(40, 5, fold_rng)
+    for i, m in enumerate(cands):
         if m != broken:
+            solo = score_candidates("cv5", {m: fits[m]}, y, split_rng(33, i, 40))[m]
             assert scores[m] == clean[m]
-            assert scores[m] == pytest.approx(score_kfold_cv(fits[m], folds), rel=1e-12)
+            assert scores[m] == pytest.approx(solo, rel=1e-12)
 
 
 def test_cv_factors_every_candidate_in_one_cholesky(monkeypatch):
@@ -464,8 +453,6 @@ class TestSelect:
         m1, m2 = ModelSpec((1,)), ModelSpec((2,))
         fits = fit_candidates(X, y, [m1, m2])
         scores = score_candidates("cv3", fits, y, np.random.default_rng(13))
-        fold_rng = np.random.default_rng(13)
-        first, second = make_folds(30, 3, fold_rng), make_folds(30, 3, fold_rng)
-        assert scores[m1] == score_kfold_cv(fits[m1], first)
-        assert scores[m2] == score_kfold_cv(fits[m2], second)
-        assert scores[m2] != score_kfold_cv(fits[m2], first)
+        assert scores[m1] == score_candidates("cv3", {m1: fits[m1]}, y, split_rng(13, 0, 30))[m1]
+        assert scores[m2] == score_candidates("cv3", {m2: fits[m2]}, y, split_rng(13, 1, 30))[m2]
+        assert scores[m2] != score_candidates("cv3", {m2: fits[m2]}, y, split_rng(13, 0, 30))[m2]

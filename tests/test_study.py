@@ -221,6 +221,33 @@ class TestThreads:
             run_records(tiny_config(), threads)
         assert pool_sizes == []
 
+    def test_chunks_are_ranges_for_any_replication_count(self, monkeypatch):
+        # np.arange(2**62) would need 32 EiB: the chunks are cut as ranges,
+        # 4 per thread, and a stand-in pool records them and runs none
+        chunks = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, mp_context):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                chunks.extend(rep_ids for _, rep_ids in items)
+                return []
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        B = 2**62
+        assert run_records(tiny_config(replications=B), 2) == []
+        assert len(chunks) == 8 and all(isinstance(c, range) for c in chunks)
+        assert chunks[0].start == 0 and chunks[-1].stop == B
+        assert all(c.step == 1 and len(c) == B // 8 for c in chunks)
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+
 
 class TestFitSharing:
     def test_replication_factors_each_candidate_once(self, monkeypatch):

@@ -11,14 +11,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import c_oracle, estimate_and_eta, eta_oracle, v2_oracle
+from oracles import c_oracle, estimate_and_eta, eta_oracle, joint_matrix, v2_oracle
 
 from survey_impute.design import (
     DesignDescriptor,
     SampleDraw,
     draw_srswor,
     draw_stratified,
-    joint_matrix,
 )
 from survey_impute.errors import DegenerateFitError, EstimationFailureError, InvalidDesignError
 from survey_impute.estimators import (FitResult, ModelSpec, design_matrix, fit_candidates,
