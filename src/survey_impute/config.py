@@ -12,16 +12,11 @@ from dataclasses import dataclass
 
 from .design import stratum_sizes
 from .errors import ConfigError, InvalidDesignError
+from .population import COVARIATE_LAWS
 from .selection import parse_criterion
 
 DEFAULT_CRITERIA = ("aic", "bic", "cv5")
 _INT64_MAX = 2**63 - 1  # population sizes are held as int64
-
-_LAW_PARAMS = {
-    "gamma": {"shape": None, "scale": None},
-    "normal": {"loc": 0.0, "scale": None},
-    "uniform": {"low": 0.0, "high": 1.0},
-}
 
 
 def _fail(path, msg):
@@ -91,9 +86,9 @@ def _parse_covariate_law(obj, path):
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
     name = _str(_get(obj, "name", path), f"{path}.name")
-    if name not in _LAW_PARAMS:
-        _fail(f"{path}.name", f"unknown law {name!r}; expected one of {sorted(_LAW_PARAMS)}")
-    params = _LAW_PARAMS[name]
+    if name not in COVARIATE_LAWS:
+        _fail(f"{path}.name", f"unknown law {name!r}; expected one of {sorted(COVARIATE_LAWS)}")
+    params = COVARIATE_LAWS[name]
     _no_unknown(obj, {"name", *params}, path)
     law = {"name": name}
     for key, default in params.items():

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidDesignError
 
 # n_h floor of a design with more than one stratum, so within-stratum
-# joint probabilities exist; Neyman allocation floors at it
+# joint probabilities exist; the lower bound of Neyman allocation's box
 MIN_STRATUM_SIZE = 2
 
 
@@ -139,12 +139,16 @@ def stratum_sizes(population_size, fractions):
 
 
 def neyman_allocation(sizes, sds, n):
-    """Neyman allocation n_h proportional to N_h * S_h, clamped to
-    [MIN_STRATUM_SIZE, N_h] and redistributed.
+    """Neyman allocation: n_h proportional to N_h * S_h, minimizing
+    sum N_h^2 S_h^2 / n_h subject to MIN_STRATUM_SIZE <= n_h <= N_h.
 
-    Oversized strata are fixed at N_h first (they free budget), then
-    undersized ones are raised to the floor; repeating until stable keeps
-    the proportional shares on the remaining free strata correct.
+    The bounds are met by pegging (Bitran & Hax 1981, Management Science
+    27:431-441): the free strata share what is left of n in proportion
+    to N_h * S_h, or to N_h when those weights are all zero. If shares
+    break a bound, the side with the larger total excess is pegged, every
+    over-cap stratum at N_h or every under-floor one at the floor, and the
+    free strata share again. The result is the continuous box-constrained
+    optimum, rounded to integers by largest remainder.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     sds = np.asarray(sds, dtype=np.float64)
@@ -160,55 +164,25 @@ def neyman_allocation(sizes, sds, n):
     if np.any(sizes < MIN_STRATUM_SIZE):
         raise InvalidDesignError(f"a stratum has fewer than {MIN_STRATUM_SIZE} population units")
     weights = sizes * sds
-    if weights.sum() == 0:
-        weights = sizes.astype(np.float64)  # all-equal spread: fall back to proportional
 
     alloc = np.zeros(H, dtype=np.int64)
-    fixed = np.zeros(H, dtype=bool)
-    while True:
-        free = ~fixed
-        remaining = n - int(alloc[fixed].sum())
-        if remaining < MIN_STRATUM_SIZE * int(free.sum()):
-            # cap-fixing stranded the floors of the remaining strata;
-            # restart with floors reserved up front (caps stay honored)
-            return _floors_first(sizes, weights, n)
+    free = np.ones(H, dtype=bool)
+    while free.any():
+        remaining = n - int(alloc.sum())
         w = weights[free]
         if w.sum() == 0:
-            w = sizes[free].astype(np.float64)
-        alloc[free] = _largest_remainder(w, remaining)
-        too_big = free & (alloc > sizes)
-        if too_big.any():
-            alloc[too_big] = sizes[too_big]
-            fixed |= too_big
-            continue
-        too_small = free & (alloc < MIN_STRATUM_SIZE)
-        if too_small.any():
-            alloc[too_small] = MIN_STRATUM_SIZE
-            fixed |= too_small
-            continue
-        break
-    return alloc
-
-
-def _floors_first(sizes, weights, n):
-    """Fallback allocation: every stratum gets the floor, the surplus is
-    apportioned over spare capacity with only the cap clamp active."""
-    caps = sizes - MIN_STRATUM_SIZE
-    extra = np.zeros(sizes.size, dtype=np.int64)
-    fixed = np.zeros(sizes.size, dtype=bool)
-    while True:
-        free = ~fixed
-        remaining = n - MIN_STRATUM_SIZE * sizes.size - int(extra[fixed].sum())
-        w = weights[free]
-        if free.any() and w.sum() == 0:
-            w = np.maximum(caps[free], 1).astype(np.float64)
-        extra[free] = _largest_remainder(w, remaining) if free.any() else 0
-        over = free & (extra > caps)
-        if not over.any():
+            w = sizes[free].astype(np.float64)  # all-equal spread: proportional
+        share = w * (remaining / w.sum())
+        bounded = np.clip(share, MIN_STRATUM_SIZE, sizes[free])
+        if np.array_equal(bounded, share):
+            alloc[free] = _largest_remainder(w, remaining)
             break
-        extra[over] = caps[over]
-        fixed |= over
-    return MIN_STRATUM_SIZE + extra
+        # the side with the larger total excess sits at its bound in the optimum
+        side = share > bounded if (share - bounded).sum() >= 0 else share < bounded
+        peg = np.flatnonzero(free)[side]
+        alloc[peg] = bounded[side]
+        free[peg] = False
+    return alloc
 
 
 def draw_srswor(population_size, sample_size, rng):

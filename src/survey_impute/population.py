@@ -46,15 +46,22 @@ class Population:
         return float(self.y.mean())
 
 
+# each covariate law by its numpy.random.Generator method, with that
+# method's keyword parameters and their defaults (None: required)
+COVARIATE_LAWS = {
+    "gamma": {"shape": None, "scale": None},
+    "normal": {"loc": 0.0, "scale": None},
+    "uniform": {"low": 0.0, "high": 1.0},
+}
+
+
 def _draw_covariates(N, p, law, rng):
     name = law.get("name")
-    if name == "gamma":
-        return rng.gamma(law["shape"], law["scale"], size=(N, p))
-    if name == "normal":
-        return rng.normal(law.get("loc", 0.0), law["scale"], size=(N, p))
-    if name == "uniform":
-        return rng.uniform(law.get("low", 0.0), law.get("high", 1.0), size=(N, p))
-    raise ConfigError("covariate_law.name", f"unknown law {name!r}")
+    if name not in COVARIATE_LAWS:
+        raise ConfigError("covariate_law.name", f"unknown law {name!r}")
+    params = {key: law[key] if default is None else law.get(key, default)
+              for key, default in COVARIATE_LAWS[name].items()}
+    return getattr(rng, name)(**params, size=(N, p))
 
 
 def true_support(beta):

@@ -30,7 +30,7 @@ from .estimators import deleted_rows_factor
 # treated as an exact interpolation that only floating point kept nonzero
 RSS_INTERP_REL = 1e-16
 
-_CV_RE = re.compile(r"^cv([0-9]+)$")
+_CV_RE = re.compile(r"cv([1-9][0-9]*)")
 
 
 def parse_criterion(name):
@@ -39,7 +39,7 @@ def parse_criterion(name):
         return "aic", None
     if name == "bic":
         return "bic", None
-    m = _CV_RE.match(name)
+    m = _CV_RE.fullmatch(name)
     if m:
         k = int(m.group(1))
         if k < 2:

@@ -203,7 +203,6 @@ class SummaryRow:
 
 @dataclass(frozen=True)
 class StudySummary:
-    name: str
     replications: int
     model_rows: tuple
     criterion_rows: tuple
@@ -266,7 +265,7 @@ def summarize(cfg, records):
             var_rb=_guarded(variance_rb, [e.v_total for e in ests], mu, mu_true[ok]),
         ))
 
-    return StudySummary(cfg.name, B, tuple(model_rows), tuple(criterion_rows))
+    return StudySummary(B, tuple(model_rows), tuple(criterion_rows))
 
 
 def run_study(cfg, threads=1):

@@ -126,6 +126,9 @@ class TestStudyParsing:
         dup = base_study()
         dup["criteria"] = ["bic", "bic"]
         expect_field(dup, "criteria")
+        alias = base_study()
+        alias["criteria"] = ["cv5", "cv05"]
+        expect_field(alias, "criteria[1]")
         empty = base_study()
         empty["criteria"] = []
         expect_field(empty, "criteria")

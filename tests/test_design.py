@@ -222,6 +222,13 @@ class TestNeymanAllocation:
         assert np.all(alloc >= 2)
         assert np.all(alloc <= [3, 10, 10])
 
+    def test_larger_excess_side_is_pegged(self):
+        # shares 1.26, 1.26 and 10.48: the floors are broken by 1.48 units
+        # in total, the cap by 0.48, so the floors are pegged and the third
+        # stratum takes the other 9
+        alloc = neyman_allocation([6, 6, 10], [1.0, 1.0, 5.0], 13)
+        assert np.array_equal(alloc, [2, 2, 9])
+
     def test_infeasible(self):
         with pytest.raises(InvalidDesignError):
             neyman_allocation([4, 4], [1.0, 1.0], 3)  # below the floor of 2 each

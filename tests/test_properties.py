@@ -246,6 +246,13 @@ def test_neyman_allocation_is_feasible(seed):
     assert alloc.sum() == n
     assert np.all(alloc >= 2)
     assert np.all(alloc <= sizes)
+    # no bound binds: the plain largest-remainder Neyman shares
+    w = sizes * sds
+    if w.sum() == 0:
+        w = sizes.astype(np.float64)
+    share = w * (n / w.sum())
+    if np.all((share >= 2) & (share <= sizes)):
+        assert np.array_equal(alloc, _largest_remainder(w, n))
 
 
 @settings(max_examples=60, deadline=None)

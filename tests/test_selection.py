@@ -58,7 +58,9 @@ class TestParseCriterion:
         assert parse_criterion("cv5") == ("cv", 5)
         assert parse_criterion("cv2") == ("cv", 2)
 
-    @pytest.mark.parametrize("bad", ["cv1", "cv0", "CV5", "cv", "aicc", "cv-3", ""])
+    @pytest.mark.parametrize(
+        "bad", ["cv1", "cv0", "CV5", "cv", "aicc", "cv-3", "", "cv5\n", "cv05", "cv007"]
+    )
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_criterion(bad)

@@ -450,7 +450,7 @@ class TestCsv:
                      "var_rb": "varRB", "failures": "failures"}
         model = SummaryRow(name="alpha1", **{f: i + 0.25 for i, f in enumerate(header_of)})
         crit = SummaryRow(name="bic", **{f: i + 10.5 for i, f in enumerate(header_of)})
-        summary_to_csv(StudySummary("hand", 7, (model,), (crit,)), tmp_path / "summary.csv")
+        summary_to_csv(StudySummary(7, (model,), (crit,)), tmp_path / "summary.csv")
         with open(tmp_path / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [(r["scope"], r["name"]) for r in rows] == [("model", "alpha1"), ("criterion", "bic")]
