@@ -14,11 +14,13 @@ configured threshold, 1 anything else.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -42,8 +44,6 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_FAILURE_RATE = 3
-
-_INT64 = np.iinfo(np.int64)
 
 
 def _round10(x):
@@ -130,23 +130,20 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _decoded_lines(fh, path):
-    """The lines of a text file, with a decoding error as a ConfigError.
-    Not `yield from fh`: closing this generator would then close fh,
-    which the vectorised parse goes on reading after the header."""
-    try:
-        for line in fh:
-            yield line
-    except UnicodeDecodeError as exc:
-        raise ConfigError(str(path), f"data file is not valid {exc.encoding} text: {exc.reason}")
-
-
-def _open_data(path):
+@contextlib.contextmanager
+def _data_file(path):
+    """(header, fh): the data file's checked header, and the file read on
+    after it. An undecodable byte anywhere in the file is a ConfigError."""
     try:
         # utf-8-sig: spreadsheet programs start a UTF-8 CSV with a byte-order mark
-        return open(path, encoding="utf-8-sig", newline="")
+        fh = open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read data file: {exc}")
+    with fh:
+        try:
+            yield _data_header(csv.reader(fh)), fh
+        except UnicodeDecodeError as exc:
+            raise ConfigError(str(path), f"data file is not valid {exc.encoding} text: {exc.reason}")
 
 
 def _data_header(reader):
@@ -170,86 +167,87 @@ def _data_header(reader):
 
 
 def _y_value(text):
-    """One y cell for np.loadtxt: blank is missing (NaN). A written-out
-    nan would then read as missing too, so it raises instead and the row
-    loop names its line."""
-    if text.strip() == "":
+    """One y cell for np.loadtxt: blank is missing (NaN). Otherwise it
+    reads as an x cell does, with no non-ASCII digit or "_", except that
+    a written-out nan reads as inf: a fault, not a missing value."""
+    text = text.strip()
+    if text == "":
         return np.nan
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
     value = float(text)
-    if math.isnan(value):
-        raise ValueError(f"y is {text!r}")
-    return value
+    return np.inf if math.isnan(value) else value
 
 
-def _load_columns(path):
-    """The data rows in one vectorised parse: (ids, X, y, pi, resp) in
-    file order, or None when some row is faulty or holds a non-finite
-    cell, which the row loop then names."""
-    with _open_data(path) as fh:
-        header = _data_header(csv.reader(_decoded_lines(fh, path)))
+def _parse(path, max_rows=None):
+    """(header, rows): the checked header and np.loadtxt's parse of the
+    data rows, or of the first max_rows of them; blank lines are no rows."""
+    with _data_file(path) as (header, fh):
         p = len(header) - 3
         dtype = [("id", np.int64), ("x", np.float64, (p,)), ("y", np.float64),
                  ("pi", np.float64)]
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is reported as "no rows" by the caller
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                # older numpy reads an id such as 3.7 as a float and truncates
-                # it, with only this warning; as an error it is a ValueError
-                warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
-                                  comments=None, ndmin=1, converters={p + 1: _y_value})
-        except ValueError:  # also an undecodable byte
-            return None
-    X, y, pi = rows["x"], rows["y"], rows["pi"]
-    # a missing y is the only NaN allowed
-    if not (np.isfinite(X).all() and np.isfinite(pi).all()) or np.isinf(y).any():
-        return None
-    return rows["id"], X, y, pi, ~np.isnan(y)
+        with warnings.catch_warnings():
+            # a header-only file has no rows, and a blank line is no row of max_rows
+            warnings.filterwarnings("ignore", ".*contained no data")
+            # older numpy reads an id such as 3.7 as a float and truncates
+            # it, with only this warning; as an error it is a ValueError
+            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+            return header, np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                                      comments=None, ndmin=1, converters={p + 1: _y_value},
+                                      max_rows=max_rows)
 
 
-def _read_rows(path):
-    """The data rows through the csv module, one row at a time: (ids, X,
-    y, pi, resp) in file order. Slow, but it names the line of the first
-    faulty cell, a missing y being the only NaN allowed, and accepts
-    what only Python's int() and float() read, such as 1_000."""
-    with _open_data(path) as fh:
-        reader = csv.reader(_decoded_lines(fh, path))
-        header = _data_header(reader)
-        p = len(header) - 3
-        ids, X, y, pi, resp = [], [], [], [], []
-        lineno = 1
-        try:
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != p + 3:
-                    raise ConfigError(f"line {lineno}", f"expected {p + 3} fields, got {len(row)}")
-                try:
-                    uid = int(row[0])
-                    x = [float(v) for v in row[1:p + 1]]
-                    missing = row[p + 1].strip() == ""
-                    y_k = np.nan if missing else float(row[p + 1])
-                    pi_k = float(row[p + 2])
-                except ValueError as exc:
-                    raise ConfigError(f"line {lineno}", f"bad value: {exc}")
-                if not _INT64.min <= uid <= _INT64.max:
-                    raise ConfigError(f"line {lineno}", f"unit_id {uid} does not fit in 64 bits")
-                finite = [*map(math.isfinite, x), missing or math.isfinite(y_k),
-                          math.isfinite(pi_k)]
-                if not all(finite):  # float() reads nan and inf
-                    name = header[1 + finite.index(False)]
-                    raise ConfigError(f"line {lineno}", f"{name} is not a finite number")
-                ids.append(uid)
-                X.append(x)
-                y.append(y_k)
-                pi.append(pi_k)
-                resp.append(not missing)
-        except csv.Error as exc:  # e.g. an unbalanced quote runs past the field size limit
-            raise ConfigError(f"line {lineno + 1}", f"malformed CSV: {exc}")
-    return (np.asarray(ids, dtype=np.int64), np.asarray(X, dtype=np.float64),
-            np.asarray(y, dtype=np.float64), np.asarray(pi, dtype=np.float64),
-            np.asarray(resp, dtype=bool))
+def _line_of(path, row):
+    """The line number of data row `row`, counted from 0 as np.loadtxt
+    counts, where the csv module puts it: the header is line 1, a blank
+    line is a line, and a quoted line break starts none."""
+    with _data_file(path) as (_, fh):
+        lineno, quoted = 1, False
+        for text in fh:
+            if not quoted:  # the text starts a line
+                lineno += 1
+                row -= text not in ("\n", "\r\n")  # a blank line is no row
+                if row < 0:
+                    break
+            if '"' in text:
+                quoted ^= text.count('"') % 2 == 1
+    return lineno
+
+
+def _check_finite(path, header, rows):
+    """Name the first row with a non-finite x or pi or an infinite y (a
+    missing y is the only NaN allowed) and its first such cell."""
+    bad = np.column_stack([~np.isfinite(rows["x"]), np.isinf(rows["y"]),
+                           ~np.isfinite(rows["pi"])])
+    if bad.any():
+        k, j = np.argwhere(bad)[0]
+        raise ConfigError(f"line {_line_of(path, k)}", f"{header[1 + j]} is not a finite number")
+
+
+# np.loadtxt's two row faults: a cell it cannot convert, at a row counted
+# from 0, and a wrong number of cells, at a row counted from 1
+_BAD_VALUE = re.compile(r"(.*) at row (\d+), column (\d+)\.", re.S)
+_BAD_COUNT = re.compile(r"requires (\d+) columns but (\d+) were found at row (\d+)")
+
+
+def _load_columns(path):
+    """The data rows in one np.loadtxt parse: (ids, X, y, pi, resp) in
+    file order. The first faulty row is a ConfigError at its line: where
+    np.loadtxt stops, the rows before are parsed again for a non-finite cell."""
+    try:
+        header, rows = _parse(path)
+    except ValueError as exc:
+        value, count = _BAD_VALUE.fullmatch(str(exc)), _BAD_COUNT.search(str(exc))
+        if not (value or count):
+            raise ConfigError(str(path), f"malformed data: {exc}")
+        row = int(value[2]) if value else int(count[3]) - 1
+        header, rows = _parse(path, max_rows=row)
+        _check_finite(path, header, rows)
+        message = (f"bad value in {header[int(value[3]) - 1]}: {value[1]}" if value
+                   else f"expected {count[1]} fields, got {count[2]}")
+        raise ConfigError(f"line {_line_of(path, row)}", message)
+    _check_finite(path, header, rows)
+    return rows["id"], rows["x"], rows["y"], rows["pi"], ~np.isnan(rows["y"])
 
 
 def read_estimate_csv(path):
@@ -257,7 +255,7 @@ def read_estimate_csv(path):
 
     Returns (unit_ids, X, y, pi, respondent mask) in unit-id-sorted order.
     """
-    ids, X, y, pi, resp = _load_columns(path) or _read_rows(path)
+    ids, X, y, pi, resp = _load_columns(path)
     if ids.size == 0:
         raise ConfigError(str(path), "data file has no rows")
     order = np.argsort(ids, kind="stable")

@@ -16,15 +16,25 @@ equations, eta unit by unit, v2 as its per-unit sum, and v1 as the
 double sum over joint_matrix. estimate_and_eta reads the eta that
 estimate_model computes, which it keeps internal, where it is passed to
 v1_hat.
+
+read_rows is the data-file reader written as a csv-module loop, one row
+at a time, for `cli.read_estimate_csv`'s single np.loadtxt parse and the
+line it names for the first faulty row.
 """
+
+import csv
+import math
 
 import numpy as np
 import pytest
 
 import survey_impute.variance as variance
+from survey_impute.cli import _data_file
 from survey_impute.design import first_order
-from survey_impute.errors import InvalidDesignError
+from survey_impute.errors import ConfigError, InvalidDesignError
 from survey_impute.estimators import design_matrix
+
+INT64 = np.iinfo(np.int64)
 
 
 def joint_matrix(design, strata):
@@ -116,3 +126,55 @@ def v1_double_sum(sample, eta):
     terms = (J - np.outer(pi, pi)) / J * np.outer(t, t)
     N2 = sample.design.population_size ** 2
     return float(terms.sum()) / N2, float(np.abs(terms).sum()) / N2
+
+
+def _number(cell):
+    """A number cell's text, in the one accepted dialect: ASCII, with
+    no "_" even where Python's int() and float() take one."""
+    text = cell.strip()
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a number: {cell!r}")
+    return text
+
+
+def read_rows(path):
+    """The data rows through the csv module, one at a time: (ids, X, y,
+    pi, resp) in file order. The first faulty row raises a ConfigError
+    at its line, the header being line 1 and a blank line a line; a
+    missing y is the only NaN allowed."""
+    with _data_file(path) as (header, lines):
+        reader = csv.reader(lines)
+        p = len(header) - 3
+        ids, X, y, pi, resp = [], [], [], [], []
+        lineno = 1
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != p + 3:
+                    raise ConfigError(f"line {lineno}", f"expected {p + 3} fields, got {len(row)}")
+                try:
+                    uid = int(_number(row[0]))
+                    x = [float(_number(v)) for v in row[1:p + 1]]
+                    missing = row[p + 1].strip() == ""
+                    y_k = np.nan if missing else float(_number(row[p + 1]))
+                    pi_k = float(_number(row[p + 2]))
+                except ValueError as exc:
+                    raise ConfigError(f"line {lineno}", f"bad value: {exc}")
+                if not INT64.min <= uid <= INT64.max:
+                    raise ConfigError(f"line {lineno}", f"unit_id {uid} does not fit in 64 bits")
+                finite = [*map(math.isfinite, x), missing or math.isfinite(y_k),
+                          math.isfinite(pi_k)]
+                if not all(finite):  # float() reads nan and inf
+                    name = header[1 + finite.index(False)]
+                    raise ConfigError(f"line {lineno}", f"{name} is not a finite number")
+                ids.append(uid)
+                X.append(x)
+                y.append(y_k)
+                pi.append(pi_k)
+                resp.append(not missing)
+        except csv.Error as exc:  # e.g. an unbalanced quote runs past the field size limit
+            raise ConfigError(f"line {lineno + 1}", f"malformed CSV: {exc}")
+    return (np.asarray(ids, dtype=np.int64), np.asarray(X, dtype=np.float64).reshape(-1, p),
+            np.asarray(y, dtype=np.float64), np.asarray(pi, dtype=np.float64),
+            np.asarray(resp, dtype=bool))
