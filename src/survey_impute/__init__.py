@@ -48,8 +48,6 @@ from .population import (  # noqa: E402
 )
 from .selection import (  # noqa: E402
     parse_criterion,
-    score_aic,
-    score_bic,
     score_candidates,
     select,
 )

@@ -322,7 +322,7 @@ def cmd_estimate(args):
             raise ConfigError("candidates", f"covariate index {bad[0][-1]} exceeds p={p}")
 
     sample, order = build_estimate_design(cfg, ids, pi)
-    X, y, resp, ids = X[order], y[order], resp[order], ids[order]
+    X, y, resp = X[order], y[order], resp[order]
     mask = ResponseMask(resp)
     # missing y stay NaN: every downstream read goes through the mask, so
     # a stray NaN in the output would expose a bookkeeping bug loudly

@@ -23,12 +23,10 @@ def _fail(path, msg):
     raise ConfigError(path, msg)
 
 
-def _get(obj, key, path, required=True, default=None):
-    if key in obj:
-        return obj[key]
-    if required:
+def _get(obj, key, path):
+    if key not in obj:
         _fail(f"{path}.{key}" if path else key, "missing required field")
-    return default
+    return obj[key]
 
 
 def _int(value, path, minimum=None):

@@ -9,7 +9,8 @@ widest design. The leading q x q block of its R is the triangular factor
 of the first q columns, and the first q columns of its Q their Q
 (Golub & Van Loan, Matrix Computations, section 5.2), so every model of
 a chain is read off one factorization. Unrelated models are chains of
-one.
+one. The package's one rank rule (_rank_deficient, RCOND_MIN) lives here:
+qr_checked applies it to the fits, selection to the CV training folds.
 """
 
 import enum
@@ -89,65 +90,22 @@ def design_matrix(X, model):
 
 def _rank_deficient(d):
     """The one rank rule, on the diagonal d of a design's triangular
-    factor; on a stack of diagonals, one verdict per row."""
+    factor, or on a stack of them along the last axis: entry q - 1 is
+    True when the first q columns are rank deficient, min |d[:q]| <=
+    RCOND_MIN max |d[:q]|. Once True, it stays True for wider prefixes."""
     d = np.abs(d)
-    return d.min(axis=-1) <= RCOND_MIN * d.max(axis=-1)
+    return np.minimum.accumulate(d, axis=-1) <= RCOND_MIN * np.maximum.accumulate(d, axis=-1)
 
 
 def qr_checked(Z):
     """Reduced QR (Q, R) of a respondent design Z, and the width w of
     its widest prefix that the package's one rank rule accepts: the
-    first q columns pass when Z has at least q rows and _rank_deficient
-    rejects no diag(R)[:q]. Every narrower prefix passes too, since the
-    smallest |diag| only falls and the largest only grows with q."""
+    first q columns pass when Z has at least q rows (diag(R) has
+    min(rows, columns) entries) and _rank_deficient accepts prefix q."""
     Q, R = np.linalg.qr(Z)
-    d = np.abs(np.diag(R))
-    deficient = np.minimum.accumulate(d) <= RCOND_MIN * np.maximum.accumulate(d)
-    width = int(deficient.argmax()) if deficient.any() else d.size
+    deficient = _rank_deficient(np.diag(R))
+    width = int(deficient.argmax()) if deficient.any() else deficient.size
     return Q, R, width
-
-
-def deleted_rows_factor(M, Rs, n_left):
-    """Lower Cholesky factors L of a (C, K, P, P) stack M and a verdict
-    per candidate. Candidate c has the triangular factor Rs[c] (q_c x
-    q_c) of its design Z = QR, and M[c, k] is I - Q_t'Q_t for the test
-    rows Q_t of fold k in its leading q_c x q_c block and the identity
-    after it; n_left holds the rows each fold leaves. L[c, k]'s leading
-    block times R is then the triangular factor of the rows of Z that
-    remain. ok[c] is False when any of c's training designs is
-    singular: fewer rows than columns, a failed Cholesky, min diag(L)
-    at most sqrt(RCOND_MIN) (M is formed at Gram scale, so L resolves
-    only to about sqrt(eps)), or qr_checked's rule on diag(L) diag(R),
-    each read on c's first q_c diagonal entries only. Where ok[c] is
-    False, L[c] is the identity, so solves against it stay finite.
-
-    The stack is factored in one call. When that raises, each
-    candidate's (K, P, P) slice is factored alone, so only the
-    candidates whose slice fails are ruled out; a slice's factor is the
-    same either way."""
-    q = np.array([R.shape[0] for R in Rs])
-    P = M.shape[-1]
-    ok = q <= np.min(n_left)
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        L = np.empty_like(M)
-        for c in range(M.shape[0]):
-            try:
-                L[c] = np.linalg.cholesky(M[c])
-            except np.linalg.LinAlgError:
-                L[c] = np.eye(P)
-                ok[c] = False
-    d = np.diagonal(L, axis1=-2, axis2=-1)
-    cols = np.arange(P) < q[:, None]
-    r = np.ones(cols.shape)
-    r[cols] = np.concatenate([np.diag(R) for R in Rs])
-    # past q_c, repeat the first entry: it moves neither min nor max
-    dr = np.where(cols[:, None], d * r[:, None], d[..., :1] * r[:, None, :1])
-    ok &= (d.min(axis=(1, 2)) > np.sqrt(RCOND_MIN)) & ~_rank_deficient(dr).any(axis=1)
-    if not ok.all():
-        L[~ok] = np.eye(P)
-    return L, ok
 
 
 def _prefix_chains(models):

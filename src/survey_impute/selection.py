@@ -3,20 +3,21 @@
 Criterion names are the strings "aic", "bic", or "cvK" (e.g. "cv5").
 The candidate set is the dict of respondent fits from fit_candidates
 (which factors each prefix chain of candidates with one QR), and its key
-order is the scoring order. Every criterion reads each candidate's one
-fit: AIC and BIC its rss, K-fold CV its Q, R and residuals, from which
-the held-out sum of squares of every training fold follows in closed
-form, so no score refits anything. K-fold CV draws each candidate its
-own split (score_candidates, the one CV entry point) and scores all
-folds of all candidates of a dataset in one pass: one identity-padded
-stack of the folds' Gram matrices, one Cholesky of it, and one pair of
-vectorised triangular substitutions (_cv_scores). The scores come back
-as {model: score}, keyed like the fits, and are compared as (score,
-p_alpha, included), so ties go to the smaller model and then
-lexicographically. A candidate that is rank deficient, or has no
-residual degrees of freedom (n_r <= p_alpha) and so no sigma^2 and no
-interval, scores +inf; under cvK so does one with a singular training
-fold.
+order is the scoring order. This module owns every score, and each
+reads the candidate's one fit: AIC and BIC its rss, K-fold CV its Q, R
+and residuals, from which the held-out sum of squares of every training
+fold follows in closed form, so no score refits anything. K-fold CV
+draws each candidate its own split (score_candidates, the one CV entry
+point) and scores all folds of all candidates of a dataset in one pass
+(_cv_scores): one identity-padded stack of the folds' Gram matrices,
+one Cholesky of it, which also gives each training fold's verdict under
+the rank rule of estimators, and one pair of vectorised triangular
+substitutions. The scores come back as {model: score}, keyed like the
+fits, and are compared as (score, p_alpha, included), so ties go to the
+smaller model and then lexicographically. A candidate that is rank
+deficient, or has no residual degrees of freedom (n_r <= p_alpha) and
+so no sigma^2 and no interval, scores +inf; under cvK so does one with
+a singular training fold.
 """
 
 import re
@@ -24,7 +25,7 @@ import re
 import numpy as np
 
 from .errors import SelectionFailureError
-from .estimators import deleted_rows_factor
+from .estimators import RCOND_MIN, _rank_deficient
 
 # rss at or below this fraction of the centered total sum of squares is
 # treated as an exact interpolation that only floating point kept nonzero
@@ -46,18 +47,6 @@ def parse_criterion(name):
             raise ValueError(f"cv criterion needs K >= 2, got {name!r}")
         return "cv", k
     raise ValueError(f"unknown criterion {name!r}; expected 'aic', 'bic', or 'cvK'")
-
-
-def score_aic(rss, n_r, p_alpha):
-    if rss == 0.0:
-        return float("-inf")
-    return n_r * np.log(rss / n_r) + 2.0 * p_alpha
-
-
-def score_bic(rss, n_r, p_alpha):
-    if rss == 0.0:
-        return float("-inf")
-    return n_r * np.log(rss / n_r) + np.log(n_r) * p_alpha
 
 
 def _fold_sizes(n, k):
@@ -96,17 +85,28 @@ def _cv_scores(fits, orders, sizes):
     b'x = g'g and Q_t'Q_t = I - M; no term cancels. M, b and e_t'e_t of
     every fold come from one Gram matrix of [Q_t, 0, e_t] per candidate,
     zero-padded to the widest candidate's P columns, so all candidates
-    share one (C, K, P, P) stack, one Cholesky (deleted_rows_factor)
-    and one pair of triangular solves. A candidate's numbers depend on
-    the stack's width P, not on which other candidates share it.
+    share one (C, K, P, P) stack, identity past each candidate's q_c
+    columns, one Cholesky and one pair of triangular solves. A
+    candidate's numbers depend on the stack's width P, not on which
+    other candidates share it. L[c, k]'s leading q_c x q_c block times
+    c's R is the triangular factor of fold k's training rows of Z = QR,
+    which are singular when fewer than q_c, when the Cholesky fails,
+    when min diag(L) <= sqrt(RCOND_MIN) (M is formed at Gram scale, so
+    L resolves only to about sqrt(eps)), or when the rank rule rejects
+    diag(L) diag(R). If the stacked Cholesky raises, each candidate's
+    slice is factored alone, to the same factor, so only those whose
+    slice fails are ruled out.
     -> array of C scores, +inf where a training fold is singular."""
-    C, P = len(fits), max(fit.R.shape[0] for fit in fits)
+    q = np.array([fit.R.shape[0] for fit in fits])
+    C, P = q.size, int(q.max())
     K, s = sizes.size, sizes.max()
     slot = np.flatnonzero(np.arange(s) < sizes[:, None])
     G = np.empty((C, K, P + 1, P + 1))
+    r = np.ones((C, P))  # each diag(R), padded with ones
     for c, (fit, order) in enumerate(zip(fits, orders)):
+        r[c, :q[c]] = np.diag(fit.R)
         T = np.zeros((K * s, P + 1))
-        T[slot, :fit.R.shape[0]] = fit.Q[order]
+        T[slot, :q[c]] = fit.Q[order]
         T[slot, P] = fit.resid[order]
         T = T.reshape(K, s, P + 1)
         np.matmul(np.swapaxes(T, 1, 2), T, out=G[c])
@@ -115,10 +115,25 @@ def _cv_scores(fits, orders, sizes):
     E = np.eye(P + 1)
     E[P, P] = 0.0
     np.subtract(E, G, out=G)
-    L, ok = deleted_rows_factor(G[..., :P, :P], [fit.R for fit in fits],
-                                fits[0].resid.size - sizes)
+    M = G[..., :P, :P]
+    ok = q <= fits[0].resid.size - s
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        L = np.empty_like(M)
+        for c in range(C):
+            try:
+                L[c] = np.linalg.cholesky(M[c])
+            except np.linalg.LinAlgError:
+                L[c] = np.eye(P)
+                ok[c] = False
+    d = np.diagonal(L, axis1=-2, axis2=-1)
+    deficient = _rank_deficient(d * r[:, None])[np.arange(C), :, q - 1]
+    ok &= (d.min(axis=(1, 2)) > np.sqrt(RCOND_MIN)) & ~deficient.any(axis=1)
+    if not ok.all():
+        L[~ok] = np.eye(P)  # so that solves against it stay finite
     b, ee = G[..., :P, P].copy(), -G[..., P, P]
-    del G  # so that at most two (C, K, P, P) stacks are alive at once
+    del G, M  # so that at most two (C, K, P, P) stacks are alive at once
     g, x = _substitute(L, b)
     sse = ee + np.sum(g * g, axis=-1) + np.sum(x * x, axis=-1)
     return np.where(ok, np.mean(sse / sizes, axis=-1), np.inf)
@@ -129,8 +144,11 @@ def score_candidates(criterion, fits, y_r, rng=None):
     y_r; no criterion fits anything), in its key order. cvK draws each
     candidate's split in that order (one rng.permutation(n_r) each, cut
     by _fold_sizes), and scores every scorable candidate in one
-    _cv_scores call. A None fit, or n_r <= p_alpha, scores +inf.
-    y_r gives n_r, needed even when every fit is None, and tss."""
+    _cv_scores call. AIC and BIC score n_r log(rss / n_r) + penalty
+    p_alpha, with penalty 2 or log(n_r), and -inf when rss is at most
+    RSS_INTERP_REL times the centered total sum of squares of y_r. A
+    None fit, or n_r <= p_alpha, scores +inf. y_r gives n_r, needed
+    even when every fit is None."""
     kind, k = parse_criterion(criterion)
     y_r = np.asarray(y_r, dtype=np.float64)
     n_r = y_r.size
@@ -138,8 +156,6 @@ def score_candidates(criterion, fits, y_r, rng=None):
         raise ValueError("cv scoring needs an rng for the fold split")
     if kind == "cv" and n_r < k:
         raise SelectionFailureError(f"{criterion} needs at least {k} respondents, got {n_r}")
-    # n_r = 0 leaves every fit singular; keep the guard quiet about it
-    tss = float(np.sum((y_r - y_r.mean()) ** 2)) if n_r else 0.0
 
     scores = dict.fromkeys(fits, float("inf"))
     live = [m for m, fit in fits.items() if fit is not None and n_r > m.p_alpha]
@@ -151,11 +167,15 @@ def score_candidates(criterion, fits, y_r, rng=None):
             cv = _cv_scores([fits[m] for m in live], np.array([orders[m] for m in live]),
                             _fold_sizes(n_r, k))
             scores.update(zip(live, cv.tolist()))
-        return scores
-    scorer = score_aic if kind == "aic" else score_bic
-    for m in live:
-        rss = 0.0 if fits[m].rss <= RSS_INTERP_REL * tss else fits[m].rss
-        scores[m] = float(scorer(rss, n_r, m.p_alpha))
+    elif live:
+        # a live candidate has n_r > p_alpha >= 1, so neither the mean
+        # nor the log below sees zero respondents
+        tss = float(np.sum((y_r - y_r.mean()) ** 2))
+        penalty = 2.0 if kind == "aic" else np.log(n_r)
+        for m in live:
+            rss = fits[m].rss
+            scores[m] = (float("-inf") if rss <= RSS_INTERP_REL * tss
+                         else float(n_r * np.log(rss / n_r) + penalty * m.p_alpha))
     return scores
 
 

@@ -29,13 +29,14 @@ def load_config(name, **overrides):
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
+# each study fixture returns (cfg, summary, records); the records feed
+# the studentized-error test and the golden selections
+
 @pytest.fixture(scope="session")
 def study_srswor_n500():
-    """Main SRSWOR study, all criteria, records kept for the
-    studentized-error test."""
+    """Main SRSWOR study, all criteria."""
     cfg = load_config("srswor_n500")
-    summary, records = run_study(cfg)
-    return cfg, summary, records
+    return cfg, *run_study(cfg)
 
 
 @pytest.fixture(scope="session")
@@ -43,19 +44,19 @@ def study_srswor_n200():
     # aic/cv dropped: bic draws nothing from the criterion stream, so
     # its rows are identical to the full run's
     cfg = load_config("srswor_n200", criteria=("bic",))
-    return cfg, run_study(cfg)[0]
+    return cfg, *run_study(cfg)
 
 
 @pytest.fixture(scope="session")
 def study_srswor_n100():
     cfg = load_config("srswor_n100", criteria=("bic",))
-    return cfg, run_study(cfg)[0]
+    return cfg, *run_study(cfg)
 
 
 @pytest.fixture(scope="session")
 def study_stratified_n500():
     cfg = load_config("stratified_n500")
-    return cfg, run_study(cfg)[0]
+    return cfg, *run_study(cfg)
 
 
 @pytest.fixture

@@ -162,7 +162,7 @@ def test_criterion_06_coverage_and_variance_bias(
 
 
 def test_criterion_07_stratified_replication(acceptance, study_stratified_n500):
-    _, summary = study_stratified_n500
+    _, summary, _ = study_stratified_n500
     rank_ok, rank_detail = ranking_clause(summary)
     rb = [m.rb for m in summary.model_rows]
     re = [m.re for m in summary.model_rows]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from survey_impute.design import DesignDescriptor, SampleDraw, draw_srswor
 from survey_impute.estimators import (
+    RCOND_MIN,
     FitResult,
     ModelClass,
     ModelSpec,
@@ -279,7 +280,7 @@ def test_prefix_chain_fits_match_per_model_fits(seed, data, nested):
     for m in cands:
         Z = design_matrix(X, m)
         R = np.linalg.qr(Z)[1]
-        if Z.shape[0] < Z.shape[1] or _rank_deficient(np.diag(R)):
+        if Z.shape[0] < Z.shape[1] or _rank_deficient(np.diag(R))[-1]:
             assert fits[m] is None
             continue
         got = fits[m]
@@ -299,6 +300,13 @@ def test_prefix_chain_fits_match_per_model_fits(seed, data, nested):
         assert [fits[m] is None for m in cands] == [False] + [True] * (p - 1)
     if data == "short" and nested:
         assert [fits[m] is None for m in cands] == [m.p_alpha > n_r for m in cands]
+
+
+def test_rank_rule_gives_one_verdict_per_prefix():
+    # entry q - 1 judges the first q diagonal entries, the cutoff
+    # included; a stack of diagonals gets one row of verdicts each
+    d = np.array([[2.0, -1.0, 1e-11, 3.0], [1.0, 0.5, RCOND_MIN, 1.0]])
+    assert _rank_deficient(d).tolist() == [[False, False, True, True]] * 2
 
 
 def test_nested_candidates_shape():

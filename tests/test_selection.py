@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -17,9 +18,8 @@ from survey_impute.estimators import (
     nested_candidates,
 )
 from survey_impute.selection import (
+    RSS_INTERP_REL,
     parse_criterion,
-    score_aic,
-    score_bic,
     score_candidates,
     select,
 )
@@ -66,22 +66,62 @@ class TestParseCriterion:
             parse_criterion(bad)
 
 
+def ic_scores(criterion, rss, n_r, models):
+    """score_candidates under aic or bic on n_r respondents, with every
+    model's fit given this rss: the criteria read nothing else of a fit."""
+    rng = np.random.default_rng(40)
+    X, y = rng.normal(size=(n_r, 3)), rng.normal(size=n_r)
+    fits = fit_candidates(X, y, models)
+    return score_candidates(criterion, {m: dataclasses.replace(fit, rss=rss)
+                                        for m, fit in fits.items()}, y)
+
+
 class TestInformationCriteria:
     def test_aic_parameter_penalty(self):
-        assert score_aic(10.0, 50, 4) - score_aic(10.0, 50, 3) == pytest.approx(2.0)
+        m3, m4 = ModelSpec((1, 2)), ModelSpec((1, 2, 3))
+        scores = ic_scores("aic", 10.0, 50, [m3, m4])
+        assert scores[m4] - scores[m3] == pytest.approx(2.0)
 
     def test_aic_rss_term(self):
         # halving rss at n_r = 100 drops the score by 100 ln 2
-        drop = score_aic(8.0, 100, 3) - score_aic(4.0, 100, 3)
+        m = ModelSpec((1, 2))
+        drop = ic_scores("aic", 8.0, 100, [m])[m] - ic_scores("aic", 4.0, 100, [m])[m]
         assert drop == pytest.approx(100 * np.log(2.0), rel=1e-12)
 
     def test_bic_penalizes_harder(self):
+        m = ModelSpec((1, 2, 3))
         for n_r in (8, 20, 200):
-            assert score_bic(5.0, n_r, 4) > score_aic(5.0, n_r, 4)
+            assert ic_scores("bic", 5.0, n_r, [m])[m] > ic_scores("aic", 5.0, n_r, [m])[m]
 
     def test_interpolation_scores_neg_inf(self):
-        assert score_aic(0.0, 10, 2) == float("-inf")
-        assert score_bic(0.0, 10, 2) == float("-inf")
+        m = ModelSpec((1,))
+        assert ic_scores("aic", 0.0, 10, [m])[m] == float("-inf")
+        assert ic_scores("bic", 0.0, 10, [m])[m] == float("-inf")
+
+    @pytest.mark.parametrize("criterion", ["aic", "bic"])
+    def test_interpolation_cutoff_is_inclusive(self, criterion):
+        # rss at RSS_INTERP_REL * tss is an exact interpolation; one ulp
+        # above it is scored by the formula
+        rng = np.random.default_rng(41)
+        X, y = rng.normal(size=(20, 2)), rng.normal(size=20)
+        m = ModelSpec((1, 2))
+        fit = fit_candidates(X, y, [m])[m]
+        cutoff = RSS_INTERP_REL * float(np.sum((y - y.mean()) ** 2))
+        above = np.nextafter(cutoff, np.inf)
+        at = score_candidates(criterion, {m: dataclasses.replace(fit, rss=cutoff)}, y)[m]
+        over = score_candidates(criterion, {m: dataclasses.replace(fit, rss=above)}, y)[m]
+        penalty = 2.0 if criterion == "aic" else np.log(20)
+        assert at == float("-inf")
+        assert over == 20 * np.log(above / 20) + penalty * 3
+
+    @pytest.mark.parametrize("criterion", ["aic", "bic"])
+    def test_zero_respondents_score_inf_without_warnings(self, criterion):
+        cands = nested_candidates(2)
+        y = np.empty(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = score_candidates(criterion, fit_candidates(np.empty((0, 2)), y, cands), y)
+        assert scores == dict.fromkeys(cands, float("inf"))
 
 
 class TestCvScore:
@@ -352,7 +392,7 @@ class TestScoreCandidates:
         assert list(scores) == cands
         for m, score in scores.items():
             rss = fit_candidates(X, y, [m])[m].rss
-            assert score == pytest.approx(score_bic(rss, 30, m.p_alpha))
+            assert score == pytest.approx(30 * np.log(rss / 30) + np.log(30) * m.p_alpha)
 
     def test_cv_draws_folds_for_an_unscorable_candidate(self):
         # a None fit scores +inf without moving the fold stream: the
