@@ -17,6 +17,7 @@ from survey_impute import (
     loss_closed_form,
     mc_loss_oracle,
     nested_candidates,
+    true_support,
 )
 
 N = 2_000
@@ -32,17 +33,16 @@ MC_DRAWS = 200_000
 
 def main():
     rng = np.random.default_rng(np.random.SeedSequence([SEED, 1]))
-    pop = generate_population(N, p, LAW, BETA, SIGMA, RESPONSE, rng)
+    X, _, resp_prob = generate_population(N, p, LAW, BETA, SIGMA, RESPONSE, rng)
     sample = draw_srswor(N, n, rng)
-    X_s = pop.X[sample.unit_ids]
-    mask = generate_response(pop.resp_prob, sample.unit_ids, rng)
-    print(f"N={N}, n={n}, respondents={mask.n_r}, missing={mask.n_m}, "
-          f"true support={pop.true_support}")
+    X_s = X[sample.unit_ids]
+    r = generate_response(resp_prob, sample.unit_ids, rng)
+    print(f"N={N}, n={n}, respondents={r.sum()}, missing={(~r).sum()}, "
+          f"true support={true_support(BETA)}")
 
     # --- closed form for every nested model ---------------------------------
     candidates = nested_candidates(p)
-    losses = [loss_closed_form(sample, mask, X_s, m, pop.beta_true, pop.sigma)
-              for m in candidates]
+    losses = [loss_closed_form(sample, r, X_s, m, BETA, SIGMA) for m in candidates]
     totals = [lv.total for lv in losses]
     best = int(np.argmin(totals))
 
@@ -58,8 +58,7 @@ def main():
     for j in (1, 2):
         model = candidates[j]
         exact = losses[j].total
-        est, se = mc_loss_oracle(sample, mask, X_s, model, pop.beta_true,
-                                 pop.sigma, MC_DRAWS, rng)
+        est, se = mc_loss_oracle(sample, r, X_s, model, BETA, SIGMA, MC_DRAWS, rng)
         z = (est - exact) / se
         print(f"  alpha{max(model.included)}: closed form {exact:.6g},"
               f" MC {est:.6g} +/- {se:.2g}  (z = {z:+.2f})")

@@ -31,6 +31,7 @@ from survey_impute import (
     imputed_means,
     nested_candidates,
     select,
+    true_support,
 )
 
 N = 2_000
@@ -48,53 +49,53 @@ def main():
     rng = np.random.default_rng(np.random.SeedSequence([SEED, 0]))
 
     # --- population -------------------------------------------------------
-    pop = generate_population(N, p, LAW, BETA, SIGMA, RESPONSE, rng)
-    print(f"population: N={pop.N}, p={pop.p}, true support={pop.true_support}")
-    print(f"true mean mu = {pop.mu:.4f}")
-    print(f"mean response probability = {pop.resp_prob.mean():.3f}")
+    X, y, resp_prob = generate_population(N, p, LAW, BETA, SIGMA, RESPONSE, rng)
+    support, mu = true_support(BETA), float(y.mean())
+    print(f"population: N={X.shape[0]}, p={X.shape[1]}, true support={support}")
+    print(f"true mean mu = {mu:.4f}")
+    print(f"mean response probability = {resp_prob.mean():.3f}")
 
     # --- sample and response ----------------------------------------------
     sample = draw_srswor(N, n, rng)
-    y_s = pop.y[sample.unit_ids]
-    X_s = pop.X[sample.unit_ids]
-    mask = generate_response(pop.resp_prob, sample.unit_ids, rng)
+    y_s = y[sample.unit_ids]
+    X_s = X[sample.unit_ids]
+    r = generate_response(resp_prob, sample.unit_ids, rng)
     print(f"\nsample: n={sample.n}, pi_k = n/N = {sample.pi_first[0]:.3f} for every unit")
-    print(f"respondents: {mask.n_r}, missing: {mask.n_m}")
+    print(f"respondents: {r.sum()}, missing: {(~r).sum()}")
 
     ht = ht_mean(sample, y_s)
     print(f"\nHorvitz-Thompson on the complete sample: {ht:.4f}"
-          f"   (error {ht - pop.mu:+.4f})")
+          f"   (error {ht - mu:+.4f})")
 
     # --- every nested candidate -------------------------------------------
     candidates = nested_candidates(p)
     print(f"\n{'model':>8} {'class':>8} {'p_a':>4} {'rss':>12} {'mu_hat':>10} {'error':>9}")
-    resp = mask.respondents
     # one respondent fit per candidate, shared by everything below
-    fits = fit_candidates(X_s[resp], y_s[resp], candidates)
-    mu_hats = imputed_means(sample, mask, X_s, y_s, fits)
+    fits = fit_candidates(X_s[r], y_s[r], candidates)
+    mu_hats = imputed_means(sample, r, X_s, y_s, fits)
     for model in candidates:
         fit = fits[model]
         mu_a = mu_hats[model]
-        cls = classify_model(model, pop.true_support).value
+        cls = classify_model(model, support).value
         label = f"alpha{max(model.included)}"
         print(f"{label:>8} {cls:>8} {model.p_alpha:>4} {fit.rss:>12.1f}"
-              f" {mu_a:>10.4f} {mu_a - pop.mu:>+9.4f}")
+              f" {mu_a:>10.4f} {mu_a - mu:>+9.4f}")
     print("alpha1 is visibly biased; past alpha3 the rss plateaus and the fits chase noise")
 
     # --- selection, variance, interval --------------------------------------
-    model, scores = select("bic", fits, y_s[resp])
+    model, scores = select("bic", fits, y_s[r])
     chosen = f"alpha{max(model.included)}"
     print(f"\nBIC scores: " + ", ".join(
         f"alpha{max(m.included)}={s:.1f}" for m, s in list(scores.items())[:5]) + ", ...")
-    print(f"BIC picks {chosen} ({classify_model(model, pop.true_support).value})")
+    print(f"BIC picks {chosen} ({classify_model(model, support).value})")
 
-    est = estimate_model(sample, mask, X_s, y_s, model, fits[model], 0.95)
+    est = estimate_model(sample, r, X_s, y_s, model, fits[model], 0.95)
     print(f"\npoint estimate    {est.mu_hat:.4f}")
     print(f"sampling variance V1 = {est.v1:.4f}")
     print(f"imputation variance V2 = {est.v2:.4f}"
           f"  ({100 * est.v2 / est.v_total:.1f}% of the total)")
     print(f"95% CI [{est.lower:.4f}, {est.upper:.4f}]"
-          f"   covers mu: {est.lower <= pop.mu <= est.upper}")
+          f"   covers mu: {est.lower <= mu <= est.upper}")
 
 
 if __name__ == "__main__":

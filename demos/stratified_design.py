@@ -37,23 +37,23 @@ B = 400
 MODEL = ModelSpec((1, 2, 3))
 
 
-def one_rep(pop, draw, rng):
+def one_rep(X, y, resp_prob, draw, rng):
     """Imputed mean under the true working model for one realized sample."""
-    mask = generate_response(pop.resp_prob, draw.unit_ids, rng)
-    X_s, y_s = pop.X[draw.unit_ids], pop.y[draw.unit_ids]
-    if mask.n_r <= MODEL.p_alpha:
+    r = generate_response(resp_prob, draw.unit_ids, rng)
+    X_s, y_s = X[draw.unit_ids], y[draw.unit_ids]
+    if r.sum() <= MODEL.p_alpha:
         return None, None
-    fit = fit_candidates(X_s[mask.respondents], y_s[mask.respondents], [MODEL])[MODEL]
-    mu = imputed_means(draw, mask, X_s, y_s, {MODEL: fit})[MODEL]
+    fit = fit_candidates(X_s[r], y_s[r], [MODEL])[MODEL]
+    mu = imputed_means(draw, r, X_s, y_s, {MODEL: fit})[MODEL]
     return ht_mean(draw, y_s), mu
 
 
 def main():
     rng = np.random.default_rng(np.random.SeedSequence([SEED, 4]))
-    pop = generate_population(N, p, LAW, BETA, SIGMA, RESPONSE, rng)
-    sort_key = pop.X @ SORT_COEFS
+    X, y, resp_prob = generate_population(N, p, LAW, BETA, SIGMA, RESPONSE, rng)
+    sort_key = X @ SORT_COEFS
 
-    draw = draw_stratified(sort_key, pop.X[:, 1], FRACTIONS, n, rng)
+    draw = draw_stratified(sort_key, X[:, 1], FRACTIONS, n, rng)
     design = draw.design
     # the draw's strata: contiguous blocks of the units ranked by sort_key
     order = np.argsort(sort_key, kind="stable")
@@ -63,7 +63,7 @@ def main():
     print(f"N={N}, n={n}, strata fractions {FRACTIONS}, Neyman on sd(x2)")
     print(f"\n{'stratum':>8} {'N_h':>5} {'sd(x2)':>8} {'n_h':>4} {'pi_h':>7}")
     for h, block in enumerate(blocks):
-        sd = np.std(pop.X[block, 1], ddof=1)
+        sd = np.std(X[block, 1], ddof=1)
         print(f"{h:>8} {N_h[h]:>5} {sd:>8.3f} {n_h[h]:>4}"
               f" {n_h[h] / N_h[h]:>7.3f}")
     print(f"\ninclusion probabilities vary by stratum;"
@@ -86,13 +86,12 @@ def main():
     results = {}
     for name, drawer in (
         ("srswor", lambda r: draw_srswor(N, n, r)),
-        ("stratified", lambda r: draw_stratified(sort_key, pop.X[:, 1],
-                                                 FRACTIONS, n, r)),
+        ("stratified", lambda r: draw_stratified(sort_key, X[:, 1], FRACTIONS, n, r)),
     ):
         hts, mus = [], []
         for rep in range(B):
             r = np.random.default_rng(np.random.SeedSequence([SEED, 5, rep]))
-            ht, mu = one_rep(pop, drawer(r), r)
+            ht, mu = one_rep(X, y, resp_prob, drawer(r), r)
             if ht is not None:
                 hts.append(ht)
                 mus.append(mu)

@@ -40,40 +40,39 @@ LAW = {"name": "gamma", "shape": 5.0, "scale": 2.0}
 SEED = 20260816
 
 
-def pseudo_values(sample, mask, X, y, model, fit):
+def pseudo_values(sample, r, X, y, model, fit):
     """c and eta from their definitions, over the model's design Z on
     the whole sample: c solves (sum_r z z') c = sum_m z / pi, and eta is
     z'b + r_k (1 + pi_k c'z_k)(y_k - z'b) for the fitted b."""
-    resp, miss = mask.respondents, mask.nonrespondents
     pi = sample.pi_first
     Z = design_matrix(X, model)
-    w = Z[miss].T @ (1.0 / pi[miss])
-    c = np.linalg.solve(Z[resp].T @ Z[resp], w)
+    w = Z[~r].T @ (1.0 / pi[~r])
+    c = np.linalg.solve(Z[r].T @ Z[r], w)
     pred = Z @ fit.beta_hat
     eta = pred.copy()
-    eta[resp] += (1.0 + pi[resp] * (Z[resp] @ c)) * (y[resp] - pred[resp])
+    eta[r] += (1.0 + pi[r] * (Z[r] @ c)) * (y[r] - pred[r])
     return Z, c, eta
 
 
 def main():
     rng = np.random.default_rng(np.random.SeedSequence([SEED, 2]))
-    pop = generate_population(N, p, LAW, BETA, SIGMA, RESPONSE, rng)
+    X, y, resp_prob = generate_population(N, p, LAW, BETA, SIGMA, RESPONSE, rng)
+    mu = float(y.mean())
     sample = draw_srswor(N, n, rng)
-    X_s = pop.X[sample.unit_ids]
-    y_s = pop.y[sample.unit_ids]
-    mask = generate_response(pop.resp_prob, sample.unit_ids, rng)
+    X_s = X[sample.unit_ids]
+    y_s = y[sample.unit_ids]
+    r = generate_response(resp_prob, sample.unit_ids, rng)
 
     model = ModelSpec((1, 2, 3))
-    resp = mask.respondents
-    fit = fit_candidates(X_s[resp], y_s[resp], [model])[model]
+    fit = fit_candidates(X_s[r], y_s[r], [model])[model]
     # the package's estimate, which the steps below rebuild by hand
-    est = estimate_model(sample, mask, X_s, y_s, model, fit, 0.95)
+    est = estimate_model(sample, r, X_s, y_s, model, fit, 0.95)
     mu_hat = est.mu_hat
-    print(f"n={sample.n}, respondents={mask.n_r}, model {model.label()},"
+    print(f"n={sample.n}, respondents={r.sum()}, model {model.label()},"
           f" mu_hat = {mu_hat:.6f}")
 
     # --- step 1: the correction vector --------------------------------------
-    Z, c, eta = pseudo_values(sample, mask, X_s, y_s, model, fit)
+    Z, c, eta = pseudo_values(sample, r, X_s, y_s, model, fit)
     print(f"\nc_hat = {np.array2string(c, precision=4)}")
     print("c weights each respondent residual by how much leverage it has"
           " over the imputed units")
@@ -88,7 +87,7 @@ def main():
     s2 = sigma2_hat(fit)
     # sigma^2 sum_k [1 - r_k + r_k (pi_k c'z_k)^2] / (N^2 pi_k)
     pi = sample.pi_first
-    term = np.where(mask.r, (pi * (Z @ c)) ** 2, 1.0)
+    term = np.where(r, (pi * (Z @ c)) ** 2, 1.0)
     v2 = s2 * float(np.sum(term / pi)) / N**2
     print(f"\nV1 (design variance of the eta total) = {v1:.4f}")
     print(f"sigma2_hat = {s2:.1f}   (true sigma^2 = {SIGMA ** 2:.0f})")
@@ -98,18 +97,18 @@ def main():
 
     lower, upper = confidence_interval(mu_hat, v1 + v2, 0.95)
     print(f"\n95% CI [{lower:.4f}, {upper:.4f}]"
-          f"   true mean {pop.mu:.4f}, covered: {lower <= pop.mu <= upper}")
+          f"   true mean {mu:.4f}, covered: {lower <= mu <= upper}")
 
     # the identity is structural, not luck: check it across fresh draws
     worst = 0.0
     for rep in range(50):
         r2 = np.random.default_rng(np.random.SeedSequence([SEED, 3, rep]))
         s = draw_srswor(N, n, r2)
-        m = generate_response(pop.resp_prob, s.unit_ids, r2)
-        if m.n_r <= model.p_alpha or m.n_m == 0:
+        m = generate_response(resp_prob, s.unit_ids, r2)
+        if m.sum() <= model.p_alpha or m.all():
             continue
-        Xs, ys = pop.X[s.unit_ids], pop.y[s.unit_ids]
-        f = fit_candidates(Xs[m.respondents], ys[m.respondents], [model])[model]
+        Xs, ys = X[s.unit_ids], y[s.unit_ids]
+        f = fit_candidates(Xs[m], ys[m], [model])[model]
         mu_r = imputed_means(s, m, Xs, ys, {model: f})[model]
         _, _, e = pseudo_values(s, m, Xs, ys, model, f)
         worst = max(worst, abs(ht_mean(s, e) - mu_r) / abs(mu_r))

@@ -41,10 +41,9 @@ from .estimators import (  # noqa: E402
 )
 from .loss import LossValue, loss_closed_form, mc_loss_oracle  # noqa: E402
 from .population import (  # noqa: E402
-    Population,
-    ResponseMask,
     generate_population,
     generate_response,
+    true_support,
 )
 from .selection import (  # noqa: E402
     parse_criterion,

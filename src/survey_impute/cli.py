@@ -36,8 +36,7 @@ from .config import (
 from .design import DesignDescriptor, SampleDraw
 from .errors import ConfigError, EstimationFailureError, SelectionFailureError, SurveyImputeError
 from .estimators import build_candidates, fit_candidates
-from .population import ResponseMask
-from .study import SUMMARY_COLUMNS, float_text, reps_to_csv, run_study, summary_rows, summary_to_csv
+from .study import SUMMARY_COLUMNS, float_text, reps_to_csv, run_study, summary_to_csv
 from .variance import estimate_with_inference
 
 EXIT_OK = 0
@@ -91,13 +90,13 @@ def _check_outputs(out_dir, name, inputs, reps_out=None):
             raise ConfigError(flag, f"cannot write {path!r}: it is an input file")
 
 
-def _print_summary_table(cfg, summary, out):
+def _print_summary_table(cfg, summary, text, out):
+    """The summary table, text as summary_rows formats it, in aligned columns."""
     print(
         f"study {cfg.name}: B={summary.replications} design={cfg.design_kind} "
         f"N={cfg.N} n={cfg.n} seed={cfg.master_seed}",
         file=out,
     )
-    text = summary_rows(summary)
     widths = [max(len(c), *(len(r[i]) for r in text)) for i, c in enumerate(SUMMARY_COLUMNS)]
     print("  ".join(c.ljust(w) for c, w in zip(SUMMARY_COLUMNS, widths)), file=out)
     for r in text:
@@ -115,10 +114,10 @@ def cmd_simulate(args):
     # run_study refuses --threads < 1 before any work, so a refused run creates nothing
     summary, records = run_study(cfg, threads=args.threads)
     os.makedirs(out_dir, exist_ok=True)
-    summary_to_csv(summary, os.path.join(out_dir, "summary.csv"))
+    rows = summary_to_csv(summary, os.path.join(out_dir, "summary.csv"))
     if args.reps_out is not None:
         reps_to_csv(records, args.reps_out, cfg)
-    _print_summary_table(cfg, summary, sys.stdout)
+    _print_summary_table(cfg, summary, rows, sys.stdout)
 
     if summary.failure_rate > cfg.failure_threshold:
         print(
@@ -323,9 +322,8 @@ def cmd_estimate(args):
 
     sample, order = build_estimate_design(cfg, ids, pi)
     X, y, resp = X[order], y[order], resp[order]
-    mask = ResponseMask(resp)
-    # missing y stay NaN: every downstream read goes through the mask, so
-    # a stray NaN in the output would expose a bookkeeping bug loudly
+    # missing y stay NaN: every downstream read goes through resp, so a
+    # stray NaN in the output would expose a bookkeeping bug loudly
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 0]))
     # finite but huge data can overflow; the estimate or variance then is
@@ -333,7 +331,7 @@ def cmd_estimate(args):
     with np.errstate(over="ignore", invalid="ignore"):
         fits = fit_candidates(X[resp], y[resp], build_candidates(cfg.candidates, p))
         est, _ = estimate_with_inference(
-            sample, mask, X, y, fits, cfg.criterion, cfg.level, rng
+            sample, resp, X, y, fits, cfg.criterion, cfg.level, rng
         )
 
     out = {
@@ -343,7 +341,7 @@ def cmd_estimate(args):
             "with_intercept": True,  # every candidate has one
         },
         "n": int(ids.size),
-        "n_respondents": int(mask.n_r),
+        "n_respondents": int(resp.sum()),
         "mu_hat": _round10(est.mu_hat),
         "v1": _round10(est.v1),
         "v2": _round10(est.v2),

@@ -126,7 +126,7 @@ def _largest_remainder(raw, total):
 
 
 def stratum_sizes(population_size, fractions):
-    """Population stratum sizes from target fractions (largest remainder)."""
+    """Stratum sizes of the population from target fractions (largest remainder)."""
     fractions = np.asarray(fractions, dtype=np.float64)
     if np.any(fractions <= 0):
         raise InvalidDesignError("stratum fractions must be positive")

@@ -157,18 +157,19 @@ def ht_mean(sample, y):
     return float(np.sum(y / sample.pi_first) / sample.design.population_size)
 
 
-def imputed_means(sample, mask, X, y, fits):
+def imputed_means(sample, r, X, y, fits):
     """Imputation estimator of every model in fits ({model: FitResult or
     None}, as from fit_candidates): observed y for respondents, model
-    predictions for the missing, averaged with HT weights. X and y are
-    aligned with sample.unit_ids. With t = sum_r y/pi and w = sum_m
-    (1, x)/pi taken once, mu_hat = (t + w[cols] . beta_hat) / N, where
-    cols are the model's design columns; None for a None fit. One
-    model's mean is imputed_means(..., {model: fit})[model], which is
-    how variance.estimate_model reads it."""
-    resp, miss = mask.respondents, mask.nonrespondents
+    predictions for the missing, averaged with HT weights. X, y and the
+    boolean response array r (True for a respondent) are aligned with
+    sample.unit_ids. With t = sum_r y/pi and w = sum_m (1, x)/pi taken
+    once, mu_hat = (t + w[cols] . beta_hat) / N, where cols are the
+    model's design columns; None for a None fit. One model's mean is
+    imputed_means(..., {model: fit})[model], which is how
+    variance.estimate_model reads it."""
+    miss = ~r
     pi = sample.pi_first
-    t = float(np.sum(np.asarray(y, dtype=np.float64)[resp] / pi[resp]))
+    t = float(np.sum(np.asarray(y, dtype=np.float64)[r] / pi[r]))
     inv = 1.0 / pi[miss]
     w = np.concatenate(([inv.sum()], inv @ np.asarray(X, dtype=np.float64)[miss]))
     N = sample.design.population_size

@@ -1,49 +1,14 @@
-"""Finite population generation and the response mechanism.
+"""Finite population generation and the response mechanism, as plain
+arrays: a population is (X, y, resp_prob), and a response set is the
+boolean array r over the sampled units, indexed as X[r] and X[~r].
 
 The response model only ever sees the stored response probabilities;
 nothing downstream of generation can couple response to y.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
-
-
-@dataclass(frozen=True)
-class Population:
-    """A realized finite population and the truths behind it."""
-
-    X: np.ndarray
-    y: np.ndarray
-    beta_true: np.ndarray
-    sigma: float
-    resp_prob: np.ndarray
-    true_support: tuple
-
-    def __post_init__(self):
-        for name in ("X", "y", "beta_true", "resp_prob"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        N, p = self.X.shape
-        if self.y.shape != (N,) or self.resp_prob.shape != (N,):
-            raise ConfigError("population", "y and resp_prob must match X rows")
-        if self.beta_true.shape != (p + 1,):
-            raise ConfigError("population", "beta_true must have length p + 1")
-
-    @property
-    def N(self):
-        return self.X.shape[0]
-
-    @property
-    def p(self):
-        return self.X.shape[1]
-
-    @property
-    def mu(self):
-        return float(self.y.mean())
 
 
 # each covariate law by its numpy.random.Generator method, with that
@@ -70,8 +35,9 @@ def true_support(beta):
 
 
 def generate_population(N, p, covariate_law, beta, sigma, response, rng):
-    """Draw X, build y = [1 X] beta + eps, and store logistic response
+    """Draw X, build y = [1 X] beta + eps, and the logistic response
     probabilities 1 / (1 + exp(-t)), t = scale * (offset + x' zeta).
+    -> (X, y, resp_prob): X is N x p, y and resp_prob have length N.
 
     beta has length p + 1 (intercept first); response is an
     (offset, scale, zeta) triple with zeta of length p. sigma >= 0; the
@@ -103,40 +69,13 @@ def generate_population(N, p, covariate_law, beta, sigma, response, rng):
         # -745; refuse rather than clip, since pi-weighting assumes an interior probability
         raise ConfigError("response_coefs", "response probabilities hit 0 or 1")
 
-    return Population(X, y, beta, float(sigma), resp_prob, true_support(beta))
-
-
-@dataclass(frozen=True)
-class ResponseMask:
-    """Respondent indicator over a sample, with position lookups."""
-
-    r: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=bool)
-        r.setflags(write=False)
-        object.__setattr__(self, "r", r)
-
-    @property
-    def respondents(self):
-        return np.flatnonzero(self.r)
-
-    @property
-    def nonrespondents(self):
-        return np.flatnonzero(~self.r)
-
-    @property
-    def n_r(self):
-        return int(self.r.sum())
-
-    @property
-    def n_m(self):
-        return int((~self.r).sum())
+    return X, y, resp_prob
 
 
 def generate_response(resp_prob, unit_ids, rng):
-    """Bernoulli response for the sampled units. Takes probabilities
+    """Bernoulli response for the sampled units: the boolean array r,
+    aligned with unit_ids, True for a respondent. Takes probabilities
     only; y never enters."""
     resp_prob = np.asarray(resp_prob, dtype=np.float64)
     unit_ids = np.asarray(unit_ids, dtype=np.int64)
-    return ResponseMask(rng.random(unit_ids.size) < resp_prob[unit_ids])
+    return rng.random(unit_ids.size) < resp_prob[unit_ids]

@@ -16,8 +16,9 @@ substitutions. The scores come back as {model: score}, keyed like the
 fits, and are compared as (score, p_alpha, included), so ties go to the
 smaller model and then lexicographically. A candidate that is rank
 deficient, or has no residual degrees of freedom (n_r <= p_alpha) and
-so no sigma^2 and no interval, scores +inf; under cvK so does one with
-a singular training fold.
+so no sigma^2 and no interval, scores +inf. Under cvK a candidate
+averages over the training folds that are nonsingular, and scores +inf
+when fewer than K - 1 of them are.
 """
 
 import re
@@ -93,10 +94,14 @@ def _cv_scores(fits, orders, sizes):
     which are singular when fewer than q_c, when the Cholesky fails,
     when min diag(L) <= sqrt(RCOND_MIN) (M is formed at Gram scale, so
     L resolves only to about sqrt(eps)), or when the rank rule rejects
-    diag(L) diag(R). If the stacked Cholesky raises, each candidate's
-    slice is factored alone, to the same factor, so only those whose
-    slice fails are ruled out.
-    -> array of C scores, +inf where a training fold is singular."""
+    diag(L) diag(R). If the stacked Cholesky raises, each (candidate,
+    fold) block is factored alone, to the same factor, so only the
+    blocks that fail are ruled out. A candidate's score is the mean
+    held-out MSE over its nonsingular folds, which must number at least
+    K - 1: one unlucky fold does not disqualify a model whose full fit
+    is regular.
+    -> array of C scores, +inf where two or more training folds are
+    singular."""
     q = np.array([fit.R.shape[0] for fit in fits])
     C, P = q.size, int(q.max())
     K, s = sizes.size, sizes.max()
@@ -116,27 +121,29 @@ def _cv_scores(fits, orders, sizes):
     E[P, P] = 0.0
     np.subtract(E, G, out=G)
     M = G[..., :P, :P]
-    ok = q <= fits[0].resid.size - s
+    ok = q[:, None] <= fits[0].resid.size - sizes  # (C, K): enough training rows
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         L = np.empty_like(M)
-        for c in range(C):
+        for c, k in np.ndindex(C, K):
             try:
-                L[c] = np.linalg.cholesky(M[c])
+                L[c, k] = np.linalg.cholesky(M[c, k])
             except np.linalg.LinAlgError:
-                L[c] = np.eye(P)
-                ok[c] = False
+                L[c, k] = np.eye(P)
+                ok[c, k] = False
     d = np.diagonal(L, axis1=-2, axis2=-1)
     deficient = _rank_deficient(d * r[:, None])[np.arange(C), :, q - 1]
-    ok &= (d.min(axis=(1, 2)) > np.sqrt(RCOND_MIN)) & ~deficient.any(axis=1)
+    ok &= (d.min(axis=-1) > np.sqrt(RCOND_MIN)) & ~deficient
     if not ok.all():
         L[~ok] = np.eye(P)  # so that solves against it stay finite
     b, ee = G[..., :P, P].copy(), -G[..., P, P]
     del G, M  # so that at most two (C, K, P, P) stacks are alive at once
     g, x = _substitute(L, b)
     sse = ee + np.sum(g * g, axis=-1) + np.sum(x * x, axis=-1)
-    return np.where(ok, np.mean(sse / sizes, axis=-1), np.inf)
+    kept = ok.sum(axis=-1)
+    total = np.where(ok, sse / sizes, 0.0).sum(axis=-1)
+    return np.where(kept >= K - 1, total / np.maximum(kept, 1), np.inf)
 
 
 def score_candidates(criterion, fits, y_r, rng=None):

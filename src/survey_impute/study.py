@@ -11,7 +11,7 @@ rep_id order.
 import csv
 import functools
 import os
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 
 import numpy as np
@@ -63,38 +63,38 @@ def run_replication(cfg, rep_id):
     streams = np.random.SeedSequence([cfg.master_seed, rep_id]).spawn(4)
     pop_rng, samp_rng, resp_rng, crit_rng = map(np.random.default_rng, streams)
 
-    pop = generate_population(
+    X, y, resp_prob = generate_population(
         cfg.N, cfg.p, cfg.covariate_law, cfg.beta, cfg.sigma,
         (cfg.response_offset, cfg.response_scale, cfg.response_coefs), pop_rng
     )
     if cfg.design_kind == "srswor":
         sample = draw_srswor(cfg.N, cfg.n, samp_rng)
     else:
-        sort_key = pop.X @ np.asarray(cfg.sort_coefs)
+        sort_key = X @ np.asarray(cfg.sort_coefs)
         sample = draw_stratified(
-            sort_key, pop.X[:, cfg.alloc_covariate - 1], cfg.fractions, cfg.n, samp_rng
+            sort_key, X[:, cfg.alloc_covariate - 1], cfg.fractions, cfg.n, samp_rng
         )
-    mask = generate_response(pop.resp_prob, sample.unit_ids, resp_rng)
+    r = generate_response(resp_prob, sample.unit_ids, resp_rng)
 
-    X_s = pop.X[sample.unit_ids]
-    y_s = pop.y[sample.unit_ids]
+    X_s = X[sample.unit_ids]
+    y_s = y[sample.unit_ids]
     ht_complete = ht_mean(sample, y_s)
 
-    fits = fit_candidates(X_s[mask.respondents], y_s[mask.respondents], candidate_labels(cfg))
-    mu_hats = tuple(imputed_means(sample, mask, X_s, y_s, fits).values())
+    fits = fit_candidates(X_s[r], y_s[r], candidate_labels(cfg))
+    mu_hats = tuple(imputed_means(sample, r, X_s, y_s, fits).values())
 
     criteria = []
     estimates = {}  # criteria that pick one model share its Estimate
     for crit in cfg.criteria:
         try:
             est, _ = estimate_with_inference(
-                sample, mask, X_s, y_s, fits, crit, cfg.level, crit_rng, estimates
+                sample, r, X_s, y_s, fits, crit, cfg.level, crit_rng, estimates
             )
         except _FAILURES as exc:
             est = type(exc).__name__
         criteria.append(est)
 
-    return ReplicationRecord(rep_id, pop.mu, ht_complete, mu_hats, tuple(criteria))
+    return ReplicationRecord(rep_id, float(y.mean()), ht_complete, mu_hats, tuple(criteria))
 
 
 def _run_chunk(args):
@@ -297,17 +297,23 @@ def _fmt(v):
 
 def summary_rows(summary):
     """The summary table as rows of strings in SUMMARY_COLUMNS order: the
-    scope, then the row's fields; a None field is an empty cell."""
-    rows = [("model", *astuple(m)) for m in summary.model_rows]
-    rows += [("criterion", *astuple(c)) for c in summary.criterion_rows]
-    return [[_fmt(v) for v in row] for row in rows]
+    scope, then the row's fields, read in place; a None field is an
+    empty cell."""
+    names = [f.name for f in fields(SummaryRow)]
+    scoped = [("model", m) for m in summary.model_rows]
+    scoped += [("criterion", c) for c in summary.criterion_rows]
+    return [[scope, *(_fmt(getattr(row, name)) for name in names)] for scope, row in scoped]
 
 
 def summary_to_csv(summary, path):
+    """Write summary.csv; -> the summary_rows it wrote, so that a caller
+    that also prints the table formats it once."""
+    rows = summary_rows(summary)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(SUMMARY_COLUMNS)
-        w.writerows(summary_rows(summary))
+        w.writerows(rows)
+    return rows
 
 
 def reps_to_csv(records, path, cfg):

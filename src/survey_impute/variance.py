@@ -10,7 +10,9 @@ residuals), with no design over the respondents and no new
 factorization, and returns the model's Estimate. confidence_interval
 gives (lower, upper), and estimate_with_inference one Estimate per
 dataset together with the selection scores, estimating each selected
-model once when its callers share a memo.
+model once when its callers share a memo. The response set is the
+boolean array r over the sample, as generate_response returns it: the
+respondents are X[r] and the missing X[~r].
 """
 
 from dataclasses import dataclass
@@ -102,10 +104,11 @@ def confidence_interval(point, v_total, level):
     return float(point - half), float(point + half)
 
 
-def estimate_model(sample, mask, X, y, model, fit, level):
+def estimate_model(sample, r, X, y, model, fit, level):
     """One model's Estimate from its respondent fit (a value of
-    fit_candidates): mu_hat, v1, v2 and the interval at level. X and y
-    are aligned with sample.unit_ids.
+    fit_candidates): mu_hat, v1, v2 and the interval at level. X, y and
+    the boolean response array r (True for a respondent) are aligned
+    with sample.unit_ids.
 
     c solves (sum_r z z') c = w for w = sum_m z / pi; the fit holds
     Z_r = QR, so on the respondents z'c = Q R^-T w, with no respondent
@@ -113,36 +116,37 @@ def estimate_model(sample, mask, X, y, model, fit, level):
     respondents, e the fit's residuals, and z'beta on the missing; its
     HT mean is mu_hat, and v1 = v1_hat(eta).
     v2 = sigma^2 (sum_m 1/pi + sum_r pi (z'c)^2) / N^2."""
-    resp, miss = mask.respondents, mask.nonrespondents
+    miss = ~r
     pi = sample.pi_first
     Z_m = design_matrix(np.asarray(X)[miss], model)
     inv_m = 1.0 / pi[miss]
     zc = fit.Q @ np.linalg.solve(fit.R.T, Z_m.T @ inv_m)
     eta = np.empty(sample.n)
-    eta[resp] = np.asarray(y, dtype=np.float64)[resp] + pi[resp] * zc * fit.resid
+    eta[r] = np.asarray(y, dtype=np.float64)[r] + pi[r] * zc * fit.resid
     eta[miss] = Z_m @ fit.beta_hat
     v1 = v1_hat(sample, eta)
     s2 = sigma2_hat(fit)
     N = sample.design.population_size
-    v2 = float(s2 * (inv_m.sum() + np.sum(pi[resp] * zc**2)) / (N * N))
-    mu = imputed_means(sample, mask, X, y, {model: fit})[model]
+    v2 = float(s2 * (inv_m.sum() + np.sum(pi[r] * zc**2)) / (N * N))
+    mu = imputed_means(sample, r, X, y, {model: fit})[model]
     lower, upper = confidence_interval(mu, v1 + v2, level)
     return Estimate(model, mu, v1, v2, s2, lower, upper)
 
 
-def estimate_with_inference(sample, mask, X, y, fits, criterion, level, rng=None,
+def estimate_with_inference(sample, r, X, y, fits, criterion, level, rng=None,
                             estimates=None):
     """Full pipeline on one dataset: select a model on the respondents
-    from the candidate set fits (from fit_candidates), scored in its key
-    order, and estimate it with estimate_model on its fit. estimates, when given, is a {model: Estimate} memo shared by the
+    (r True) from the candidate set fits (from fit_candidates), scored
+    in its key order, and estimate it with estimate_model on its fit.
+    estimates, when given, is a {model: Estimate} memo shared by the
     calls on one dataset at one level: a model already in it is not
     estimated again, and a new one is added, so criteria that pick the
     same model share one Estimate.
     -> (Estimate, the selection's {model: score})."""
-    y_r = np.asarray(y, dtype=np.float64)[mask.respondents]
+    y_r = np.asarray(y, dtype=np.float64)[r]
     model, scores = select(criterion, fits, y_r, rng)
     if estimates is None:
         estimates = {}
     if model not in estimates:
-        estimates[model] = estimate_model(sample, mask, X, y, model, fits[model], level)
+        estimates[model] = estimate_model(sample, r, X, y, model, fits[model], level)
     return estimates[model], scores

@@ -6,6 +6,8 @@
   studies the acceptance fixtures in tests/conftest.py run, and
   study_<name>_selected.csv, the label each criterion selected in each
   replication (or the error it failed with);
+- demo_<name>.txt, the stdout of each script demos/<name>.py, which
+  tests/test_demos.py compares with;
 - versions.json, the numpy and Python that wrote them.
 
     PYTHONPATH=src python tests/golden/regenerate.py
@@ -31,6 +33,8 @@ import io
 import json
 import pathlib
 import platform
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -42,6 +46,7 @@ from survey_impute.variance import Estimate
 
 GOLDEN = pathlib.Path(__file__).resolve().parent
 ROOT = GOLDEN.parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 CRITERIA = ("bic", "cv5")
 SEED = 1
 
@@ -99,6 +104,26 @@ def study_texts(cfg, summary, records):
             csv_text([("rep_id", *cfg.criteria), *selected]))
 
 
+def run_script(argv):
+    """The finished subprocess of `python argv` against the package in
+    src/, its output captured as text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
+def demo_stdout(demo):
+    """The stdout of one demo script, which must exit 0."""
+    proc = run_script([str(demo)])
+    if proc.returncode != 0:
+        raise RuntimeError(f"{demo.name} exited {proc.returncode}: {proc.stderr}")
+    return proc.stdout
+
+
 def regenerate():
     files = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -110,6 +135,8 @@ def regenerate():
         summary_text, selected_text = study_texts(cfg, *run_study(cfg))
         files[f"study_{name}_summary.csv"] = summary_text
         files[f"study_{name}_selected.csv"] = selected_text
+    for demo in DEMOS:
+        files[f"demo_{demo.stem}.txt"] = demo_stdout(demo)
     for file, text in files.items():
         (GOLDEN / file).write_text(text)
     versions = {"numpy": np.__version__, "python": platform.python_version(),

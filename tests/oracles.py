@@ -67,7 +67,7 @@ def make_folds(n, k, rng):
     return np.split(perm, np.cumsum(sizes)[:-1])
 
 
-def estimate_and_eta(sample, mask, X, y, model, fit):
+def estimate_and_eta(sample, r, X, y, model, fit):
     """estimate_model's Estimate at level 0.95, and the eta it passes to
     variance.v1_hat, captured by wrapping that name for the one call."""
     real, seen = variance.v1_hat, []
@@ -78,38 +78,37 @@ def estimate_and_eta(sample, mask, X, y, model, fit):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(variance, "v1_hat", capture)
-        est = variance.estimate_model(sample, mask, X, y, model, fit, 0.95)
+        est = variance.estimate_model(sample, r, X, y, model, fit, 0.95)
     (eta,) = seen
     return est, eta
 
 
-def c_oracle(sample, mask, X, model):
+def c_oracle(sample, r, X, model):
     """The c solving (sum_r z z') c = sum_m z / pi."""
     Z = design_matrix(X, model)
-    miss = mask.nonrespondents
-    Z_r = Z[mask.respondents]
-    w = Z[miss].T @ (1.0 / sample.pi_first[miss])
+    Z_r = Z[r]
+    w = Z[~r].T @ (1.0 / sample.pi_first[~r])
     return np.linalg.solve(Z_r.T @ Z_r, w)
 
 
-def eta_oracle(sample, mask, X, y, model, beta, c):
+def eta_oracle(sample, r, X, y, model, beta, c):
     """Per sampled unit, z'b + r_k (1 + pi_k c'z_k)(y_k - z'b) for the
     coefficients b = beta: the bare prediction on the missing."""
     Z = design_matrix(X, model)
     pred = Z @ beta
     eta = pred.copy()
-    for k in mask.respondents:
+    for k in np.flatnonzero(r):
         adj = 1.0 + sample.pi_first[k] * float(Z[k] @ c)
         eta[k] = pred[k] + adj * (float(y[k]) - pred[k])
     return eta
 
 
-def v2_oracle(sample, mask, sigma2, X, model, c):
+def v2_oracle(sample, r, sigma2, X, model, c):
     """sigma^2 sum_k [1 - r_k + r_k (pi_k c'z_k)^2] / (N^2 pi_k)."""
     Z = design_matrix(X, model)
     total = 0.0
     for k in range(sample.n):
-        r_k = 1.0 if mask.r[k] else 0.0
+        r_k = 1.0 if r[k] else 0.0
         pi_k = sample.pi_first[k]
         total += ((1.0 - r_k) + r_k * (pi_k * float(Z[k] @ c)) ** 2) / pi_k
     N = sample.design.population_size

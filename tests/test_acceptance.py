@@ -31,7 +31,7 @@ from survey_impute.estimators import (
     nested_candidates,
 )
 from survey_impute.loss import loss_closed_form, mc_loss_oracle
-from survey_impute.population import ResponseMask, generate_population, generate_response
+from survey_impute.population import generate_population, generate_response
 from survey_impute.selection import select
 from survey_impute.variance import (
     Estimate,
@@ -204,11 +204,10 @@ def test_criterion_08_loss_cross_oracle(acceptance):
             # rebuild so the fit stays well posed and missing units remain
             r[:] = True
             r[5:] = False
-        mask = ResponseMask(r)
         model = models[i % 3]
-        ref = loss_closed_form(s, mask, X, model, beta, 2.0).total
+        ref = loss_closed_form(s, r, X, model, beta, 2.0).total
         est, se = mc_loss_oracle(
-            s, mask, X, model, beta, 2.0, 200_000, np.random.default_rng([99002, i])
+            s, r, X, model, beta, 2.0, 200_000, np.random.default_rng([99002, i])
         )
         z = abs(est - ref) / se
         worst = max(worst, z)
@@ -233,9 +232,8 @@ def test_criterion_09_l2_monotonicity(acceptance):
             r[:8] = True
         if r.all():
             r[-1] = False
-        mask = ResponseMask(r)
         l2 = [
-            loss_closed_form(s, mask, X, m, np.zeros(6), 1.0).l2
+            loss_closed_form(s, r, X, m, np.zeros(6), 1.0).l2
             for m in nested_candidates(5)
         ]
         for a, b in zip(l2, l2[1:]):
@@ -312,11 +310,10 @@ def test_criterion_11_linearization_identity(acceptance):
                 r[:4] = True
             if r.all():
                 r[-1] = False
-            mask = ResponseMask(r)
             m = ModelSpec((1, 2)) if seed % 2 else ModelSpec((1,))
-            fit = fit_candidates(X[mask.respondents], y[mask.respondents], [m])[m]
-            mu = imputed_means(s, mask, X, y, {m: fit})[m]
-            eta = eta_oracle(s, mask, X, y, m, fit.beta_hat, c_oracle(s, mask, X, m))
+            fit = fit_candidates(X[r], y[r], [m])[m]
+            mu = imputed_means(s, r, X, y, {m: fit})[m]
+            eta = eta_oracle(s, r, X, y, m, fit.beta_hat, c_oracle(s, r, X, m))
             worst = max(worst, abs(ht_mean(s, eta) - mu) / max(abs(mu), 1.0))
             count += 1
     acceptance(
@@ -328,30 +325,31 @@ def test_criterion_11_linearization_identity(acceptance):
 def test_criterion_12_noiseless_recovery(acceptance):
     rng = np.random.default_rng(99401)
     beta = np.array([0.5, 2.0, -1.0, 0.0, 0.0])
-    pop = generate_population(
+    X_pop, y_pop, resp_prob = generate_population(
         40, 4, {"name": "gamma", "shape": 5.0, "scale": 2.0},
         beta, 0.0, (0.5, 1.0, np.zeros(4)), rng,
     )
     s = draw_srswor(40, 15, rng)
-    mask = generate_response(pop.resp_prob, s.unit_ids, rng)
-    X, y = pop.X[s.unit_ids], pop.y[s.unit_ids]
+    r = generate_response(resp_prob, s.unit_ids, rng)
+    X, y = X_pop[s.unit_ids], y_pop[s.unit_ids]
     m2 = ModelSpec((1, 2))
-    fit = fit_candidates(X[mask.respondents], y[mask.respondents], [m2])[m2]
+    fit = fit_candidates(X[r], y[r], [m2])[m2]
     beta_exact = bool(np.allclose(fit.beta_hat, [0.5, 2.0, -1.0], rtol=1e-9, atol=1e-9))
     s2_zero = sigma2_hat(fit) <= 1e-18
-    X_r, y_r, cands = X[mask.respondents], y[mask.respondents], nested_candidates(4)
+    X_r, y_r, cands = X[r], y[r], nested_candidates(4)
     best, _ = select("bic", fit_candidates(X_r, y_r, cands), y_r)
     picks_smallest = best == m2
 
     census = DesignDescriptor((40,), (40,))
     cs = SampleDraw(np.arange(40), np.zeros(40, dtype=np.int64), census)
     est, _ = estimate_with_inference(
-        cs, ResponseMask(np.ones(40, dtype=bool)), pop.X, pop.y,
-        fit_candidates(pop.X, pop.y, cands), "bic", 0.95,
+        cs, np.ones(40, dtype=bool), X_pop, y_pop,
+        fit_candidates(X_pop, y_pop, cands), "bic", 0.95,
     )
+    mu = float(y_pop.mean())
     degenerate = (
         est.lower == est.upper == est.mu_hat
-        and abs(est.mu_hat - pop.mu) <= 1e-12 * abs(pop.mu)
+        and abs(est.mu_hat - mu) <= 1e-12 * abs(mu)
     )
     acceptance(
         12, beta_exact and s2_zero and picks_smallest and degenerate,
@@ -397,4 +395,111 @@ def test_criterion_14_thread_determinism(acceptance, tmp_path):
     acceptance(
         14, ok,
         f"summary.csv identical across --threads 1/4 at B=200: {ok}",
+    )
+
+
+# --- misspecification (criteria 15-17) -------------------------------------
+# The abstract claims that omitting relevant covariates or including
+# irrelevant ones affects consistency and asymptotic variance. The three
+# srswor studies (n = 100, 200, 500, N = 10 n, same beta and response
+# model) hold the model rows that show it. Each band is fixed from the
+# theory below and from the Monte Carlo SE of the cell, computed from the
+# fixtures' replication records. Each cell is a mean of per-replication
+# terms (to first order for RE), and its SE is sd(terms) / sqrt(B). The
+# studies share master_seed, so replication b of each draws from the
+# same streams: a difference between two studies is a mean of paired
+# differences of terms, with SE sd(difference) / sqrt(B).
+
+def mc_se(terms):
+    return float(np.std(terms, ddof=1) / np.sqrt(terms.size))
+
+
+def rb_terms(records, j):
+    """(RB of candidate j as summarize computes it, its terms 100 rel,
+    rel = (mu_hat - mu) / mu per replication, whose mean RB is)."""
+    rel = np.array([(r.mu_hats[j] - r.mu_true) / r.mu_true for r in records])
+    return 100.0 * rel.mean(), 100.0 * rel
+
+
+def re_gap_terms(records, i, j):
+    """(RE(j) - RE(i), its delta-method terms): with a = e_j^2 - e_i^2
+    and c = e_ht^2 per replication (e an error against mu), the gap is
+    G = 100 mean(a) / mean(c), which to first order moves by the mean of
+    the terms 100 (a - (G / 100) c) / mean(c)."""
+    mu = np.array([r.mu_true for r in records])
+    e_i = np.array([r.mu_hats[i] for r in records]) - mu
+    e_j = np.array([r.mu_hats[j] for r in records]) - mu
+    a = e_j**2 - e_i**2
+    c = (np.array([r.ht_complete for r in records]) - mu) ** 2
+    ratio = a.mean() / c.mean()
+    return 100.0 * ratio, 100.0 * (a - ratio * c) / c.mean()
+
+
+def paired(*studies):
+    """The studies' records, after checking that they pair by rep_id."""
+    records = [study[2] for study in studies]
+    ids = [[r.rep_id for r in rec] for rec in records]
+    assert all(i == ids[0] for i in ids)
+    return records
+
+
+def test_criterion_15_omitted_covariates_bias_stays(
+    acceptance, study_srswor_n100, study_srswor_n500
+):
+    """alpha1 omits x2-x4, which drive response, so the respondents'
+    regression on x1 alone does not carry over to the missing units: the
+    imputation bias converges to a nonzero constant instead of vanishing.
+    Margin rule: RB(alpha1) at n = 100 and at n = 500 agree within 3 SE
+    of their difference."""
+    rec100, rec500 = paired(study_srswor_n100, study_srswor_n500)
+    rb100, t100 = rb_terms(rec100, 0)
+    rb500, t500 = rb_terms(rec500, 0)
+    assert rb100 == pytest.approx(study_srswor_n100[1].model_rows[0].rb, rel=1e-12)
+    assert rb500 == pytest.approx(study_srswor_n500[1].model_rows[0].rb, rel=1e-12)
+    se = mc_se(t100 - t500)
+    gap = rb100 - rb500
+    acceptance(
+        15, abs(gap) <= 3 * se,
+        f"RB(alpha1) n=100 {rb100:.3f} (SE {mc_se(t100):.3f}), n=500 {rb500:.3f} "
+        f"(SE {mc_se(t500):.3f}); |gap|={abs(gap):.3f} <= 3 SE={3 * se:.3f}",
+    )
+
+
+def test_criterion_16_consistent_models_unbiased(
+    acceptance, study_srswor_n100, study_srswor_n200, study_srswor_n500
+):
+    """alpha4 and alpha5 omit only x5 and x6, which enter y but not the
+    response model and are independent of the covariates that do, so the
+    intercept absorbs their mean; alpha6-alpha20 hold the true model.
+    Every such model imputes without bias. Margin rule: |RB| <= 0.5 for
+    alpha4-alpha20 at every n, acceptance 02's bound."""
+    details, ok = [], True
+    for n, (_, summary, records) in (
+        (100, study_srswor_n100), (200, study_srswor_n200), (500, study_srswor_n500)
+    ):
+        rb = [summary.model_rows[j].rb for j in range(3, 20)]
+        worst = int(np.argmax(np.abs(rb)))
+        se = mc_se(rb_terms(records, 3 + worst)[1])
+        ok &= all(abs(v) <= 0.5 for v in rb)
+        details.append(f"n={n} max|RB|={abs(rb[worst]):.3f} at alpha{4 + worst} (SE {se:.3f})")
+    acceptance(16, ok, "; ".join(details) + "; bound 0.5")
+
+
+def test_criterion_17_irrelevant_covariates_cost_shrinks(
+    acceptance, study_srswor_n100, study_srswor_n500
+):
+    """alpha20 adds x7-x20 to the true alpha6. Estimating their zero
+    coefficients adds variance to the imputed mean; relative to the HT
+    mean squared error the cost is O(p / n) for the covariates unrelated
+    to response, and at most constant in n for x7-x9, which enter the
+    response model. So D_n = RE(alpha20) - RE(alpha6) does not grow with
+    n. Margin rule: D_500 - D_100 <= 1 SE of that difference."""
+    rec100, rec500 = paired(study_srswor_n100, study_srswor_n500)
+    d100, t100 = re_gap_terms(rec100, 5, 19)
+    d500, t500 = re_gap_terms(rec500, 5, 19)
+    se = mc_se(t500 - t100)
+    acceptance(
+        17, d500 - d100 <= se,
+        f"RE(alpha20)-RE(alpha6) n=100 {d100:.2f} (SE {mc_se(t100):.2f}), n=500 {d500:.2f} "
+        f"(SE {mc_se(t500):.2f}); rise {d500 - d100:.2f} <= 1 SE={se:.2f}",
     )

@@ -28,7 +28,6 @@ from survey_impute.cli import (
 from survey_impute.design import DesignDescriptor, SampleDraw
 from survey_impute.errors import ConfigError
 from survey_impute.estimators import build_candidates, fit_candidates, ht_mean, nested_candidates
-from survey_impute.population import ResponseMask
 from survey_impute.variance import estimate_with_inference
 
 
@@ -802,7 +801,7 @@ class TestEstimate:
         r[list(missing)] = False
         fits = fit_candidates(X[r], y[r], nested_candidates(2))
         est, _ = estimate_with_inference(
-            sample, ResponseMask(r), X, np.where(r, y, np.nan), fits, "bic", 0.95,
+            sample, r, X, np.where(r, y, np.nan), fits, "bic", 0.95,
         )
         assert got["selected"]["included"] == list(est.model.included)
         assert got["mu_hat"] == _round10(est.mu_hat)
@@ -1011,7 +1010,7 @@ class TestEstimate:
             Xo, yo, ro = X[order], y[order], r[order]
             rng = np.random.default_rng(np.random.SeedSequence([2, 0]))
             est, _ = estimate_with_inference(
-                sample, ResponseMask(ro), Xo, np.where(ro, yo, np.nan),
+                sample, ro, Xo, np.where(ro, yo, np.nan),
                 fit_candidates(Xo[ro], yo[ro], nested_candidates(3)), "cv5", 0.95, rng,
             )
             return est

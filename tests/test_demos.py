@@ -1,18 +1,17 @@
-"""Smoke test: every script under demos/ and every fenced Python block
-of README.md runs to completion against the package in src/, and the
-demos import the package through its public API only."""
+"""Every script under demos/ and every fenced Python block of README.md
+runs to completion against the package in src/; each demo prints
+exactly the stdout that tests/golden/regenerate.py recorded for it; and
+the demos import the package through its public API only."""
 
 import ast
-import os
 import pathlib
 import re
-import subprocess
-import sys
 
 import pytest
+from test_golden import GOLDEN, load_regenerate, print_diff
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DEMOS = load_regenerate().DEMOS
 PACKAGE_INIT = ROOT / "src" / "survey_impute" / "__init__.py"
 TEST_MODULES = ("oracles", "conftest", "tests")
 README_BLOCKS = re.findall(
@@ -26,15 +25,16 @@ README_BLOCKS = re.findall(
     ids=[d.name for d in DEMOS] + [f"README.md-block{i}" for i in range(len(README_BLOCKS))],
 )
 def test_demo_runs(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=300
-    )
+    proc = load_regenerate().run_script(argv)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    if argv[0] == "-c":
+        return
+    file = f"demo_{pathlib.Path(argv[0]).stem}.txt"
+    want = (GOLDEN / file).read_text()
+    if proc.stdout != want:
+        print_diff(file, proc.stdout, want)
+    assert proc.stdout == want
 
 
 def test_demos_are_found():

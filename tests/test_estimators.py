@@ -22,7 +22,6 @@ from survey_impute.estimators import (
     nested_candidates,
     _rank_deficient,
 )
-from survey_impute.population import ResponseMask
 
 
 def sample_of(N, n, seed=0):
@@ -33,8 +32,8 @@ def fit_one(X, y, model):
     return fit_candidates(X, y, [model])[model]
 
 
-def respondent_fit(mask, X, y, model):
-    return fit_one(X[mask.respondents], y[mask.respondents], model)
+def respondent_fit(r, X, y, model):
+    return fit_one(X[r], y[r], model)
 
 
 class TestModelSpec:
@@ -166,9 +165,9 @@ class TestImputedMean:
         s = draw_srswor(40, 10, rng)
         X = rng.normal(size=(10, 3))
         y = rng.normal(size=10)
-        mask = ResponseMask(np.ones(10, dtype=bool))
+        r = np.ones(10, dtype=bool)
         m = ModelSpec((1, 2))
-        mu = imputed_means(s, mask, X, y, {m: respondent_fit(mask, X, y, m)})[m]
+        mu = imputed_means(s, r, X, y, {m: respondent_fit(r, X, y, m)})[m]
         assert mu == pytest.approx(ht_mean(s, y), abs=1e-12)
 
     def test_noiseless_correct_model_equals_ht(self):
@@ -176,10 +175,10 @@ class TestImputedMean:
         s = draw_srswor(40, 12, rng)
         X = rng.uniform(0, 3, size=(12, 3))
         y = 2.0 + X @ [1.0, -1.0, 0.5]
-        mask = ResponseMask(rng.random(12) < 0.6)
-        assert mask.n_r >= 4 and mask.n_m >= 1
+        r = rng.random(12) < 0.6
+        assert r.sum() >= 4 and not r.all()
         m = ModelSpec((1, 2, 3))
-        mu = imputed_means(s, mask, X, y, {m: respondent_fit(mask, X, y, m)})[m]
+        mu = imputed_means(s, r, X, y, {m: respondent_fit(r, X, y, m)})[m]
         assert mu == pytest.approx(ht_mean(s, y), rel=1e-12)
 
     def test_resummation_oracle(self):
@@ -187,14 +186,14 @@ class TestImputedMean:
         s = draw_srswor(12, 6, rng)
         X = rng.normal(size=(6, 2))
         y = rng.normal(size=6)
-        mask = ResponseMask(np.array([True, False, True, True, False, True]))
+        r = np.array([True, False, True, True, False, True])
         m = ModelSpec((1,))
-        fit = respondent_fit(mask, X, y, m)
-        mu = imputed_means(s, mask, X, y, {m: fit})[m]
+        fit = respondent_fit(r, X, y, m)
+        mu = imputed_means(s, r, X, y, {m: fit})[m]
         # independent two-term sum
         pred = fit.beta_hat[0] + X[:, 0] * fit.beta_hat[1]
         total = sum(
-            (y[i] if mask.r[i] else pred[i]) / s.pi_first[i] for i in range(6)
+            (y[i] if r[i] else pred[i]) / s.pi_first[i] for i in range(6)
         )
         assert mu == pytest.approx(total / 12, abs=1e-12)
 
@@ -203,10 +202,10 @@ class TestImputedMean:
         s = draw_srswor(30, 10, rng)
         X = rng.normal(size=(10, 2))
         y = rng.normal(size=10)
-        mask = ResponseMask(rng.random(10) < 0.7)
+        r = rng.random(10) < 0.7
         m = ModelSpec((1, 2))
-        mu1 = imputed_means(s, mask, X, y, {m: respondent_fit(mask, X, y, m)})[m]
-        mu2 = imputed_means(s, mask, X, 2 * y, {m: respondent_fit(mask, X, 2 * y, m)})[m]
+        mu1 = imputed_means(s, r, X, y, {m: respondent_fit(r, X, y, m)})[m]
+        mu2 = imputed_means(s, r, X, 2 * y, {m: respondent_fit(r, X, 2 * y, m)})[m]
         assert mu2 == pytest.approx(2 * mu1, rel=1e-10)
 
     def test_reuses_supplied_fit(self):
@@ -214,10 +213,10 @@ class TestImputedMean:
         s = draw_srswor(20, 5, rng)
         X = rng.normal(size=(5, 2))
         y = rng.normal(size=5)
-        mask = ResponseMask(np.array([True, True, True, False, False]))
+        r = np.array([True, True, True, False, False])
         m = ModelSpec((1,))
         fit = FitResult(np.array([0.0, 0.0]), 0.0, np.eye(2), np.zeros((3, 2)), np.zeros(3))
-        mu = imputed_means(s, mask, X, y, {m: fit})[m]
+        mu = imputed_means(s, r, X, y, {m: fit})[m]
         # zero coefficients: missing contribute nothing
         expect = sum(y[i] / s.pi_first[i] for i in range(3)) / 20
         assert mu == pytest.approx(expect, abs=1e-12)

@@ -5,12 +5,7 @@ import pytest
 from scipy.special import expit
 
 from survey_impute.errors import ConfigError
-from survey_impute.population import (
-    Population,
-    ResponseMask,
-    generate_population,
-    generate_response,
-)
+from survey_impute.population import generate_population, generate_response, true_support
 
 GAMMA52 = {"name": "gamma", "shape": 5.0, "scale": 2.0}
 BETA = (0.0, 10.0, 9.0, 9.0, 8.0, 8.0, 7.0) + (0.0,) * 14
@@ -24,36 +19,36 @@ def paper_population(seed=0, N=5000):
 
 class TestGeneratePopulation:
     def test_noise_variance_matches_sigma(self):
-        pop = paper_population()
-        eps = pop.y - (pop.beta_true[0] + pop.X @ pop.beta_true[1:])
+        X, y, _ = paper_population()
+        eps = y - (BETA[0] + X @ BETA[1:])
         assert abs(np.var(eps) / 3600.0 - 1.0) < 0.05
 
     def test_zero_zeta_zero_offset_gives_half(self):
-        pop = generate_population(
+        _, _, resp_prob = generate_population(
             50, 2, {"name": "uniform"}, (1.0, 2.0, 3.0), 1.0,
             (0.0, 0.1, (0.0, 0.0)), np.random.default_rng(1),
         )
-        assert np.all(pop.resp_prob == 0.5)
+        assert np.all(resp_prob == 0.5)
 
     def test_paper_response_rate_near_half(self):
-        pop = paper_population()
-        assert abs(pop.resp_prob.mean() - 0.50) < 0.02
+        _, _, resp_prob = paper_population()
+        assert abs(resp_prob.mean() - 0.50) < 0.02
 
     def test_true_support(self):
-        pop = paper_population()
-        assert pop.true_support == (1, 2, 3, 4, 5, 6)
+        assert true_support(BETA) == (1, 2, 3, 4, 5, 6)
+        assert true_support(np.array([1.0, 0.0, -2.0, 0.0])) == (2,)
 
     def test_regeneration_is_bit_identical(self):
         a, b = paper_population(seed=9, N=200), paper_population(seed=9, N=200)
-        assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
-        assert np.array_equal(a.resp_prob, b.resp_prob)
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
+        assert [u.shape for u in a] == [(200, 20), (200,), (200,)]
 
     def test_sigma_zero_allowed_and_noiseless(self):
-        pop = generate_population(
+        X, y, _ = generate_population(
             30, 2, {"name": "uniform"}, (1.0, 2.0, -1.0), 0.0,
             (0.0, 1.0, (0.1, 0.1)), np.random.default_rng(2),
         )
-        assert np.allclose(pop.y, 1.0 + pop.X @ [2.0, -1.0], atol=0)
+        assert np.allclose(y, 1.0 + X @ [2.0, -1.0], atol=0)
 
     def test_validation_errors(self):
         rng = np.random.default_rng(0)
@@ -82,18 +77,14 @@ class TestGeneratePopulation:
                 (-1000.0, 1.0, (0.0,)), np.random.default_rng(3),
             )
 
-    def test_mismatched_population_fields(self):
-        with pytest.raises(ConfigError):
-            Population(np.ones((4, 2)), np.ones(3), np.ones(3), 1.0, np.full(4, 0.5), (1,))
-
 
 def response_probability(t):
     """The one response probability of a population whose every unit has
     logistic argument t (zeta = 0, scale = 1, offset = t)."""
-    pop = generate_population(
+    _, _, resp_prob = generate_population(
         1, 1, {"name": "uniform"}, (0.0, 0.0), 1.0, (t, 1.0, (0.0,)), np.random.default_rng(0)
     )
-    return pop.resp_prob[0]
+    return resp_prob[0]
 
 
 class TestLogistic:
@@ -102,12 +93,12 @@ class TestLogistic:
     EDGES = [1e-300, -1e-300, 36.7, -36.7, -40.0, -700.0]
 
     def test_matches_expit_on_a_grid(self):
-        pop = generate_population(
+        X, _, resp_prob = generate_population(
             20_001, 1, {"name": "uniform", "low": -60.0, "high": 36.0}, (0.0, 1.0), 1.0,
             (0.0, 1.0, (1.0,)), np.random.default_rng(5),
         )
-        t = pop.X[:, 0]
-        assert np.all(np.abs(pop.resp_prob - expit(t)) <= 1e-15 * expit(t))
+        t = X[:, 0]
+        assert np.all(np.abs(resp_prob - expit(t)) <= 1e-15 * expit(t))
 
     @pytest.mark.parametrize("t", EDGES)
     def test_matches_expit_at_the_edges(self, t):
@@ -130,21 +121,25 @@ class TestLogistic:
 
 class TestResponse:
     def test_certain_response(self):
-        mask = generate_response(np.ones(10), np.arange(5), np.random.default_rng(0))
-        assert mask.n_r == 5 and mask.n_m == 0
-        assert np.array_equal(mask.respondents, np.arange(5))
+        r = generate_response(np.ones(10), np.arange(5), np.random.default_rng(0))
+        assert np.array_equal(r, np.ones(5, dtype=bool))
 
     def test_half_rate_within_binomial_band(self):
-        mask = generate_response(np.full(1000, 0.5), np.arange(500), np.random.default_rng(4))
-        assert 0.40 <= mask.n_r / 500 <= 0.60
+        r = generate_response(np.full(1000, 0.5), np.arange(500), np.random.default_rng(4))
+        assert 0.40 <= r.sum() / 500 <= 0.60
 
     def test_seed_determinism(self):
         prob = np.linspace(0.1, 0.9, 50)
         a = generate_response(prob, np.arange(50), np.random.default_rng(8))
         b = generate_response(prob, np.arange(50), np.random.default_rng(8))
-        assert np.array_equal(a.r, b.r)
+        assert np.array_equal(a, b)
 
     def test_counts_partition(self):
-        mask = ResponseMask(np.array([True, False, True, True, False]))
-        assert mask.n_r == 3 and mask.n_m == 2
-        assert np.array_equal(np.sort(np.r_[mask.respondents, mask.nonrespondents]), np.arange(5))
+        # r is a boolean array aligned with unit_ids, so X[r] and X[~r]
+        # split the sample into respondents and missing units
+        prob = np.linspace(0.1, 0.9, 30)
+        ids = np.array([29, 3, 17, 8, 0, 21, 12])
+        r = generate_response(prob, ids, np.random.default_rng(6))
+        assert r.dtype == bool and r.shape == ids.shape
+        assert 0 < r.sum() < ids.size
+        assert np.array_equal(np.sort(np.r_[ids[r], ids[~r]]), np.sort(ids))

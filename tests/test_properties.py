@@ -28,7 +28,6 @@ from survey_impute.estimators import (
     nested_candidates,
 )
 from survey_impute.loss import loss_closed_form
-from survey_impute.population import ResponseMask
 from survey_impute.selection import select
 from survey_impute.variance import confidence_interval, estimate_model, v1_hat
 
@@ -45,7 +44,7 @@ def instance(seed, N=40, n=16, p=3, resp=0.6):
         r[: p + 2] = True
     if r.all():
         r[-1] = False
-    return s, ResponseMask(r), X, y
+    return s, r, X, y
 
 
 @settings(max_examples=40, deadline=None)
@@ -86,9 +85,9 @@ def test_rss_never_grows_with_the_model(seed):
 @settings(max_examples=40, deadline=None)
 @given(seeds)
 def test_l2_strictly_grows_with_the_model(seed):
-    s, mask, X, _ = instance(seed, p=4, n=20)
+    s, r, X, _ = instance(seed, p=4, n=20)
     beta = np.zeros(5)
-    l2 = [loss_closed_form(s, mask, X, m, beta, 1.0).l2 for m in nested_candidates(4)]
+    l2 = [loss_closed_form(s, r, X, m, beta, 1.0).l2 for m in nested_candidates(4)]
     assert all(b > a for a, b in zip(l2, l2[1:]))
 
 
@@ -107,21 +106,21 @@ def test_ht_mean_is_linear(seed):
 @settings(max_examples=40, deadline=None)
 @given(seeds, st.floats(min_value=0.0, max_value=50.0))
 def test_v2_is_nonnegative(seed, sigma2):
-    s, mask, X, y = instance(seed)
+    s, r, X, y = instance(seed)
     m = ModelSpec((1, 2))
-    fit = fit_candidates(X[mask.respondents], y[mask.respondents], [m])[m]
+    fit = fit_candidates(X[r], y[r], [m])[m]
     # an rss that makes sigma2_hat = sigma2
-    fit = dataclasses.replace(fit, rss=sigma2 * (mask.n_r - m.p_alpha))
-    assert estimate_model(s, mask, X, y, m, fit, 0.95).v2 >= 0.0
+    fit = dataclasses.replace(fit, rss=sigma2 * (r.sum() - m.p_alpha))
+    assert estimate_model(s, r, X, y, m, fit, 0.95).v2 >= 0.0
 
 
 @settings(max_examples=40, deadline=None)
 @given(seeds)
 def test_eta_ht_mean_reproduces_the_estimator(seed):
-    s, mask, X, y = instance(seed)
+    s, r, X, y = instance(seed)
     m = ModelSpec((1, 2))
-    fit = fit_candidates(X[mask.respondents], y[mask.respondents], [m])[m]
-    est, eta = estimate_and_eta(s, mask, X, y, m, fit)
+    fit = fit_candidates(X[r], y[r], [m])[m]
+    est, eta = estimate_and_eta(s, r, X, y, m, fit)
     assert ht_mean(s, eta) == pytest.approx(est.mu_hat, rel=1e-10)
 
 
@@ -141,24 +140,22 @@ def test_estimate_model_matches_the_literal_forms(seed, stratified, nested, full
     y = 1.0 + X @ np.arange(1.0, p + 1) + rng.normal(size=s.n)
     r = np.ones(s.n, dtype=bool) if full_response else rng.random(s.n) < 0.6
     r[: p + 2] = True
-    mask = ResponseMask(r)
     if nested:
         cands = nested_candidates(p)
     else:
         cands = list({ModelSpec(tuple(rng.choice(np.arange(1, p + 1), size=k, replace=False)))
                       for k in rng.integers(0, p + 1, size=4)})
-    resp = mask.respondents
-    fits = fit_candidates(X[resp], y[resp], cands)
-    mus = imputed_means(s, mask, X, y, fits)
+    fits = fit_candidates(X[r], y[r], cands)
+    mus = imputed_means(s, r, X, y, fits)
     for m, fit in fits.items():
-        est, eta = estimate_and_eta(s, mask, X, y, m, fit)
+        est, eta = estimate_and_eta(s, r, X, y, m, fit)
         assert est.mu_hat == mus[m]
-        c = c_oracle(s, mask, X, m)
-        want = eta_oracle(s, mask, X, y, m, fit.beta_hat, c)
+        c = c_oracle(s, r, X, m)
+        want = eta_oracle(s, r, X, y, m, fit.beta_hat, c)
         assert np.allclose(eta, want, rtol=0.0, atol=1e-12 * np.abs(y).max())
         v1, scale = v1_double_sum(s, want)
         assert est.v1 == pytest.approx(v1, rel=1e-10, abs=1e-12 * scale)
-        assert est.v2 == pytest.approx(v2_oracle(s, mask, est.sigma2_hat, X, m, c), rel=1e-10)
+        assert est.v2 == pytest.approx(v2_oracle(s, r, est.sigma2_hat, X, m, c), rel=1e-10)
         if full_response:
             assert np.array_equal(eta, y)
             assert est.v2 == 0.0

@@ -25,19 +25,28 @@ from survey_impute.selection import (
 )
 
 
-def refit_cv_score(X_r, y_r, model, folds):
-    """Oracle K-fold CV: refit the model on every training fold and
-    average the held-out MSEs; a singular training fold scores +inf."""
+def refit_fold_mses(X_r, y_r, model, folds):
+    """Per test fold, the held-out MSE of the model refitted on the
+    other folds, or None where that training fold is singular."""
     mses = []
     for test in folds:
         train = np.ones(y_r.size, dtype=bool)
         train[test] = False
         fit = fit_candidates(X_r[train], y_r[train], [model])[model]
         if fit is None:
-            return float("inf")
+            mses.append(None)
+            continue
         resid = y_r[test] - design_matrix(X_r[test], model) @ fit.beta_hat
         mses.append(float(resid @ resid) / test.size)
-    return float(np.mean(mses))
+    return mses
+
+
+def refit_cv_score(X_r, y_r, model, folds):
+    """Oracle K-fold CV: refit the model on every training fold and
+    average the held-out MSEs of the nonsingular ones; +inf when fewer
+    than K - 1 training folds are nonsingular."""
+    mses = [v for v in refit_fold_mses(X_r, y_r, model, folds) if v is not None]
+    return float(np.mean(mses)) if len(mses) >= len(folds) - 1 else float("inf")
 
 
 def split_rng(seed, i, n_r):
@@ -152,8 +161,10 @@ class TestCvScore:
     def test_binary_covariate_data_match_the_refit_rank_rule(self):
         # two gamma covariates and a ~10%-ones indicator on 30
         # respondents: a training fold often holds no ones, so it is
-        # singular though the full fit is not. The score is +inf exactly
-        # where a refit hits a training fold that fails qr_checked
+        # singular though the full fit is not. Only the test fold that
+        # holds every one can leave such a training fold, and the score
+        # leaves out exactly the training fold whose refit fails
+        # qr_checked, where the parent rule scored the candidate +inf
         rng = np.random.default_rng(20)
         m = ModelSpec((1, 2, 3))
         singular = 0
@@ -166,10 +177,39 @@ class TestCvScore:
             # a copy of rng draws the permutation that make_folds cuts
             score = score_candidates("cv5", {m: fit}, y, copy.deepcopy(rng))[m]
             folds = make_folds(30, 5, rng)
-            refit_singular = refit_cv_score(X, y, m, folds) == float("inf")
-            assert (score == float("inf")) == refit_singular
-            singular += refit_singular
+            bad = refit_fold_mses(X, y, m, folds).count(None)
+            assert bad <= 1
+            assert score == pytest.approx(refit_cv_score(X, y, m, folds), rel=1e-9)
+            singular += bad
         assert singular >= 50
+
+    @pytest.mark.parametrize("ones", [(0,), (0, 0), (0, 1)])
+    def test_one_singular_fold_is_left_out(self, ones):
+        # two gamma covariates, then one indicator per entry of ones,
+        # whose single 1 sits in the listed fold (the i-th indicator on
+        # that fold's i-th unit). Without that unit an indicator's column
+        # is all zero, so the training fold of each listed fold is
+        # singular while the full fit is regular. One singular fold of
+        # five is left out of the mean; two make the score +inf
+        n, k = 20, 5
+        folds = make_folds(n, k, np.random.default_rng(40))
+        rng = np.random.default_rng(41)
+        X = np.column_stack([rng.gamma(5.0, 2.0, size=(n, 2)), np.zeros((n, len(ones)))])
+        for i, f in enumerate(ones):
+            X[folds[f][i], 2 + i] = 1.0
+        y = 1.0 + X @ np.arange(1.0, X.shape[1] + 1) + rng.normal(size=n)
+        m = ModelSpec(range(1, X.shape[1] + 1))
+        fits = fit_candidates(X, y, [m])
+        assert fits[m] is not None
+        score = score_candidates(f"cv{k}", fits, y, np.random.default_rng(40))[m]
+        mses = refit_fold_mses(X, y, m, folds)
+        assert mses.count(None) == len(set(ones))
+        if len(set(ones)) == 1:
+            rest = [v for v in mses if v is not None]
+            assert len(rest) == k - 1
+            assert score == pytest.approx(np.mean(rest), rel=1e-10)
+        else:
+            assert score == float("inf")
 
 
 @pytest.mark.parametrize("n_r,k", [(23, 5), (31, 4), (17, 17), (12, 12)])
@@ -253,9 +293,12 @@ def test_cv_identity_matches_refits(seed, n_r, p, k, nested, delta, binary):
         else:
             # the identity solves against I - Q_t'Q_t, formed at Gram
             # scale like normal equations, so its error grows with the
-            # square of a training design's condition number
+            # square of a training design's condition number, over the
+            # nonsingular training folds that the score averages
             Z = design_matrix(X, m)
-            kappa = max(np.linalg.cond(np.delete(Z, test, axis=0)) for test in folds)
+            mses = refit_fold_mses(X, y, m, folds)
+            kappa = max(np.linalg.cond(np.delete(Z, test, axis=0))
+                        for test, mse in zip(folds, mses) if mse is not None)
             assert score == pytest.approx(ref, rel=1e-9 + 1e-14 * kappa**2)
 
 
@@ -283,7 +326,8 @@ def test_mixed_stack_matches_the_one_candidate_scorer():
     # None since x5 = x1; (1, 2, 3, 6, ..., 11), whose fit leaves no
     # residual degrees of freedom (n_r = p_alpha); and (1, 4), whose
     # indicator x4 has a single 1, so the fold holding that row leaves a
-    # singular training design though the full fit is regular
+    # singular training design though the full fit is regular: that one
+    # fold of five is left out of its mean
     rng = np.random.default_rng(30)
     X = rng.gamma(5.0, 2.0, size=(10, 11))
     X[:, 3] = np.arange(10) == 6
@@ -308,30 +352,45 @@ def test_mixed_stack_matches_the_one_candidate_scorer():
     # the split is one draw per candidate, scorable or not
     assert rng.bit_generator.state == split_rng(31, len(fits), 10).bit_generator.state
     unscorable = {m for m, s in scores.items() if s == float("inf")}
-    assert unscorable == {ModelSpec((1, 5)), ModelSpec((1, 4)), cands[-1]}
+    assert unscorable == {ModelSpec((1, 5)), cands[-1]}
 
 
 def test_failing_cholesky_spoils_only_its_own_candidate(monkeypatch):
-    # Q scaled by 3 makes I - Q_t'Q_t about -0.8 I for that candidate,
-    # so the stacked Cholesky raises; each slice is then factored alone
+    # Q's rows in a fold scaled by 3 make that fold's I - Q_t'Q_t
+    # indefinite, so the stacked Cholesky raises; each (candidate, fold)
+    # block is then factored alone. One failing fold is left out of its
+    # candidate's mean, two make it +inf, and no other candidate changes
     rng = np.random.default_rng(32)
     X = rng.normal(size=(40, 4))
     y = 1.0 + X @ [1.0, -2.0, 0.5, 0.0] + rng.normal(size=40)
     cands = nested_candidates(4)
-    fits = fit_candidates(X, y, cands)
-    clean = score_candidates("cv5", fits, y, np.random.default_rng(33))
+    clean_fits = fit_candidates(X, y, cands)
+    clean = score_candidates("cv5", clean_fits, y, np.random.default_rng(33))
     broken = cands[1]
-    fits[broken] = dataclasses.replace(fits[broken], Q=3.0 * fits[broken].Q)
-    calls = count_choleskys(monkeypatch)
-    scores = score_candidates("cv5", fits, y, np.random.default_rng(33))
-    assert calls[0] == ((4, 5, 5, 5), True)
-    assert [raised for _, raised in calls[1:]] == [False, True, False, False]
-    assert scores[broken] == float("inf")
-    for i, m in enumerate(cands):
-        if m != broken:
-            solo = score_candidates("cv5", {m: fits[m]}, y, split_rng(33, i, 40))[m]
-            assert scores[m] == clean[m]
-            assert scores[m] == pytest.approx(solo, rel=1e-12)
+    folds = make_folds(40, 5, split_rng(33, 1, 40))
+    mses = refit_fold_mses(X, y, broken, folds)
+    for broken_folds in ((0,), (0, 3)):
+        Q = clean_fits[broken].Q.copy()
+        for f in broken_folds:
+            Q[folds[f]] *= 3.0
+        fits = dict(clean_fits)
+        fits[broken] = dataclasses.replace(fits[broken], Q=Q)
+        with monkeypatch.context() as mp:
+            calls = count_choleskys(mp)
+            scores = score_candidates("cv5", fits, y, np.random.default_rng(33))
+        assert calls[0] == ((4, 5, 5, 5), True)
+        assert [raised for _, raised in calls[1:]] == [
+            c == 1 and k in broken_folds for c in range(4) for k in range(5)]
+        if len(broken_folds) == 1:
+            rest = [v for f, v in enumerate(mses) if f not in broken_folds]
+            assert scores[broken] == pytest.approx(np.mean(rest), rel=1e-10)
+        else:
+            assert scores[broken] == float("inf")
+        for i, m in enumerate(cands):
+            if m != broken:
+                solo = score_candidates("cv5", {m: fits[m]}, y, split_rng(33, i, 40))[m]
+                assert scores[m] == clean[m]
+                assert scores[m] == pytest.approx(solo, rel=1e-12)
 
 
 def test_cv_factors_every_candidate_in_one_cholesky(monkeypatch):

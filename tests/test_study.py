@@ -15,7 +15,6 @@ from survey_impute.config import parse_study_config
 from survey_impute.design import draw_srswor
 from survey_impute.errors import ConfigError, MetricError
 from survey_impute.estimators import ModelSpec, fit_candidates, nested_candidates
-from survey_impute.population import ResponseMask
 from survey_impute.study import (
     SUMMARY_COLUMNS,
     StudySummary,
@@ -272,11 +271,11 @@ class TestFitSharing:
         sample = draw_srswor(80, 20, rng)
         X = rng.normal(size=(20, 3))
         y = 1.0 + X @ [2.0, 1.0, 0.0] + rng.normal(size=20)
-        mask = ResponseMask(rng.random(20) < 0.7)
+        r = rng.random(20) < 0.7
         cands = nested_candidates(3)
-        fits = fit_candidates(X[mask.respondents], y[mask.respondents], cands)
+        fits = fit_candidates(X[r], y[r], cands)
         calls = count_factorizations(monkeypatch)
-        est, _ = estimate_with_inference(sample, mask, X, y, fits, criterion, 0.95,
+        est, _ = estimate_with_inference(sample, r, X, y, fits, criterion, 0.95,
                                          np.random.default_rng(22))
         assert np.isfinite(est.v_total)
         assert calls == []

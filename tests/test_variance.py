@@ -22,7 +22,7 @@ from survey_impute.design import (
 from survey_impute.errors import DegenerateFitError, EstimationFailureError, InvalidDesignError
 from survey_impute.estimators import (FitResult, ModelSpec, design_matrix, fit_candidates,
                                       ht_mean, imputed_means)
-from survey_impute.population import ResponseMask, generate_population, generate_response
+from survey_impute.population import generate_population, generate_response
 from survey_impute.variance import (
     confidence_interval,
     estimate_model,
@@ -43,10 +43,10 @@ def srswor_instance(seed, N=30, n=12, p=3, resp=0.6):
     s = draw_srswor(N, n, rng)
     X = rng.gamma(5.0, 2.0, size=(n, p))
     y = 1.0 + X @ np.arange(1.0, p + 1) + rng.normal(size=n)
-    mask = ResponseMask(rng.random(n) < resp)
-    if mask.n_m == 0 or mask.n_r <= p + 1:
+    r = rng.random(n) < resp
+    if r.all() or r.sum() <= p + 1:
         raise AssertionError("instance seed produced a degenerate split")
-    return s, mask, X, y
+    return s, r, X, y
 
 
 def stratified_instance(seed, p=2):
@@ -56,45 +56,43 @@ def stratified_instance(seed, p=2):
     n = s.n
     X = rng.gamma(5.0, 2.0, size=(n, p))
     y = 2.0 + X @ np.arange(1.0, p + 1) + rng.normal(size=n)
-    mask = ResponseMask(rng.random(n) < 0.6)
-    if mask.n_m == 0 or mask.n_r <= p + 1:
+    r = rng.random(n) < 0.6
+    if r.all() or r.sum() <= p + 1:
         raise AssertionError("instance seed produced a degenerate split")
-    return s, mask, X, y
+    return s, r, X, y
 
 
-def respondent_fit(mask, X, y, model):
-    return fit_candidates(X[mask.respondents], y[mask.respondents], [model])[model]
+def respondent_fit(r, X, y, model):
+    return fit_candidates(X[r], y[r], [model])[model]
 
 
 class TestCHat:
     def test_full_response_is_zero(self):
         # w = 0, so z'c = 0: eta is y itself and v2 vanishes
         s, _, X, y = srswor_instance(1)
-        mask = ResponseMask(np.ones(s.n, dtype=bool))
+        r = np.ones(s.n, dtype=bool)
         m = ModelSpec((1, 2))
-        est, eta = estimate_and_eta(s, mask, X, y, m, respondent_fit(mask, X, y, m))
+        est, eta = estimate_and_eta(s, r, X, y, m, respondent_fit(r, X, y, m))
         assert np.array_equal(eta, y)
         assert est.v2 == 0.0
 
     def test_intercept_only_scalar(self):
-        s, mask, X, y = srswor_instance(2)
+        s, r, X, y = srswor_instance(2)
         m = ModelSpec(())
-        fit = respondent_fit(mask, X, y, m)
-        _, eta = estimate_and_eta(s, mask, X, y, m, fit)
+        fit = respondent_fit(r, X, y, m)
+        _, eta = estimate_and_eta(s, r, X, y, m, fit)
         pi = s.design.sample_size / s.design.population_size
-        c = mask.n_m / (pi * mask.n_r)
-        resp = mask.respondents
-        assert np.allclose(eta[resp], y[resp] + pi * c * fit.resid, rtol=1e-12, atol=0.0)
+        c = (~r).sum() / (pi * r.sum())
+        assert np.allclose(eta[r], y[r] + pi * c * fit.resid, rtol=1e-12, atol=0.0)
 
     def test_dense_solve_oracle(self):
-        s, mask, X, y = srswor_instance(3)
+        s, r, X, y = srswor_instance(3)
         m = ModelSpec((1, 3))
-        fit = respondent_fit(mask, X, y, m)
-        _, eta = estimate_and_eta(s, mask, X, y, m, fit)
-        zc = design_matrix(X, m) @ c_oracle(s, mask, X, m)
-        resp = mask.respondents
-        want = y[resp] + s.pi_first[resp] * zc[resp] * fit.resid
-        assert np.allclose(eta[resp], want, atol=1e-10)
+        fit = respondent_fit(r, X, y, m)
+        _, eta = estimate_and_eta(s, r, X, y, m, fit)
+        zc = design_matrix(X, m) @ c_oracle(s, r, X, m)
+        want = y[r] + s.pi_first[r] * zc[r] * fit.resid
+        assert np.allclose(eta[r], want, atol=1e-10)
 
     @pytest.mark.parametrize("eps", [1e-7, 1e-8, 1e-9])
     def test_near_collinear_design_that_the_fit_accepts(self, eps):
@@ -107,9 +105,9 @@ class TestCHat:
         x = rng.gamma(5.0, 2.0, size=n)
         X = np.column_stack([x, x + eps * rng.normal(size=n)])
         y = 1.0 + 2.0 * x + rng.normal(size=n)
-        mask = ResponseMask(rng.random(n) < 0.7)
+        r = rng.random(n) < 0.7
         m = ModelSpec((1, 2))
-        est, eta = estimate_and_eta(s, mask, X, y, m, respondent_fit(mask, X, y, m))
+        est, eta = estimate_and_eta(s, r, X, y, m, respondent_fit(r, X, y, m))
         assert np.isfinite(est.v1 + est.v2)
         assert np.all(np.isfinite(eta))
         assert ht_mean(s, eta) == pytest.approx(est.mu_hat, rel=1e-6)
@@ -117,32 +115,32 @@ class TestCHat:
 
 class TestEta:
     def test_nonrespondents_keep_prediction(self):
-        s, mask, X, y = srswor_instance(4)
+        s, r, X, y = srswor_instance(4)
         m = ModelSpec((1, 2, 3))
-        fit = respondent_fit(mask, X, y, m)
-        _, eta = estimate_and_eta(s, mask, X, y, m, fit)
-        miss = mask.nonrespondents
+        fit = respondent_fit(r, X, y, m)
+        _, eta = estimate_and_eta(s, r, X, y, m, fit)
+        miss = ~r
         assert np.allclose(eta[miss], design_matrix(X[miss], m) @ fit.beta_hat, atol=1e-12)
 
     def test_zero_residual_respondent_keeps_prediction(self):
-        s, mask, X, _ = srswor_instance(5)
+        s, r, X, _ = srswor_instance(5)
         # noiseless y: every respondent residual is exactly zero
         y = 3.0 + 2.0 * X[:, 0]
         m = ModelSpec((1,))
-        _, eta = estimate_and_eta(s, mask, X, y, m, respondent_fit(mask, X, y, m))
+        _, eta = estimate_and_eta(s, r, X, y, m, respondent_fit(r, X, y, m))
         assert np.allclose(eta, 3.0 + 2.0 * X[:, 0], rtol=1e-9)
 
     @pytest.mark.parametrize("seed", [6, 7, 8])
     def test_ht_mean_of_eta_reproduces_estimator(self, seed):
-        s, mask, X, y = srswor_instance(seed)
+        s, r, X, y = srswor_instance(seed)
         m = ModelSpec((1, 2))
-        est, eta = estimate_and_eta(s, mask, X, y, m, respondent_fit(mask, X, y, m))
+        est, eta = estimate_and_eta(s, r, X, y, m, respondent_fit(r, X, y, m))
         assert ht_mean(s, eta) == pytest.approx(est.mu_hat, rel=1e-10)
 
     def test_identity_holds_on_stratified_draw(self):
-        s, mask, X, y = stratified_instance(9)
+        s, r, X, y = stratified_instance(9)
         m = ModelSpec((1, 2))
-        est, eta = estimate_and_eta(s, mask, X, y, m, respondent_fit(mask, X, y, m))
+        est, eta = estimate_and_eta(s, r, X, y, m, respondent_fit(r, X, y, m))
         assert ht_mean(s, eta) == pytest.approx(est.mu_hat, rel=1e-10)
 
     @pytest.mark.parametrize("build,seed,m", [("srswor", 6, (1, 2)), ("srswor", 7, (1, 2, 3)),
@@ -150,11 +148,11 @@ class TestEta:
                              ids=["srswor-i1+2", "srswor-i1+2+3", "stratified-i1+2"])
     def test_matches_the_literal_form(self, build, seed, m):
         make = srswor_instance if build == "srswor" else stratified_instance
-        s, mask, X, y = make(seed)
+        s, r, X, y = make(seed)
         m = ModelSpec(m)
-        fit = respondent_fit(mask, X, y, m)
-        _, eta = estimate_and_eta(s, mask, X, y, m, fit)
-        want = eta_oracle(s, mask, X, y, m, fit.beta_hat, c_oracle(s, mask, X, m))
+        fit = respondent_fit(r, X, y, m)
+        _, eta = estimate_and_eta(s, r, X, y, m, fit)
+        want = eta_oracle(s, r, X, y, m, fit.beta_hat, c_oracle(s, r, X, m))
         assert np.allclose(eta, want, rtol=1e-12, atol=0.0)
 
 
@@ -296,12 +294,13 @@ class TestSigma2:
         vals = []
         for rep in range(400):
             rng = np.random.default_rng([88001, rep])
-            pop = generate_population(5000, 20, LAW, BETA, 60.0, RESPONSE, rng)
+            X_pop, y_pop, resp_prob = generate_population(5000, 20, LAW, BETA, 60.0,
+                                                          RESPONSE, rng)
             s = draw_srswor(5000, 500, rng)
-            mask = generate_response(pop.resp_prob, s.unit_ids, rng)
-            X = pop.X[s.unit_ids]
-            y = pop.y[s.unit_ids]
-            fit = respondent_fit(mask, X, y, TRUE_MODEL)
+            r = generate_response(resp_prob, s.unit_ids, rng)
+            X = X_pop[s.unit_ids]
+            y = y_pop[s.unit_ids]
+            fit = respondent_fit(r, X, y, TRUE_MODEL)
             vals.append(sigma2_hat(fit))
         vals = np.asarray(vals)
         frac = float(np.mean(np.abs(vals / 3600.0 - 1.0) <= 0.10))
@@ -312,31 +311,31 @@ class TestSigma2:
 class TestV2:
     def test_full_response_is_zero(self):
         s, _, X, y = srswor_instance(14)
-        mask = ResponseMask(np.ones(s.n, dtype=bool))
+        r = np.ones(s.n, dtype=bool)
         m = ModelSpec((1,))
-        est = estimate_model(s, mask, X, y, m, respondent_fit(mask, X, y, m), 0.95)
+        est = estimate_model(s, r, X, y, m, respondent_fit(r, X, y, m), 0.95)
         assert est.v2 == pytest.approx(0.0, abs=1e-18)
 
     def test_zero_sigma2_is_zero(self):
-        s, mask, X, y = srswor_instance(15)
+        s, r, X, y = srswor_instance(15)
         m = ModelSpec((1, 2))
-        fit = dataclasses.replace(respondent_fit(mask, X, y, m), rss=0.0)
-        est = estimate_model(s, mask, X, y, m, fit, 0.95)
+        fit = dataclasses.replace(respondent_fit(r, X, y, m), rss=0.0)
+        est = estimate_model(s, r, X, y, m, fit, 0.95)
         assert est.sigma2_hat == 0.0
         assert est.v2 == 0.0
 
     def test_resummation_oracle(self):
-        s, mask, X, y = srswor_instance(16)
+        s, r, X, y = srswor_instance(16)
         m = ModelSpec((1, 3))
-        est = estimate_model(s, mask, X, y, m, respondent_fit(mask, X, y, m), 0.95)
-        ref = v2_oracle(s, mask, est.sigma2_hat, X, m, c_oracle(s, mask, X, m))
+        est = estimate_model(s, r, X, y, m, respondent_fit(r, X, y, m), 0.95)
+        ref = v2_oracle(s, r, est.sigma2_hat, X, m, c_oracle(s, r, X, m))
         assert est.v2 == pytest.approx(ref, rel=1e-12)
 
     def test_nonnegative(self):
         for seed in range(17, 22):
-            s, mask, X, y = srswor_instance(seed)
+            s, r, X, y = srswor_instance(seed)
             m = ModelSpec((1,))
-            assert estimate_model(s, mask, X, y, m, respondent_fit(mask, X, y, m), 0.95).v2 >= 0.0
+            assert estimate_model(s, r, X, y, m, respondent_fit(r, X, y, m), 0.95).v2 >= 0.0
 
 
 class TestConfidenceInterval:
@@ -383,9 +382,9 @@ class TestPipeline:
         s = SampleDraw(np.arange(N), np.zeros(N, dtype=np.int64), design)
         X = rng.gamma(5.0, 2.0, size=(N, 2))
         y = 1.0 + X @ [2.0, -1.0] + rng.normal(size=N)
-        mask = ResponseMask(np.ones(N, dtype=bool))
+        r = np.ones(N, dtype=bool)
         fits = fit_candidates(X, y, [ModelSpec((1, 2))])
-        est, scores = estimate_with_inference(s, mask, X, y, fits, "bic", 0.95)
+        est, scores = estimate_with_inference(s, r, X, y, fits, "bic", 0.95)
         assert list(scores) == list(fits)
         mu = float(y.mean())
         assert est.mu_hat == pytest.approx(mu, rel=1e-12)
@@ -394,18 +393,18 @@ class TestPipeline:
         assert est.upper == pytest.approx(mu, rel=1e-12)
 
     def test_estimate_model_assembles_pieces(self):
-        s, mask, X, y = srswor_instance(24)
+        s, r, X, y = srswor_instance(24)
         m = ModelSpec((1, 2))
-        fit = respondent_fit(mask, X, y, m)
-        est = estimate_model(s, mask, X, y, m, fit, 0.9)
-        eta = eta_oracle(s, mask, X, y, m, fit.beta_hat, c_oracle(s, mask, X, m))
+        fit = respondent_fit(r, X, y, m)
+        est = estimate_model(s, r, X, y, m, fit, 0.9)
+        eta = eta_oracle(s, r, X, y, m, fit.beta_hat, c_oracle(s, r, X, m))
         assert est.model == m
-        assert est.mu_hat == imputed_means(s, mask, X, y, {m: fit})[m]
+        assert est.mu_hat == imputed_means(s, r, X, y, {m: fit})[m]
         assert est.v1 == pytest.approx(v1_hat(s, eta), rel=1e-12)
         assert est.sigma2_hat == sigma2_hat(fit)
-        assert est.v2 == pytest.approx(v2_oracle(s, mask, est.sigma2_hat, X, m,
-                                                 c_oracle(s, mask, X, m)), rel=1e-12)
+        assert est.v2 == pytest.approx(v2_oracle(s, r, est.sigma2_hat, X, m,
+                                                 c_oracle(s, r, X, m)), rel=1e-12)
         assert (est.lower, est.upper) == confidence_interval(est.mu_hat, est.v1 + est.v2, 0.9)
         # the pipeline's estimate of its pick is this one
         fits = {m: fit}
-        assert estimate_with_inference(s, mask, X, y, fits, "bic", 0.9)[0] == est
+        assert estimate_with_inference(s, r, X, y, fits, "bic", 0.9)[0] == est
