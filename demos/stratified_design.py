@@ -54,12 +54,11 @@ def main():
     sort_key = X @ SORT_COEFS
 
     draw = draw_stratified(sort_key, X[:, 1], FRACTIONS, n, rng)
-    design = draw.design
     # the draw's strata: contiguous blocks of the units ranked by sort_key
     order = np.argsort(sort_key, kind="stable")
     sizes = stratum_sizes(N, FRACTIONS)
     blocks = [np.sort(b) for b in np.split(order, np.cumsum(sizes)[:-1])]
-    N_h, n_h = design.population_sizes, design.allocations
+    N_h, n_h = draw.population_sizes, draw.allocations
     print(f"N={N}, n={n}, strata fractions {FRACTIONS}, Neyman on sd(x2)")
     print(f"\n{'stratum':>8} {'N_h':>5} {'sd(x2)':>8} {'n_h':>4} {'pi_h':>7}")
     for h, block in enumerate(blocks):

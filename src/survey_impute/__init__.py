@@ -11,11 +11,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 from .design import (  # noqa: E402
-    DesignDescriptor,
     SampleDraw,
     draw_srswor,
     draw_stratified,
-    first_order,
     neyman_allocation,
     stratum_sizes,
 )

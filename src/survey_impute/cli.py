@@ -33,7 +33,7 @@ from .config import (
     resolved_estimate_config,
     resolved_study_config,
 )
-from .design import DesignDescriptor, SampleDraw
+from .design import SampleDraw
 from .errors import ConfigError, EstimationFailureError, SelectionFailureError, SurveyImputeError
 from .estimators import build_candidates, fit_candidates
 from .study import SUMMARY_COLUMNS, float_text, reps_to_csv, run_study, summary_to_csv
@@ -276,17 +276,17 @@ def build_estimate_design(cfg, ids, pi):
     Original unit ids are opaque labels here: the inclusion probabilities
     and V1 depend only on N_h, n_h and each unit's stratum, so the sample
     numbers its units 0..n-1, stratum by stratum in config order and by
-    id within a stratum.
+    id within a stratum. Its n_h are the counts of each stratum's
+    sampled_units.
     """
     n = ids.size
     if cfg.design_kind == "srswor":
         if n > cfg.N:
             raise ConfigError("design.N", f"{n} sampled units exceed N={cfg.N}")
-        design = DesignDescriptor((cfg.N,), (n,))
+        sizes = (cfg.N,)
         labels = np.zeros(n, dtype=np.int64)
     else:
-        design = DesignDescriptor([N_h for N_h, _ in cfg.strata],
-                                  [len(units) for _, units in cfg.strata])
+        sizes = [N_h for N_h, _ in cfg.strata]
         try:
             declared = np.array([u for _, units in cfg.strata for u in units], dtype=np.int64)
             by_id = np.argsort(declared)
@@ -297,9 +297,10 @@ def build_estimate_design(cfg, ids, pi):
             raise ConfigError(
                 "design.strata", "sampled_units do not match the data file's unit ids"
             )
-        labels = np.repeat(np.arange(len(cfg.strata)), design.allocations)[by_id]
+        counts = [len(units) for _, units in cfg.strata]
+        labels = np.repeat(np.arange(len(cfg.strata)), counts)[by_id]
     order = np.argsort(labels, kind="stable")
-    sample = SampleDraw(np.arange(n), labels[order], design)
+    sample = SampleDraw(np.arange(n), labels[order], sizes)
     if np.any(np.abs(pi[order] - sample.pi_first) > 1e-9 * sample.pi_first):
         raise ConfigError("pi", "pi column inconsistent with the declared design")
     return sample, order

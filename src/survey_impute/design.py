@@ -1,13 +1,14 @@
 """Sampling designs: SRSWOR and stratified SRSWOR.
 
-A design is its stratum sizes: N_h and n_h per stratum, with SRSWOR the
-one stratum (N, n). A sample records the stratum each of its units was
-drawn from. pi_k, pi_kl and the design variance downstream depend on
-nothing else (Sarndal, Swensson & Wretman 1992, sections 3.7-3.8), so
-each has one stratum-wise formula and no design carries its population
-partition. Inclusion probabilities are exact (no approximations), so the
-Horvitz-Thompson machinery downstream can rely on them bit for bit.
-Unit ids are 0-based positions into the population arrays.
+A sample is one record, SampleDraw: its unit ids, the stratum each unit
+was drawn from, and the population size N_h of each stratum, with SRSWOR
+the one stratum N. n_h is the count of the sample's labels. pi_k, pi_kl
+and the design variance downstream depend on nothing else (Sarndal,
+Swensson & Wretman 1992, sections 3.7-3.8), so each has one stratum-wise
+formula and no sample carries its population partition. Inclusion
+probabilities are exact (no approximations), so the Horvitz-Thompson
+machinery downstream can rely on them bit for bit. Unit ids are 0-based
+positions into the population arrays.
 """
 
 from dataclasses import dataclass, field
@@ -22,86 +23,54 @@ MIN_STRATUM_SIZE = 2
 
 
 @dataclass(frozen=True)
-class DesignDescriptor:
-    """Per-stratum population sizes N_h and allocations n_h, stored as
-    read-only int arrays; SRSWOR is ((N,), (n,))."""
+class SampleDraw:
+    """A realized sample: unit ids, the stratum each was drawn from, and
+    the population sizes N_h of the strata (SRSWOR is one stratum, (N,)).
+    allocations (n_h, the sampled units per stratum) and pi_first
+    (n_h / N_h of each unit's stratum) are counted off the labels. All
+    arrays are read-only int64 or float64 copies."""
 
+    unit_ids: np.ndarray
+    strata: np.ndarray
     population_sizes: np.ndarray
-    allocations: np.ndarray
+    allocations: np.ndarray = field(init=False, repr=False)
+    pi_first: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         N_h = np.array(self.population_sizes, dtype=np.int64)
-        n_h = np.array(self.allocations, dtype=np.int64)
-        if N_h.ndim != 1 or N_h.size == 0 or n_h.shape != N_h.shape:
-            raise InvalidDesignError("need matching nonempty 1-d stratum sizes and allocations")
+        ids = np.array(self.unit_ids, dtype=np.int64)
+        labels = np.array(self.strata, dtype=np.int64)
+        if N_h.ndim != 1 or N_h.size == 0:
+            raise InvalidDesignError("need nonempty 1-d stratum sizes")
+        if ids.ndim != 1 or labels.shape != ids.shape:
+            raise InvalidDesignError("unit_ids and strata must be matching 1-d arrays")
+        if np.any(ids < 0) or np.any(ids >= N_h.sum()):
+            raise InvalidDesignError("unit ids out of range")
+        sorted_ids = np.sort(ids)
+        if np.any(sorted_ids[1:] == sorted_ids[:-1]):
+            raise InvalidDesignError("duplicate unit ids in draw")
+        if np.any(labels < 0) or np.any(labels >= N_h.size):
+            raise InvalidDesignError("stratum labels out of range")
+        n_h = np.bincount(labels, minlength=N_h.size)
         if np.any(n_h < 1) or np.any(n_h > N_h):
             raise InvalidDesignError(
                 f"need 1 <= n_h <= N_h, got n_h={n_h.tolist()}, N_h={N_h.tolist()}"
             )
         if N_h.size > 1 and np.any(n_h < MIN_STRATUM_SIZE):
             raise InvalidDesignError(f"each n_h must be >= {MIN_STRATUM_SIZE}, got {n_h.tolist()}")
-        N_h.setflags(write=False)
-        n_h.setflags(write=False)
-        object.__setattr__(self, "population_sizes", N_h)
-        object.__setattr__(self, "allocations", n_h)
+        pi = (n_h / N_h)[labels]
+        for name, value in (("unit_ids", ids), ("strata", labels), ("population_sizes", N_h),
+                            ("allocations", n_h), ("pi_first", pi)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def population_size(self):
         return int(self.population_sizes.sum())
 
     @property
-    def sample_size(self):
-        return int(self.allocations.sum())
-
-
-@dataclass(frozen=True)
-class SampleDraw:
-    """A realized sample: unit ids, the stratum each was drawn from, and
-    the design; pi_first is derived from the strata."""
-
-    unit_ids: np.ndarray
-    strata: np.ndarray
-    design: DesignDescriptor
-    pi_first: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        ids = np.asarray(self.unit_ids, dtype=np.int64)
-        labels = np.asarray(self.strata, dtype=np.int64)
-        ids.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "unit_ids", ids)
-        object.__setattr__(self, "strata", labels)
-        n_h = self.design.allocations
-        if ids.ndim != 1 or labels.shape != ids.shape:
-            raise InvalidDesignError("unit_ids and strata must be matching 1-d arrays")
-        if ids.size != self.design.sample_size:
-            raise InvalidDesignError("draw size does not match design sample_size")
-        if np.any(ids < 0) or np.any(ids >= self.design.population_size):
-            raise InvalidDesignError("unit ids out of range")
-        sorted_ids = np.sort(ids)
-        if np.any(sorted_ids[1:] == sorted_ids[:-1]):
-            raise InvalidDesignError("duplicate unit ids in draw")
-        if np.any(labels < 0) or np.any(labels >= n_h.size):
-            raise InvalidDesignError("stratum labels out of range")
-        counts = np.bincount(labels, minlength=n_h.size)
-        if not np.array_equal(counts, n_h):
-            raise InvalidDesignError(
-                f"sampled units per stratum {counts.tolist()} differ from "
-                f"the allocation {n_h.tolist()}"
-            )
-        pi = first_order(self.design, labels)
-        pi.setflags(write=False)
-        object.__setattr__(self, "pi_first", pi)
-
-    @property
     def n(self):
         return self.unit_ids.size
-
-
-def first_order(design, strata):
-    """pi_k = n_h / N_h for units in the given strata."""
-    rates = design.allocations / design.population_sizes
-    return rates[strata]
 
 
 def _largest_remainder(raw, total):
@@ -187,9 +156,10 @@ def neyman_allocation(sizes, sds, n):
 
 def draw_srswor(population_size, sample_size, rng):
     """Simple random sample without replacement; ids returned sorted."""
-    design = DesignDescriptor((population_size,), (sample_size,))
+    if not 1 <= sample_size <= population_size:
+        raise InvalidDesignError(f"need 1 <= n <= N, got n={sample_size}, N={population_size}")
     ids = np.sort(rng.choice(population_size, size=sample_size, replace=False))
-    return SampleDraw(ids, np.zeros(sample_size, dtype=np.int64), design)
+    return SampleDraw(ids, np.zeros(sample_size, dtype=np.int64), (population_size,))
 
 
 def draw_stratified(sort_key, alloc_variable, fractions, sample_size, rng):
@@ -212,9 +182,8 @@ def draw_stratified(sort_key, alloc_variable, fractions, sample_size, rng):
     blocks = np.split(order, np.cumsum(sizes)[:-1])
     sds = np.array([np.std(alloc_variable[b], ddof=1) for b in blocks])
     alloc = neyman_allocation(sizes, sds, sample_size)
-    design = DesignDescriptor(sizes, alloc)
 
     picks = [rng.choice(np.sort(b), n_h, replace=False) for b, n_h in zip(blocks, alloc)]
     ids = np.concatenate(picks)
     by_id = np.argsort(ids)
-    return SampleDraw(ids[by_id], np.repeat(np.arange(alloc.size), alloc)[by_id], design)
+    return SampleDraw(ids[by_id], np.repeat(np.arange(alloc.size), alloc)[by_id], sizes)

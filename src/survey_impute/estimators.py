@@ -154,7 +154,14 @@ def ht_mean(sample, y):
     """Horvitz-Thompson mean of y over the draw; y is aligned with
     sample.unit_ids."""
     y = np.asarray(y, dtype=np.float64)
-    return float(np.sum(y / sample.pi_first) / sample.design.population_size)
+    return float(np.sum(y / sample.pi_first) / sample.population_size)
+
+
+def check_response(sample, r):
+    """Raise ValueError unless r is a boolean array over the sample's units:
+    the ~r of an index array would be negative indices, not an error."""
+    if not (isinstance(r, np.ndarray) and r.dtype == bool and r.shape == (sample.n,)):
+        raise ValueError(f"the response set must be a boolean array of shape ({sample.n},)")
 
 
 def imputed_means(sample, r, X, y, fits):
@@ -167,12 +174,13 @@ def imputed_means(sample, r, X, y, fits):
     model's design columns; None for a None fit. One model's mean is
     imputed_means(..., {model: fit})[model], which is how
     variance.estimate_model reads it."""
+    check_response(sample, r)
     miss = ~r
     pi = sample.pi_first
     t = float(np.sum(np.asarray(y, dtype=np.float64)[r] / pi[r]))
     inv = 1.0 / pi[miss]
     w = np.concatenate(([inv.sum()], inv @ np.asarray(X, dtype=np.float64)[miss]))
-    N = sample.design.population_size
+    N = sample.population_size
     return {
         m: None if fit is None else (t + float(w[[0, *m.included]] @ fit.beta_hat)) / N
         for m, fit in fits.items()

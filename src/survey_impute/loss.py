@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import design_matrix, fit_candidates
+from .estimators import check_response, design_matrix, fit_candidates
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,7 @@ def loss_closed_form(sample, r, X, model, beta_true, sigma):
     """
     X = np.asarray(X, dtype=np.float64)
     beta_true = np.asarray(beta_true, dtype=np.float64)
+    check_response(sample, r)
     if r.all():
         return LossValue(0.0, 0.0)
     _, fit, w, t1 = _noiseless_fit(sample, r, X, model, beta_true)
@@ -75,6 +76,7 @@ def mc_loss_oracle(sample, r, X, model, beta_true, sigma, draws, rng,
     """
     X = np.asarray(X, dtype=np.float64)
     beta_true = np.asarray(beta_true, dtype=np.float64)
+    check_response(sample, r)
     if r.all():
         return 0.0, 0.0
     mu_r, fit, w, t1 = _noiseless_fit(sample, r, X, model, beta_true)

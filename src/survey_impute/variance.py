@@ -21,7 +21,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DegenerateFitError, EstimationFailureError
-from .estimators import design_matrix, imputed_means
+from .estimators import check_response, design_matrix, imputed_means
 from .selection import select
 
 
@@ -48,8 +48,8 @@ def v1_hat(sample, eta):
     """Design variance of the HT mean of the eta values, stratum by
     stratum: (1/N^2) sum_h N_h^2 (1 - f_h) s_h^2 / n_h, where
     f_h = n_h / N_h and s_h^2 is the ddof=1 sample variance of eta in
-    stratum h, read off the draw's stratum labels (their counts are n_h,
-    as `SampleDraw` checks). SRSWOR is one stratum with N_h = N and
+    stratum h, read off the draw's stratum labels, whose counts are the
+    draw's allocations n_h. SRSWOR is one stratum with N_h = N and
     n_h = n. Time and memory are O(n).
 
     For SRSWOR and stratified SRSWOR this equals the Horvitz-Thompson
@@ -61,14 +61,13 @@ def v1_hat(sample, eta):
     (1 - pi)(eta/pi)^2 / N^2.
     """
     eta = np.asarray(eta, dtype=np.float64)
-    design = sample.design
-    N = design.population_size
+    N = sample.population_size
     if sample.n == 1:
         pi = float(sample.pi_first[0])
         return (1.0 - pi) * (float(eta[0]) / pi) ** 2 / (N * N)
     labels = sample.strata
     # as floats: the int64 product N_h (N_h - n_h) wraps past about 3e9
-    N_h, n_h = design.population_sizes.astype(float), design.allocations
+    N_h, n_h = sample.population_sizes.astype(float), sample.allocations
     mean = np.bincount(labels, weights=eta, minlength=n_h.size) / n_h
     dev2 = (eta - mean[labels]) ** 2
     s2 = np.bincount(labels, weights=dev2, minlength=n_h.size) / (n_h - 1)
@@ -116,6 +115,7 @@ def estimate_model(sample, r, X, y, model, fit, level):
     respondents, e the fit's residuals, and z'beta on the missing; its
     HT mean is mu_hat, and v1 = v1_hat(eta).
     v2 = sigma^2 (sum_m 1/pi + sum_r pi (z'c)^2) / N^2."""
+    check_response(sample, r)
     miss = ~r
     pi = sample.pi_first
     Z_m = design_matrix(np.asarray(X)[miss], model)
@@ -126,7 +126,7 @@ def estimate_model(sample, r, X, y, model, fit, level):
     eta[miss] = Z_m @ fit.beta_hat
     v1 = v1_hat(sample, eta)
     s2 = sigma2_hat(fit)
-    N = sample.design.population_size
+    N = sample.population_size
     v2 = float(s2 * (inv_m.sum() + np.sum(pi[r] * zc**2)) / (N * N))
     mu = imputed_means(sample, r, X, y, {model: fit})[model]
     lower, upper = confidence_interval(mu, v1 + v2, level)
@@ -143,6 +143,7 @@ def estimate_with_inference(sample, r, X, y, fits, criterion, level, rng=None,
     estimated again, and a new one is added, so criteria that pick the
     same model share one Estimate.
     -> (Estimate, the selection's {model: score})."""
+    check_response(sample, r)
     y_r = np.asarray(y, dtype=np.float64)[r]
     model, scores = select(criterion, fits, y_r, rng)
     if estimates is None:

@@ -1,9 +1,11 @@
 """Exact general forms that the package does not ship, kept as test
 references for the production path.
 
-joint_matrix is the pi_kl matrix of a stratified SRSWOR draw, whose
-Horvitz-Thompson double sum v1_double_sum checks `variance.v1_hat`'s
-O(n) stratum-wise form. make_folds is the K-fold cut that
+joint_matrix is the pi_kl matrix of stratified SRSWOR, from the stratum
+sizes N_h, the allocations n_h and the units' stratum labels alone, so
+that it serves a draw (`SampleDraw` holds all three) and a whole
+population alike. Its Horvitz-Thompson double sum v1_double_sum checks
+`variance.v1_hat`'s O(n) stratum-wise form. make_folds is the K-fold cut that
 `selection.score_candidates` applies to each candidate's permutation,
 written from its definition so that a change to the production cut
 shows against the refits.
@@ -30,15 +32,15 @@ import pytest
 
 import survey_impute.variance as variance
 from survey_impute.cli import _data_file
-from survey_impute.design import first_order
 from survey_impute.errors import ConfigError, InvalidDesignError
 from survey_impute.estimators import design_matrix
 
 INT64 = np.iinfo(np.int64)
 
 
-def joint_matrix(design, strata):
-    """Matrix of pi_kl over distinct units in the given strata, with
+def joint_matrix(population_sizes, allocations, strata):
+    """Matrix of pi_kl over distinct units in the given strata of a
+    stratified SRSWOR design of stratum sizes N_h and allocations n_h, with
     pi_kk = pi_k on the diagonal: n_h (n_h - 1) / (N_h (N_h - 1)) within
     stratum h and pi_k pi_l across strata, whose draws are independent.
 
@@ -46,11 +48,12 @@ def joint_matrix(design, strata):
     double sum built from it must equal the O(n) stratum-wise form that
     `variance.v1_hat` evaluates.
     """
-    N_h, n_h = design.population_sizes, design.allocations
+    N_h = np.asarray(population_sizes, dtype=np.int64)
+    n_h = np.asarray(allocations, dtype=np.int64)
     if np.any(N_h < 2):
         raise InvalidDesignError("joint inclusion undefined for N_h < 2")
     labels = np.asarray(strata, dtype=np.int64)
-    pi = first_order(design, labels)
+    pi = (n_h / N_h)[labels]
     # as floats: the int64 product N_h (N_h - 1) wraps past about 3e9
     within = n_h * (n_h - 1) / (N_h.astype(float) * (N_h - 1))
     same = labels[:, None] == labels[None, :]
@@ -111,7 +114,7 @@ def v2_oracle(sample, r, sigma2, X, model, c):
         r_k = 1.0 if r[k] else 0.0
         pi_k = sample.pi_first[k]
         total += ((1.0 - r_k) + r_k * (pi_k * float(Z[k] @ c)) ** 2) / pi_k
-    N = sample.design.population_size
+    N = sample.population_size
     return sigma2 * total / N**2
 
 
@@ -120,10 +123,10 @@ def v1_double_sum(sample, eta):
     each pi_kl read off joint_matrix, and the same sum of the terms'
     absolute values, the scale of its rounding error."""
     pi = sample.pi_first
-    J = joint_matrix(sample.design, sample.strata)
+    J = joint_matrix(sample.population_sizes, sample.allocations, sample.strata)
     t = eta / pi
     terms = (J - np.outer(pi, pi)) / J * np.outer(t, t)
-    N2 = sample.design.population_size ** 2
+    N2 = sample.population_size ** 2
     return float(terms.sum()) / N2, float(np.abs(terms).sum()) / N2
 
 

@@ -18,7 +18,6 @@ from conftest import CONFIG_DIR
 from oracles import c_oracle, eta_oracle
 
 from survey_impute.design import (
-    DesignDescriptor,
     SampleDraw,
     draw_srswor,
     draw_stratified,
@@ -250,9 +249,9 @@ def test_criterion_10_design_unbiasedness(acceptance):
     rng = np.random.default_rng(99201)
     worst = 0.0
 
-    def check(design, samples, stratum_of):
+    def check(sizes, samples, stratum_of):
         nonlocal worst
-        N = design.population_size
+        N = sum(sizes)
         prob = 1.0 / len(samples)
         for _ in range(20):
             eta_pop = rng.normal(size=N) * 3.0 + 1.0
@@ -260,7 +259,7 @@ def test_criterion_10_design_unbiasedness(acceptance):
             hts, v1s = [], []
             for ids in samples:
                 ids = np.asarray(ids)
-                s = SampleDraw(ids, stratum_of(ids), design)
+                s = SampleDraw(ids, stratum_of(ids), sizes)
                 hts.append(ht_mean(s, eta_pop[ids]))
                 v1s.append(v1_hat(s, eta_pop[ids]))
             e_ht = prob * np.sum(hts)
@@ -273,17 +272,15 @@ def test_criterion_10_design_unbiasedness(acceptance):
                 abs(e_v1 - true_var) / max(true_var, 1e-12),
             )
 
-    srs = DesignDescriptor((8,), (3,))
-    check(srs, list(itertools.combinations(range(8), 3)), np.zeros_like)
+    check((8,), list(itertools.combinations(range(8), 3)), np.zeros_like)
 
     # strata: units 0..4 and 5..8
-    strat = DesignDescriptor((5, 4), (2, 2))
     samples = [
         tuple(a) + tuple(b)
         for a in itertools.combinations(range(5), 2)
         for b in itertools.combinations(range(5, 9), 2)
     ]
-    check(strat, samples, lambda ids: (ids >= 5).astype(np.int64))
+    check((5, 4), samples, lambda ids: (ids >= 5).astype(np.int64))
 
     acceptance(
         10, worst <= 1e-12,
@@ -340,8 +337,7 @@ def test_criterion_12_noiseless_recovery(acceptance):
     best, _ = select("bic", fit_candidates(X_r, y_r, cands), y_r)
     picks_smallest = best == m2
 
-    census = DesignDescriptor((40,), (40,))
-    cs = SampleDraw(np.arange(40), np.zeros(40, dtype=np.int64), census)
+    cs = SampleDraw(np.arange(40), np.zeros(40, dtype=np.int64), (40,))
     est, _ = estimate_with_inference(
         cs, np.ones(40, dtype=bool), X_pop, y_pop,
         fit_candidates(X_pop, y_pop, cands), "bic", 0.95,

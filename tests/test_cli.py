@@ -22,10 +22,12 @@ from survey_impute.cli import (
     EXIT_FAILURE_RATE,
     EXIT_OK,
     _round10,
+    build_estimate_design,
     main,
     read_estimate_csv,
 )
-from survey_impute.design import DesignDescriptor, SampleDraw
+from survey_impute.config import parse_estimate_config
+from survey_impute.design import SampleDraw
 from survey_impute.errors import ConfigError
 from survey_impute.estimators import build_candidates, fit_candidates, ht_mean, nested_candidates
 from survey_impute.variance import estimate_with_inference
@@ -795,8 +797,7 @@ class TestEstimate:
 
         # independent route: construct the design by hand
         n, N = len(ids), 50
-        design = DesignDescriptor((N,), (n,))
-        sample = SampleDraw(np.arange(n), np.zeros(n, dtype=np.int64), design)
+        sample = SampleDraw(np.arange(n), np.zeros(n, dtype=np.int64), (N,))
         r = np.ones(n, dtype=bool)
         r[list(missing)] = False
         fits = fit_candidates(X[r], y[r], nested_candidates(2))
@@ -823,8 +824,7 @@ class TestEstimate:
         assert code == EXIT_OK
         got = json.loads(capsys.readouterr().out)
         n, N = len(ids), 50
-        design = DesignDescriptor((N,), (n,))
-        sample = SampleDraw(np.arange(n), np.zeros(n, dtype=np.int64), design)
+        sample = SampleDraw(np.arange(n), np.zeros(n, dtype=np.int64), (N,))
         assert got["mu_hat"] == _round10(ht_mean(sample, y))
 
     def test_cv_criterion_is_reproducible(self, tmp_path, capsys):
@@ -1003,10 +1003,8 @@ class TestEstimate:
         assert code == EXIT_OK
         got = json.loads(capsys.readouterr().out)
 
-        design = DesignDescriptor((80, 60), (12, 10))
-
         def in_process(order):
-            sample = SampleDraw(np.arange(22), np.repeat([0, 1], [12, 10])[order], design)
+            sample = SampleDraw(np.arange(22), np.repeat([0, 1], [12, 10])[order], (80, 60))
             Xo, yo, ro = X[order], y[order], r[order]
             rng = np.random.default_rng(np.random.SeedSequence([2, 0]))
             est, _ = estimate_with_inference(
@@ -1024,6 +1022,28 @@ class TestEstimate:
         assert got["ci"]["lower"] == _round10(est.lower)
         assert got["ci"]["upper"] == _round10(est.upper)
         assert in_process(np.argsort(ids)).model != est.model
+
+    def test_stratified_allocations_are_the_sampled_unit_counts(self):
+        # strata list their ids out of id order and interleaved: n_h is
+        # still each stratum's count of sampled_units, and the rows (given
+        # in sorted-id order) map onto the sample stratum by stratum
+        strata = [[41, 2, 17, 30], [8, 55, 3], [60, 12, 49, 1, 26]]
+        sizes = [30, 40, 50]
+        cfg = parse_estimate_config({
+            "criterion": "bic",
+            "design": {"kind": "stratified", "strata": [
+                {"N": N_h, "sampled_units": units} for N_h, units in zip(sizes, strata)
+            ]},
+        })
+        ids = np.sort(np.concatenate(strata))
+        label_of = {u: h for h, units in enumerate(strata) for u in units}
+        pi = np.array([len(strata[label_of[u]]) / sizes[label_of[u]] for u in ids])
+        sample, order = build_estimate_design(cfg, ids, pi)
+        assert np.array_equal(sample.allocations, [len(units) for units in strata])
+        assert np.array_equal(sample.population_sizes, sizes)
+        assert np.array_equal(sample.strata, [label_of[u] for u in ids[order]])
+        assert np.array_equal(ids[order], [u for units in strata for u in sorted(units)])
+        assert np.array_equal(sample.pi_first, pi[order])
 
     def test_stratified_id_mismatch_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(12)

@@ -8,11 +8,9 @@ from oracles import joint_matrix
 from scipy.stats import chisquare
 
 from survey_impute.design import (
-    DesignDescriptor,
     SampleDraw,
     draw_srswor,
     draw_stratified,
-    first_order,
     neyman_allocation,
     stratum_sizes,
 )
@@ -21,26 +19,28 @@ from survey_impute.variance import v1_hat
 
 
 def srswor_design(N, n):
-    return DesignDescriptor((N,), (n,))
+    """(N_h, n_h) of SRSWOR, the one stratum."""
+    return (N,), (n,)
 
 
 def two_strata_design(N1, N2, n1, n2):
-    return DesignDescriptor((N1, N2), (n1, n2))
+    return (N1, N2), (n1, n2)
 
 
 def population_strata(design):
     """Stratum label of every population unit, strata as id blocks."""
-    return np.repeat(np.arange(design.population_sizes.size), design.population_sizes)
+    sizes, _ = design
+    return np.repeat(np.arange(len(sizes)), sizes)
 
 
 def joint_inclusion(design, strata, k, l):
     """pi_kl of two distinct units k, l, read off joint_matrix."""
-    return float(joint_matrix(design, [strata[k], strata[l]])[0, 1])
+    return float(joint_matrix(*design, [strata[k], strata[l]])[0, 1])
 
 
 def delta(design, strata, k, l):
     """Delta_kl = pi_kl - pi_k pi_l, with pi_kk = pi_k, read off joint_matrix."""
-    J = joint_matrix(design, [strata[k], strata[l]])
+    J = joint_matrix(*design, [strata[k], strata[l]])
     pi_kl = J[0, 0] if k == l else J[0, 1]
     return float(pi_kl - J[0, 0] * J[1, 1])
 
@@ -56,16 +56,20 @@ class TestFirstOrder:
         assert np.all(s.pi_first == 0.1)
 
     def test_stratified_per_stratum(self):
-        d = two_strata_design(10, 20, 2, 5)
-        pi = first_order(d, population_strata(d))
-        assert np.all(pi[:10] == 0.2)
-        assert np.all(pi[10:] == 0.25)
+        # two of the ten units of stratum 0, five of the twenty of stratum 1
+        s = SampleDraw([3, 14, 9, 21, 12, 27, 18], [0, 1, 0, 1, 1, 1, 1], (10, 20))
+        assert np.array_equal(s.allocations, [2, 5])
+        assert np.all(s.pi_first[s.strata == 0] == 0.2)
+        assert np.all(s.pi_first[s.strata == 1] == 0.25)
 
     def test_pi_sums_to_n_both_designs(self):
-        d1 = srswor_design(100, 17)
-        assert abs(first_order(d1, population_strata(d1)).sum() - 17) < 1e-12
-        d2 = two_strata_design(13, 9, 4, 3)
-        assert abs(first_order(d2, population_strata(d2)).sum() - 7) < 1e-12
+        # each population unit has its stratum's rate: sum_h N_h pi_h = n
+        rng = np.random.default_rng(4)
+        s1 = draw_srswor(100, 17, rng)
+        s2 = draw_stratified(np.arange(22.0), rng.normal(size=22), [13 / 22, 9 / 22], 7, rng)
+        for s, n in ((s1, 17), (s2, 7)):
+            rate = np.bincount(s.strata, weights=s.pi_first) / s.allocations
+            assert abs(float(rate @ s.population_sizes) - n) < 1e-12
 
 
 class TestJointInclusion:
@@ -84,10 +88,10 @@ class TestJointInclusion:
             3 * 2 / (10 * 9), abs=1e-15
         )
 
-    def test_diagonal_is_first_order(self):
+    def test_diagonal_is_pi_k(self):
         # a unit is one unit: pi_kk = pi_k, not the within-stratum pair value
         d = two_strata_design(5, 6, 2, 3)
-        J = joint_matrix(d, [0, 0, 1, 1])
+        J = joint_matrix(*d, [0, 0, 1, 1])
         assert np.array_equal(np.diag(J), [0.4, 0.4, 0.5, 0.5])
         assert J[0, 1] == pytest.approx(2 / 20, abs=1e-15)
         assert J[2, 3] == pytest.approx(6 / 30, abs=1e-15)
@@ -116,7 +120,8 @@ class TestJointInclusion:
         count_k /= len(samples)
         count_kl /= len(samples)
         strata = population_strata(d)
-        assert np.allclose(count_k, first_order(d, strata), atol=1e-12)
+        assert np.allclose(count_k, draw_srswor(N, n, np.random.default_rng(0)).pi_first[0],
+                           atol=1e-12)
         for k in range(N):
             for l in range(N):
                 if k != l:
@@ -153,11 +158,11 @@ class TestJointMatrix:
     def test_matches_scalar_ops(self, design):
         # every entry against the textbook pair formulas
         strata = population_strata(design)
-        J = joint_matrix(design, strata)
-        N_h, n_h = design.population_sizes, design.allocations
-        assert np.allclose(np.diag(J), first_order(design, strata), atol=1e-15)
-        for k in range(0, design.population_size, 2):
-            for l in range(1, design.population_size, 3):
+        J = joint_matrix(*design, strata)
+        N_h, n_h = map(np.asarray, design)
+        assert np.allclose(np.diag(J), n_h[strata] / N_h[strata], atol=1e-15)
+        for k in range(0, N_h.sum(), 2):
+            for l in range(1, N_h.sum(), 3):
                 if k == l:
                     continue
                 h, g = strata[k], strata[l]
@@ -169,7 +174,7 @@ class TestJointMatrix:
 
     def test_symmetric(self):
         d = two_strata_design(5, 5, 2, 2)
-        J = joint_matrix(d, population_strata(d))
+        J = joint_matrix(*d, population_strata(d))
         assert np.array_equal(J, J.T)
 
 
@@ -239,9 +244,9 @@ class TestNeymanAllocation:
 class TestDraws:
     def test_srswor_bad_sizes(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(InvalidDesignError):
+        with pytest.raises(InvalidDesignError, match="1 <= n <= N"):
             draw_srswor(10, 0, rng)
-        with pytest.raises(InvalidDesignError):
+        with pytest.raises(InvalidDesignError, match="1 <= n <= N"):
             draw_srswor(10, 11, rng)
 
     def test_pair_frequencies_uniform(self):
@@ -263,15 +268,13 @@ class TestDraws:
         sort_key = np.arange(N, dtype=float)
         alloc_var = rng.normal(size=N)
         s = draw_stratified(sort_key, alloc_var, [0.5, 0.5], 10, rng)
-        d = s.design
         # ascending sort of an already sorted key: contiguous halves
-        assert np.array_equal(d.population_sizes, [20, 20])
+        assert np.array_equal(s.population_sizes, [20, 20])
         assert np.array_equal(s.strata, s.unit_ids >= 20)
         assert np.all(np.diff(s.unit_ids) > 0)
-        assert d.allocations.sum() == 10
-        assert np.allclose(
-            s.pi_first, first_order(d, s.strata), atol=0
-        )
+        assert np.array_equal(s.allocations, np.bincount(s.strata))
+        assert s.allocations.sum() == 10
+        assert np.array_equal(s.pi_first, (s.allocations / 20)[s.strata])
 
     def test_stratified_tie_break_by_unit_index(self):
         rng = np.random.default_rng(3)
@@ -285,13 +288,13 @@ class TestDraws:
         # design quantity is bit-equal to that of the flat (N, n) design
         rng = np.random.default_rng(11)
         s = draw_stratified(rng.normal(size=15), rng.normal(size=15), [1.0], 5, rng)
-        d_flat = srswor_design(15, 5)
-        flat = SampleDraw(s.unit_ids, np.zeros(5, dtype=np.int64), d_flat)
+        flat = SampleDraw(s.unit_ids, np.zeros(5, dtype=np.int64), (15,))
         assert np.array_equal(s.strata, np.zeros(5))
         assert np.array_equal(s.pi_first, flat.pi_first)
+        assert np.array_equal(s.allocations, flat.allocations)
         strata = np.zeros(15, dtype=np.int64)
-        assert np.array_equal(first_order(s.design, strata), first_order(d_flat, strata))
-        assert np.array_equal(joint_matrix(s.design, strata), joint_matrix(d_flat, strata))
+        assert np.array_equal(joint_matrix(s.population_sizes, s.allocations, strata),
+                              joint_matrix(*srswor_design(15, 5), strata))
         eta = rng.normal(size=5) * 3.0 + 10.0
         assert v1_hat(s, eta) == v1_hat(flat, eta)
 
@@ -303,52 +306,62 @@ class TestDraws:
 
 class TestValidation:
     def test_sample_draw_checks(self):
-        d = srswor_design(10, 3)
         zeros = np.zeros(3, dtype=np.int64)
         with pytest.raises(InvalidDesignError, match="duplicate"):
-            SampleDraw(np.array([1, 1, 2]), zeros, d)
+            SampleDraw(np.array([1, 1, 2]), zeros, (10,))
         with pytest.raises(InvalidDesignError, match="labels out of range"):
-            SampleDraw(np.array([1, 2, 3]), np.array([0, 0, 1]), d)
+            SampleDraw(np.array([1, 2, 3]), np.array([0, 0, 1]), (10,))
         with pytest.raises(InvalidDesignError, match="labels out of range"):
-            SampleDraw(np.array([1, 2, 3]), np.array([0, -1, 0]), d)
-        with pytest.raises(InvalidDesignError, match="sample_size"):
-            SampleDraw(np.array([1, 2]), zeros[:2], d)
+            SampleDraw(np.array([1, 2, 3]), np.array([0, -1, 0]), (10,))
         with pytest.raises(InvalidDesignError, match="matching"):
-            SampleDraw(np.array([1, 2, 3]), zeros[:2], d)
+            SampleDraw(np.array([1, 2, 3]), zeros[:2], (10,))
+        with pytest.raises(InvalidDesignError, match="matching"):
+            SampleDraw(np.array([[1, 2, 3]]), zeros[None, :], (10,))
         with pytest.raises(InvalidDesignError, match="out of range"):
-            SampleDraw(np.array([1, 2, 10]), zeros, d)
+            SampleDraw(np.array([1, 2, 10]), zeros, (10,))
         with pytest.raises(InvalidDesignError, match="out of range"):
-            SampleDraw(np.array([-1, 2, 3]), zeros, d)
-        s = SampleDraw(np.array([4, 0, 7]), zeros, d)
+            SampleDraw(np.array([-1, 2, 3]), zeros, (10,))
+        s = SampleDraw(np.array([4, 0, 7]), zeros, (10,))
         assert np.array_equal(s.pi_first, np.full(3, 0.3))
+        assert np.array_equal(s.allocations, [3])
+        assert (s.population_size, s.n) == (10, 3)
         assert not s.pi_first.flags.writeable
 
-    def test_descriptor_checks(self):
-        with pytest.raises(InvalidDesignError):
-            DesignDescriptor((10,), (11,))
-        with pytest.raises(InvalidDesignError):
-            DesignDescriptor((10,), (0,))
-        with pytest.raises(InvalidDesignError):
-            DesignDescriptor((), ())
-        with pytest.raises(InvalidDesignError):
-            DesignDescriptor((3, 3), (2,))
-        with pytest.raises(InvalidDesignError):
-            DesignDescriptor((3, 3), (2, 4))
-        with pytest.raises(InvalidDesignError):
+    def test_counted_allocation_checks(self):
+        # n_h is the count of each stratum's labels, held to 1 <= n_h <= N_h
+        with pytest.raises(InvalidDesignError, match="stratum sizes"):
+            SampleDraw([], [], ())
+        with pytest.raises(InvalidDesignError, match="stratum sizes"):
+            SampleDraw([0], [0], [[10]])
+        with pytest.raises(InvalidDesignError, match="1 <= n_h <= N_h"):
+            SampleDraw([], [], (10,))  # an empty draw
+        with pytest.raises(InvalidDesignError, match="1 <= n_h <= N_h"):
+            SampleDraw([0, 1, 2], [0, 0, 0], (10, 10))  # stratum 1 is empty
+        with pytest.raises(InvalidDesignError, match="1 <= n_h <= N_h"):
+            # distinct in-range ids, but four of them in a stratum of three
+            SampleDraw([0, 1, 2, 3, 4, 5], [0, 0, 0, 0, 1, 1], (3, 10))
+        with pytest.raises(InvalidDesignError, match=">= 2"):
             # n_h = 1 breaks within-stratum joint inclusion
-            DesignDescriptor((3, 3), (1, 2))
+            SampleDraw([0, 3, 4], [0, 1, 1], (3, 3))
         # a one-unit SRSWOR draw stays legal, and so does a census
-        assert DesignDescriptor((10,), (1,)).sample_size == 1
-        assert DesignDescriptor((4, 5), (4, 5)).population_size == 9
+        one = SampleDraw([4], [0], (10,))
+        assert (one.n, one.allocations.tolist(), one.pi_first.tolist()) == (1, [1], [0.1])
+        census = SampleDraw(np.arange(9), np.repeat([0, 1], [4, 5]), (4, 5))
+        assert census.population_size == 9
+        assert np.array_equal(census.allocations, [4, 5])
+        assert np.all(census.pi_first == 1.0)
 
-    def test_descriptor_arrays_are_read_only_copies(self):
-        sizes, alloc = np.array([7, 9]), np.array([2, 4])
-        d = DesignDescriptor(sizes, alloc)
-        assert np.array_equal(d.population_sizes, [7, 9])
-        assert np.array_equal(d.allocations, [2, 4])
-        assert (d.population_size, d.sample_size) == (16, 6)
-        assert not d.population_sizes.flags.writeable
-        assert not d.allocations.flags.writeable
-        assert sizes.flags.writeable and alloc.flags.writeable  # the caller's arrays are left alone
-        sizes[0] = 1
-        assert d.population_sizes[0] == 7
+    def test_sample_draw_arrays_are_read_only_copies(self):
+        ids, labels, sizes = np.array([5, 1, 12, 8]), np.array([0, 0, 1, 1]), np.array([7, 9])
+        s = SampleDraw(ids, labels, sizes)
+        assert np.array_equal(s.population_sizes, [7, 9])
+        assert np.array_equal(s.allocations, [2, 2])
+        assert (s.population_size, s.n) == (16, 4)
+        for name in ("unit_ids", "strata", "population_sizes", "allocations", "pi_first"):
+            assert not getattr(s, name).flags.writeable, name
+        # the caller's arrays are left alone: still writable, and a write
+        # to them does not reach the draw
+        for arg in (ids, labels, sizes):
+            assert arg.flags.writeable
+        ids[0], labels[0], sizes[0] = 2, 1, 1
+        assert (s.unit_ids[0], s.strata[0], s.population_sizes[0]) == (5, 0, 7)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survey_impute.design import DesignDescriptor, SampleDraw, draw_srswor
+from survey_impute.design import SampleDraw, draw_srswor
 from survey_impute.estimators import (
     RCOND_MIN,
     FitResult,
@@ -142,11 +142,10 @@ class TestHtMean:
     def test_exhaustive_unbiasedness(self):
         N, n = 6, 2
         y_pop = np.array([2.0, 7.0, -3.0, 0.5, 4.0, 10.0])
-        design = DesignDescriptor((N,), (n,))
         vals = []
         for ids in itertools.combinations(range(N), n):
             ids = np.array(ids)
-            s = SampleDraw(ids, np.zeros(n, dtype=np.int64), design)
+            s = SampleDraw(ids, np.zeros(n, dtype=np.int64), (N,))
             vals.append(ht_mean(s, y_pop[ids]))
         assert np.mean(vals) == pytest.approx(y_pop.mean(), abs=1e-12)
 

@@ -92,7 +92,7 @@ class TestClosedForm:
         m = ModelSpec((1, 2))
         ref = loss_closed_form(s, r, X, m, beta, 1.5)
         perm = np.random.default_rng(8).permutation(s.n)
-        s2 = SampleDraw(s.unit_ids[perm], s.strata[perm], s.design)
+        s2 = SampleDraw(s.unit_ids[perm], s.strata[perm], s.population_sizes)
         r2 = r[perm]
         got = loss_closed_form(s2, r2, X[perm], m, beta, 1.5)
         assert got.l1 == pytest.approx(ref.l1, rel=1e-10, abs=1e-12)

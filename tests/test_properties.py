@@ -12,7 +12,6 @@ from oracles import (c_oracle, estimate_and_eta, eta_oracle, joint_matrix, v1_do
                      v2_oracle)
 
 from survey_impute.design import (
-    DesignDescriptor,
     SampleDraw,
     _largest_remainder,
     draw_srswor,
@@ -175,11 +174,10 @@ def random_draw(seed, stratified):
     if sizes.size > 1:
         alloc[-1] = int(sizes[-1])
     blocks = np.split(rng.permutation(int(sizes.sum())), np.cumsum(sizes)[:-1])
-    design = DesignDescriptor(sizes, alloc)
     picks = [rng.choice(np.sort(b), n_h, replace=False) for b, n_h in zip(blocks, alloc)]
     by_id = np.argsort(np.concatenate(picks))
     strata = np.repeat(np.arange(sizes.size), alloc)[by_id]
-    return SampleDraw(np.concatenate(picks)[by_id], strata, design), rng
+    return SampleDraw(np.concatenate(picks)[by_id], strata, sizes), rng
 
 
 @settings(max_examples=80, deadline=None)
@@ -208,8 +206,7 @@ def test_delta_is_symmetric(seed):
     rng = np.random.default_rng(seed)
     N = int(rng.integers(4, 30))
     n = int(rng.integers(2, N + 1))
-    design = DesignDescriptor((N,), (n,))
-    J = joint_matrix(design, np.zeros(N, dtype=np.int64))
+    J = joint_matrix((N,), (n,), np.zeros(N, dtype=np.int64))
     delta = J - np.outer(np.diag(J), np.diag(J))
     k, l = rng.choice(N, size=2, replace=False)
     assert delta[k, l] == pytest.approx(delta[l, k], rel=1e-14)
