@@ -52,7 +52,6 @@ from .variance import (  # noqa: E402
     Estimate,
     confidence_interval,
     estimate_model,
-    estimate_with_inference,
     sigma2_hat,
     v1_hat,
 )

@@ -36,8 +36,9 @@ from .config import (
 from .design import SampleDraw
 from .errors import ConfigError, EstimationFailureError, SelectionFailureError, SurveyImputeError
 from .estimators import build_candidates, fit_candidates
+from .selection import select
 from .study import SUMMARY_COLUMNS, float_text, reps_to_csv, run_study, summary_to_csv
-from .variance import estimate_with_inference
+from .variance import estimate_model
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -65,10 +66,12 @@ def _with_env_seed(cfg):
 
 
 def _check_outputs(out_dir, name, inputs, reps_out=None):
-    """Refuse, before any work and creating nothing, an out_dir that
-    os.makedirs cannot make, an output file out_dir/name that is a
-    directory or an input file, or a reps_out that names no file in an
-    existing directory or in out_dir, or names out_dir/name or an input."""
+    """Refuse, before any work and creating nothing, an out_dir whose
+    nearest existing ancestor is not a directory, an output file
+    out_dir/name that is a directory or an input file, or a reps_out
+    that names no file in an existing directory or in out_dir, or names
+    out_dir/name or an input. A path the OS refuses for another reason,
+    such as a name too long, fails only when written (see _writing)."""
     top = os.path.abspath(out_dir)
     while not os.path.lexists(top):
         top = os.path.dirname(top)
@@ -88,6 +91,16 @@ def _check_outputs(out_dir, name, inputs, reps_out=None):
     for flag, path in (("--out-dir", target), ("--reps-out", reps_out)):
         if path is not None and os.path.realpath(path) in read:
             raise ConfigError(flag, f"cannot write {path!r}: it is an input file")
+
+
+@contextlib.contextmanager
+def _writing(flag):
+    """An OSError from making or writing the output of flag, as a
+    ConfigError at flag."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(flag, f"cannot write output: {exc}")
 
 
 def _print_summary_table(cfg, summary, text, out):
@@ -113,10 +126,12 @@ def cmd_simulate(args):
     _check_outputs(out_dir, "summary.csv", (args.config,), args.reps_out)
     # run_study refuses --threads < 1 before any work, so a refused run creates nothing
     summary, records = run_study(cfg, threads=args.threads)
-    os.makedirs(out_dir, exist_ok=True)
-    rows = summary_to_csv(summary, os.path.join(out_dir, "summary.csv"))
+    with _writing("--out-dir"):
+        os.makedirs(out_dir, exist_ok=True)
+        rows = summary_to_csv(summary, os.path.join(out_dir, "summary.csv"))
     if args.reps_out is not None:
-        reps_to_csv(records, args.reps_out, cfg)
+        with _writing("--reps-out"):
+            reps_to_csv(records, args.reps_out, cfg)
     _print_summary_table(cfg, summary, rows, sys.stdout)
 
     if summary.failure_rate > cfg.failure_threshold:
@@ -331,9 +346,8 @@ def cmd_estimate(args):
     # not finite and confidence_interval reports it as the one error line
     with np.errstate(over="ignore", invalid="ignore"):
         fits = fit_candidates(X[resp], y[resp], build_candidates(cfg.candidates, p))
-        est, _ = estimate_with_inference(
-            sample, resp, X, y, fits, cfg.criterion, cfg.level, rng
-        )
+        model, _ = select(cfg.criterion, fits, y[resp], rng)
+        est = estimate_model(sample, resp, X, y, model, fits[model], cfg.level)
 
     out = {
         "criterion": cfg.criterion,
@@ -355,11 +369,13 @@ def cmd_estimate(args):
         },
     }
     text = json.dumps(out, indent=2)
-    print(text)
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        with open(os.path.join(args.out_dir, "estimate.json"), "w") as fh:
-            fh.write(text + "\n")
+        # written before printing: a refused write leaves stdout empty
+        with _writing("--out-dir"):
+            os.makedirs(args.out_dir, exist_ok=True)
+            with open(os.path.join(args.out_dir, "estimate.json"), "w") as fh:
+                fh.write(text + "\n")
+    print(text)
     return EXIT_OK
 
 

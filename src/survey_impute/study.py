@@ -20,9 +20,10 @@ from .design import draw_srswor, draw_stratified
 from .errors import ConfigError, EstimationFailureError, MetricError, SelectionFailureError
 from .estimators import build_candidates, classify_model, fit_candidates, ht_mean, imputed_means
 from .population import generate_population, generate_response, true_support
-from .variance import Estimate, estimate_with_inference
+from .selection import select
+from .variance import Estimate, estimate_model
 
-# the only errors estimate_with_inference raises on a replication:
+# the only errors select and estimate_model raise on a replication:
 # fit_candidates turns a singular fit into None, select never picks a
 # model without residual df, a realized draw always matches its
 # allocation, and a non-finite estimate raises EstimationFailureError
@@ -80,16 +81,20 @@ def run_replication(cfg, rep_id):
     y_s = y[sample.unit_ids]
     ht_complete = ht_mean(sample, y_s)
 
-    fits = fit_candidates(X_s[r], y_s[r], candidate_labels(cfg))
+    y_r = y_s[r]
+    fits = fit_candidates(X_s[r], y_r, candidate_labels(cfg))
     mu_hats = tuple(imputed_means(sample, r, X_s, y_s, fits).values())
 
     criteria = []
     estimates = {}  # criteria that pick one model share its Estimate
     for crit in cfg.criteria:
         try:
-            est, _ = estimate_with_inference(
-                sample, r, X_s, y_s, fits, crit, cfg.level, crit_rng, estimates
-            )
+            model, _ = select(crit, fits, y_r, crit_rng)
+            if model not in estimates:
+                estimates[model] = estimate_model(
+                    sample, r, X_s, y_s, model, fits[model], cfg.level
+                )
+            est = estimates[model]
         except _FAILURES as exc:
             est = type(exc).__name__
         criteria.append(est)

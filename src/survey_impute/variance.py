@@ -7,12 +7,11 @@ reproduces mu_hat exactly; v1 is the design variance of that HT mean
 and v2 adds the model component from predicting the missing y.
 estimate_model reads both off one model's respondent fit (its Q, R and
 residuals), with no design over the respondents and no new
-factorization, and returns the model's Estimate. confidence_interval
-gives (lower, upper), and estimate_with_inference one Estimate per
-dataset together with the selection scores, estimating each selected
-model once when its callers share a memo. The response set is the
-boolean array r over the sample, as generate_response returns it: the
-respondents are X[r] and the missing X[~r].
+factorization, and returns the model's Estimate; its callers pick the
+model with selection.select first. confidence_interval gives (lower,
+upper). The response set is the boolean array r over the sample, as
+generate_response returns it: the respondents are X[r] and the missing
+X[~r].
 """
 
 from dataclasses import dataclass
@@ -22,7 +21,6 @@ import numpy as np
 
 from .errors import DegenerateFitError, EstimationFailureError
 from .estimators import check_response, design_matrix, imputed_means
-from .selection import select
 
 
 @dataclass(frozen=True)
@@ -131,23 +129,3 @@ def estimate_model(sample, r, X, y, model, fit, level):
     mu = imputed_means(sample, r, X, y, {model: fit})[model]
     lower, upper = confidence_interval(mu, v1 + v2, level)
     return Estimate(model, mu, v1, v2, s2, lower, upper)
-
-
-def estimate_with_inference(sample, r, X, y, fits, criterion, level, rng=None,
-                            estimates=None):
-    """Full pipeline on one dataset: select a model on the respondents
-    (r True) from the candidate set fits (from fit_candidates), scored
-    in its key order, and estimate it with estimate_model on its fit.
-    estimates, when given, is a {model: Estimate} memo shared by the
-    calls on one dataset at one level: a model already in it is not
-    estimated again, and a new one is added, so criteria that pick the
-    same model share one Estimate.
-    -> (Estimate, the selection's {model: score})."""
-    check_response(sample, r)
-    y_r = np.asarray(y, dtype=np.float64)[r]
-    model, scores = select(criterion, fits, y_r, rng)
-    if estimates is None:
-        estimates = {}
-    if model not in estimates:
-        estimates[model] = estimate_model(sample, r, X, y, model, fits[model], level)
-    return estimates[model], scores

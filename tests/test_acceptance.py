@@ -34,7 +34,7 @@ from survey_impute.population import generate_population, generate_response
 from survey_impute.selection import select
 from survey_impute.variance import (
     Estimate,
-    estimate_with_inference,
+    estimate_model,
     sigma2_hat,
     v1_hat,
 )
@@ -338,10 +338,9 @@ def test_criterion_12_noiseless_recovery(acceptance):
     picks_smallest = best == m2
 
     cs = SampleDraw(np.arange(40), np.zeros(40, dtype=np.int64), (40,))
-    est, _ = estimate_with_inference(
-        cs, np.ones(40, dtype=bool), X_pop, y_pop,
-        fit_candidates(X_pop, y_pop, cands), "bic", 0.95,
-    )
+    census = fit_candidates(X_pop, y_pop, cands)
+    model, _ = select("bic", census, y_pop)
+    est = estimate_model(cs, np.ones(40, dtype=bool), X_pop, y_pop, model, census[model], 0.95)
     mu = float(y_pop.mean())
     degenerate = (
         est.lower == est.upper == est.mu_hat

@@ -30,7 +30,8 @@ from survey_impute.config import parse_estimate_config
 from survey_impute.design import SampleDraw
 from survey_impute.errors import ConfigError
 from survey_impute.estimators import build_candidates, fit_candidates, ht_mean, nested_candidates
-from survey_impute.variance import estimate_with_inference
+from survey_impute.selection import select
+from survey_impute.variance import estimate_model
 
 
 def study_json(tmp_path, name="study.json", **tweaks):
@@ -317,6 +318,44 @@ class TestOutputPaths:
         capsys.readouterr()
         assert code == EXIT_OK
         assert (out / "summary.csv").exists() and (out / "reps.csv").exists()
+
+
+class TestRefusedWrites:
+    """An output path that passes the pre-check but that the OS refuses
+    when it is written (here a 300-character name, past any file
+    system's name limit) exits 2 with one stderr line, no traceback and
+    nothing on stdout."""
+
+    LONG = "x" * 300
+
+    def refused(self, capsys, argv, flag):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err.startswith(f"config error at {flag}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_simulate_out_dir_name_too_long(self, tmp_path, capsys):
+        cfg_path = study_json(tmp_path)
+        self.refused(capsys, ["simulate", "--config", str(cfg_path),
+                              "--out-dir", str(tmp_path / self.LONG)], "--out-dir")
+
+    def test_simulate_reps_out_name_too_long(self, tmp_path, capsys):
+        cfg_path = study_json(tmp_path)
+        self.refused(capsys, ["simulate", "--config", str(cfg_path),
+                              "--out-dir", str(tmp_path / "o"),
+                              "--reps-out", str(tmp_path / self.LONG)], "--reps-out")
+        assert (tmp_path / "o" / "summary.csv").exists()
+
+    def test_estimate_out_dir_name_too_long(self, tmp_path, capsys):
+        ids, X, y, pi = sample_data()
+        write_sample_csv(tmp_path / "d.csv", ids, X, y, pi, missing={2})
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps({"criterion": "bic", "design": {"kind": "srswor", "N": 50}}))
+        self.refused(capsys, ["estimate", "--data", str(tmp_path / "d.csv"),
+                              "--config", str(cfg),
+                              "--out-dir", str(tmp_path / self.LONG)], "--out-dir")
 
 
 class TestReadEstimateCsv:
@@ -801,9 +840,8 @@ class TestEstimate:
         r = np.ones(n, dtype=bool)
         r[list(missing)] = False
         fits = fit_candidates(X[r], y[r], nested_candidates(2))
-        est, _ = estimate_with_inference(
-            sample, r, X, np.where(r, y, np.nan), fits, "bic", 0.95,
-        )
+        model, _ = select("bic", fits, y[r])
+        est = estimate_model(sample, r, X, np.where(r, y, np.nan), model, fits[model], 0.95)
         assert got["selected"]["included"] == list(est.model.included)
         assert got["mu_hat"] == _round10(est.mu_hat)
         assert got["v1"] == _round10(est.v1)
@@ -1007,11 +1045,10 @@ class TestEstimate:
             sample = SampleDraw(np.arange(22), np.repeat([0, 1], [12, 10])[order], (80, 60))
             Xo, yo, ro = X[order], y[order], r[order]
             rng = np.random.default_rng(np.random.SeedSequence([2, 0]))
-            est, _ = estimate_with_inference(
-                sample, ro, Xo, np.where(ro, yo, np.nan),
-                fit_candidates(Xo[ro], yo[ro], nested_candidates(3)), "cv5", 0.95, rng,
-            )
-            return est
+            fits = fit_candidates(Xo[ro], yo[ro], nested_candidates(3))
+            model, _ = select("cv5", fits, yo[ro], rng)
+            return estimate_model(sample, ro, Xo, np.where(ro, yo, np.nan), model,
+                                  fits[model], 0.95)
 
         est = in_process(np.arange(22))
         assert got["selected"]["included"] == list(est.model.included)

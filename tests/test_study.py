@@ -15,6 +15,7 @@ from survey_impute.config import parse_study_config
 from survey_impute.design import draw_srswor
 from survey_impute.errors import ConfigError, MetricError
 from survey_impute.estimators import ModelSpec, fit_candidates, nested_candidates
+from survey_impute.selection import select
 from survey_impute.study import (
     SUMMARY_COLUMNS,
     StudySummary,
@@ -32,7 +33,7 @@ from survey_impute.study import (
     summary_to_csv,
     variance_rb,
 )
-from survey_impute.variance import Estimate, estimate_with_inference
+from survey_impute.variance import Estimate, estimate_model
 
 
 def tiny_config(**tweaks):
@@ -275,8 +276,8 @@ class TestFitSharing:
         cands = nested_candidates(3)
         fits = fit_candidates(X[r], y[r], cands)
         calls = count_factorizations(monkeypatch)
-        est, _ = estimate_with_inference(sample, r, X, y, fits, criterion, 0.95,
-                                         np.random.default_rng(22))
+        model, _ = select(criterion, fits, y[r], np.random.default_rng(22))
+        est = estimate_model(sample, r, X, y, model, fits[model], 0.95)
         assert np.isfinite(est.v_total)
         assert calls == []
 
@@ -288,25 +289,28 @@ class TestEstimateSharing:
         # made when every criterion estimates its pick itself
         cfg = tiny_config(replications=1, criteria=["aic", "bic", "cv5"],
                           population={"beta": [1.0, 2.0, 3.0]}, design={"n": 30})
-        import survey_impute.variance as var
+        picks, calls = [], []
 
-        calls, real = [], var.estimate_model
+        def picked(crit, fits, *rest):
+            model, scores = select(crit, fits, *rest)
+            picks.append((model, fits[model]))
+            return model, scores
 
         def counted(*args):
-            calls.append(args[4])
-            return real(*args)
+            calls.append(args)
+            return estimate_model(*args)
 
-        monkeypatch.setattr(var, "estimate_model", counted)
+        monkeypatch.setattr(study, "select", picked)
+        monkeypatch.setattr(study, "estimate_model", counted)
         shared = run_replication(cfg, 0)
-        assert calls == [ModelSpec((1, 2))]
-        assert {e.model for e in shared.criteria} == {ModelSpec((1, 2))}
+        assert [m for m, _ in picks] == [ModelSpec((1, 2))] * 3
+        assert [args[4] for args in calls] == [ModelSpec((1, 2))]
+        assert all(e is shared.criteria[0] for e in shared.criteria)
 
-        def unshared(*args):
-            return estimate_with_inference(*args[:8])
-
-        monkeypatch.setattr(study, "estimate_with_inference", unshared)
-        assert run_replication(cfg, 0) == shared
-        assert len(calls) == 4
+        # each criterion estimating its own pick, on the replication's data
+        sample, r, X, y, _, _, level = calls[0]
+        unshared = tuple(estimate_model(sample, r, X, y, m, fit, level) for m, fit in picks)
+        assert dataclasses.replace(shared, criteria=unshared) == shared
 
 
 class TestFailureAccounting:

@@ -23,10 +23,10 @@ from survey_impute.estimators import (FitResult, ModelSpec, design_matrix, fit_c
                                       ht_mean, imputed_means)
 from survey_impute.loss import loss_closed_form, mc_loss_oracle
 from survey_impute.population import generate_population, generate_response
+from survey_impute.selection import select
 from survey_impute.variance import (
     confidence_interval,
     estimate_model,
-    estimate_with_inference,
     sigma2_hat,
     v1_hat,
 )
@@ -372,7 +372,8 @@ class TestPipeline:
         y = 1.0 + X @ [2.0, -1.0] + rng.normal(size=N)
         r = np.ones(N, dtype=bool)
         fits = fit_candidates(X, y, [ModelSpec((1, 2))])
-        est, scores = estimate_with_inference(s, r, X, y, fits, "bic", 0.95)
+        model, scores = select("bic", fits, y[r])
+        est = estimate_model(s, r, X, y, model, fits[model], 0.95)
         assert list(scores) == list(fits)
         mu = float(y.mean())
         assert est.mu_hat == pytest.approx(mu, rel=1e-12)
@@ -395,7 +396,8 @@ class TestPipeline:
         assert (est.lower, est.upper) == confidence_interval(est.mu_hat, est.v1 + est.v2, 0.9)
         # the pipeline's estimate of its pick is this one
         fits = {m: fit}
-        assert estimate_with_inference(s, r, X, y, fits, "bic", 0.9)[0] == est
+        model, _ = select("bic", fits, y[r])
+        assert estimate_model(s, r, X, y, model, fits[model], 0.9) == est
 
 
 class TestResponseSet:
@@ -418,8 +420,6 @@ class TestResponseSet:
         "imputed_means": lambda s, r, X, y, m, fits: imputed_means(s, r, X, y, fits),
         "estimate_model": lambda s, r, X, y, m, fits: estimate_model(
             s, r, X, y, m, fits[m], 0.95),
-        "estimate_with_inference": lambda s, r, X, y, m, fits: estimate_with_inference(
-            s, r, X, y, fits, "bic", 0.95),
         "loss_closed_form": lambda s, r, X, y, m, fits: loss_closed_form(
             s, r, X, m, [1.0, 2.0, 3.0, 0.0], 5.0),
         "mc_loss_oracle": lambda s, r, X, y, m, fits: mc_loss_oracle(
