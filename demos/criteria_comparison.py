@@ -9,7 +9,7 @@ picks should be rare for all three at this sample size.
 
 from pathlib import Path
 
-from survey_impute import load_json, parse_study_config, run_study
+from survey_impute import load_json, parse_study_config, run_records, summarize
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "srswor_n200.json"
 B = 300
@@ -21,7 +21,7 @@ def main():
     cfg = parse_study_config(obj)
     print(f"study {cfg.name}: N={cfg.N}, n={cfg.n}, p={cfg.p}, B={B}")
     print("running...", flush=True)
-    summary, _ = run_study(cfg)
+    summary = summarize(cfg, run_records(cfg))
 
     print(f"\n{'criterion':>10} {'wrong%':>7} {'true%':>7} {'overfit%':>9}"
           f" {'CP%':>6} {'varRB%':>7} {'RB%':>7}")

@@ -76,7 +76,7 @@ def main():
     for model in candidates:
         fit = fits[model]
         mu_a = mu_hats[model]
-        cls = classify_model(model, support).value
+        cls = classify_model(model, support)
         label = f"alpha{max(model.included)}"
         print(f"{label:>8} {cls:>8} {model.p_alpha:>4} {fit.rss:>12.1f}"
               f" {mu_a:>10.4f} {mu_a - mu:>+9.4f}")
@@ -87,7 +87,7 @@ def main():
     chosen = f"alpha{max(model.included)}"
     print(f"\nBIC scores: " + ", ".join(
         f"alpha{max(m.included)}={s:.1f}" for m, s in list(scores.items())[:5]) + ", ...")
-    print(f"BIC picks {chosen} ({classify_model(model, support).value})")
+    print(f"BIC picks {chosen} ({classify_model(model, support)})")
 
     est = estimate_model(sample, r, X_s, y_s, model, fits[model], 0.95)
     print(f"\npoint estimate    {est.mu_hat:.4f}")

@@ -28,7 +28,6 @@ from .errors import (  # noqa: E402
 )
 from .estimators import (  # noqa: E402
     FitResult,
-    ModelClass,
     ModelSpec,
     classify_model,
     design_matrix,
@@ -75,7 +74,6 @@ from .study import (  # noqa: E402
     reps_to_csv,
     run_records,
     run_replication,
-    run_study,
     summarize,
     summary_to_csv,
     variance_rb,

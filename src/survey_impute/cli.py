@@ -37,7 +37,7 @@ from .design import SampleDraw
 from .errors import ConfigError, EstimationFailureError, SelectionFailureError, SurveyImputeError
 from .estimators import build_candidates, fit_candidates
 from .selection import select
-from .study import SUMMARY_COLUMNS, float_text, reps_to_csv, run_study, summary_to_csv
+from .study import SUMMARY_COLUMNS, float_text, reps_to_csv, run_records, summarize, summary_to_csv
 from .variance import estimate_model
 
 EXIT_OK = 0
@@ -65,18 +65,35 @@ def _with_env_seed(cfg):
     return dataclasses.replace(cfg, master_seed=seed)
 
 
+def _check_name_lengths(flag, parent, names):
+    """Refuse a name longer, in bytes, than the file system holding the
+    existing directory parent allows; a limit it does not report is no limit."""
+    try:
+        limit = os.pathconf(parent, "PC_NAME_MAX")
+    except (OSError, ValueError):
+        return
+    for name in names:
+        if 0 <= limit < len(os.fsencode(name)):
+            raise ConfigError(flag, f"name longer than the file system's {limit} bytes: {name!r}")
+
+
 def _check_outputs(out_dir, name, inputs, reps_out=None):
     """Refuse, before any work and creating nothing, an out_dir whose
     nearest existing ancestor is not a directory, an output file
     out_dir/name that is a directory or an input file, or a reps_out
     that names no file in an existing directory or in out_dir, or names
-    out_dir/name or an input. A path the OS refuses for another reason,
-    such as a name too long, fails only when written (see _writing)."""
+    out_dir/name or an input, and any name to be created that is longer
+    than its file system allows. A path the OS refuses for another
+    reason, such as a permission denied, fails only when written (see
+    _writing)."""
     top = os.path.abspath(out_dir)
+    created = [name]
     while not os.path.lexists(top):
-        top = os.path.dirname(top)
+        top, part = os.path.split(top)
+        created.append(part)
     if not os.path.isdir(top):
         raise ConfigError("--out-dir", f"{top} is not a directory")
+    _check_name_lengths("--out-dir", top, created)
     target = os.path.join(out_dir, name)
     if os.path.isdir(target):
         raise ConfigError("--out-dir", f"cannot write {name}: {target} is a directory")
@@ -87,6 +104,8 @@ def _check_outputs(out_dir, name, inputs, reps_out=None):
             raise ConfigError("--reps-out", f"cannot write a file at {reps_out!r}")
         if os.path.realpath(reps_out) == os.path.realpath(target):
             raise ConfigError("--reps-out", f"{reps_out!r} is the {name} of --out-dir")
+        _check_name_lengths("--reps-out", where if os.path.isdir(where) else top,
+                            [os.path.basename(reps_out)])
     read = {os.path.realpath(path) for path in inputs}
     for flag, path in (("--out-dir", target), ("--reps-out", reps_out)):
         if path is not None and os.path.realpath(path) in read:
@@ -103,10 +122,10 @@ def _writing(flag):
         raise ConfigError(flag, f"cannot write output: {exc}")
 
 
-def _print_summary_table(cfg, summary, text, out):
+def _print_summary_table(cfg, text, out):
     """The summary table, text as summary_rows formats it, in aligned columns."""
     print(
-        f"study {cfg.name}: B={summary.replications} design={cfg.design_kind} "
+        f"study {cfg.name}: B={cfg.replications} design={cfg.design_kind} "
         f"N={cfg.N} n={cfg.n} seed={cfg.master_seed}",
         file=out,
     )
@@ -124,15 +143,16 @@ def cmd_simulate(args):
 
     out_dir = args.out_dir or "."
     _check_outputs(out_dir, "summary.csv", (args.config,), args.reps_out)
-    # run_study refuses --threads < 1 before any work, so a refused run creates nothing
-    summary, records = run_study(cfg, threads=args.threads)
+    # run_records refuses --threads < 1 before any work, so a refused run creates nothing
+    records = run_records(cfg, threads=args.threads)
+    summary = summarize(cfg, records)
     with _writing("--out-dir"):
         os.makedirs(out_dir, exist_ok=True)
         rows = summary_to_csv(summary, os.path.join(out_dir, "summary.csv"))
     if args.reps_out is not None:
         with _writing("--reps-out"):
             reps_to_csv(records, args.reps_out, cfg)
-    _print_summary_table(cfg, summary, rows, sys.stdout)
+    _print_summary_table(cfg, rows, sys.stdout)
 
     if summary.failure_rate > cfg.failure_threshold:
         print(

@@ -13,7 +13,6 @@ one. The package's one rank rule (_rank_deficient, RCOND_MIN) lives here:
 qr_checked applies it to the fits, selection to the CV training folds.
 """
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +20,6 @@ import numpy as np
 # relative cutoff on the triangular factor's diagonal below which the
 # normal equations are treated as numerically singular
 RCOND_MIN = 1e-10
-
-
-class ModelClass(enum.Enum):
-    TRUE = "true"
-    CORRECT_OVERFIT = "overfit"
-    WRONG = "wrong"
 
 
 @dataclass(frozen=True)
@@ -68,15 +61,15 @@ class FitResult:
 
 
 def classify_model(model, true_support):
-    """TRUE if the model keeps exactly the active covariates, overfit if a
-    strict superset, wrong otherwise. Every model has an intercept, so a
-    nonzero true intercept never makes a model wrong."""
+    """"true" if the model keeps exactly the active covariates, "overfit"
+    if a strict superset, "wrong" otherwise. Every model has an
+    intercept, so a nonzero true intercept never makes a model wrong."""
     truth = tuple(sorted(true_support))
     if model.included == truth:
-        return ModelClass.TRUE
+        return "true"
     if set(model.included) > set(truth):
-        return ModelClass.CORRECT_OVERFIT
-    return ModelClass.WRONG
+        return "overfit"
+    return "wrong"
 
 
 def design_matrix(X, model):

@@ -1,5 +1,6 @@
-"""Monte Carlo replication engine and metric aggregation into one
-SummaryRow per candidate (labeled by candidate_labels) and per criterion.
+"""Monte Carlo replication engine (run_records) and metric aggregation
+(summarize) into one SummaryRow per candidate (labeled by
+candidate_labels) and per criterion.
 
 Each replication derives its own RNG streams from
 SeedSequence([master_seed, rep_id]).spawn(4), one stream per stage
@@ -208,7 +209,6 @@ class SummaryRow:
 
 @dataclass(frozen=True)
 class StudySummary:
-    replications: int
     model_rows: tuple
     criterion_rows: tuple
 
@@ -253,7 +253,7 @@ def summarize(cfg, records):
         model_rows.append(_summary_row(label, mu, mu_true[ok], ht[ok], B, cfg.N))
 
     support = true_support(cfg.beta)
-    class_of = {m: classify_model(m, support).value for m in labels}
+    class_of = {m: classify_model(m, support) for m in labels}
     criterion_rows = []
     for j, crit in enumerate(cfg.criteria):
         ok = np.array([isinstance(r.criteria[j], Estimate) for r in records])
@@ -270,13 +270,7 @@ def summarize(cfg, records):
             var_rb=_guarded(variance_rb, [e.v_total for e in ests], mu, mu_true[ok]),
         ))
 
-    return StudySummary(B, tuple(model_rows), tuple(criterion_rows))
-
-
-def run_study(cfg, threads=1):
-    """-> (StudySummary, records)."""
-    records = run_records(cfg, threads)
-    return summarize(cfg, records), records
+    return StudySummary(tuple(model_rows), tuple(criterion_rows))
 
 
 # --- CSV output ------------------------------------------------------------

@@ -16,7 +16,7 @@ import pathlib
 import pytest
 
 from survey_impute.config import load_json, parse_study_config
-from survey_impute.study import run_study
+from survey_impute.study import run_records, summarize
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -36,7 +36,8 @@ def load_config(name, **overrides):
 def study_srswor_n500():
     """Main SRSWOR study, all criteria."""
     cfg = load_config("srswor_n500")
-    return cfg, *run_study(cfg)
+    records = run_records(cfg)
+    return cfg, summarize(cfg, records), records
 
 
 @pytest.fixture(scope="session")
@@ -44,19 +45,22 @@ def study_srswor_n200():
     # aic/cv dropped: bic draws nothing from the criterion stream, so
     # its rows are identical to the full run's
     cfg = load_config("srswor_n200", criteria=("bic",))
-    return cfg, *run_study(cfg)
+    records = run_records(cfg)
+    return cfg, summarize(cfg, records), records
 
 
 @pytest.fixture(scope="session")
 def study_srswor_n100():
     cfg = load_config("srswor_n100", criteria=("bic",))
-    return cfg, *run_study(cfg)
+    records = run_records(cfg)
+    return cfg, summarize(cfg, records), records
 
 
 @pytest.fixture(scope="session")
 def study_stratified_n500():
     cfg = load_config("stratified_n500")
-    return cfg, *run_study(cfg)
+    records = run_records(cfg)
+    return cfg, summarize(cfg, records), records
 
 
 @pytest.fixture

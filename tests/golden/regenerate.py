@@ -41,7 +41,13 @@ import numpy as np
 
 from survey_impute.cli import main
 from survey_impute.config import load_json, parse_study_config
-from survey_impute.study import SUMMARY_COLUMNS, candidate_labels, run_study, summary_rows
+from survey_impute.study import (
+    SUMMARY_COLUMNS,
+    candidate_labels,
+    run_records,
+    summarize,
+    summary_rows,
+)
 from survey_impute.variance import Estimate
 
 GOLDEN = pathlib.Path(__file__).resolve().parent
@@ -132,7 +138,8 @@ def regenerate():
         files[f"estimate_{criterion}.json"] = text
     for name in STUDIES:
         cfg = study_config(name)
-        summary_text, selected_text = study_texts(cfg, *run_study(cfg))
+        records = run_records(cfg)
+        summary_text, selected_text = study_texts(cfg, summarize(cfg, records), records)
         files[f"study_{name}_summary.csv"] = summary_text
         files[f"study_{name}_selected.csv"] = selected_text
     for demo in DEMOS:

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import csv
+import errno
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import read_rows
 
-from survey_impute import cli
+from survey_impute import cli, study
 from survey_impute.cli import (
     EXIT_CONFIG,
     EXIT_FAILURE_RATE,
@@ -221,11 +222,11 @@ class TestOutputPaths:
     def test_simulate_reps_out_unwritable(self, tmp_path, capsys, reps):
         cfg_path = study_json(tmp_path)
         (tmp_path / "existing_dir").mkdir()
-        with mock.patch.object(cli, "run_study") as run_study:
+        with mock.patch.object(cli, "run_records") as run_records:
             self.refused(tmp_path, capsys, ["simulate", "--config", str(cfg_path),
                                             "--out-dir", str(tmp_path / "o"),
                                             "--reps-out", str(tmp_path / reps)], "--reps-out")
-        run_study.assert_not_called()
+        run_records.assert_not_called()
 
     def test_simulate_refused_threads_leave_no_out_dir(self, tmp_path, capsys):
         cfg_path = study_json(tmp_path)
@@ -246,10 +247,10 @@ class TestOutputPaths:
     def test_simulate_summary_csv_is_a_directory(self, tmp_path, capsys):
         cfg_path = study_json(tmp_path)
         (tmp_path / "o" / "summary.csv").mkdir(parents=True)
-        with mock.patch.object(cli, "run_study") as run_study:
+        with mock.patch.object(cli, "run_records") as run_records:
             self.refused(tmp_path, capsys, ["simulate", "--config", str(cfg_path),
                                             "--out-dir", str(tmp_path / "o")], "--out-dir")
-        run_study.assert_not_called()
+        run_records.assert_not_called()
 
     def test_estimate_json_is_a_directory(self, tmp_path, capsys):
         ids, X, y, pi = sample_data()
@@ -266,18 +267,18 @@ class TestOutputPaths:
         cfg_path = study_json(tmp_path)
         (tmp_path / "existing").mkdir()
         reps = tmp_path / out / "." / "summary.csv"
-        with mock.patch.object(cli, "run_study") as run_study:
+        with mock.patch.object(cli, "run_records") as run_records:
             self.refused(tmp_path, capsys, ["simulate", "--config", str(cfg_path),
                                             "--out-dir", str(tmp_path / out),
                                             "--reps-out", str(reps)], "--reps-out")
-        run_study.assert_not_called()
+        run_records.assert_not_called()
 
     def refused_untouched(self, tmp_path, capsys, argv, flag):
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-        with mock.patch.object(cli, "run_study") as run_study, \
+        with mock.patch.object(cli, "run_records") as run_records, \
                 mock.patch.object(cli, "read_estimate_csv") as read_data:
             self.refused(tmp_path, capsys, argv, flag)
-        run_study.assert_not_called()
+        run_records.assert_not_called()
         read_data.assert_not_called()
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
@@ -321,10 +322,12 @@ class TestOutputPaths:
 
 
 class TestRefusedWrites:
-    """An output path that passes the pre-check but that the OS refuses
-    when it is written (here a 300-character name, past any file
-    system's name limit) exits 2 with one stderr line, no traceback and
-    nothing on stdout."""
+    """An output the OS would refuse exits 2 with one stderr line, no
+    traceback and nothing on stdout. A name past the file system's limit
+    (here 300 characters, past any file system's) is refused before any
+    work and creates nothing. A refusal that only the write shows, such
+    as a permission denied (raised here by hand: a test run as root is
+    never denied), surfaces when the output is written."""
 
     LONG = "x" * 300
 
@@ -336,26 +339,67 @@ class TestRefusedWrites:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert captured.out == ""
 
-    def test_simulate_out_dir_name_too_long(self, tmp_path, capsys):
-        cfg_path = study_json(tmp_path)
-        self.refused(capsys, ["simulate", "--config", str(cfg_path),
-                              "--out-dir", str(tmp_path / self.LONG)], "--out-dir")
+    def refused_untouched(self, tmp_path, capsys, argv, flag):
+        before = tree(tmp_path)
+        self.refused(capsys, argv, flag)
+        assert tree(tmp_path) == before
 
-    def test_simulate_reps_out_name_too_long(self, tmp_path, capsys):
-        cfg_path = study_json(tmp_path)
-        self.refused(capsys, ["simulate", "--config", str(cfg_path),
-                              "--out-dir", str(tmp_path / "o"),
-                              "--reps-out", str(tmp_path / self.LONG)], "--reps-out")
-        assert (tmp_path / "o" / "summary.csv").exists()
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """A replication or a data read fails the test."""
+        def work(*args):
+            raise AssertionError("work started before the output check")
+        monkeypatch.setattr(study, "run_replication", work)
+        monkeypatch.setattr(cli, "read_estimate_csv", work)
 
-    def test_estimate_out_dir_name_too_long(self, tmp_path, capsys):
+    @staticmethod
+    def denied(*args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    def test_simulate_out_dir_name_too_long(self, tmp_path, capsys, no_work):
+        cfg_path = study_json(tmp_path)
+        self.refused_untouched(tmp_path, capsys, [
+            "simulate", "--config", str(cfg_path),
+            "--out-dir", str(tmp_path / self.LONG / "o")], "--out-dir")
+
+    def test_simulate_reps_out_name_too_long(self, tmp_path, capsys, no_work):
+        cfg_path = study_json(tmp_path)
+        self.refused_untouched(tmp_path, capsys, [
+            "simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"),
+            "--reps-out", str(tmp_path / self.LONG)], "--reps-out")
+
+    def test_estimate_out_dir_name_too_long(self, tmp_path, capsys, no_work):
         ids, X, y, pi = sample_data()
         write_sample_csv(tmp_path / "d.csv", ids, X, y, pi, missing={2})
         cfg = tmp_path / "est.json"
         cfg.write_text(json.dumps({"criterion": "bic", "design": {"kind": "srswor", "N": 50}}))
+        self.refused_untouched(tmp_path, capsys, [
+            "estimate", "--data", str(tmp_path / "d.csv"), "--config", str(cfg),
+            "--out-dir", str(tmp_path / self.LONG)], "--out-dir")
+
+    def test_simulate_out_dir_write_denied(self, tmp_path, capsys, monkeypatch):
+        cfg_path = study_json(tmp_path)
+        monkeypatch.setattr(os, "makedirs", self.denied)
+        self.refused(capsys, ["simulate", "--config", str(cfg_path),
+                              "--out-dir", str(tmp_path / "o")], "--out-dir")
+
+    def test_simulate_reps_out_write_denied(self, tmp_path, capsys, monkeypatch):
+        cfg_path = study_json(tmp_path)
+        monkeypatch.setattr(cli, "reps_to_csv", self.denied)
+        self.refused(capsys, ["simulate", "--config", str(cfg_path),
+                              "--out-dir", str(tmp_path / "o"),
+                              "--reps-out", str(tmp_path / "reps.csv")], "--reps-out")
+        assert (tmp_path / "o" / "summary.csv").exists()
+
+    def test_estimate_out_dir_write_denied(self, tmp_path, capsys, monkeypatch):
+        ids, X, y, pi = sample_data()
+        write_sample_csv(tmp_path / "d.csv", ids, X, y, pi, missing={2})
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps({"criterion": "bic", "design": {"kind": "srswor", "N": 50}}))
+        monkeypatch.setattr(os, "makedirs", self.denied)
         self.refused(capsys, ["estimate", "--data", str(tmp_path / "d.csv"),
                               "--config", str(cfg),
-                              "--out-dir", str(tmp_path / self.LONG)], "--out-dir")
+                              "--out-dir", str(tmp_path / "o")], "--out-dir")
 
 
 class TestReadEstimateCsv:

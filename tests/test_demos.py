@@ -83,7 +83,7 @@ def test_demo_uses_the_public_api_only(demo):
 def test_detects_an_import_past_the_public_api(tmp_path):
     demo = tmp_path / "demo.py"
     demo.write_text("import numpy as np\n"
-                    "from survey_impute import select, run_study\n"
+                    "from survey_impute import select, run_records\n"
                     "from survey_impute.selection import _cv_scores\n"
                     "import survey_impute.design\n"
                     "from survey_impute import _fold_sizes\n"

@@ -28,7 +28,6 @@ from survey_impute.study import (
     reps_to_csv,
     run_records,
     run_replication,
-    run_study,
     summarize,
     summary_to_csv,
     variance_rb,
@@ -329,7 +328,8 @@ class TestFailureAccounting:
             },
             design={"n": 4},
         )
-        summary, records = run_study(cfg)
+        records = run_records(cfg)
+        summary = summarize(cfg, records)
         crit = summary.criterion_rows[0]
         total = crit.freq_wrong + crit.freq_true + crit.freq_overfit + crit.failures
         assert total == pytest.approx(100.0, abs=1e-9)
@@ -349,7 +349,8 @@ class TestFailureAccounting:
             population={"response_offset": -0.5},
             design={"n": 10},
         )
-        summary, records = run_study(cfg)
+        records = run_records(cfg)
+        summary = summarize(cfg, records)
         assert summary.criterion_rows[0].failures > 0.0
         names = {c for r in records for c in r.criteria if isinstance(c, str)}
         assert "SelectionFailureError" in names
@@ -366,7 +367,7 @@ class TestFailureAccounting:
             },
             design={"n": 4},
         )
-        summary, _ = run_study(cfg)
+        summary = summarize(cfg, run_records(cfg))
         by_label = {m.name: m for m in summary.model_rows}
         # alpha3 needs 4 respondent rows; alpha1 only 2
         assert by_label["alpha3"].failures >= by_label["alpha1"].failures
@@ -430,7 +431,7 @@ def test_tiny_studies_count_their_failures(cfg):
 class TestCsv:
     def test_summary_layout(self, tmp_path):
         cfg = tiny_config()
-        summary, _ = run_study(cfg)
+        summary = summarize(cfg, run_records(cfg))
         path = tmp_path / "summary.csv"
         summary_to_csv(summary, path)
         with open(path) as fh:
@@ -453,7 +454,7 @@ class TestCsv:
                      "var_rb": "varRB", "failures": "failures"}
         model = SummaryRow(name="alpha1", **{f: i + 0.25 for i, f in enumerate(header_of)})
         crit = SummaryRow(name="bic", **{f: i + 10.5 for i, f in enumerate(header_of)})
-        summary_to_csv(StudySummary(7, (model,), (crit,)), tmp_path / "summary.csv")
+        summary_to_csv(StudySummary((model,), (crit,)), tmp_path / "summary.csv")
         with open(tmp_path / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [(r["scope"], r["name"]) for r in rows] == [("model", "alpha1"), ("criterion", "bic")]
@@ -463,7 +464,7 @@ class TestCsv:
 
     def test_reps_layout(self, tmp_path):
         cfg = tiny_config(replications=2, criteria=["aic", "cv2"])
-        _, records = run_study(cfg)
+        records = run_records(cfg)
         path = tmp_path / "reps.csv"
         reps_to_csv(records, path, cfg)
         with open(path) as fh:
@@ -479,7 +480,7 @@ class TestCsv:
 
     def test_round_trip_float_precision(self, tmp_path):
         cfg = tiny_config()
-        summary, _ = run_study(cfg)
+        summary = summarize(cfg, run_records(cfg))
         path = tmp_path / "summary.csv"
         summary_to_csv(summary, path)
         with open(path) as fh:
