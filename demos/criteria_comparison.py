@@ -19,7 +19,7 @@ def main():
     obj = load_json(CONFIG)
     obj["replications"] = B
     cfg = parse_study_config(obj)
-    print(f"study {cfg.name}: N={cfg.N}, n={cfg.n}, p={cfg.p}, B={B}")
+    print(f"study {cfg.name}: N={cfg.population.N}, n={cfg.design.n}, p={cfg.population.p}, B={B}")
     print("running...", flush=True)
     summary = summarize(cfg, run_records(cfg))
 

@@ -60,8 +60,7 @@ from .config import (  # noqa: E402
     load_json,
     parse_estimate_config,
     parse_study_config,
-    resolved_estimate_config,
-    resolved_study_config,
+    resolved_config,
 )
 from .study import (  # noqa: E402
     ReplicationRecord,

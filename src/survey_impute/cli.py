@@ -26,17 +26,11 @@ import warnings
 
 import numpy as np
 
-from .config import (
-    load_json,
-    parse_estimate_config,
-    parse_study_config,
-    resolved_estimate_config,
-    resolved_study_config,
-)
+from .config import load_json, parse_estimate_config, parse_study_config, resolved_config
 from .design import SampleDraw
 from .errors import ConfigError, EstimationFailureError, SelectionFailureError, SurveyImputeError
 from .estimators import build_candidates, fit_candidates
-from .selection import select
+from .selection import parse_criterion, select
 from .study import SUMMARY_COLUMNS, float_text, reps_to_csv, run_records, summarize, summary_to_csv
 from .variance import estimate_model
 
@@ -125,8 +119,8 @@ def _writing(flag):
 def _print_summary_table(cfg, text, out):
     """The summary table, text as summary_rows formats it, in aligned columns."""
     print(
-        f"study {cfg.name}: B={cfg.replications} design={cfg.design_kind} "
-        f"N={cfg.N} n={cfg.n} seed={cfg.master_seed}",
+        f"study {cfg.name}: B={cfg.replications} design={cfg.design.kind} "
+        f"N={cfg.population.N} n={cfg.design.n} seed={cfg.master_seed}",
         file=out,
     )
     widths = [max(len(c), *(len(r[i]) for r in text)) for i, c in enumerate(SUMMARY_COLUMNS)]
@@ -138,7 +132,7 @@ def _print_summary_table(cfg, text, out):
 def cmd_simulate(args):
     cfg = _with_env_seed(parse_study_config(load_json(args.config)))
     if args.dry_run:
-        print(json.dumps(resolved_study_config(cfg), indent=2))
+        print(json.dumps(resolved_config(cfg), indent=2))
         return EXIT_OK
 
     out_dir = args.out_dir or "."
@@ -314,16 +308,17 @@ def build_estimate_design(cfg, ids, pi):
     id within a stratum. Its n_h are the counts of each stratum's
     sampled_units.
     """
-    n = ids.size
-    if cfg.design_kind == "srswor":
-        if n > cfg.N:
-            raise ConfigError("design.N", f"{n} sampled units exceed N={cfg.N}")
-        sizes = (cfg.N,)
+    n, design = ids.size, cfg.design
+    if design.kind == "srswor":
+        if n > design.N:
+            raise ConfigError("design.N", f"{n} sampled units exceed N={design.N}")
+        sizes = (design.N,)
         labels = np.zeros(n, dtype=np.int64)
     else:
-        sizes = [N_h for N_h, _ in cfg.strata]
+        sizes = [s.N for s in design.strata]
         try:
-            declared = np.array([u for _, units in cfg.strata for u in units], dtype=np.int64)
+            declared = np.array([u for s in design.strata for u in s.sampled_units],
+                                dtype=np.int64)
             by_id = np.argsort(declared)
             matched = declared.size == n and np.array_equal(declared[by_id], ids)
         except OverflowError:  # an id beyond int64 matches no data row
@@ -332,8 +327,8 @@ def build_estimate_design(cfg, ids, pi):
             raise ConfigError(
                 "design.strata", "sampled_units do not match the data file's unit ids"
             )
-        counts = [len(units) for _, units in cfg.strata]
-        labels = np.repeat(np.arange(len(cfg.strata)), counts)[by_id]
+        counts = [len(s.sampled_units) for s in design.strata]
+        labels = np.repeat(np.arange(len(counts)), counts)[by_id]
     order = np.argsort(labels, kind="stable")
     sample = SampleDraw(np.arange(n), labels[order], sizes)
     if np.any(np.abs(pi[order] - sample.pi_first) > 1e-9 * sample.pi_first):
@@ -344,7 +339,7 @@ def build_estimate_design(cfg, ids, pi):
 def cmd_estimate(args):
     cfg = _with_env_seed(parse_estimate_config(load_json(args.config)))
     if args.dry_run:
-        print(json.dumps(resolved_estimate_config(cfg), indent=2))
+        print(json.dumps(resolved_config(cfg), indent=2))
         return EXIT_OK
     if args.out_dir:
         _check_outputs(args.out_dir, "estimate.json", (args.config, args.data))
@@ -361,7 +356,9 @@ def cmd_estimate(args):
     # missing y stay NaN: every downstream read goes through resp, so a
     # stray NaN in the output would expose a bookkeeping bug loudly
 
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 0]))
+    # only cvK draws (its fold split); aic and bic leave numpy.random unloaded
+    rng = (np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 0]))
+           if parse_criterion(cfg.criterion)[0] == "cv" else None)
     # finite but huge data can overflow; the estimate or variance then is
     # not finite and confidence_interval reports it as the one error line
     with np.errstate(over="ignore", invalid="ignore"):

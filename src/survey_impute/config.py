@@ -1,14 +1,22 @@
 """JSON configuration for studies and single-dataset estimation.
 
+A config record nests as its JSON file does. A StudyConfig holds the
+top-level fields, a Population record (the finite-population and
+response model) and a StudyDesign record (the sampling design). An
+EstimateConfig holds an EstimateDesign record, whose stratified form is
+a tuple of Stratum records. A field that its design kind does not use is
+None.
+
 Parsing is strict: unknown keys, wrong types, and inconsistent sizes are
 all ConfigError with the offending field path, so the CLI can print a
-pointed diagnostic. The resolved echo (all defaults materialized) is
-itself a valid config and parses back to an identical object.
+pointed diagnostic. resolved_config, the echo with every default
+filled in, is the record written out as JSON; it is itself a valid
+config and parses back to an equal record.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .design import stratum_sizes
 from .errors import ConfigError, InvalidDesignError
@@ -122,14 +130,7 @@ def _parse_candidates(value, p, path):
 
 
 @dataclass(frozen=True)
-class StudyConfig:
-    name: str
-    replications: int
-    master_seed: int
-    level: float
-    criteria: tuple
-    candidates: object  # "nested" or tuple of index tuples
-    failure_threshold: float
+class Population:
     N: int
     p: int
     covariate_law: dict
@@ -138,11 +139,28 @@ class StudyConfig:
     response_offset: float
     response_scale: float
     response_coefs: tuple
-    design_kind: str
+
+
+@dataclass(frozen=True)
+class StudyDesign:
+    kind: str  # "srswor" or "stratified"
     n: int
-    sort_coefs: tuple = None
+    sort_coefs: tuple = None  # stratified only, as are the next two
     alloc_covariate: int = None
     fractions: tuple = None
+
+
+@dataclass(frozen=True)
+class StudyConfig:
+    name: str
+    replications: int
+    master_seed: int
+    level: float
+    criteria: tuple
+    candidates: object  # "nested" or tuple of index tuples
+    failure_threshold: float
+    population: Population
+    design: StudyDesign
 
 
 def parse_study_config(obj):
@@ -229,43 +247,22 @@ def parse_study_config(obj):
     return StudyConfig(
         name=name, replications=B, master_seed=seed, level=level,
         criteria=tuple(crits), candidates=candidates, failure_threshold=threshold,
-        N=N, p=p, covariate_law=law, beta=beta, sigma=sigma,
-        response_offset=r_offset, response_scale=r_scale, response_coefs=zeta,
-        design_kind=kind, n=n, sort_coefs=sort_coefs, alloc_covariate=alloc_cov,
-        fractions=fractions,
+        population=Population(N, p, law, beta, sigma, r_offset, r_scale, zeta),
+        design=StudyDesign(kind, n, sort_coefs, alloc_cov, fractions),
     )
 
 
-def resolved_study_config(cfg):
-    """The config with every default made explicit; parses back equal."""
-    out = {
-        "name": cfg.name,
-        "replications": cfg.replications,
-        "master_seed": cfg.master_seed,
-        "level": cfg.level,
-        "criteria": list(cfg.criteria),
-        "candidates": "nested" if cfg.candidates == "nested"
-        else [list(m) for m in cfg.candidates],
-        "failure_threshold": cfg.failure_threshold,
-        "population": {
-            "N": cfg.N,
-            "p": cfg.p,
-            "covariate_law": dict(cfg.covariate_law),
-            "beta": list(cfg.beta),
-            "sigma": cfg.sigma,
-            "response_offset": cfg.response_offset,
-            "response_scale": cfg.response_scale,
-            "response_coefs": list(cfg.response_coefs),
-        },
-        "design": {"kind": cfg.design_kind, "n": cfg.n},
-    }
-    if cfg.design_kind == "stratified":
-        out["design"].update(
-            sort_coefs=list(cfg.sort_coefs),
-            alloc_covariate=cfg.alloc_covariate,
-            fractions=list(cfg.fractions),
-        )
-    return out
+@dataclass(frozen=True)
+class Stratum:
+    N: int
+    sampled_units: tuple
+
+
+@dataclass(frozen=True)
+class EstimateDesign:
+    kind: str  # "srswor" or "stratified"
+    N: int = None  # srswor
+    strata: tuple = None  # stratified: Stratum records
 
 
 @dataclass(frozen=True)
@@ -273,10 +270,8 @@ class EstimateConfig:
     level: float
     criterion: str
     candidates: object
-    design_kind: str
-    master_seed: int = 0    # only consumed by cv fold splitting
-    N: int = None           # srswor
-    strata: tuple = None    # stratified: ((N_h, (sampled ids...)), ...)
+    master_seed: int  # only consumed by cv fold splitting
+    design: EstimateDesign
 
 
 def parse_estimate_config(obj):
@@ -306,7 +301,7 @@ def parse_estimate_config(obj):
         N = _int(_get(design, "N", "design"), "design.N", minimum=1)
         if N > _INT64_MAX:
             _fail("design.N", "does not fit in 64 bits")
-        return EstimateConfig(level, criterion, raw_candidates, kind, master_seed=seed, N=N)
+        return EstimateConfig(level, criterion, raw_candidates, seed, EstimateDesign(kind, N=N))
     _no_unknown(design, {"kind", "strata"}, "design")
     raw = _get(design, "strata", "design")
     if not isinstance(raw, list) or not raw:
@@ -337,31 +332,26 @@ def parse_estimate_config(obj):
             _fail(f"{path}.sampled_units", "need at least 2 sampled units per stratum")
         if len(ids) > N_h:
             _fail(f"{path}.sampled_units", f"{len(ids)} sampled units exceed stratum size {N_h}")
-        strata.append((N_h, ids))
-    if sum(N_h for N_h, _ in strata) > _INT64_MAX:
+        strata.append(Stratum(N_h, ids))
+    if sum(s.N for s in strata) > _INT64_MAX:
         _fail("design.strata", "total population size does not fit in 64 bits")
     return EstimateConfig(
-        level, criterion, raw_candidates, kind, master_seed=seed, strata=tuple(strata)
+        level, criterion, raw_candidates, seed, EstimateDesign(kind, strata=tuple(strata))
     )
 
 
-def resolved_estimate_config(cfg):
-    out = {
-        "level": cfg.level,
-        "criterion": cfg.criterion,
-        "candidates": cfg.candidates,
-        "master_seed": cfg.master_seed,
-    }
-    if isinstance(cfg.candidates, tuple):
-        out["candidates"] = [list(m) for m in cfg.candidates]
-    if cfg.design_kind == "srswor":
-        out["design"] = {"kind": "srswor", "N": cfg.N}
-    else:
-        out["design"] = {
-            "kind": "stratified",
-            "strata": [{"N": N_h, "sampled_units": list(ids)} for N_h, ids in cfg.strata],
-        }
-    return out
+def resolved_config(cfg):
+    """A config record as its JSON, every default filled in: its fields
+    in order, an unset (None) field left out, a tuple as a list."""
+    return _json(asdict(cfg))
+
+
+def _json(value):
+    if isinstance(value, dict):
+        return {key: _json(v) for key, v in value.items() if v is not None}
+    if isinstance(value, (list, tuple)):
+        return [_json(v) for v in value]
+    return value
 
 
 def load_json(path):

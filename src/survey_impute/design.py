@@ -178,7 +178,12 @@ def draw_stratified(sort_key, alloc_variable, fractions, sample_size, rng):
         raise InvalidDesignError("sort_key and alloc_variable must have matching length")
     sizes = stratum_sizes(N, fractions)
 
-    order = np.argsort(sort_key, kind="stable")
+    order = np.argsort(sort_key)
+    ranked = sort_key[order]
+    if not np.all(ranked[1:] > ranked[:-1]):
+        # a tie (0.0 and -0.0 included) or a NaN: only a stable sort
+        # breaks it by unit id; distinct keys have one order either way
+        order = np.argsort(sort_key, kind="stable")
     blocks = np.split(order, np.cumsum(sizes)[:-1])
     sds = np.array([np.std(alloc_variable[b], ddof=1) for b in blocks])
     alloc = neyman_allocation(sizes, sds, sample_size)

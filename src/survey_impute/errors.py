@@ -14,9 +14,14 @@ class ConfigError(SurveyImputeError):
     """
 
     def __init__(self, field, message):
+        # both arguments go to args, so that unpickling (a pool worker's
+        # error in the parent) calls __init__ with both again
+        super().__init__(field, message)
         self.field = field
         self.message = message
-        super().__init__(f"{field}: {message}")
+
+    def __str__(self):
+        return f"{self.field}: {self.message}"
 
 
 class InvalidDesignError(SurveyImputeError):

@@ -51,7 +51,7 @@ def candidate_labels(cfg):
     set and is built once per process and candidate list, so every
     replication, summarize and reps_to_csv read the same read-only
     mapping."""
-    return _labels(cfg.candidates, cfg.p)
+    return _labels(cfg.candidates, cfg.population.p)
 
 
 @functools.lru_cache(maxsize=16)
@@ -65,16 +65,17 @@ def run_replication(cfg, rep_id):
     streams = np.random.SeedSequence([cfg.master_seed, rep_id]).spawn(4)
     pop_rng, samp_rng, resp_rng, crit_rng = map(np.random.default_rng, streams)
 
+    pop, design = cfg.population, cfg.design
     X, y, resp_prob = generate_population(
-        cfg.N, cfg.p, cfg.covariate_law, cfg.beta, cfg.sigma,
-        (cfg.response_offset, cfg.response_scale, cfg.response_coefs), pop_rng
+        pop.N, pop.p, pop.covariate_law, pop.beta, pop.sigma,
+        (pop.response_offset, pop.response_scale, pop.response_coefs), pop_rng
     )
-    if cfg.design_kind == "srswor":
-        sample = draw_srswor(cfg.N, cfg.n, samp_rng)
+    if design.kind == "srswor":
+        sample = draw_srswor(pop.N, design.n, samp_rng)
     else:
-        sort_key = X @ np.asarray(cfg.sort_coefs)
+        sort_key = X @ np.asarray(design.sort_coefs)
         sample = draw_stratified(
-            sort_key, X[:, cfg.alloc_covariate - 1], cfg.fractions, cfg.n, samp_rng
+            sort_key, X[:, design.alloc_covariate - 1], design.fractions, design.n, samp_rng
         )
     r = generate_response(resp_prob, sample.unit_ids, resp_rng)
 
@@ -250,9 +251,9 @@ def summarize(cfg, records):
         # only a None fit fails (None reads as NaN); a NaN mu_hat is ok
         ok = np.array([r.mu_hats[i] is not None for r in records])
         mu = np.array([r.mu_hats[i] for r in records], dtype=np.float64)[ok]
-        model_rows.append(_summary_row(label, mu, mu_true[ok], ht[ok], B, cfg.N))
+        model_rows.append(_summary_row(label, mu, mu_true[ok], ht[ok], B, cfg.population.N))
 
-    support = true_support(cfg.beta)
+    support = true_support(cfg.population.beta)
     class_of = {m: classify_model(m, support) for m in labels}
     criterion_rows = []
     for j, crit in enumerate(cfg.criteria):
@@ -262,7 +263,7 @@ def summarize(cfg, records):
         covered = [e.lower <= m <= e.upper for e, m in zip(ests, mu_true[ok])]
         picked = [class_of[e.model] for e in ests]
         criterion_rows.append(_summary_row(
-            crit, mu, mu_true[ok], ht[ok], B, cfg.N,
+            crit, mu, mu_true[ok], ht[ok], B, cfg.population.N,
             freq_wrong=100.0 * picked.count("wrong") / B,
             freq_true=100.0 * picked.count("true") / B,
             freq_overfit=100.0 * picked.count("overfit") / B,

@@ -13,6 +13,7 @@ in a fresh directory:
 - `estimate` under bic and cv5 on the benchmark's estimate_large input
   at seed 1, built from this checkout's bench/inputs.py as
   regenerate.py builds it, the same files for both trees: stdout;
+- `estimate --dry-run` on each of those two configs: stdout;
 - every script in demos/: stdout.
 
 It prints one line per output, "identical" or "differs" (or "only in"
@@ -80,9 +81,9 @@ def outputs(tree, workdir, data, est_configs):
                 out[f"simulate {name} {label}"] = path.read_bytes()
         out[f"simulate --dry-run {name} stdout"] = run(tree, workdir, [*sim, "--dry-run"])
     for criterion, config in est_configs.items():
-        out[f"estimate {criterion} stdout"] = run(
-            tree, workdir,
-            ["-m", "survey_impute", "estimate", "--data", str(data), "--config", str(config)])
+        est = ["-m", "survey_impute", "estimate", "--data", str(data), "--config", str(config)]
+        out[f"estimate {criterion} stdout"] = run(tree, workdir, est)
+        out[f"estimate --dry-run {criterion} stdout"] = run(tree, workdir, [*est, "--dry-run"])
     for demo in sorted((tree / "demos").glob("*.py")):
         out[f"demo {demo.name} stdout"] = run(tree, workdir, [str(demo)])
     return out

@@ -2,6 +2,9 @@
 
 - estimate_bic.json and estimate_cv5.json, the exact stdout of
   `estimate` under each criterion;
+- dry_run_simulate_<config>.json, the stdout of `simulate --dry-run` on
+  each shipped config in configs/, and dry_run_estimate_<kind>.json, that
+  of `estimate --dry-run` on each config of DRY_RUN_ESTIMATES;
 - study_<name>_summary.csv, the summary table of each of the four
   studies the acceptance fixtures in tests/conftest.py run, and
   study_<name>_selected.csv, the label each criterion selected in each
@@ -66,6 +69,32 @@ STUDIES = {
     "stratified_n500": {},
 }
 
+# {design kind: estimate config} whose --dry-run echo is pinned: one with
+# every default left out, one that sets every field; the echo reads no data
+DRY_RUN_ESTIMATES = {
+    "srswor": {"criterion": "cv5", "design": {"kind": "srswor", "N": 200}},
+    "stratified": {
+        "criterion": "aic",
+        "level": 0.9,
+        "candidates": [[2, 1], [1, 3]],
+        "master_seed": 7,
+        "design": {"kind": "stratified", "strata": [
+            {"N": 40, "sampled_units": [5, 0, 2]},
+            {"N": 60, "sampled_units": [10, 11]},
+        ]},
+    },
+}
+
+
+def stdout_of(argv):
+    """The stdout of main(argv), which must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    if code != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited {code}")
+    return out.getvalue()
+
 
 def estimate_stdouts(workdir):
     """{criterion: estimate's stdout} on the estimate_large input at SEED,
@@ -79,13 +108,22 @@ def estimate_stdouts(workdir):
     stdouts = {}
     for criterion in CRITERIA:
         config.write_text(json.dumps(dict(raw, criterion=criterion)))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(["estimate", "--data", str(data), "--config", str(config)])
-        if code != 0:
-            raise RuntimeError(f"estimate under {criterion} exited {code}")
-        stdouts[criterion] = out.getvalue()
+        stdouts[criterion] = stdout_of(["estimate", "--data", str(data), "--config", str(config)])
     return stdouts
+
+
+def dry_run_stdouts(workdir):
+    """{golden file: stdout} of `simulate --dry-run` on each shipped
+    config and of `estimate --dry-run` on each of DRY_RUN_ESTIMATES,
+    whose config files are written into workdir."""
+    argvs = {f"dry_run_simulate_{config.stem}.json": ["simulate", "--config", str(config)]
+             for config in sorted((ROOT / "configs").glob("*.json"))}
+    for kind, raw in DRY_RUN_ESTIMATES.items():
+        config = workdir / f"dry_run_{kind}.json"
+        config.write_text(json.dumps(raw))
+        argvs[f"dry_run_estimate_{kind}.json"] = [
+            "estimate", "--data", "unread.csv", "--config", str(config)]
+    return {file: stdout_of([*argv, "--dry-run"]) for file, argv in argvs.items()}
 
 
 def study_config(name):
@@ -134,6 +172,7 @@ def regenerate():
     files = {}
     with tempfile.TemporaryDirectory() as tmp:
         stdouts = estimate_stdouts(pathlib.Path(tmp))
+        files.update(dry_run_stdouts(pathlib.Path(tmp)))
     for criterion, text in stdouts.items():
         files[f"estimate_{criterion}.json"] = text
     for name in STUDIES:

@@ -7,6 +7,9 @@ import errno
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 import warnings
 from unittest import mock
@@ -33,6 +36,9 @@ from survey_impute.errors import ConfigError
 from survey_impute.estimators import build_candidates, fit_candidates, ht_mean, nested_candidates
 from survey_impute.selection import select
 from survey_impute.variance import estimate_model
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def study_json(tmp_path, name="study.json", **tweaks):
@@ -142,6 +148,29 @@ class TestSimulate:
         assert err.startswith("error: out of memory: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_config_error_in_a_replication_exits_2_for_any_threads(self, tmp_path):
+        # an offset of 1000 makes every response probability 1, which
+        # generate_population refuses inside the first replication; a pool
+        # worker's error must reach the parent as the same ConfigError
+        raw = json.loads((ROOT / "configs" / "srswor_n100.json").read_text())
+        raw["replications"] = 4
+        raw["population"]["response_offset"] = 1000
+        cfg_path = tmp_path / "offset.json"
+        cfg_path.write_text(json.dumps(raw))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+        runs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "survey_impute", "simulate", "--config", str(cfg_path),
+                 "--threads", threads, "--out-dir", str(out)],
+                capture_output=True, text=True, env=env, timeout=300)
+            runs[threads] = (proc.returncode, proc.stderr)
+            assert not (out / "summary.csv").exists()
+        line = "config error at response_coefs: response probabilities hit 0 or 1\n"
+        assert runs["2"] == runs["1"] == (EXIT_CONFIG, line)
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "absent.json")])

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import pickle
 
 import pytest
 
@@ -9,8 +10,7 @@ from survey_impute.config import (
     load_json,
     parse_estimate_config,
     parse_study_config,
-    resolved_estimate_config,
-    resolved_study_config,
+    resolved_config,
 )
 from survey_impute.errors import ConfigError
 
@@ -62,13 +62,13 @@ class TestStudyParsing:
         assert cfg.criteria == ("aic", "bic", "cv5")
         assert cfg.candidates == "nested"
         assert cfg.failure_threshold == 0.05
-        assert cfg.response_offset == 0.0
-        assert cfg.response_scale == 0.0
+        assert cfg.population.response_offset == 0.0
+        assert cfg.population.response_scale == 0.0
 
     def test_round_trip(self):
         for raw in (base_study(), base_stratified()):
             cfg = parse_study_config(raw)
-            echoed = resolved_study_config(cfg)
+            echoed = resolved_config(cfg)
             assert parse_study_config(echoed) == cfg
             # and the echo survives a JSON round trip
             assert parse_study_config(json.loads(json.dumps(echoed))) == cfg
@@ -175,8 +175,8 @@ class TestStudyParsing:
 
     def test_stratified_requirements(self):
         ok = parse_study_config(base_stratified())
-        assert ok.fractions == (0.5, 0.5)
-        assert ok.alloc_covariate == 1
+        assert ok.design.fractions == (0.5, 0.5)
+        assert ok.design.alloc_covariate == 1
 
         missing = base_stratified()
         del missing["design"]["sort_coefs"]
@@ -219,14 +219,14 @@ class TestEstimateParsing:
 
     def test_srswor_defaults(self):
         cfg = parse_estimate_config(self.srswor())
-        assert (cfg.level, cfg.criterion, cfg.N) == (0.95, "bic", 200)
+        assert (cfg.level, cfg.criterion, cfg.design.N) == (0.95, "bic", 200)
         assert cfg.candidates == "nested"
         assert cfg.master_seed == 0
 
     def test_round_trip(self):
         for raw in (self.srswor(), self.stratified()):
             cfg = parse_estimate_config(raw)
-            assert parse_estimate_config(resolved_estimate_config(cfg)) == cfg
+            assert parse_estimate_config(resolved_config(cfg)) == cfg
 
     def test_candidate_index_bound_deferred(self):
         raw = self.srswor()
@@ -271,7 +271,7 @@ class TestEstimateParsing:
     def test_population_sizes_fit_in_int64(self):
         raw = self.srswor()
         raw["design"]["N"] = 2**63 - 1
-        assert parse_estimate_config(raw).N == 2**63 - 1
+        assert parse_estimate_config(raw).design.N == 2**63 - 1
         raw["design"]["N"] = 2**63
         expect_field(raw, "design.N", parse_estimate_config)
         raw = self.stratified()
@@ -359,7 +359,7 @@ class TestLoadJson:
     def test_good_file(self, tmp_path):
         path = tmp_path / "ok.json"
         path.write_text(json.dumps(base_study()))
-        assert parse_study_config(load_json(path)).N == 50
+        assert parse_study_config(load_json(path)).population.N == 50
 
 
 def test_shipped_configs_parse():
@@ -373,4 +373,12 @@ def test_shipped_configs_parse():
         cfg = parse_study_config(load_json(f))
         assert cfg.replications == 2000
         assert cfg.master_seed == 20260816
-        assert copy.deepcopy(resolved_study_config(cfg)) == resolved_study_config(cfg)
+        assert copy.deepcopy(resolved_config(cfg)) == resolved_config(cfg)
+
+
+def test_config_error_survives_a_pickle_round_trip():
+    # a pool worker's error reaches the parent process pickled
+    err = pickle.loads(pickle.dumps(ConfigError("response_coefs", "hit 0 or 1")))
+    assert type(err) is ConfigError
+    assert (err.field, err.message, str(err)) == ("response_coefs", "hit 0 or 1",
+                                                  "response_coefs: hit 0 or 1")

@@ -283,6 +283,28 @@ class TestDraws:
         # all keys equal: stable sort keeps id order, strata are id blocks
         assert np.array_equal(s.strata, s.unit_ids >= 6)
 
+    @pytest.mark.parametrize("tie", ["signed-zero", "repeat", "nan"])
+    def test_tied_keys_rank_as_a_stable_sort(self, tie):
+        # the draw on a key with ties equals the draw on the tie-free key
+        # that ranks the units as a stable sort of the tied key does
+        rng = np.random.default_rng(19)
+        N = 300
+        key = rng.normal(size=N)
+        if tie == "signed-zero":
+            key[rng.choice(N, size=N // 2, replace=False)] = 0.0
+            key[rng.choice(N, size=N // 4, replace=False)] = -0.0
+        elif tie == "repeat":
+            key = np.round(key)
+        else:
+            key[rng.choice(N, size=N // 3, replace=False)] = np.nan
+        ranks = np.empty(N)
+        ranks[np.argsort(key, kind="stable")] = np.arange(N)
+        alloc_var = rng.normal(size=N)
+        draws = [draw_stratified(k, alloc_var, [0.3, 0.3, 0.4], 30, np.random.default_rng(5))
+                 for k in (key, ranks)]
+        assert np.array_equal(draws[0].unit_ids, draws[1].unit_ids)
+        assert np.array_equal(draws[0].strata, draws[1].strata)
+
     def test_single_stratum_equals_srswor(self):
         # SRSWOR is the one-stratum design: on the same draw, every
         # design quantity is bit-equal to that of the flat (N, n) design

@@ -4,6 +4,8 @@
   under bic and cv5. An exact match passes. Otherwise the test prints
   the diff and passes only if the same model is selected and every
   other number is within 1e-10 relative.
+- The `--dry-run` echo of each shipped study config and of two estimate
+  configs, which must match exactly.
 - The summary table of each of the four acceptance studies (the session
   fixtures of tests/conftest.py, so no study runs twice), and the label
   each criterion selected in each replication. The selections must match
@@ -99,6 +101,11 @@ def test_tolerance_passes_rounding_and_fails_a_model_or_a_digit():
                                                       f"{json.loads(want)['v1']!r}"]
     parsed["selected"]["included"].pop()
     assert differences(json.dumps(parsed), want)[0].startswith("selected")
+
+
+def test_dry_run_echoes_match_golden(tmp_path):
+    got = load_regenerate().dry_run_stdouts(tmp_path)
+    assert got == {file: (GOLDEN / file).read_text() for file in got}
 
 
 def cell_differences(got, want):

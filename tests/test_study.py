@@ -501,7 +501,7 @@ class TestGoldenReplication:
         assert rec.mu_hats[5] == pytest.approx(511.0395697, rel=1e-9)  # alpha6
         bic = rec.criteria[list(cfg.criteria).index("bic")]
         assert isinstance(bic, Estimate)
-        assert bic.model == nested_candidates(cfg.p)[5]  # alpha6
+        assert bic.model == nested_candidates(cfg.population.p)[5]  # alpha6
         assert bic.v1 == pytest.approx(28.34810904, rel=1e-9)
         assert bic.v2 == pytest.approx(0.7220067505, rel=1e-9)
         assert bic.lower == pytest.approx(500.4720888, rel=1e-9)
