@@ -19,10 +19,8 @@ from .design import (  # noqa: E402
 )
 from .errors import (  # noqa: E402
     ConfigError,
-    DegenerateFitError,
     EstimationFailureError,
     InvalidDesignError,
-    MetricError,
     SelectionFailureError,
     SurveyImputeError,
 )

@@ -1,5 +1,7 @@
 """Exception types shared across the package. A model that cannot be
-fitted is not an error: fit_candidates marks it None."""
+fitted is not an error: fit_candidates marks it None. Nor is a Monte
+Carlo metric that the replications leave undefined: the metric returns
+None, an empty cell of summary.csv."""
 
 
 class SurveyImputeError(Exception):
@@ -28,17 +30,9 @@ class InvalidDesignError(SurveyImputeError):
     """Sampling design that violates its own invariants."""
 
 
-class DegenerateFitError(SurveyImputeError):
-    """Fit exists but leaves no residual degrees of freedom."""
-
-
 class SelectionFailureError(SurveyImputeError):
     """No candidate model could be scored."""
 
 
 class EstimationFailureError(SurveyImputeError):
     """Point or variance estimation produced an unusable result."""
-
-
-class MetricError(SurveyImputeError):
-    """Monte Carlo metric undefined for the collected replications."""

@@ -10,15 +10,16 @@ of the first q columns, and the first q columns of its Q their Q
 (Golub & Van Loan, Matrix Computations, section 5.2), so every model of
 a chain is read off one factorization. Unrelated models are chains of
 one. The package's one rank rule (_rank_deficient, RCOND_MIN) lives here:
-qr_checked applies it to the fits, selection to the CV training folds.
+qr_checked applies it to the fits, selection to the CV training folds,
+both to column sines (_sines), which no covariate's unit changes.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-# relative cutoff on the triangular factor's diagonal below which the
-# normal equations are treated as numerically singular
+# relative cutoff on the column sines (_sines) at or below which the
+# design is treated as numerically singular
 RCOND_MIN = 1e-10
 
 
@@ -81,11 +82,20 @@ def design_matrix(X, model):
     return np.hstack(cols)
 
 
+def _sines(R):
+    """|R_jj| / ||R e_j|| for a triangular factor R of Z = QR, or a stack
+    of them: the sine of column j's angle to the columns before it, R's
+    diagonal once Z's columns have unit norm; 0 for a zero column."""
+    d = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    norm = np.linalg.norm(R[..., :d.shape[-1]], axis=-2)
+    return d / np.where(norm > 0.0, norm, 1.0)
+
+
 def _rank_deficient(d):
-    """The one rank rule, on the diagonal d of a design's triangular
-    factor, or on a stack of them along the last axis: entry q - 1 is
-    True when the first q columns are rank deficient, min |d[:q]| <=
-    RCOND_MIN max |d[:q]|. Once True, it stays True for wider prefixes."""
+    """The one rank rule, on the sines d of a design's columns (_sines),
+    or on a stack of them along the last axis: entry q - 1 is True when
+    the first q columns are rank deficient, min |d[:q]| <= RCOND_MIN
+    max |d[:q]|. Once True, it stays True for wider prefixes."""
     d = np.abs(d)
     return np.minimum.accumulate(d, axis=-1) <= RCOND_MIN * np.maximum.accumulate(d, axis=-1)
 
@@ -96,7 +106,7 @@ def qr_checked(Z):
     first q columns pass when Z has at least q rows (diag(R) has
     min(rows, columns) entries) and _rank_deficient accepts prefix q."""
     Q, R = np.linalg.qr(Z)
-    deficient = _rank_deficient(np.diag(R))
+    deficient = _rank_deficient(_sines(R))
     width = int(deficient.argmax()) if deficient.any() else deficient.size
     return Q, R, width
 

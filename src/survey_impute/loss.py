@@ -19,6 +19,8 @@ import numpy as np
 
 from .estimators import check_response, design_matrix, fit_candidates
 
+MC_CHUNK = 50_000  # noise draws per batch in mc_loss_oracle
+
 
 @dataclass(frozen=True)
 class LossValue:
@@ -54,8 +56,6 @@ def loss_closed_form(sample, r, X, model, beta_true, sigma):
     X = np.asarray(X, dtype=np.float64)
     beta_true = np.asarray(beta_true, dtype=np.float64)
     check_response(sample, r)
-    if r.all():
-        return LossValue(0.0, 0.0)
     _, fit, w, t1 = _noiseless_fit(sample, r, X, model, beta_true)
     if fit is None:
         return None
@@ -65,8 +65,7 @@ def loss_closed_form(sample, r, X, model, beta_true, sigma):
     return LossValue(l1, l2)
 
 
-def mc_loss_oracle(sample, r, X, model, beta_true, sigma, draws, rng,
-                   chunk=50_000):
+def mc_loss_oracle(sample, r, X, model, beta_true, sigma, draws, rng):
     """Monte Carlo estimate of l1 + l2 by redrawing the noise vector with
     the sample, response set, and covariates held fixed.
 
@@ -77,8 +76,6 @@ def mc_loss_oracle(sample, r, X, model, beta_true, sigma, draws, rng,
     X = np.asarray(X, dtype=np.float64)
     beta_true = np.asarray(beta_true, dtype=np.float64)
     check_response(sample, r)
-    if r.all():
-        return 0.0, 0.0
     mu_r, fit, w, t1 = _noiseless_fit(sample, r, X, model, beta_true)
     if fit is None:
         return None
@@ -88,7 +85,7 @@ def mc_loss_oracle(sample, r, X, model, beta_true, sigma, draws, rng,
     samples = np.empty(draws, dtype=np.float64)
     done = 0
     while done < draws:
-        b = min(chunk, draws - done)
+        b = min(MC_CHUNK, draws - done)
         E_r = rng.standard_normal((mu_r.size, b))
         Y_r = mu_r[:, None] + sigma * E_r
         # beta_hat for every draw at once: R beta = Q'Y

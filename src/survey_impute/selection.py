@@ -26,7 +26,7 @@ import re
 import numpy as np
 
 from .errors import SelectionFailureError
-from .estimators import RCOND_MIN, _rank_deficient
+from .estimators import RCOND_MIN, _rank_deficient, _sines
 
 # rss at or below this fraction of the centered total sum of squares is
 # treated as an exact interpolation that only floating point kept nonzero
@@ -94,12 +94,13 @@ def _cv_scores(fits, orders, sizes):
     which are singular when fewer than q_c, when the Cholesky fails,
     when min diag(L) <= sqrt(RCOND_MIN) (M is formed at Gram scale, so
     L resolves only to about sqrt(eps)), or when the rank rule rejects
-    diag(L) diag(R). If the stacked Cholesky raises, each (candidate,
-    fold) block is factored alone, to the same factor, so only the
-    blocks that fail are ruled out. A candidate's score is the mean
-    held-out MSE over its nonsingular folds, which must number at least
-    K - 1: one unlucky fold does not disqualify a model whose full fit
-    is regular.
+    diag(L) times the sines of c's R (_sines), the factor's diagonal
+    once Z's columns have unit norm. If the stacked Cholesky raises,
+    each (candidate, fold) block is factored alone, to the same factor,
+    so only the blocks that fail are ruled out. A candidate's score is
+    the mean held-out MSE over its nonsingular folds, which must number
+    at least K - 1: one unlucky fold does not disqualify a model whose
+    full fit is regular.
     -> array of C scores, +inf where two or more training folds are
     singular."""
     q = np.array([fit.R.shape[0] for fit in fits])
@@ -107,9 +108,9 @@ def _cv_scores(fits, orders, sizes):
     K, s = sizes.size, sizes.max()
     slot = np.flatnonzero(np.arange(s) < sizes[:, None])
     G = np.empty((C, K, P + 1, P + 1))
-    r = np.ones((C, P))  # each diag(R), padded with ones
+    R = np.broadcast_to(np.eye(P), (C, P, P)).copy()  # each R, identity-padded
     for c, (fit, order) in enumerate(zip(fits, orders)):
-        r[c, :q[c]] = np.diag(fit.R)
+        R[c, :q[c], :q[c]] = fit.R
         T = np.zeros((K * s, P + 1))
         T[slot, :q[c]] = fit.Q[order]
         T[slot, P] = fit.resid[order]
@@ -133,7 +134,7 @@ def _cv_scores(fits, orders, sizes):
                 L[c, k] = np.eye(P)
                 ok[c, k] = False
     d = np.diagonal(L, axis1=-2, axis2=-1)
-    deficient = _rank_deficient(d * r[:, None])[np.arange(C), :, q - 1]
+    deficient = _rank_deficient(d * _sines(R)[:, None])[np.arange(C), :, q - 1]
     ok &= (d.min(axis=-1) > np.sqrt(RCOND_MIN)) & ~deficient
     if not ok.all():
         L[~ok] = np.eye(P)  # so that solves against it stay finite

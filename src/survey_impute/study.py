@@ -18,16 +18,16 @@ from types import MappingProxyType
 import numpy as np
 
 from .design import draw_srswor, draw_stratified
-from .errors import ConfigError, EstimationFailureError, MetricError, SelectionFailureError
+from .errors import ConfigError, EstimationFailureError, SelectionFailureError
 from .estimators import build_candidates, classify_model, fit_candidates, ht_mean, imputed_means
 from .population import generate_population, generate_response, true_support
 from .selection import select
 from .variance import Estimate, estimate_model
 
 # the only errors select and estimate_model raise on a replication:
-# fit_candidates turns a singular fit into None, select never picks a
-# model without residual df, a realized draw always matches its
-# allocation, and a non-finite estimate raises EstimationFailureError
+# fit_candidates turns a singular fit into None, a realized draw always
+# matches its allocation, and a saturated fit or a non-finite estimate
+# raises EstimationFailureError
 _FAILURES = (SelectionFailureError, EstimationFailureError)
 
 
@@ -104,6 +104,9 @@ def run_replication(cfg, rep_id):
     return ReplicationRecord(rep_id, float(y.mean()), ht_complete, mu_hats, tuple(criteria))
 
 
+# finite but huge data can overflow to NaN estimates and failed criteria,
+# with no numpy warning on stderr, as in cmd_estimate
+@np.errstate(over="ignore", invalid="ignore")
 def _run_chunk(args):
     cfg, rep_ids = args
     return [run_replication(cfg, r) for r in rep_ids]
@@ -117,7 +120,7 @@ def run_records(cfg, threads=1):
         raise ConfigError("--threads", f"must be >= 1, got {threads}")
     B = cfg.replications
     if threads == 1:
-        return [run_replication(cfg, r) for r in range(B)]
+        return _run_chunk((cfg, range(B)))
     m = min(B, 4 * threads)
     chunks = [(cfg, range(B * i // m, B * (i + 1) // m)) for i in range(m)]
     # imported here: only a pool run pays for loading the process machinery
@@ -134,14 +137,13 @@ def run_records(cfg, threads=1):
 
 
 # --- metrics ---------------------------------------------------------------
+# Each metric returns None where the replications leave it undefined.
 
 def relative_bias(mu_hat, mu_true):
     mu_hat = np.asarray(mu_hat, dtype=np.float64)
     mu_true = np.asarray(mu_true, dtype=np.float64)
-    if mu_hat.size == 0:
-        raise MetricError("no replications")
-    if np.any(mu_true == 0.0):
-        raise MetricError("true mean is zero in some replication")
+    if mu_hat.size == 0 or np.any(mu_true == 0.0):
+        return None
     return float(100.0 * np.mean((mu_hat - mu_true) / mu_true))
 
 
@@ -151,14 +153,14 @@ def relative_efficiency(mu_hat, mu_true, ht):
     ht = np.asarray(ht, dtype=np.float64)
     denom = float(np.sum((ht - mu_true) ** 2))
     if mu_hat.size == 0 or denom <= 0.0:
-        raise MetricError("HT mean squared error is zero")
+        return None
     return float(100.0 * np.sum((mu_hat - mu_true) ** 2) / denom)
 
 
 def coverage_probability(covered):
     covered = np.asarray(covered, dtype=bool)
     if covered.size == 0:
-        raise MetricError("no replications")
+        return None
     return float(100.0 * covered.mean())
 
 
@@ -172,10 +174,10 @@ def variance_rb(v_totals, mu_hats, mu_true):
     v_totals = np.asarray(v_totals, dtype=np.float64)
     err = np.asarray(mu_hats, dtype=np.float64) - np.asarray(mu_true, dtype=np.float64)
     if err.size < 2:
-        raise MetricError("need at least 2 replications")
+        return None
     v_mc = float(np.var(err, ddof=1))
     if v_mc == 0.0:
-        raise MetricError("Monte Carlo variance is zero")
+        return None
     return float(100.0 * (np.mean(v_totals) - v_mc) / v_mc)
 
 
@@ -185,7 +187,7 @@ def mc_loss(mu_hat, ht, N):
     mu_hat = np.asarray(mu_hat, dtype=np.float64)
     ht = np.asarray(ht, dtype=np.float64)
     if mu_hat.size == 0:
-        raise MetricError("no replications")
+        return None
     return float(np.mean(N * (mu_hat - ht) ** 2))
 
 
@@ -220,26 +222,20 @@ class StudySummary:
         return max(rates, default=0.0) / 100.0
 
 
-def _guarded(fn, *args):
-    try:
-        return fn(*args)
-    except MetricError:
-        return None
-
-
 def _summary_row(name, mu, mu_true, ht, B, N, **cells):
     """A row from the estimates mu of the replications that did not fail
     and their mu_true and ht; failures is the share of all B that did."""
     return SummaryRow(
         name=name,
-        rb=_guarded(relative_bias, mu, mu_true),
-        re=_guarded(relative_efficiency, mu, mu_true, ht),
-        loss=_guarded(mc_loss, mu, ht, N),
+        rb=relative_bias(mu, mu_true),
+        re=relative_efficiency(mu, mu_true, ht),
+        loss=mc_loss(mu, ht, N),
         failures=100.0 * (B - mu.size) / B,
         **cells,
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as _run_chunk
 def summarize(cfg, records):
     B = len(records)
     mu_true = np.array([r.mu_true for r in records])
@@ -267,8 +263,8 @@ def summarize(cfg, records):
             freq_wrong=100.0 * picked.count("wrong") / B,
             freq_true=100.0 * picked.count("true") / B,
             freq_overfit=100.0 * picked.count("overfit") / B,
-            cp=_guarded(coverage_probability, covered),
-            var_rb=_guarded(variance_rb, [e.v_total for e in ests], mu, mu_true[ok]),
+            cp=coverage_probability(covered),
+            var_rb=variance_rb([e.v_total for e in ests], mu, mu_true[ok]),
         ))
 
     return StudySummary(tuple(model_rows), tuple(criterion_rows))

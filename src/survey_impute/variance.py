@@ -19,7 +19,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import DegenerateFitError, EstimationFailureError
+from .errors import EstimationFailureError
 from .estimators import check_response, design_matrix, imputed_means
 
 
@@ -74,11 +74,12 @@ def v1_hat(sample, eta):
 
 def sigma2_hat(fit):
     """Residual variance rss / (n_r - q) of a respondent fit, q its
-    column count, read off the fit itself."""
+    column count, read off the fit itself. A saturated fit (n_r <= q)
+    has none and raises EstimationFailureError."""
     q = fit.R.shape[0]
     nu = fit.resid.size - q
     if nu <= 0:
-        raise DegenerateFitError(
+        raise EstimationFailureError(
             f"no residual degrees of freedom: n_r={fit.resid.size}, p_alpha={q}"
         )
     return fit.rss / nu

@@ -79,6 +79,17 @@ def write_sample_csv(path, ids, X, y, pi, missing=(), quoting=csv.QUOTE_MINIMAL)
             w.writerow([uid] + [f"{v:.17g}" for v in X[i]] + [y_field, f"{pi[i]:.17g}"])
 
 
+def simulate_in_a_fresh_process(cfg_path, threads, out):
+    """`simulate` on cfg_path in a new interpreter, which, unlike main()
+    in this one, has shown no warning yet: its CompletedProcess."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-m", "survey_impute", "simulate", "--config", str(cfg_path),
+         "--threads", threads, "--out-dir", str(out)],
+        capture_output=True, text=True, env=env, timeout=300)
+
+
 def sample_data(seed=3, n=10, N=50, p=2):
     rng = np.random.default_rng(seed)
     ids = np.sort(rng.choice(N, size=n, replace=False))
@@ -158,19 +169,32 @@ class TestSimulate:
         raw["population"]["response_offset"] = 1000
         cfg_path = tmp_path / "offset.json"
         cfg_path.write_text(json.dumps(raw))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
         runs = {}
         for threads in ("1", "2"):
             out = tmp_path / f"out{threads}"
-            proc = subprocess.run(
-                [sys.executable, "-m", "survey_impute", "simulate", "--config", str(cfg_path),
-                 "--threads", threads, "--out-dir", str(out)],
-                capture_output=True, text=True, env=env, timeout=300)
+            proc = simulate_in_a_fresh_process(cfg_path, threads, out)
             runs[threads] = (proc.returncode, proc.stderr)
             assert not (out / "summary.csv").exists()
         line = "config error at response_coefs: response probabilities hit 0 or 1\n"
         assert runs["2"] == runs["1"] == (EXIT_CONFIG, line)
+
+    def test_overflowing_population_warns_of_nothing_for_any_threads(self, tmp_path):
+        # every beta at 1e308 overflows y, so every criterion fails and the
+        # run exits 3; numpy's RuntimeWarnings stay off stderr, as under
+        # estimate, whether the replications run in the process or a pool
+        raw = json.loads((ROOT / "configs" / "srswor_n100.json").read_text())
+        raw["replications"] = 6
+        raw["population"]["beta"] = [1e308] * len(raw["population"]["beta"])
+        cfg_path = tmp_path / "overflow.json"
+        cfg_path.write_text(json.dumps(raw))
+        summaries = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            proc = simulate_in_a_fresh_process(cfg_path, threads, out)
+            assert proc.returncode == EXIT_FAILURE_RATE
+            assert "Warning" not in proc.stderr
+            summaries[threads] = (out / "summary.csv").read_bytes()
+        assert summaries["1"] == summaries["2"]
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "absent.json")])
@@ -998,6 +1022,30 @@ class TestEstimate:
         assert captured.out == ""
         assert "non-finite" in captured.err
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("criterion", ["bic", "cv5"])
+    def test_a_covariate_unit_changes_no_estimate(self, tmp_path, capsys, criterion):
+        # x1 in units 1e10 or 1e-11 times as large: the rank rule judges
+        # each column's angle to the columns before it, not its length,
+        # so the pick and the estimate stay
+        rng = np.random.default_rng(8)
+        n, N = 200, 2000
+        ids = np.sort(rng.choice(N, size=n, replace=False))
+        X = rng.gamma(5.0, 2.0, size=(n, 2))
+        y = 1.0 + X @ [2.0, -1.0] + rng.normal(size=n)
+        missing = set(np.flatnonzero(rng.random(n) < 0.3).tolist())
+        cfg = self.est_config(tmp_path, criterion=criterion, design={"kind": "srswor", "N": N})
+        got = {}
+        for scale in (1.0, 1e10, 1e-11):
+            data = tmp_path / f"d{scale}.csv"
+            write_sample_csv(data, ids, X * [scale, 1.0], y, np.full(n, n / N), missing=missing)
+            assert main(["estimate", "--data", str(data), "--config", str(cfg)]) == EXIT_OK
+            got[scale] = json.loads(capsys.readouterr().out)
+        assert got[1.0]["selected"]["included"] == [1, 2]
+        for scale in (1e10, 1e-11):
+            assert got[scale]["selected"] == got[1.0]["selected"]
+            for key in ("mu_hat", "v_total"):
+                assert got[scale][key] == pytest.approx(got[1.0][key], rel=1e-9)
 
     @pytest.mark.parametrize("criterion", ["aic", "bic"])
     def test_interpolating_candidate_loses_to_one_with_residual_df(

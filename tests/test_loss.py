@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from survey_impute import loss
 from survey_impute.design import SampleDraw, draw_srswor
 from survey_impute.estimators import ModelSpec, fit_candidates, nested_candidates
 from survey_impute.loss import LossValue, loss_closed_form, mc_loss_oracle
@@ -33,6 +34,17 @@ class TestClosedForm:
         X[:, 2] = 2.0 * X[:, 0]
         m = ModelSpec(included)
         assert fit_candidates(X[r], np.zeros(r.sum()), [m])[m] is None
+        assert loss_closed_form(s, r, X, m, np.zeros(4), 1.0) is None
+        assert mc_loss_oracle(s, r, X, m, np.zeros(4), 1.0, 10,
+                              np.random.default_rng(0)) is None
+
+    def test_all_respondents_do_not_fit_an_unfittable_model(self):
+        # 3 units, every one responding, cannot identify the 4
+        # coefficients of (1, 2, 3): no missing unit to impute does not
+        # make the model fittable
+        s, r, X = small_instance(4, N=10, n=3, n_miss=0)
+        assert r.all()
+        m = ModelSpec((1, 2, 3))
         assert loss_closed_form(s, r, X, m, np.zeros(4), 1.0) is None
         assert mc_loss_oracle(s, r, X, m, np.zeros(4), 1.0, 10,
                               np.random.default_rng(0)) is None
@@ -117,7 +129,7 @@ class TestMcOracle:
             assert se > 0
             assert abs(est - ref) <= 3 * se
 
-    def test_any_chunking_stays_on_target(self):
+    def test_any_chunking_stays_on_target(self, monkeypatch):
         # chunk size changes how the noise stream is interleaved, never
         # what is being estimated
         s, r, X = small_instance(12)
@@ -125,8 +137,9 @@ class TestMcOracle:
         m = ModelSpec((1, 2))
         ref = loss_closed_form(s, r, X, m, beta, 1.0).total
         for chunk in (50_000, 256, 999):
+            monkeypatch.setattr(loss, "MC_CHUNK", chunk)
             est, se = mc_loss_oracle(s, r, X, m, beta, 1.0, 50_000,
-                                     np.random.default_rng(13), chunk=chunk)
+                                     np.random.default_rng(13))
             assert abs(est - ref) <= 4 * se
 
 

@@ -71,6 +71,22 @@ def test_selection_ignores_y_scale(seed, crit, c):
     assert a == b
 
 
+@settings(max_examples=25, deadline=None)
+@given(seeds, st.sampled_from(["aic", "bic", "cv5"]),
+       st.lists(st.integers(min_value=-12, max_value=12), min_size=3, max_size=3))
+def test_selection_ignores_covariate_units(seed, crit, k):
+    # the rank rule reads each column's sine, not its length, so no
+    # covariate's unit changes a verdict, a score's order or the pick
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(30, 3))
+    y = X[:, 0] + 0.5 * rng.normal(size=30)
+    cands = nested_candidates(3)
+    scaled = X * 10.0 ** np.array(k)
+    a, _ = select(crit, fit_candidates(X, y, cands), y, np.random.default_rng(seed))
+    b, _ = select(crit, fit_candidates(scaled, y, cands), y, np.random.default_rng(seed))
+    assert a == b
+
+
 @settings(max_examples=40, deadline=None)
 @given(seeds)
 def test_rss_never_grows_with_the_model(seed):
