@@ -198,60 +198,62 @@ class TestStudyParsing:
         expect_field(srs_extra, "design.sort_coefs")
 
 
+def est_srswor():
+    return {
+        "criterion": "bic",
+        "design": {"kind": "srswor", "N": 200},
+    }
+
+
+def est_stratified():
+    return {
+        "criterion": "aic",
+        "design": {
+            "kind": "stratified",
+            "strata": [
+                {"N": 40, "sampled_units": [0, 1, 2]},
+                {"N": 60, "sampled_units": [10, 11]},
+            ],
+        },
+    }
+
+
 class TestEstimateParsing:
-    def srswor(self):
-        return {
-            "criterion": "bic",
-            "design": {"kind": "srswor", "N": 200},
-        }
-
-    def stratified(self):
-        return {
-            "criterion": "aic",
-            "design": {
-                "kind": "stratified",
-                "strata": [
-                    {"N": 40, "sampled_units": [0, 1, 2]},
-                    {"N": 60, "sampled_units": [10, 11]},
-                ],
-            },
-        }
-
     def test_srswor_defaults(self):
-        cfg = parse_estimate_config(self.srswor())
+        cfg = parse_estimate_config(est_srswor())
         assert (cfg.level, cfg.criterion, cfg.design.N) == (0.95, "bic", 200)
         assert cfg.candidates == "nested"
         assert cfg.master_seed == 0
 
     def test_round_trip(self):
-        for raw in (self.srswor(), self.stratified()):
+        for raw in (est_srswor(), est_stratified()):
             cfg = parse_estimate_config(raw)
             assert parse_estimate_config(resolved_config(cfg)) == cfg
 
     def test_candidate_index_bound_deferred(self):
-        raw = self.srswor()
+        raw = est_srswor()
         raw["candidates"] = [[1, 999]]
         cfg = parse_estimate_config(raw)  # bound checked against the data later
         assert cfg.candidates == ((1, 999),)
 
     def test_stratified_validation(self):
-        dup_within = self.stratified()
+        dup_within = est_stratified()
         dup_within["design"]["strata"][0]["sampled_units"] = [0, 0, 1]
         expect_field(dup_within, "design.strata[0].sampled_units", parse_estimate_config)
 
-        dup_across = self.stratified()
+        dup_across = est_stratified()
         dup_across["design"]["strata"][1]["sampled_units"] = [2, 11]
         expect_field(dup_across, "design.strata[1].sampled_units", parse_estimate_config)
 
-        too_many = self.stratified()
+        too_many = est_stratified()
         too_many["design"]["strata"][1] = {"N": 2, "sampled_units": [10, 11, 12]}
         expect_field(too_many, "design.strata[1].sampled_units", parse_estimate_config)
 
-        lone = self.stratified()
+        lone = est_stratified()
         lone["design"]["strata"][1]["sampled_units"] = [10]
         expect_field(lone, "design.strata[1].sampled_units", parse_estimate_config)
 
-        empty = self.stratified()
+        empty = est_stratified()
         empty["design"]["strata"] = []
         expect_field(empty, "design.strata", parse_estimate_config)
 
@@ -262,27 +264,245 @@ class TestEstimateParsing:
         (-1, "must be >= 0, got -1"),
     ])
     def test_bad_sampled_unit(self, unit, message):
-        raw = self.stratified()
+        raw = est_stratified()
         raw["design"]["strata"][1]["sampled_units"] = [10, unit, -5]
         with pytest.raises(ConfigError) as err:
             parse_estimate_config(raw)
         assert (err.value.field, err.value.message) == ("design.strata[1].sampled_units", message)
 
     def test_population_sizes_fit_in_int64(self):
-        raw = self.srswor()
+        raw = est_srswor()
         raw["design"]["N"] = 2**63 - 1
         assert parse_estimate_config(raw).design.N == 2**63 - 1
         raw["design"]["N"] = 2**63
         expect_field(raw, "design.N", parse_estimate_config)
-        raw = self.stratified()
+        raw = est_stratified()
         for entry in raw["design"]["strata"]:
             entry["N"] = 2**62
         expect_field(raw, "design.strata", parse_estimate_config)
 
     def test_bad_criterion(self):
-        raw = self.srswor()
+        raw = est_srswor()
         raw["criterion"] = "press"
         expect_field(raw, "criterion", parse_estimate_config)
+
+
+DEL = object()  # an _edit value: delete the key
+_HUGE_N = 2**63 // 24 + 1  # p = 3 covariates of 8 bytes no longer fit in 64-bit memory
+
+
+def _edit(make, keys, value):
+    """The config make() with the value at keys replaced by value (the
+    whole config when keys is empty), or deleted when value is DEL."""
+    if not keys:
+        return value
+    cfg = make()
+    slot = cfg
+    for key in keys[:-1]:
+        slot = slot[key]
+    if value is DEL:
+        del slot[keys[-1]]
+    else:
+        slot[keys[-1]] = value
+    return cfg
+
+
+def _fault(make, keys, value, field, message):
+    """One single-fault config and the (field, message) it is refused with."""
+    name = f"{make.__name__}:{'.'.join(map(str, keys)) or 'top'}={'DEL' if value is DEL else value!r}"
+    return pytest.param(make, keys, value, field, message, id=name[:80])
+
+
+_POPULATION_KEYS = ("N", "p", "covariate_law", "beta", "sigma",
+                    "response_offset", "response_scale", "response_coefs")
+_LAW = ("population", "covariate_law")
+_UNIT = ("design", "strata", 1, "sampled_units")
+
+# one config per error site of both parsers, each with exactly one fault
+CONFIG_ERRORS = [
+    # study, top level
+    _fault(base_study, (), [], "", "top-level config must be a JSON object"),
+    _fault(base_study, ("extra",), 1, "extra", "unknown field"),
+    _fault(base_study, ("name",), 3, "name", "expected a string, got 3"),
+    _fault(base_study, ("replications",), DEL, "replications", "missing required field"),
+    _fault(base_study, ("replications",), 1.5, "replications", "expected an integer, got 1.5"),
+    _fault(base_study, ("replications",), True, "replications", "expected an integer, got True"),
+    _fault(base_study, ("replications",), 0, "replications", "must be >= 1, got 0"),
+    _fault(base_study, ("master_seed",), DEL, "master_seed", "missing required field"),
+    _fault(base_study, ("master_seed",), -1, "master_seed", "must be >= 0, got -1"),
+    _fault(base_study, ("level",), "x", "level", "expected a number, got 'x'"),
+    _fault(base_study, ("level",), 1.0, "level", "must be in (0, 1), got 1.0"),
+    _fault(base_study, ("level",), 0, "level", "must be in (0, 1), got 0.0"),
+    _fault(base_study, ("failure_threshold",), None, "failure_threshold",
+           "expected a number, got None"),
+    _fault(base_study, ("failure_threshold",), 1.5, "failure_threshold",
+           "must be in [0, 1], got 1.5"),
+    _fault(base_study, ("criteria",), "aic", "criteria", "expected a nonempty list of criterion names"),
+    _fault(base_study, ("criteria",), [], "criteria", "expected a nonempty list of criterion names"),
+    _fault(base_study, ("criteria",), ["aic", 5], "criteria[1]", "expected a string, got 5"),
+    _fault(base_study, ("criteria",), ["aic", "cv1"], "criteria[1]",
+           "cv criterion needs K >= 2, got 'cv1'"),
+    _fault(base_study, ("criteria",), ["press"], "criteria[0]",
+           "unknown criterion 'press'; expected 'aic', 'bic', or 'cvK'"),
+    _fault(base_study, ("criteria",), ["bic", "bic"], "criteria", "duplicate criteria"),
+    _fault(base_study, ("candidates",), "all", "candidates",
+           'expected "nested" or a nonempty list of index lists'),
+    _fault(base_study, ("candidates",), [], "candidates",
+           'expected "nested" or a nonempty list of index lists'),
+    _fault(base_study, ("candidates",), [[1], []], "candidates[1]",
+           "expected a nonempty list of covariate indices"),
+    _fault(base_study, ("candidates",), [[1], 2], "candidates[1]",
+           "expected a nonempty list of covariate indices"),
+    _fault(base_study, ("candidates",), [[1, 0]], "candidates[0]", "must be >= 1, got 0"),
+    _fault(base_study, ("candidates",), [[1, "2"]], "candidates[0]", "expected an integer, got '2'"),
+    _fault(base_study, ("candidates",), [[1], [1, 4]], "candidates[1]",
+           "covariate index 4 exceeds p=3"),
+    _fault(base_study, ("candidates",), [[2, 1], [1, 2]], "candidates", "duplicate candidate models"),
+    # study population
+    _fault(base_study, ("population",), DEL, "population", "missing required field"),
+    _fault(base_study, ("population",), [], "population", "expected an object"),
+    _fault(base_study, ("population", "rho"), 0.5, "population.rho", "unknown field"),
+    *[_fault(base_study, ("population", key), DEL, f"population.{key}", "missing required field")
+      for key in _POPULATION_KEYS],
+    _fault(base_study, ("population", "N"), "50", "population.N", "expected an integer, got '50'"),
+    _fault(base_study, ("population", "N"), 0, "population.N", "must be >= 1, got 0"),
+    _fault(base_study, ("population", "p"), 0, "population.p", "must be >= 1, got 0"),
+    _fault(base_study, ("population", "N"), _HUGE_N, "population.N",
+           f"an N x p = {_HUGE_N} x 3 population of 8-byte values does not fit in 64-bit memory"),
+    _fault(base_study, _LAW, 5, "population.covariate_law", "expected an object"),
+    _fault(base_study, _LAW, {"shape": 5.0, "scale": 2.0}, "population.covariate_law.name",
+           "missing required field"),
+    _fault(base_study, _LAW + ("name",), 3, "population.covariate_law.name", "expected a string, got 3"),
+    _fault(base_study, _LAW + ("name",), "cauchy", "population.covariate_law.name",
+           "unknown law 'cauchy'; expected one of ['gamma', 'normal', 'uniform']"),
+    _fault(base_study, _LAW + ("df",), 3, "population.covariate_law.df", "unknown field"),
+    _fault(base_study, _LAW + ("scale",), DEL, "population.covariate_law.scale",
+           "missing required field"),
+    _fault(base_study, _LAW + ("shape",), "x", "population.covariate_law.shape",
+           "expected a number, got 'x'"),
+    _fault(base_study, _LAW + ("shape",), -1, "population.covariate_law",
+           "gamma shape and scale must be positive"),
+    _fault(base_study, _LAW, {"name": "normal", "scale": -1.0}, "population.covariate_law.scale",
+           "must be >= 0"),
+    _fault(base_study, _LAW, {"name": "uniform", "low": 2.0, "high": 1.0},
+           "population.covariate_law", "uniform needs high >= low"),
+    _fault(base_study, ("population", "beta"), 1, "population.beta", "expected a list of numbers"),
+    _fault(base_study, ("population", "beta"), [0.0, 1.0], "population.beta",
+           "expected length 4, got 2"),
+    _fault(base_study, ("population", "beta"), [0.0, 1.0, "x", 0.0], "population.beta[2]",
+           "expected a number, got 'x'"),
+    _fault(base_study, ("population", "sigma"), -1, "population.sigma", "must be >= 0.0, got -1"),
+    _fault(base_study, ("population", "sigma"), float("inf"), "population.sigma",
+           "expected a finite number, got inf"),
+    _fault(base_study, ("population", "sigma"), 10**400, "population.sigma",
+           "expected a finite number, got inf"),
+    _fault(base_study, ("population", "response_offset"), "a", "population.response_offset",
+           "expected a number, got 'a'"),
+    _fault(base_study, ("population", "response_scale"), None, "population.response_scale",
+           "expected a number, got None"),
+    _fault(base_study, ("population", "response_coefs"), [0.0] * 4, "population.response_coefs",
+           "expected length 3, got 4"),
+    # study design
+    _fault(base_study, ("design",), DEL, "design", "missing required field"),
+    _fault(base_study, ("design",), "srswor", "design", "expected an object"),
+    _fault(base_study, ("design", "kind"), DEL, "design.kind", "missing required field"),
+    _fault(base_study, ("design", "kind"), 1, "design.kind", "expected a string, got 1"),
+    _fault(base_study, ("design", "kind"), "poisson", "design.kind",
+           "expected 'srswor' or 'stratified', got 'poisson'"),
+    _fault(base_study, ("design", "n"), DEL, "design.n", "missing required field"),
+    _fault(base_study, ("design", "n"), 0, "design.n", "must be >= 1, got 0"),
+    _fault(base_study, ("design", "n"), 51, "design.n", "sample size 51 exceeds population size 50"),
+    _fault(base_study, ("design", "fractions"), [1.0], "design.fractions", "unknown field"),
+    _fault(base_study, ("design", "foo"), 1, "design.foo", "unknown field"),
+    *[_fault(base_stratified, ("design", key), DEL, f"design.{key}", "missing required field")
+      for key in ("sort_coefs", "alloc_covariate", "fractions")],
+    _fault(base_stratified, ("design", "foo"), 1, "design.foo", "unknown field"),
+    _fault(base_stratified, ("design", "sort_coefs"), "x", "design.sort_coefs",
+           "expected a list of numbers"),
+    _fault(base_stratified, ("design", "sort_coefs"), [1.0], "design.sort_coefs",
+           "expected length 3, got 1"),
+    _fault(base_stratified, ("design", "alloc_covariate"), 0, "design.alloc_covariate",
+           "must be >= 1, got 0"),
+    _fault(base_stratified, ("design", "alloc_covariate"), 4, "design.alloc_covariate",
+           "index 4 exceeds p=3"),
+    _fault(base_stratified, ("design", "fractions"), "x", "design.fractions",
+           "expected a list of numbers"),
+    _fault(base_stratified, ("design", "fractions"), [], "design.fractions",
+           "need at least one stratum"),
+    _fault(base_stratified, ("design", "fractions"), [1.5, -0.5], "design.fractions",
+           "stratum fractions must be positive"),
+    _fault(base_stratified, ("design", "fractions"), [0.6, 0.5], "design.fractions",
+           "stratum fractions must sum to 1"),
+    _fault(base_stratified, ("design", "fractions"), [0.99, 0.01], "design.fractions",
+           "stratum fractions give a stratum with fewer than 2 units"),
+    _fault(base_stratified, ("design", "n"), 3, "design.n",
+           "need at least 2 units per stratum, n=3 with 2 strata"),
+    # estimate, top level
+    _fault(est_srswor, (), "bic", "", "top-level config must be a JSON object"),
+    _fault(est_srswor, ("extra",), 1, "extra", "unknown field"),
+    _fault(est_srswor, ("master_seed",), "0", "master_seed", "expected an integer, got '0'"),
+    _fault(est_srswor, ("master_seed",), -1, "master_seed", "must be >= 0, got -1"),
+    _fault(est_srswor, ("level",), 0, "level", "must be in (0, 1), got 0.0"),
+    _fault(est_srswor, ("level",), [], "level", "expected a number, got []"),
+    _fault(est_srswor, ("criterion",), DEL, "criterion", "missing required field"),
+    _fault(est_srswor, ("criterion",), 5, "criterion", "expected a string, got 5"),
+    _fault(est_srswor, ("criterion",), "press", "criterion",
+           "unknown criterion 'press'; expected 'aic', 'bic', or 'cvK'"),
+    _fault(est_srswor, ("candidates",), [], "candidates",
+           'expected "nested" or a nonempty list of index lists'),
+    _fault(est_srswor, ("candidates",), [[0]], "candidates[0]", "must be >= 1, got 0"),
+    _fault(est_srswor, ("candidates",), [[1], [1]], "candidates", "duplicate candidate models"),
+    # estimate design
+    _fault(est_srswor, ("design",), DEL, "design", "missing required field"),
+    _fault(est_srswor, ("design",), "srswor", "design", "expected an object"),
+    _fault(est_srswor, ("design", "kind"), DEL, "design.kind", "missing required field"),
+    _fault(est_srswor, ("design", "kind"), "poisson", "design.kind",
+           "expected 'srswor' or 'stratified', got 'poisson'"),
+    _fault(est_srswor, ("design", "foo"), 1, "design.foo", "unknown field"),
+    _fault(est_srswor, ("design", "N"), DEL, "design.N", "missing required field"),
+    _fault(est_srswor, ("design", "N"), 200.0, "design.N", "expected an integer, got 200.0"),
+    _fault(est_srswor, ("design", "N"), 0, "design.N", "must be >= 1, got 0"),
+    _fault(est_srswor, ("design", "N"), 2**63, "design.N", "does not fit in 64 bits"),
+    _fault(est_srswor, ("design", "strata"), est_stratified()["design"]["strata"],
+           "design.strata", "unknown field"),
+    _fault(est_stratified, ("design", "strata"), DEL, "design.strata", "missing required field"),
+    _fault(est_stratified, ("design", "N"), 100, "design.N", "unknown field"),
+    _fault(est_stratified, ("design", "strata"), [], "design.strata",
+           "expected a nonempty list of stratum objects"),
+    _fault(est_stratified, ("design", "strata"), {"N": 40}, "design.strata",
+           "expected a nonempty list of stratum objects"),
+    _fault(est_stratified, ("design", "strata", 1), 5, "design.strata[1]", "expected an object"),
+    _fault(est_stratified, ("design", "strata", 1, "foo"), 1, "design.strata[1].foo",
+           "unknown field"),
+    _fault(est_stratified, ("design", "strata", 0, "N"), DEL, "design.strata[0].N",
+           "missing required field"),
+    _fault(est_stratified, ("design", "strata", 0, "N"), 1, "design.strata[0].N",
+           "must be >= 2, got 1"),
+    _fault(est_stratified, _UNIT, DEL, "design.strata[1].sampled_units", "missing required field"),
+    _fault(est_stratified, _UNIT, [], "design.strata[1].sampled_units",
+           "expected a nonempty list of unit ids"),
+    _fault(est_stratified, _UNIT, "10", "design.strata[1].sampled_units",
+           "expected a nonempty list of unit ids"),
+    _fault(est_stratified, _UNIT, [10, -1], "design.strata[1].sampled_units",
+           "must be >= 0, got -1"),
+    _fault(est_stratified, _UNIT, [10, 10], "design.strata[1].sampled_units", "duplicate unit ids"),
+    _fault(est_stratified, _UNIT, [2, 11], "design.strata[1].sampled_units",
+           "unit id appears in more than one stratum"),
+    _fault(est_stratified, _UNIT, [10], "design.strata[1].sampled_units",
+           "need at least 2 sampled units per stratum"),
+    _fault(est_stratified, ("design", "strata", 1, "N"), 2**63 - 40, "design.strata",
+           "total population size does not fit in 64 bits"),
+    _fault(est_stratified, ("design", "strata", 0, "N"), 2, "design.strata[0].sampled_units",
+           "3 sampled units exceed stratum size 2"),
+]
+
+
+@pytest.mark.parametrize("make, keys, value, field, message", CONFIG_ERRORS)
+def test_every_config_error_names_its_field_and_message(make, keys, value, field, message):
+    parser = parse_study_config if make in (base_study, base_stratified) else parse_estimate_config
+    with pytest.raises(ConfigError) as err:
+        parser(_edit(make, keys, value))
+    assert (err.value.field, err.value.message) == (field, message)
 
 
 def _with_law(name, **params):
