@@ -26,7 +26,8 @@ import warnings
 
 import numpy as np
 
-from .config import load_json, parse_estimate_config, parse_study_config, resolved_config
+from .config import (check_candidates, load_json, parse_estimate_config, parse_study_config,
+                     resolved_config)
 from .design import SampleDraw
 from .errors import ConfigError, EstimationFailureError, SelectionFailureError, SurveyImputeError
 from .estimators import build_candidates, fit_candidates
@@ -346,10 +347,7 @@ def cmd_estimate(args):
 
     ids, X, y, pi, resp = read_estimate_csv(args.data)
     p = X.shape[1]
-    if cfg.candidates != "nested":
-        bad = [m for m in cfg.candidates if m[-1] > p]
-        if bad:
-            raise ConfigError("candidates", f"covariate index {bad[0][-1]} exceeds p={p}")
+    check_candidates(cfg.candidates, p)
 
     sample, order = build_estimate_design(cfg, ids, pi)
     X, y, resp = X[order], y[order], resp[order]

@@ -5,18 +5,20 @@ top-level fields, a Population record (the finite-population and
 response model) and a StudyDesign record (the sampling design). An
 EstimateConfig holds an EstimateDesign record, whose stratified form is
 a tuple of Stratum records. A field that its design kind does not use is
-None.
+None. Each JSON key is one record field, holding the key's default and
+reader (_field); _read walks the fields, parse_*_config checks across.
 
 Parsing is strict: unknown keys, wrong types, and inconsistent sizes are
 all ConfigError with the offending field path, so the CLI can print a
-pointed diagnostic. resolved_config, the echo with every default
-filled in, is the record written out as JSON; it is itself a valid
-config and parses back to an equal record.
+pointed diagnostic. resolved_config, the echo with every default filled
+in, is the record written out as JSON, a valid config that parses back
+to an equal record.
 """
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import partial
 
 from .design import stratum_sizes
 from .errors import ConfigError, InvalidDesignError
@@ -31,10 +33,40 @@ def _fail(path, msg):
     raise ConfigError(path, msg)
 
 
-def _get(obj, key, path):
-    if key not in obj:
-        _fail(f"{path}.{key}" if path else key, "missing required field")
-    return obj[key]
+def _walk(obj, path, specs):
+    """{key: value} of the JSON object obj at path, by specs, a {key:
+    (default, read)} in reading order: a key not in specs is refused, a
+    key whose default is MISSING is required, a present value is
+    read(value, its path) and an absent one takes its default."""
+    if not isinstance(obj, dict):
+        _fail(path, "expected an object" if path else "top-level config must be a JSON object")
+    extra = sorted(set(obj).difference(specs))
+    if extra:
+        _fail(f"{path}.{extra[0]}" if path else extra[0], "unknown field")
+    out = {}
+    for key, (default, read) in specs.items():
+        at = f"{path}.{key}" if path else key
+        if key in obj:
+            out[key] = read(obj[key], at)
+        elif default is MISSING:
+            _fail(at, "missing required field")
+        else:
+            out[key] = default
+    return out
+
+
+def _read(cls, obj, path=""):
+    """The config record cls read off its JSON object obj at path, each
+    field by the reader that _field stored (see _walk)."""
+    return cls(**_walk(obj, path, {f.name: (f.default, f.metadata["read"]) for f in fields(cls)}))
+
+
+def _field(read, default=MISSING, only=None):
+    """A record field whose JSON value read(value, path) checks and
+    converts; required unless it has a default. A field that only the
+    design kind `only` uses defaults to None, and parse_*_config refuses
+    it under any other kind (_check_kind)."""
+    return field(default=None if only else default, metadata={"read": read, "only": only})
 
 
 def _int(value, path, minimum=None):
@@ -65,44 +97,66 @@ def _str(value, path):
     return value
 
 
-def _one_of(obj, key, path, options):
-    """The required string obj[key], which must be one of options."""
-    value = _str(_get(obj, key, path), f"{path}.{key}")
-    if value not in options:
-        _fail(f"{path}.{key}", f"expected {' or '.join(map(repr, options))}, got {value!r}")
-    return value
-
-
-def _numlist(value, path, length=None):
+def _numlist(value, path):
     if not isinstance(value, list):
         _fail(path, "expected a list of numbers")
-    if length is not None and len(value) != length:
-        _fail(path, f"expected length {length}, got {len(value)}")
     return tuple(_num(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
-def _no_unknown(obj, allowed, path):
-    extra = set(obj) - set(allowed)
-    if extra:
-        key = sorted(extra)[0]
-        _fail(f"{path}.{key}" if path else key, "unknown field")
+def _list(value, path, read, what):
+    if not isinstance(value, list) or not value:
+        _fail(path, f"expected a nonempty list of {what}")
+    return tuple(read(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _length(values, length, path):
+    if len(values) != length:
+        _fail(path, f"expected length {length}, got {len(values)}")
+
+
+def _fraction(value, path, closed=False):
+    v = _num(value, path)
+    if not (0.0 <= v <= 1.0 if closed else 0.0 < v < 1.0):
+        _fail(path, f"must be in {'[0, 1]' if closed else '(0, 1)'}, got {v}")
+    return v
+
+
+def _kind(value, path):
+    if _str(value, path) not in ("srswor", "stratified"):
+        _fail(path, f"expected 'srswor' or 'stratified', got {value!r}")
+    return value
+
+
+def _criterion(value, path):
+    try:
+        parse_criterion(_str(value, path))
+    except ValueError as exc:
+        _fail(path, str(exc))
+    return value
+
+
+def _criteria(value, path):
+    crits = _list(value, path, _criterion, "criterion names")
+    if len(set(crits)) != len(crits):
+        _fail(path, "duplicate criteria")
+    return crits
 
 
 def _parse_covariate_law(obj, path):
+    """A covariate law: its name, then the parameters that
+    COVARIATE_LAWS lists for it, required where the listed default is
+    None."""
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
-    name = _str(_get(obj, "name", path), f"{path}.name")
+    if "name" not in obj:
+        _fail(f"{path}.name", "missing required field")
+    name = _str(obj["name"], f"{path}.name")
     if name not in COVARIATE_LAWS:
         _fail(f"{path}.name", f"unknown law {name!r}; expected one of {sorted(COVARIATE_LAWS)}")
-    params = COVARIATE_LAWS[name]
-    _no_unknown(obj, {"name", *params}, path)
-    law = {"name": name}
-    for key, default in params.items():
-        if default is None:
-            law[key] = _num(_get(obj, key, path), f"{path}.{key}")
-        else:
-            law[key] = _num(obj.get(key, default), f"{path}.{key}")
-    if name in ("gamma",) and (law["shape"] <= 0 or law["scale"] <= 0):
+    law = _walk(obj, path, {"name": (MISSING, _str), **{
+        key: (MISSING if default is None else default, _num)
+        for key, default in COVARIATE_LAWS[name].items()}})
+    if name == "gamma" and (law["shape"] <= 0 or law["scale"] <= 0):
         _fail(path, "gamma shape and scale must be positive")
     if name == "normal" and law["scale"] < 0:
         _fail(f"{path}.scale", "must be >= 0")
@@ -111,233 +165,161 @@ def _parse_covariate_law(obj, path):
     return law
 
 
-def _parse_candidates(value, p, path):
+def _parse_candidates(value, path):
     if value == "nested":
-        return "nested"
+        return value
     if not isinstance(value, list) or not value:
         _fail(path, 'expected "nested" or a nonempty list of index lists')
     out = []
     for i, entry in enumerate(value):
         if not isinstance(entry, list) or not entry:
             _fail(f"{path}[{i}]", "expected a nonempty list of covariate indices")
-        idx = tuple(sorted(set(_int(j, f"{path}[{i}]", minimum=1) for j in entry)))
-        if p is not None and idx[-1] > p:
-            _fail(f"{path}[{i}]", f"covariate index {idx[-1]} exceeds p={p}")
-        out.append(idx)
+        out.append(tuple(sorted({_int(j, f"{path}[{i}]", minimum=1) for j in entry})))
     if len(set(out)) != len(out):
         _fail(path, "duplicate candidate models")
     return tuple(out)
 
 
-@dataclass(frozen=True)
+def check_candidates(candidates, p):
+    """Refuse, at its candidates[i] path, the first candidate model
+    that names a covariate index beyond p."""
+    if candidates != "nested":
+        for i, idx in enumerate(candidates):
+            if idx[-1] > p:
+                _fail(f"candidates[{i}]", f"covariate index {idx[-1]} exceeds p={p}")
+
+
+def _unit_ids(value, path):
+    if not isinstance(value, list) or not value:
+        _fail(path, "expected a nonempty list of unit ids")
+    # one pass over the ids; _int words the error for the first bad one
+    bad = [u for u in value if type(u) is not int or u < 0]  # type(True) is bool
+    if bad:
+        _int(bad[0], path, minimum=0)
+    if len(set(value)) != len(value):
+        _fail(path, "duplicate unit ids")
+    return tuple(value)
+
+
+@dataclass(frozen=True, kw_only=True)
 class Population:
-    N: int
-    p: int
-    covariate_law: dict
-    beta: tuple
-    sigma: float
-    response_offset: float
-    response_scale: float
-    response_coefs: tuple
+    N: int = _field(partial(_int, minimum=1))
+    p: int = _field(partial(_int, minimum=1))
+    covariate_law: dict = _field(_parse_covariate_law)
+    beta: tuple = _field(_numlist)  # length p + 1, intercept first
+    sigma: float = _field(partial(_num, minimum=0.0))
+    response_offset: float = _field(_num)
+    response_scale: float = _field(_num)
+    response_coefs: tuple = _field(_numlist)  # length p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class StudyDesign:
-    kind: str  # "srswor" or "stratified"
-    n: int
-    sort_coefs: tuple = None  # stratified only, as are the next two
-    alloc_covariate: int = None
-    fractions: tuple = None
+    kind: str = _field(_kind)  # "srswor" or "stratified"
+    n: int = _field(partial(_int, minimum=1))
+    sort_coefs: tuple = _field(_numlist, only="stratified")
+    alloc_covariate: int = _field(partial(_int, minimum=1), only="stratified")
+    fractions: tuple = _field(_numlist, only="stratified")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class StudyConfig:
-    name: str
-    replications: int
-    master_seed: int
-    level: float
-    criteria: tuple
-    candidates: object  # "nested" or tuple of index tuples
-    failure_threshold: float
-    population: Population
-    design: StudyDesign
+    name: str = _field(_str, "study")
+    replications: int = _field(partial(_int, minimum=1))
+    master_seed: int = _field(partial(_int, minimum=0))
+    level: float = _field(_fraction, 0.95)
+    criteria: tuple = _field(_criteria, DEFAULT_CRITERIA)
+    candidates: object = _field(_parse_candidates, "nested")  # or a tuple of index tuples
+    failure_threshold: float = _field(partial(_fraction, closed=True), 0.05)
+    population: Population = _field(partial(_read, Population))
+    design: StudyDesign = _field(partial(_read, StudyDesign))
+
+
+def _check_kind(design):
+    """Refuse, in field order, a design record field of another kind that
+    is set, or one of its own kind that is not (see _field)."""
+    for f in fields(design):
+        only, unset = f.metadata["only"], getattr(design, f.name) is None
+        if only and (only == design.kind) == unset:
+            _fail(f"design.{f.name}", "missing required field" if unset else "unknown field")
 
 
 def parse_study_config(obj):
-    if not isinstance(obj, dict):
-        _fail("", "top-level config must be a JSON object")
-    _no_unknown(
-        obj,
-        {"name", "replications", "master_seed", "level", "criteria", "candidates",
-         "failure_threshold", "population", "design"},
-        "",
-    )
-    name = _str(obj.get("name", "study"), "name")
-    B = _int(_get(obj, "replications", ""), "replications", minimum=1)
-    seed = _int(_get(obj, "master_seed", ""), "master_seed", minimum=0)
-    level = _num(obj.get("level", 0.95), "level")
-    if not 0.0 < level < 1.0:
-        _fail("level", f"must be in (0, 1), got {level}")
-    threshold = _num(obj.get("failure_threshold", 0.05), "failure_threshold")
-    if not 0.0 <= threshold <= 1.0:
-        _fail("failure_threshold", f"must be in [0, 1], got {threshold}")
-
-    crits = obj.get("criteria", list(DEFAULT_CRITERIA))
-    if not isinstance(crits, list) or not crits:
-        _fail("criteria", "expected a nonempty list of criterion names")
-    for i, c in enumerate(crits):
-        try:
-            parse_criterion(_str(c, f"criteria[{i}]"))
-        except ValueError as exc:
-            _fail(f"criteria[{i}]", str(exc))
-    if len(set(crits)) != len(crits):
-        _fail("criteria", "duplicate criteria")
-
-    pop = _get(obj, "population", "")
-    if not isinstance(pop, dict):
-        _fail("population", "expected an object")
-    _no_unknown(
-        pop,
-        {"N", "p", "covariate_law", "beta", "sigma",
-         "response_offset", "response_scale", "response_coefs"},
-        "population",
-    )
-    N = _int(_get(pop, "N", "population"), "population.N", minimum=1)
-    p = _int(_get(pop, "p", "population"), "population.p", minimum=1)
+    cfg = _read(StudyConfig, obj)
+    pop, design = cfg.population, cfg.design
+    N, p = pop.N, pop.p
     if N * p * 8 > _INT64_MAX:
         _fail("population.N", f"an N x p = {N} x {p} population of 8-byte values "
               "does not fit in 64-bit memory")
-    law = _parse_covariate_law(_get(pop, "covariate_law", "population"), "population.covariate_law")
-    beta = _numlist(_get(pop, "beta", "population"), "population.beta", length=p + 1)
-    sigma = _num(_get(pop, "sigma", "population"), "population.sigma", minimum=0.0)
-    r_offset = _num(_get(pop, "response_offset", "population"), "population.response_offset")
-    r_scale = _num(_get(pop, "response_scale", "population"), "population.response_scale")
-    zeta = _numlist(
-        _get(pop, "response_coefs", "population"), "population.response_coefs", length=p
-    )
-
-    design = _get(obj, "design", "")
-    if not isinstance(design, dict):
-        _fail("design", "expected an object")
-    kind = _one_of(design, "kind", "design", ("srswor", "stratified"))
-    n = _int(_get(design, "n", "design"), "design.n", minimum=1)
-    if n > N:
-        _fail("design.n", f"sample size {n} exceeds population size {N}")
-    sort_coefs = alloc_cov = fractions = None
-    if kind == "srswor":
-        _no_unknown(design, {"kind", "n"}, "design")
-    else:
-        _no_unknown(design, {"kind", "n", "sort_coefs", "alloc_covariate", "fractions"}, "design")
-        sort_coefs = _numlist(_get(design, "sort_coefs", "design"), "design.sort_coefs", length=p)
-        alloc_cov = _int(_get(design, "alloc_covariate", "design"), "design.alloc_covariate", minimum=1)
-        if alloc_cov > p:
-            _fail("design.alloc_covariate", f"index {alloc_cov} exceeds p={p}")
-        fractions = _numlist(_get(design, "fractions", "design"), "design.fractions")
-        if len(fractions) < 1:
+    _length(pop.beta, p + 1, "population.beta")
+    _length(pop.response_coefs, p, "population.response_coefs")
+    if design.n > N:
+        _fail("design.n", f"sample size {design.n} exceeds population size {N}")
+    _check_kind(design)
+    if design.kind == "stratified":
+        H = len(design.fractions)
+        _length(design.sort_coefs, p, "design.sort_coefs")
+        if design.alloc_covariate > p:
+            _fail("design.alloc_covariate", f"index {design.alloc_covariate} exceeds p={p}")
+        if H < 1:
             _fail("design.fractions", "need at least one stratum")
         try:
-            stratum_sizes(N, fractions)
+            stratum_sizes(N, design.fractions)
         except InvalidDesignError as exc:
             _fail("design.fractions", str(exc))
-        if n < 2 * len(fractions):
-            _fail("design.n", f"need at least 2 units per stratum, n={n} with {len(fractions)} strata")
-
-    candidates = _parse_candidates(obj.get("candidates", "nested"), p, "candidates")
-
-    return StudyConfig(
-        name=name, replications=B, master_seed=seed, level=level,
-        criteria=tuple(crits), candidates=candidates, failure_threshold=threshold,
-        population=Population(N, p, law, beta, sigma, r_offset, r_scale, zeta),
-        design=StudyDesign(kind, n, sort_coefs, alloc_cov, fractions),
-    )
+        if design.n < 2 * H:
+            _fail("design.n", f"need at least 2 units per stratum, n={design.n} with {H} strata")
+    check_candidates(cfg.candidates, p)
+    return cfg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Stratum:
-    N: int
-    sampled_units: tuple
+    N: int = _field(partial(_int, minimum=2))
+    sampled_units: tuple = _field(_unit_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EstimateDesign:
-    kind: str  # "srswor" or "stratified"
-    N: int = None  # srswor
-    strata: tuple = None  # stratified: Stratum records
+    kind: str = _field(_kind)  # "srswor" or "stratified"
+    N: int = _field(partial(_int, minimum=1), only="srswor")
+    strata: tuple = _field(partial(_list, read=partial(_read, Stratum), what="stratum objects"),
+                           only="stratified")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EstimateConfig:
-    level: float
-    criterion: str
-    candidates: object
-    master_seed: int  # only consumed by cv fold splitting
-    design: EstimateDesign
+    level: float = _field(_fraction, 0.95)
+    criterion: str = _field(_criterion)
+    # the covariate count is known only once the data file is read, so
+    # cmd_estimate checks the index bound (check_candidates)
+    candidates: object = _field(_parse_candidates, "nested")
+    master_seed: int = _field(partial(_int, minimum=0), 0)  # only consumed by cv fold splitting
+    design: EstimateDesign = _field(partial(_read, EstimateDesign))
 
 
 def parse_estimate_config(obj):
-    if not isinstance(obj, dict):
-        _fail("", "top-level config must be a JSON object")
-    _no_unknown(obj, {"level", "criterion", "candidates", "design", "master_seed"}, "")
-    seed = _int(obj.get("master_seed", 0), "master_seed", minimum=0)
-    level = _num(obj.get("level", 0.95), "level")
-    if not 0.0 < level < 1.0:
-        _fail("level", f"must be in (0, 1), got {level}")
-    criterion = _str(_get(obj, "criterion", ""), "criterion")
-    try:
-        parse_criterion(criterion)
-    except ValueError as exc:
-        _fail("criterion", str(exc))
-
-    # covariate count is only known once the data file is read, so the
-    # upper index bound is checked there
-    raw_candidates = _parse_candidates(obj.get("candidates", "nested"), None, "candidates")
-
-    design = _get(obj, "design", "")
-    if not isinstance(design, dict):
-        _fail("design", "expected an object")
-    kind = _one_of(design, "kind", "design", ("srswor", "stratified"))
-    if kind == "srswor":
-        _no_unknown(design, {"kind", "N"}, "design")
-        N = _int(_get(design, "N", "design"), "design.N", minimum=1)
-        if N > _INT64_MAX:
+    cfg = _read(EstimateConfig, obj)
+    design = cfg.design
+    _check_kind(design)
+    if design.kind == "srswor":
+        if design.N > _INT64_MAX:
             _fail("design.N", "does not fit in 64 bits")
-        return EstimateConfig(level, criterion, raw_candidates, seed, EstimateDesign(kind, N=N))
-    _no_unknown(design, {"kind", "strata"}, "design")
-    raw = _get(design, "strata", "design")
-    if not isinstance(raw, list) or not raw:
-        _fail("design.strata", "expected a nonempty list of stratum objects")
-    strata = []
-    seen = set()
-    for h, entry in enumerate(raw):
-        path = f"design.strata[{h}]"
-        if not isinstance(entry, dict):
-            _fail(path, "expected an object")
-        _no_unknown(entry, {"N", "sampled_units"}, path)
-        N_h = _int(_get(entry, "N", path), f"{path}.N", minimum=2)
-        units = _get(entry, "sampled_units", path)
-        if not isinstance(units, list) or not units:
-            _fail(f"{path}.sampled_units", "expected a nonempty list of unit ids")
-        # one pass over the ids; _int words the error for the first bad one
-        bad = [u for u in units if type(u) is not int or u < 0]  # type(True) is bool
-        if bad:
-            _int(bad[0], f"{path}.sampled_units", minimum=0)
-        ids = tuple(units)
-        distinct = set(ids)
-        if len(distinct) != len(ids):
-            _fail(f"{path}.sampled_units", "duplicate unit ids")
-        if seen & distinct:
-            _fail(f"{path}.sampled_units", "unit id appears in more than one stratum")
-        seen |= distinct
+        return cfg
+    seen, count = set(), 0
+    for h, stratum in enumerate(design.strata):
+        path, ids = f"design.strata[{h}].sampled_units", stratum.sampled_units
+        seen.update(ids)  # each stratum's ids are distinct (_unit_ids)
+        count += len(ids)
+        if len(seen) < count:
+            _fail(path, "unit id appears in more than one stratum")
         if len(ids) < 2:
-            _fail(f"{path}.sampled_units", "need at least 2 sampled units per stratum")
-        if len(ids) > N_h:
-            _fail(f"{path}.sampled_units", f"{len(ids)} sampled units exceed stratum size {N_h}")
-        strata.append(Stratum(N_h, ids))
-    if sum(s.N for s in strata) > _INT64_MAX:
+            _fail(path, "need at least 2 sampled units per stratum")
+        if len(ids) > stratum.N:
+            _fail(path, f"{len(ids)} sampled units exceed stratum size {stratum.N}")
+    if sum(s.N for s in design.strata) > _INT64_MAX:
         _fail("design.strata", "total population size does not fit in 64 bits")
-    return EstimateConfig(
-        level, criterion, raw_candidates, seed, EstimateDesign(kind, strata=tuple(strata))
-    )
+    return cfg
 
 
 def resolved_config(cfg):

@@ -10,8 +10,8 @@ of the first q columns, and the first q columns of its Q their Q
 (Golub & Van Loan, Matrix Computations, section 5.2), so every model of
 a chain is read off one factorization. Unrelated models are chains of
 one. The package's one rank rule (_rank_deficient, RCOND_MIN) lives here:
-qr_checked applies it to the fits, selection to the CV training folds,
-both to column sines (_sines), which no covariate's unit changes.
+qr_checked applies it to the fits and refitted CV folds, selection to the
+others, all to column sines (_sines), which no covariate's unit changes.
 """
 
 from dataclasses import dataclass
@@ -51,14 +51,15 @@ class FitResult:
     fit_candidates. R is the upper triangular factor of the respondent
     design Z = QR, so R'R = Z'Z; consumers solve against it instead of
     factoring the design again. Q is the thin Q of Z and resid the n_r
-    residuals y - Z beta_hat; a chain's fits hold views of its one Q and
-    one residual matrix."""
+    residuals y - Z beta_hat; a chain's fits hold views of its one Q, Z
+    and residual matrix."""
 
     beta_hat: np.ndarray
     rss: float
     R: np.ndarray
     Q: np.ndarray
     resid: np.ndarray
+    Z: np.ndarray
 
 
 def classify_model(model, true_support):
@@ -141,7 +142,8 @@ def fit_candidates(X_r, y_r, candidates):
     y_r = np.asarray(y_r, dtype=np.float64)
     fits = dict.fromkeys(candidates)
     for chain in _prefix_chains(fits):
-        Q, R, width = qr_checked(design_matrix(X_r, chain[0]))
+        Z = design_matrix(X_r, chain[0])
+        Q, R, width = qr_checked(Z)
         g = Q.T @ y_r
         resid = y_r[:, None] - np.cumsum(Q * g, axis=1)
         for m in chain:
@@ -149,7 +151,7 @@ def fit_candidates(X_r, y_r, candidates):
             if q <= width:
                 e = resid[:, q - 1]
                 beta = np.linalg.solve(R[:q, :q], g[:q])
-                fits[m] = FitResult(beta, float(e @ e), R[:q, :q], Q[:, :q], e)
+                fits[m] = FitResult(beta, float(e @ e), R[:q, :q], Q[:, :q], e, Z[:, :q])
     return fits
 
 

@@ -6,9 +6,10 @@ The candidate set is the dict of respondent fits from fit_candidates
 order is the scoring order. This module owns every score, and each
 reads the candidate's one fit: AIC and BIC its rss, K-fold CV its Q, R
 and residuals, from which the held-out sum of squares of every training
-fold follows in closed form, so no score refits anything. K-fold CV
-draws each candidate its own split (score_candidates, the one CV entry
-point) and scores all folds of all candidates of a dataset in one pass
+fold follows in closed form; a fold too near singular for it is refitted
+on its rows of the fit's design. K-fold CV draws each candidate its own
+split (score_candidates, the one CV entry point) and scores all folds of
+all candidates of a dataset in one pass
 (_cv_scores): one identity-padded stack of the folds' Gram matrices,
 one Cholesky of it, which also gives each training fold's verdict under
 the rank rule of estimators, and one pair of vectorised triangular
@@ -26,11 +27,15 @@ import re
 import numpy as np
 
 from .errors import SelectionFailureError
-from .estimators import RCOND_MIN, _rank_deficient, _sines
+from .estimators import _rank_deficient, _sines, qr_checked
 
 # rss at or below this fraction of the centered total sum of squares is
 # treated as an exact interpolation that only floating point kept nonzero
 RSS_INTERP_REL = 1e-16
+
+# a CV training fold whose min diag(L) is at or below this is refitted: the
+# closed form's relative error is about eps / min diag(L)^2 (see _cv_scores)
+CV_REFIT_BELOW = 1e-3
 
 _CV_RE = re.compile(r"cv([1-9][0-9]*)")
 
@@ -91,16 +96,16 @@ def _cv_scores(fits, orders, sizes):
     candidate's numbers depend on the stack's width P, not on which
     other candidates share it. L[c, k]'s leading q_c x q_c block times
     c's R is the triangular factor of fold k's training rows of Z = QR,
-    which are singular when fewer than q_c, when the Cholesky fails,
-    when min diag(L) <= sqrt(RCOND_MIN) (M is formed at Gram scale, so
-    L resolves only to about sqrt(eps)), or when the rank rule rejects
-    diag(L) times the sines of c's R (_sines), the factor's diagonal
-    once Z's columns have unit norm. If the stacked Cholesky raises,
-    each (candidate, fold) block is factored alone, to the same factor,
-    so only the blocks that fail are ruled out. A candidate's score is
-    the mean held-out MSE over its nonsingular folds, which must number
-    at least K - 1: one unlucky fold does not disqualify a model whose
-    full fit is regular.
+    which are singular when fewer than q_c, or when the rank rule
+    rejects diag(L) times the sines of c's R (_sines), the factor's
+    diagonal once Z's columns have unit norm. A fold whose Cholesky
+    fails (if the stacked one raises, each block is factored alone, to
+    the same factor) or whose min diag(L) is at or below CV_REFIT_BELOW
+    is refitted instead: M is formed at Gram scale, and a held-out row of
+    leverage near 1 leaves it near singular though the training rows are
+    regular. A candidate's score is the mean held-out MSE over its
+    nonsingular folds, which must number at least K - 1: one unlucky
+    fold does not disqualify a model whose full fit is regular.
     -> array of C scores, +inf where two or more training folds are
     singular."""
     q = np.array([fit.R.shape[0] for fit in fits])
@@ -122,7 +127,7 @@ def _cv_scores(fits, orders, sizes):
     E[P, P] = 0.0
     np.subtract(E, G, out=G)
     M = G[..., :P, :P]
-    ok = q[:, None] <= fits[0].resid.size - sizes  # (C, K): enough training rows
+    enough = q[:, None] <= fits[0].resid.size - sizes  # (C, K): enough training rows
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
@@ -131,17 +136,28 @@ def _cv_scores(fits, orders, sizes):
             try:
                 L[c, k] = np.linalg.cholesky(M[c, k])
             except np.linalg.LinAlgError:
-                L[c, k] = np.eye(P)
-                ok[c, k] = False
+                L[c, k] = 0.0  # its zero diagonal routes it to a refit
     d = np.diagonal(L, axis1=-2, axis2=-1)
     deficient = _rank_deficient(d * _sines(R)[:, None])[np.arange(C), :, q - 1]
-    ok &= (d.min(axis=-1) > np.sqrt(RCOND_MIN)) & ~deficient
+    routed = enough & (d.min(axis=-1) <= CV_REFIT_BELOW)
+    ok = enough & ~routed & ~deficient
     if not ok.all():
         L[~ok] = np.eye(P)  # so that solves against it stay finite
     b, ee = G[..., :P, P].copy(), -G[..., P, P]
     del G, M  # so that at most two (C, K, P, P) stacks are alive at once
     g, x = _substitute(L, b)
     sse = ee + np.sum(g * g, axis=-1) + np.sum(x * x, axis=-1)
+    # refit a routed fold on its training rows of Z: with Z[train] = US by
+    # qr_checked, whose rank rule gives the verdict, and y = Z beta_hat + e,
+    # r_t = e_t - Z_t delta for delta = S^-1 U'e_train
+    for c, k in zip(*np.nonzero(routed)):
+        fit, test = fits[c], np.split(orders[c], np.cumsum(sizes)[:-1])[k]
+        train = np.delete(np.arange(fit.resid.size), test)
+        U, S, width = qr_checked(fit.Z[train])
+        ok[c, k] = width == q[c]
+        if ok[c, k]:
+            r = fit.resid[test] - fit.Z[test] @ np.linalg.solve(S, U.T @ fit.resid[train])
+            sse[c, k] = r @ r
     kept = ok.sum(axis=-1)
     total = np.where(ok, sse / sizes, 0.0).sum(axis=-1)
     return np.where(kept >= K - 1, total / np.maximum(kept, 1), np.inf)

@@ -213,7 +213,8 @@ class TestImputedMean:
         y = rng.normal(size=5)
         r = np.array([True, True, True, False, False])
         m = ModelSpec((1,))
-        fit = FitResult(np.array([0.0, 0.0]), 0.0, np.eye(2), np.zeros((3, 2)), np.zeros(3))
+        fit = FitResult(np.array([0.0, 0.0]), 0.0, np.eye(2), np.zeros((3, 2)), np.zeros(3),
+                        np.zeros((3, 2)))
         mu = imputed_means(s, r, X, y, {m: fit})[m]
         # zero coefficients: missing contribute nothing
         expect = sum(y[i] / s.pi_first[i] for i in range(3)) / 20

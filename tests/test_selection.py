@@ -302,6 +302,52 @@ def test_cv_identity_matches_refits(seed, n_r, p, k, nested, delta, binary):
             assert score == pytest.approx(ref, rel=1e-9 + 1e-14 * kappa**2)
 
 
+def test_cv_scores_the_fold_that_holds_a_high_leverage_row():
+    # x2[7] = 1e9 gives row 7 a leverage within about 1e-17 of 1, so the
+    # fold that holds it out has an I - Q_t'Q_t too near singular for its
+    # Cholesky; its training rows are regular, and their refit fails
+    # badly on row 7, which the score must show
+    rng = np.random.default_rng(0)
+    X = rng.gamma(5.0, 2.0, size=(40, 2))
+    y = 1.0 + X[:, 0] + 2.0 * X[:, 1] + rng.normal(size=40)
+    X[7, 1] = 1e9
+    m = ModelSpec((1, 2))
+    score = score_candidates("cv5", fit_candidates(X, y, [m]), y, split_rng(11, 0, 40))[m]
+    ref = refit_cv_score(X, y, m, make_folds(40, 5, split_rng(11, 0, 40)))
+    assert ref > 1e16
+    assert score == pytest.approx(ref, rel=1e-7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_r=st.integers(min_value=10, max_value=60),
+    p=st.integers(min_value=1, max_value=3),
+    k=st.integers(min_value=0, max_value=12),
+    data=st.data(),
+)
+def test_cv_matches_refits_with_one_covariate_value_scaled(seed, n_r, p, k, data):
+    # one row's covariate times 10^k, k in [0, 12], after y is drawn:
+    # the row's leverage nears 1, and each candidate's cv5 score must
+    # stay on the refit oracle, or both be +inf
+    i = data.draw(st.integers(min_value=0, max_value=n_r - 1), label="row")
+    j = data.draw(st.integers(min_value=0, max_value=p - 1), label="covariate")
+    rng = np.random.default_rng(seed)
+    X = rng.gamma(5.0, 2.0, size=(n_r, p))
+    y = 1.0 + X @ np.arange(1.0, p + 1) + rng.normal(size=n_r)
+    X[i, j] *= 10.0**k
+    fits = fit_candidates(X, y, nested_candidates(p))
+    scores = score_candidates("cv5", fits, y, np.random.default_rng(seed))
+    fold_rng = np.random.default_rng(seed)
+    for (m, fit), score in zip(fits.items(), scores.values()):
+        folds = make_folds(n_r, 5, fold_rng)
+        ref = float("inf") if fit is None else refit_cv_score(X, y, m, folds)
+        if ref == float("inf"):
+            assert score == ref, m
+        else:
+            assert score == pytest.approx(ref, rel=1e-7), m
+
+
 def count_choleskys(monkeypatch):
     """Record each np.linalg.cholesky call: its input's shape and
     whether it raised."""
@@ -358,8 +404,10 @@ def test_mixed_stack_matches_the_one_candidate_scorer():
 def test_failing_cholesky_spoils_only_its_own_candidate(monkeypatch):
     # Q's rows in a fold scaled by 3 make that fold's I - Q_t'Q_t
     # indefinite, so the stacked Cholesky raises; each (candidate, fold)
-    # block is then factored alone. One failing fold is left out of its
-    # candidate's mean, two make it +inf, and no other candidate changes
+    # block is then factored alone. A block that fails is refitted on
+    # its training rows of the design, which Q's scaling leaves as they
+    # were, so the candidate scores its refits' mean, and no other
+    # candidate changes
     rng = np.random.default_rng(32)
     X = rng.normal(size=(40, 4))
     y = 1.0 + X @ [1.0, -2.0, 0.5, 0.0] + rng.normal(size=40)
@@ -368,7 +416,6 @@ def test_failing_cholesky_spoils_only_its_own_candidate(monkeypatch):
     clean = score_candidates("cv5", clean_fits, y, np.random.default_rng(33))
     broken = cands[1]
     folds = make_folds(40, 5, split_rng(33, 1, 40))
-    mses = refit_fold_mses(X, y, broken, folds)
     for broken_folds in ((0,), (0, 3)):
         Q = clean_fits[broken].Q.copy()
         for f in broken_folds:
@@ -381,11 +428,7 @@ def test_failing_cholesky_spoils_only_its_own_candidate(monkeypatch):
         assert calls[0] == ((4, 5, 5, 5), True)
         assert [raised for _, raised in calls[1:]] == [
             c == 1 and k in broken_folds for c in range(4) for k in range(5)]
-        if len(broken_folds) == 1:
-            rest = [v for f, v in enumerate(mses) if f not in broken_folds]
-            assert scores[broken] == pytest.approx(np.mean(rest), rel=1e-10)
-        else:
-            assert scores[broken] == float("inf")
+        assert scores[broken] == pytest.approx(refit_cv_score(X, y, broken, folds), rel=1e-10)
         for i, m in enumerate(cands):
             if m != broken:
                 solo = score_candidates("cv5", {m: fits[m]}, y, split_rng(33, i, 40))[m]

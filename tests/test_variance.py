@@ -262,11 +262,12 @@ class TestV1:
 
 class TestSigma2:
     def test_hand_value(self):
-        fit = FitResult(np.array([0.0]), rss=2.0, R=np.eye(1), Q=np.zeros((3, 1)), resid=np.ones(3))
+        fit = FitResult(np.array([0.0]), rss=2.0, R=np.eye(1), Q=np.zeros((3, 1)), resid=np.ones(3),
+                        Z=np.ones((3, 1)))
         assert sigma2_hat(fit) == pytest.approx(1.0)
 
     def test_no_degrees_of_freedom(self):
-        fit = FitResult(np.zeros(3), rss=0.0, R=np.eye(3), Q=np.eye(3), resid=np.zeros(3))
+        fit = FitResult(np.zeros(3), rss=0.0, R=np.eye(3), Q=np.eye(3), resid=np.zeros(3), Z=np.eye(3))
         with pytest.raises(EstimationFailureError, match="n_r=3, p_alpha=3"):
             sigma2_hat(fit)
 
