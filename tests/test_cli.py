@@ -1110,7 +1110,8 @@ class TestEstimate:
         code = main(["estimate", "--data", str(data), "--config", str(cfg)])
         assert code == EXIT_CONFIG
         # the path and wording of the bound check that a study config gets
-        assert capsys.readouterr().err == "config error at candidates[1]: covariate index 7 exceeds p=2\n"
+        assert capsys.readouterr().err == (
+            "config error at candidates[1]: covariate index 7 exceeds p=2\n")
 
     def test_stratified_route(self, tmp_path, capsys):
         rng = np.random.default_rng(11)

@@ -309,7 +309,8 @@ def _edit(make, keys, value):
 
 def _fault(make, keys, value, field, message):
     """One single-fault config and the (field, message) it is refused with."""
-    name = f"{make.__name__}:{'.'.join(map(str, keys)) or 'top'}={'DEL' if value is DEL else value!r}"
+    shown = "DEL" if value is DEL else repr(value)
+    name = f"{make.__name__}:{'.'.join(map(str, keys)) or 'top'}={shown}"
     return pytest.param(make, keys, value, field, message, id=name[:80])
 
 
@@ -337,8 +338,10 @@ CONFIG_ERRORS = [
            "expected a number, got None"),
     _fault(base_study, ("failure_threshold",), 1.5, "failure_threshold",
            "must be in [0, 1], got 1.5"),
-    _fault(base_study, ("criteria",), "aic", "criteria", "expected a nonempty list of criterion names"),
-    _fault(base_study, ("criteria",), [], "criteria", "expected a nonempty list of criterion names"),
+    _fault(base_study, ("criteria",), "aic", "criteria",
+           "expected a nonempty list of criterion names"),
+    _fault(base_study, ("criteria",), [], "criteria",
+           "expected a nonempty list of criterion names"),
     _fault(base_study, ("criteria",), ["aic", 5], "criteria[1]", "expected a string, got 5"),
     _fault(base_study, ("criteria",), ["aic", "cv1"], "criteria[1]",
            "cv criterion needs K >= 2, got 'cv1'"),
@@ -354,10 +357,12 @@ CONFIG_ERRORS = [
     _fault(base_study, ("candidates",), [[1], 2], "candidates[1]",
            "expected a nonempty list of covariate indices"),
     _fault(base_study, ("candidates",), [[1, 0]], "candidates[0]", "must be >= 1, got 0"),
-    _fault(base_study, ("candidates",), [[1, "2"]], "candidates[0]", "expected an integer, got '2'"),
+    _fault(base_study, ("candidates",), [[1, "2"]], "candidates[0]",
+           "expected an integer, got '2'"),
     _fault(base_study, ("candidates",), [[1], [1, 4]], "candidates[1]",
            "covariate index 4 exceeds p=3"),
-    _fault(base_study, ("candidates",), [[2, 1], [1, 2]], "candidates", "duplicate candidate models"),
+    _fault(base_study, ("candidates",), [[2, 1], [1, 2]], "candidates",
+           "duplicate candidate models"),
     # study population
     _fault(base_study, ("population",), DEL, "population", "missing required field"),
     _fault(base_study, ("population",), [], "population", "expected an object"),
@@ -372,7 +377,8 @@ CONFIG_ERRORS = [
     _fault(base_study, _LAW, 5, "population.covariate_law", "expected an object"),
     _fault(base_study, _LAW, {"shape": 5.0, "scale": 2.0}, "population.covariate_law.name",
            "missing required field"),
-    _fault(base_study, _LAW + ("name",), 3, "population.covariate_law.name", "expected a string, got 3"),
+    _fault(base_study, _LAW + ("name",), 3, "population.covariate_law.name",
+           "expected a string, got 3"),
     _fault(base_study, _LAW + ("name",), "cauchy", "population.covariate_law.name",
            "unknown law 'cauchy'; expected one of ['gamma', 'normal', 'uniform']"),
     _fault(base_study, _LAW + ("df",), 3, "population.covariate_law.df", "unknown field"),
@@ -411,7 +417,8 @@ CONFIG_ERRORS = [
            "expected 'srswor' or 'stratified', got 'poisson'"),
     _fault(base_study, ("design", "n"), DEL, "design.n", "missing required field"),
     _fault(base_study, ("design", "n"), 0, "design.n", "must be >= 1, got 0"),
-    _fault(base_study, ("design", "n"), 51, "design.n", "sample size 51 exceeds population size 50"),
+    _fault(base_study, ("design", "n"), 51, "design.n",
+           "sample size 51 exceeds population size 50"),
     _fault(base_study, ("design", "fractions"), [1.0], "design.fractions", "unknown field"),
     _fault(base_study, ("design", "foo"), 1, "design.foo", "unknown field"),
     *[_fault(base_stratified, ("design", key), DEL, f"design.{key}", "missing required field")
