@@ -20,7 +20,6 @@ from .design import (  # noqa: E402
 from .errors import (  # noqa: E402
     ConfigError,
     EstimationFailureError,
-    InvalidDesignError,
     SelectionFailureError,
     SurveyImputeError,
 )

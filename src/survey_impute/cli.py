@@ -7,10 +7,11 @@ survey-impute estimate --data sample.csv --config est.json
 
 SURVEY_IMPUTE_SEED overrides the config's master_seed. Data and config
 files are read as UTF-8, with or without a byte-order mark. Exit codes:
-0 success, 2 malformed config, data or output path, data that no
-candidate model can fit, data whose estimate or variance is not finite,
-or a run that does not fit in memory, 3 failure rate above the
-configured threshold, 1 anything else.
+0 success, 2 malformed config, data, output path or --threads, a
+config that a study replication finds unusable, data that no candidate
+model can fit, data whose estimate or variance is not finite, or a run
+that does not fit in memory, 3 failure rate above the configured
+threshold. Any other exit (1, with a traceback) is a bug.
 """
 
 import argparse
@@ -29,14 +30,13 @@ import numpy as np
 from .config import (check_candidates, load_json, parse_estimate_config, parse_study_config,
                      resolved_config)
 from .design import SampleDraw
-from .errors import ConfigError, EstimationFailureError, SelectionFailureError, SurveyImputeError
+from .errors import ConfigError, EstimationFailureError, SelectionFailureError
 from .estimators import build_candidates, fit_candidates
 from .selection import parse_criterion, select
 from .study import SUMMARY_COLUMNS, float_text, reps_to_csv, run_records, summarize, summary_to_csv
 from .variance import estimate_model
 
 EXIT_OK = 0
-EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_FAILURE_RATE = 3
 
@@ -138,7 +138,8 @@ def cmd_simulate(args):
 
     out_dir = args.out_dir or "."
     _check_outputs(out_dir, "summary.csv", (args.config,), args.reps_out)
-    # run_records refuses --threads < 1 before any work, so a refused run creates nothing
+    if args.threads < 1:  # refused before any work, so a refused run creates nothing
+        raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
     records = run_records(cfg, threads=args.threads)
     summary = summarize(cfg, records)
     with _writing("--out-dir"):
@@ -432,9 +433,6 @@ def main(argv=None):
         # a study counts these per replication, so only estimate gets here
         print(f"error: the data admit no usable estimate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SurveyImputeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except MemoryError as exc:
         # e.g. a population within config's 64-bit bound that no host can hold
         print(f"error: out of memory: {exc}", file=sys.stderr)

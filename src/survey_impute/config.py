@@ -21,7 +21,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 
 from .design import stratum_sizes
-from .errors import ConfigError, InvalidDesignError
+from .errors import ConfigError
 from .population import COVARIATE_LAWS
 from .selection import parse_criterion
 
@@ -162,6 +162,8 @@ def _parse_covariate_law(obj, path):
         _fail(f"{path}.scale", "must be >= 0")
     if name == "uniform" and law["high"] < law["low"]:
         _fail(path, "uniform needs high >= low")
+    if name == "uniform" and not math.isfinite(law["high"] - law["low"]):
+        _fail(path, "uniform needs a finite high - low")
     return law
 
 
@@ -265,7 +267,7 @@ def parse_study_config(obj):
             _fail("design.fractions", "need at least one stratum")
         try:
             stratum_sizes(N, design.fractions)
-        except InvalidDesignError as exc:
+        except ValueError as exc:
             _fail("design.fractions", str(exc))
         if design.n < 2 * H:
             _fail("design.n", f"need at least 2 units per stratum, n={design.n} with {H} strata")

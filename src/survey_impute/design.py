@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDesignError
-
 # n_h floor of a design with more than one stratum, so within-stratum
 # joint probabilities exist; the lower bound of Neyman allocation's box
 MIN_STRATUM_SIZE = 2
@@ -41,23 +39,21 @@ class SampleDraw:
         ids = np.array(self.unit_ids, dtype=np.int64)
         labels = np.array(self.strata, dtype=np.int64)
         if N_h.ndim != 1 or N_h.size == 0:
-            raise InvalidDesignError("need nonempty 1-d stratum sizes")
+            raise ValueError("need nonempty 1-d stratum sizes")
         if ids.ndim != 1 or labels.shape != ids.shape:
-            raise InvalidDesignError("unit_ids and strata must be matching 1-d arrays")
+            raise ValueError("unit_ids and strata must be matching 1-d arrays")
         if np.any(ids < 0) or np.any(ids >= N_h.sum()):
-            raise InvalidDesignError("unit ids out of range")
+            raise ValueError("unit ids out of range")
         sorted_ids = np.sort(ids)
         if np.any(sorted_ids[1:] == sorted_ids[:-1]):
-            raise InvalidDesignError("duplicate unit ids in draw")
+            raise ValueError("duplicate unit ids in draw")
         if np.any(labels < 0) or np.any(labels >= N_h.size):
-            raise InvalidDesignError("stratum labels out of range")
+            raise ValueError("stratum labels out of range")
         n_h = np.bincount(labels, minlength=N_h.size)
         if np.any(n_h < 1) or np.any(n_h > N_h):
-            raise InvalidDesignError(
-                f"need 1 <= n_h <= N_h, got n_h={n_h.tolist()}, N_h={N_h.tolist()}"
-            )
+            raise ValueError(f"need 1 <= n_h <= N_h, got n_h={n_h.tolist()}, N_h={N_h.tolist()}")
         if N_h.size > 1 and np.any(n_h < MIN_STRATUM_SIZE):
-            raise InvalidDesignError(f"each n_h must be >= {MIN_STRATUM_SIZE}, got {n_h.tolist()}")
+            raise ValueError(f"each n_h must be >= {MIN_STRATUM_SIZE}, got {n_h.tolist()}")
         pi = (n_h / N_h)[labels]
         for name, value in (("unit_ids", ids), ("strata", labels), ("population_sizes", N_h),
                             ("allocations", n_h), ("pi_first", pi)):
@@ -83,7 +79,7 @@ def _largest_remainder(raw, total):
     if total == 0:
         return np.zeros(raw.shape, dtype=np.int64)
     if np.any(raw < 0) or raw.sum() <= 0:
-        raise InvalidDesignError("apportionment weights must be nonnegative with positive sum")
+        raise ValueError("apportionment weights must be nonnegative with positive sum")
     quota = raw * (total / raw.sum())
     base = np.floor(quota).astype(np.int64)
     short = total - int(base.sum())
@@ -98,12 +94,12 @@ def stratum_sizes(population_size, fractions):
     """Stratum sizes of the population from target fractions (largest remainder)."""
     fractions = np.asarray(fractions, dtype=np.float64)
     if np.any(fractions <= 0):
-        raise InvalidDesignError("stratum fractions must be positive")
+        raise ValueError("stratum fractions must be positive")
     if abs(fractions.sum() - 1.0) > 1e-9:
-        raise InvalidDesignError("stratum fractions must sum to 1")
+        raise ValueError("stratum fractions must sum to 1")
     sizes = _largest_remainder(fractions, population_size)
     if np.any(sizes < 2):
-        raise InvalidDesignError("stratum fractions give a stratum with fewer than 2 units")
+        raise ValueError("stratum fractions give a stratum with fewer than 2 units")
     return sizes
 
 
@@ -123,15 +119,15 @@ def neyman_allocation(sizes, sds, n):
     sds = np.asarray(sds, dtype=np.float64)
     H = sizes.size
     if sds.shape != (H,):
-        raise InvalidDesignError("sizes and sds must have matching length")
+        raise ValueError("sizes and sds must have matching length")
     if np.any(sds < 0) or not np.all(np.isfinite(sds)):
-        raise InvalidDesignError("stratum sds must be finite and nonnegative")
+        raise ValueError("stratum sds must be finite and nonnegative")
     if not MIN_STRATUM_SIZE * H <= n <= sizes.sum():
-        raise InvalidDesignError(
+        raise ValueError(
             f"total n={n} infeasible for {H} strata of at least {MIN_STRATUM_SIZE} units"
         )
     if np.any(sizes < MIN_STRATUM_SIZE):
-        raise InvalidDesignError(f"a stratum has fewer than {MIN_STRATUM_SIZE} population units")
+        raise ValueError(f"a stratum has fewer than {MIN_STRATUM_SIZE} population units")
     weights = sizes * sds
 
     alloc = np.zeros(H, dtype=np.int64)
@@ -157,7 +153,7 @@ def neyman_allocation(sizes, sds, n):
 def draw_srswor(population_size, sample_size, rng):
     """Simple random sample without replacement; ids returned sorted."""
     if not 1 <= sample_size <= population_size:
-        raise InvalidDesignError(f"need 1 <= n <= N, got n={sample_size}, N={population_size}")
+        raise ValueError(f"need 1 <= n <= N, got n={sample_size}, N={population_size}")
     ids = np.sort(rng.choice(population_size, size=sample_size, replace=False))
     return SampleDraw(ids, np.zeros(sample_size, dtype=np.int64), (population_size,))
 
@@ -175,7 +171,7 @@ def draw_stratified(sort_key, alloc_variable, fractions, sample_size, rng):
     alloc_variable = np.asarray(alloc_variable, dtype=np.float64)
     N = sort_key.size
     if alloc_variable.shape != (N,):
-        raise InvalidDesignError("sort_key and alloc_variable must have matching length")
+        raise ValueError("sort_key and alloc_variable must have matching length")
     sizes = stratum_sizes(N, fractions)
 
     order = np.argsort(sort_key)

@@ -1,7 +1,11 @@
-"""Exception types shared across the package. A model that cannot be
-fitted is not an error: fit_candidates marks it None. Nor is a Monte
-Carlo metric that the replications leave undefined: the metric returns
-None, an empty cell of summary.csv."""
+"""Exception types shared across the package. A public function refuses
+a bad argument with ValueError; a config or CLI value at fault is a
+ConfigError, raised by config and cli and by a replication that finds its
+config unusable; data that admit no selection or estimate raise the two
+failure classes, which a study counts per replication. A model that
+cannot be fitted is not an error: fit_candidates marks it None. Nor is a
+Monte Carlo metric that the replications leave undefined: the metric
+returns None, an empty cell of summary.csv."""
 
 
 class SurveyImputeError(Exception):
@@ -24,10 +28,6 @@ class ConfigError(SurveyImputeError):
 
     def __str__(self):
         return f"{self.field}: {self.message}"
-
-
-class InvalidDesignError(SurveyImputeError):
-    """Sampling design that violates its own invariants."""
 
 
 class SelectionFailureError(SurveyImputeError):

@@ -23,7 +23,7 @@ COVARIATE_LAWS = {
 def _draw_covariates(N, p, law, rng):
     name = law.get("name")
     if name not in COVARIATE_LAWS:
-        raise ConfigError("covariate_law.name", f"unknown law {name!r}")
+        raise ValueError(f"covariate_law.name: unknown law {name!r}")
     params = {key: law[key] if default is None else law.get(key, default)
               for key, default in COVARIATE_LAWS[name].items()}
     return getattr(rng, name)(**params, size=(N, p))
@@ -48,15 +48,15 @@ def generate_population(N, p, covariate_law, beta, sigma, response, rng):
     offset, scale, zeta = response
     zeta = np.asarray(zeta, dtype=np.float64)
     if N < 1 or p < 1:
-        raise ConfigError("population", "need N >= 1 and p >= 1")
+        raise ValueError("population: need N >= 1 and p >= 1")
     if beta.shape != (p + 1,):
-        raise ConfigError("beta", f"expected length {p + 1}, got {beta.shape}")
+        raise ValueError(f"beta: expected length {p + 1}, got {beta.shape}")
     if zeta.shape != (p,):
-        raise ConfigError("response_coefs", f"expected length {p}, got {zeta.shape}")
+        raise ValueError(f"response_coefs: expected length {p}, got {zeta.shape}")
     if not (np.isfinite(offset) and np.isfinite(scale)):
-        raise ConfigError("response", "offset and scale must be finite")
+        raise ValueError("response: offset and scale must be finite")
     if not sigma >= 0:
-        raise ConfigError("sigma", "must be >= 0")
+        raise ValueError("sigma: must be >= 0")
 
     X = _draw_covariates(N, p, covariate_law, rng)
     eps = rng.normal(0.0, 1.0, size=N) * sigma

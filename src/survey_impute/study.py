@@ -24,10 +24,10 @@ from .population import generate_population, generate_response, true_support
 from .selection import select
 from .variance import Estimate, estimate_model
 
-# the only errors select and estimate_model raise on a replication:
-# fit_candidates turns a singular fit into None, a realized draw always
-# matches its allocation, and a saturated fit or a non-finite estimate
-# raises EstimationFailureError
+# the data failures a replication counts, the only errors select and
+# estimate_model raise: fit_candidates turns a singular fit into None, and
+# a saturated fit or a non-finite estimate is an EstimationFailureError; a
+# population that makes the config unusable is a ConfigError, no failure
 _FAILURES = (SelectionFailureError, EstimationFailureError)
 
 
@@ -74,9 +74,12 @@ def run_replication(cfg, rep_id):
         sample = draw_srswor(pop.N, design.n, samp_rng)
     else:
         sort_key = X @ np.asarray(design.sort_coefs)
-        sample = draw_stratified(
-            sort_key, X[:, design.alloc_covariate - 1], design.fractions, design.n, samp_rng
-        )
+        try:
+            sample = draw_stratified(
+                sort_key, X[:, design.alloc_covariate - 1], design.fractions, design.n, samp_rng
+            )
+        except ValueError as exc:  # config checks all else: a stratum sd that is not finite
+            raise ConfigError("design.alloc_covariate", str(exc))
     r = generate_response(resp_prob, sample.unit_ids, resp_rng)
 
     X_s = X[sample.unit_ids]
@@ -117,7 +120,7 @@ def run_records(cfg, threads=1):
     one worker per CPU; the chunks depend on threads alone, so the
     records do not depend on the CPU count."""
     if threads < 1:
-        raise ConfigError("--threads", f"must be >= 1, got {threads}")
+        raise ValueError(f"threads must be >= 1, got {threads}")
     B = cfg.replications
     if threads == 1:
         return _run_chunk((cfg, range(B)))

@@ -32,7 +32,7 @@ import pytest
 
 import survey_impute.variance as variance
 from survey_impute.cli import _data_file
-from survey_impute.errors import ConfigError, InvalidDesignError
+from survey_impute.errors import ConfigError
 from survey_impute.estimators import design_matrix
 
 INT64 = np.iinfo(np.int64)
@@ -51,7 +51,7 @@ def joint_matrix(population_sizes, allocations, strata):
     N_h = np.asarray(population_sizes, dtype=np.int64)
     n_h = np.asarray(allocations, dtype=np.int64)
     if np.any(N_h < 2):
-        raise InvalidDesignError("joint inclusion undefined for N_h < 2")
+        raise ValueError("joint inclusion undefined for N_h < 2")
     labels = np.asarray(strata, dtype=np.int64)
     pi = (n_h / N_h)[labels]
     # as floats: the int64 product N_h (N_h - 1) wraps past about 3e9

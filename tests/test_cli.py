@@ -145,7 +145,7 @@ class TestSimulate:
                      "--threads", threads])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
-        assert "--threads" in err and err.count("\n") == 1
+        assert err == f"config error at --threads: must be >= 1, got {threads}\n"
         assert not (tmp_path / "summary.csv").exists()
 
     def test_population_beyond_any_address_space_exits_2(self, tmp_path, capsys):
@@ -160,23 +160,43 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_config_error_in_a_replication_exits_2_for_any_threads(self, tmp_path):
+    @pytest.mark.parametrize("population, design, line", [
         # an offset of 1000 makes every response probability 1, which
-        # generate_population refuses inside the first replication; a pool
-        # worker's error must reach the parent as the same ConfigError
-        raw = json.loads((ROOT / "configs" / "srswor_n100.json").read_text())
-        raw["replications"] = 4
-        raw["population"]["response_offset"] = 1000
-        cfg_path = tmp_path / "offset.json"
-        cfg_path.write_text(json.dumps(raw))
+        # generate_population refuses inside the first replication
+        ({"response_offset": 1000}, {},
+         "response_coefs: response probabilities hit 0 or 1"),
+        # covariates of scale 1e200 square past the float range, so each
+        # stratum sd of the alloc covariate is inf and the Neyman
+        # allocation refuses the drawn population; the flat response keeps
+        # every response probability off 0 and 1 until then
+        ({"N": 200, "covariate_law": {"name": "normal", "scale": 1e200}},
+         {"kind": "stratified", "n": 40, "sort_coefs": [1.0, 0.0], "alloc_covariate": 1,
+          "fractions": [0.5, 0.5]},
+         "design.alloc_covariate: stratum sds must be finite and nonnegative"),
+    ], ids=["saturated_response", "unusable_draw"])
+    def test_config_error_in_a_replication_exits_2_for_any_threads(self, tmp_path, population,
+                                                                   design, line):
+        # a pool worker's error must reach the parent as the same ConfigError
+        cfg_path = study_json(tmp_path, replications=4, population=population, design=design)
         runs = {}
         for threads in ("1", "2"):
             out = tmp_path / f"out{threads}"
             proc = simulate_in_a_fresh_process(cfg_path, threads, out)
             runs[threads] = (proc.returncode, proc.stderr)
             assert not (out / "summary.csv").exists()
-        line = "config error at response_coefs: response probabilities hit 0 or 1\n"
-        assert runs["2"] == runs["1"] == (EXIT_CONFIG, line)
+        assert runs["2"] == runs["1"] == (EXIT_CONFIG, f"config error at {line}\n")
+
+    def test_uniform_range_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        # high - low overflows to inf, which numpy's uniform refuses
+        cfg_path = study_json(tmp_path, population={
+            "covariate_law": {"name": "uniform", "low": -1.7e308, "high": 1.7e308}})
+        out = tmp_path / "out"
+        for extra in (["--dry-run"], ["--threads", "1"], ["--threads", "2"]):
+            code = main(["simulate", "--config", str(cfg_path), "--out-dir", str(out), *extra])
+            assert (code, capsys.readouterr().err) == (
+                EXIT_CONFIG,
+                "config error at population.covariate_law: uniform needs a finite high - low\n")
+        assert not out.exists()
 
     def test_overflowing_population_warns_of_nothing_for_any_threads(self, tmp_path):
         # every beta at 1e308 overflows y, so every criterion fails and the
@@ -1368,7 +1388,7 @@ FUZZ_CONFIGS = {
                    np.arange(8), np.array([4 / 20, 4 / 30] * 4)),
 }
 FUZZ_VALUES = [None, True, False, 0, -1, 1, 3.5, "7", "", [], {}, [1], 2**63 - 1, 2**63,
-               2**64, -(2**63) - 1, 10**30, float("inf")]
+               2**64, -(2**63) - 1, 10**30, 1e300, -1.7e308, float("inf")]
 
 
 def config_paths(node, path=()):
@@ -1482,6 +1502,11 @@ FUZZ_STUDIES = {
                    "design": {"kind": "stratified", "n": 24, "sort_coefs": [1.0, 0.0],
                               "alloc_covariate": 2, "fractions": [0.5, 0.5]}},
 }
+# the stratified study with a response that ignores the covariates: one
+# huge covariate parameter then reaches the stratum sds of the Neyman
+# allocation without saturating a response probability first
+FUZZ_STUDIES["flat response"] = copy.deepcopy(FUZZ_STUDIES["stratified"])
+FUZZ_STUDIES["flat response"]["population"]["response_coefs"] = [0.0, 0.0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -1489,7 +1514,8 @@ FUZZ_STUDIES = {
 def test_malformed_study_config_exits_0_or_2(data):
     """A valid SRSWOR or stratified study config with one to three
     generic faults: a value replaced by a wrong type, bool, negative,
-    beyond-int64 or infinite one, a field deleted, an unknown key added.
+    beyond-int64, huge finite or infinite one, a field deleted, an unknown
+    key added.
     simulate --dry-run exits 0 or 2 and a one-replication simulate exits
     0 or 2, or 3 when its one replication fails (the documented
     failure-rate exit); never a traceback, and an exit 2 prints one

@@ -392,6 +392,8 @@ CONFIG_ERRORS = [
            "must be >= 0"),
     _fault(base_study, _LAW, {"name": "uniform", "low": 2.0, "high": 1.0},
            "population.covariate_law", "uniform needs high >= low"),
+    _fault(base_study, _LAW, {"name": "uniform", "low": -1.7e308, "high": 1.7e308},
+           "population.covariate_law", "uniform needs a finite high - low"),
     _fault(base_study, ("population", "beta"), 1, "population.beta", "expected a list of numbers"),
     _fault(base_study, ("population", "beta"), [0.0, 1.0], "population.beta",
            "expected length 4, got 2"),

@@ -14,7 +14,6 @@ from survey_impute.design import (
     neyman_allocation,
     stratum_sizes,
 )
-from survey_impute.errors import InvalidDesignError
 from survey_impute.variance import v1_hat
 
 
@@ -188,13 +187,13 @@ class TestStratumSizes:
         assert sizes.sum() == 101
 
     def test_tiny_stratum_rejected(self):
-        with pytest.raises(InvalidDesignError):
+        with pytest.raises(ValueError, match="give a stratum with fewer than 2 units"):
             stratum_sizes(20, [0.95, 0.05])
 
     def test_bad_fractions(self):
-        with pytest.raises(InvalidDesignError):
+        with pytest.raises(ValueError, match="fractions must sum to 1"):
             stratum_sizes(100, [0.6, 0.5])
-        with pytest.raises(InvalidDesignError):
+        with pytest.raises(ValueError, match="fractions must be positive"):
             stratum_sizes(100, [0.5, -0.5, 1.0])
 
 
@@ -235,18 +234,18 @@ class TestNeymanAllocation:
         assert np.array_equal(alloc, [2, 2, 9])
 
     def test_infeasible(self):
-        with pytest.raises(InvalidDesignError):
+        with pytest.raises(ValueError, match="total n=3 infeasible for 2 strata"):
             neyman_allocation([4, 4], [1.0, 1.0], 3)  # below the floor of 2 each
-        with pytest.raises(InvalidDesignError):
+        with pytest.raises(ValueError, match="total n=9 infeasible for 2 strata"):
             neyman_allocation([4, 4], [1.0, 1.0], 9)  # above the population
 
 
 class TestDraws:
     def test_srswor_bad_sizes(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(InvalidDesignError, match="1 <= n <= N"):
+        with pytest.raises(ValueError, match="1 <= n <= N"):
             draw_srswor(10, 0, rng)
-        with pytest.raises(InvalidDesignError, match="1 <= n <= N"):
+        with pytest.raises(ValueError, match="1 <= n <= N"):
             draw_srswor(10, 11, rng)
 
     def test_pair_frequencies_uniform(self):
@@ -329,19 +328,19 @@ class TestDraws:
 class TestValidation:
     def test_sample_draw_checks(self):
         zeros = np.zeros(3, dtype=np.int64)
-        with pytest.raises(InvalidDesignError, match="duplicate"):
+        with pytest.raises(ValueError, match="duplicate unit ids in draw"):
             SampleDraw(np.array([1, 1, 2]), zeros, (10,))
-        with pytest.raises(InvalidDesignError, match="labels out of range"):
+        with pytest.raises(ValueError, match="labels out of range"):
             SampleDraw(np.array([1, 2, 3]), np.array([0, 0, 1]), (10,))
-        with pytest.raises(InvalidDesignError, match="labels out of range"):
+        with pytest.raises(ValueError, match="labels out of range"):
             SampleDraw(np.array([1, 2, 3]), np.array([0, -1, 0]), (10,))
-        with pytest.raises(InvalidDesignError, match="matching"):
+        with pytest.raises(ValueError, match="matching"):
             SampleDraw(np.array([1, 2, 3]), zeros[:2], (10,))
-        with pytest.raises(InvalidDesignError, match="matching"):
+        with pytest.raises(ValueError, match="matching"):
             SampleDraw(np.array([[1, 2, 3]]), zeros[None, :], (10,))
-        with pytest.raises(InvalidDesignError, match="out of range"):
+        with pytest.raises(ValueError, match="unit ids out of range"):
             SampleDraw(np.array([1, 2, 10]), zeros, (10,))
-        with pytest.raises(InvalidDesignError, match="out of range"):
+        with pytest.raises(ValueError, match="unit ids out of range"):
             SampleDraw(np.array([-1, 2, 3]), zeros, (10,))
         s = SampleDraw(np.array([4, 0, 7]), zeros, (10,))
         assert np.array_equal(s.pi_first, np.full(3, 0.3))
@@ -351,18 +350,18 @@ class TestValidation:
 
     def test_counted_allocation_checks(self):
         # n_h is the count of each stratum's labels, held to 1 <= n_h <= N_h
-        with pytest.raises(InvalidDesignError, match="stratum sizes"):
+        with pytest.raises(ValueError, match="stratum sizes"):
             SampleDraw([], [], ())
-        with pytest.raises(InvalidDesignError, match="stratum sizes"):
+        with pytest.raises(ValueError, match="stratum sizes"):
             SampleDraw([0], [0], [[10]])
-        with pytest.raises(InvalidDesignError, match="1 <= n_h <= N_h"):
+        with pytest.raises(ValueError, match="1 <= n_h <= N_h"):
             SampleDraw([], [], (10,))  # an empty draw
-        with pytest.raises(InvalidDesignError, match="1 <= n_h <= N_h"):
+        with pytest.raises(ValueError, match="1 <= n_h <= N_h"):
             SampleDraw([0, 1, 2], [0, 0, 0], (10, 10))  # stratum 1 is empty
-        with pytest.raises(InvalidDesignError, match="1 <= n_h <= N_h"):
+        with pytest.raises(ValueError, match="1 <= n_h <= N_h"):
             # distinct in-range ids, but four of them in a stratum of three
             SampleDraw([0, 1, 2, 3, 4, 5], [0, 0, 0, 0, 1, 1], (3, 10))
-        with pytest.raises(InvalidDesignError, match=">= 2"):
+        with pytest.raises(ValueError, match=">= 2"):
             # n_h = 1 breaks within-stratum joint inclusion
             SampleDraw([0, 3, 4], [0, 1, 1], (3, 3))
         # a one-unit SRSWOR draw stays legal, and so does a census

@@ -21,7 +21,7 @@ ALLOWED = {
     "__main__": {"cli"},
     "cli": {"config", "design", "errors", "estimators", "selection", "study", "variance"},
     "config": {"design", "errors", "population", "selection"},
-    "design": {"errors"},
+    "design": set(),
     "errors": set(),
     "estimators": set(),
     "loss": {"estimators"},

@@ -52,13 +52,13 @@ class TestGeneratePopulation:
 
     def test_validation_errors(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=r"beta: expected length 3, got \(2,\)"):
             generate_population(10, 2, GAMMA52, (1.0, 2.0), 1.0, (0.0, 1.0, (0.0, 0.0)), rng)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=r"response_coefs: expected length 2, got \(1,\)"):
             generate_population(10, 2, GAMMA52, (1.0, 2.0, 3.0), 1.0, (0.0, 1.0, (0.0,)), rng)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="sigma: must be >= 0"):
             generate_population(10, 2, GAMMA52, (1.0, 2.0, 3.0), -1.0, (0.0, 1.0, (0.0, 0.0)), rng)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="unknown law 'cauchy'"):
             generate_population(
                 10, 2, {"name": "cauchy"}, (1.0, 2.0, 3.0), 1.0, (0.0, 1.0, (0.0, 0.0)), rng
             )

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from survey_impute import study
 from survey_impute.config import parse_study_config
 from survey_impute.design import draw_srswor
-from survey_impute.errors import ConfigError
 from survey_impute.estimators import ModelSpec, fit_candidates, nested_candidates
 from survey_impute.selection import select
 from survey_impute.study import (
@@ -212,8 +211,8 @@ class TestThreads:
         assert pool_sizes == [min(2, want), min(3, want), want]
 
     @pytest.mark.parametrize("threads", [0, -4])
-    def test_fewer_than_one_thread_is_a_config_error(self, pool_sizes, threads):
-        with pytest.raises(ConfigError, match="--threads"):
+    def test_fewer_than_one_thread_is_refused(self, pool_sizes, threads):
+        with pytest.raises(ValueError, match=f"must be >= 1, got {threads}$"):
             run_records(tiny_config(), threads)
         assert pool_sizes == []
 
