@@ -5,19 +5,17 @@ survey-impute simulate --config study.json [--out-dir D] [--threads K]
 survey-impute estimate --data sample.csv --config est.json
                        [--out-dir D] [--dry-run]
 
-SURVEY_IMPUTE_SEED overrides the config's master_seed. Data and config
-files are read as UTF-8, with or without a byte-order mark. Exit codes:
-0 success, 2 malformed config, data, output path or --threads, a
-config that a study replication finds unusable, data that no candidate
-model can fit, data whose estimate or variance is not finite, or a run
-that does not fit in memory, 3 failure rate above the configured
-threshold. Any other exit (1, with a traceback) is a bug.
+Data and config files are read as UTF-8, with or without a byte-order
+mark. Exit codes: 0 success, 2 malformed config, data, output path or
+--threads, a config that a study replication finds unusable, data that
+no candidate model can fit, data whose estimate or variance is not
+finite, or a run that does not fit in memory, 3 failure rate above the
+configured threshold. Any other exit (1, with a traceback) is a bug.
 """
 
 import argparse
 import contextlib
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -44,20 +42,6 @@ EXIT_FAILURE_RATE = 3
 def _round10(x):
     """x as study.float_text writes it, as a float."""
     return float(float_text(x))
-
-
-def _with_env_seed(cfg):
-    """cfg with SURVEY_IMPUTE_SEED, when set, as its master_seed."""
-    raw = os.environ.get("SURVEY_IMPUTE_SEED")
-    if raw is None or raw == "":
-        return cfg
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise ConfigError("SURVEY_IMPUTE_SEED", f"not an integer: {raw!r}")
-    if seed < 0:
-        raise ConfigError("SURVEY_IMPUTE_SEED", "must be >= 0")
-    return dataclasses.replace(cfg, master_seed=seed)
 
 
 def _check_name_lengths(flag, parent, names):
@@ -131,7 +115,7 @@ def _print_summary_table(cfg, text, out):
 
 
 def cmd_simulate(args):
-    cfg = _with_env_seed(parse_study_config(load_json(args.config)))
+    cfg = parse_study_config(load_json(args.config))
     if args.dry_run:
         print(json.dumps(resolved_config(cfg), indent=2))
         return EXIT_OK
@@ -339,7 +323,7 @@ def build_estimate_design(cfg, ids, pi):
 
 
 def cmd_estimate(args):
-    cfg = _with_env_seed(parse_estimate_config(load_json(args.config)))
+    cfg = parse_estimate_config(load_json(args.config))
     if args.dry_run:
         print(json.dumps(resolved_config(cfg), indent=2))
         return EXIT_OK

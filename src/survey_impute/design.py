@@ -129,6 +129,8 @@ def neyman_allocation(sizes, sds, n):
     if np.any(sizes < MIN_STRATUM_SIZE):
         raise ValueError(f"a stratum has fewer than {MIN_STRATUM_SIZE} population units")
     weights = sizes * sds
+    if not np.isfinite(weights.sum()):
+        raise ValueError("stratum weights N_h * S_h overflow the float range")
 
     alloc = np.zeros(H, dtype=np.int64)
     free = np.ones(H, dtype=bool)
@@ -138,6 +140,8 @@ def neyman_allocation(sizes, sds, n):
         if w.sum() == 0:
             w = sizes[free].astype(np.float64)  # all-equal spread: proportional
         share = w * (remaining / w.sum())
+        if not np.all(np.isfinite(share)):  # remaining / w.sum() overflowed
+            raise ValueError("stratum weights N_h * S_h too small to share n")
         bounded = np.clip(share, MIN_STRATUM_SIZE, sizes[free])
         if np.array_equal(bounded, share):
             alloc[free] = _largest_remainder(w, remaining)

@@ -64,9 +64,10 @@ def generate_population(N, p, covariate_law, beta, sigma, response, rng):
     t = scale * (offset + X @ zeta)
     e = np.exp(-np.abs(t))  # the logistic as 1/(1+e) or, for t < 0, e/(1+e): no overflow
     resp_prob = np.where(t >= 0, 1.0, e) / (1.0 + e)
-    if np.any(resp_prob <= 0.0) or np.any(resp_prob >= 1.0):
+    if not np.all((resp_prob > 0.0) & (resp_prob < 1.0)):
         # the logistic rounds to exactly 1 above about 36.7 but to 0 only below about
-        # -745; refuse rather than clip, since pi-weighting assumes an interior probability
+        # -745, and an inf covariate times a zero coefficient gives NaN; refuse rather
+        # than clip, since pi-weighting assumes an interior probability
         raise ConfigError("response_coefs", "response probabilities hit 0 or 1")
 
     return X, y, resp_prob

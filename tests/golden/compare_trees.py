@@ -57,6 +57,7 @@ def estimate_inputs(workdir):
 def run(tree, workdir, argv):
     """stdout of `python argv` against tree's package, run in workdir; a
     non-zero exit appends its code and stderr."""
+    # older trees let SURVEY_IMPUTE_SEED replace the configs' master_seed
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "SURVEY_IMPUTE_SEED")}
     env["PYTHONPATH"] = str(tree / "src")
     proc = subprocess.run([sys.executable, *argv], cwd=workdir, env=env,

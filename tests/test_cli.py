@@ -173,7 +173,11 @@ class TestSimulate:
          {"kind": "stratified", "n": 40, "sort_coefs": [1.0, 0.0], "alloc_covariate": 1,
           "fractions": [0.5, 0.5]},
          "design.alloc_covariate: stratum sds must be finite and nonnegative"),
-    ], ids=["saturated_response", "unusable_draw"])
+        # covariates of scale 1.7e308 overflow to inf, and inf times the
+        # zero response coefficients makes every response probability NaN
+        ({"covariate_law": {"name": "gamma", "shape": 5, "scale": 1.7e308}}, {},
+         "response_coefs: response probabilities hit 0 or 1"),
+    ], ids=["saturated_response", "unusable_draw", "nan_response"])
     def test_config_error_in_a_replication_exits_2_for_any_threads(self, tmp_path, population,
                                                                    design, line):
         # a pool worker's error must reach the parent as the same ConfigError
@@ -221,24 +225,37 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert "not found" in capsys.readouterr().err
 
-    def test_env_seed_equivalence(self, tmp_path, capsys, monkeypatch):
-        explicit = study_json(tmp_path, name="a.json", master_seed=123)
-        out_a = tmp_path / "a"
-        assert main(["simulate", "--config", str(explicit), "--out-dir", str(out_a)]) == EXIT_OK
-
-        base = study_json(tmp_path, name="b.json", master_seed=5)
-        out_b = tmp_path / "b"
-        monkeypatch.setenv("SURVEY_IMPUTE_SEED", "123")
-        assert main(["simulate", "--config", str(base), "--out-dir", str(out_b)]) == EXIT_OK
-        capsys.readouterr()
-        assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
-
-    def test_invalid_env_seed_exits_2(self, tmp_path, capsys, monkeypatch):
+    def test_environment_sets_no_seed(self, tmp_path, capsys, monkeypatch):
+        # a run depends only on its config and flags: an exported
+        # SURVEY_IMPUTE_SEED changes no simulate or estimate output
         cfg_path = study_json(tmp_path)
-        monkeypatch.setenv("SURVEY_IMPUTE_SEED", "ten")
-        code = main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        assert "SURVEY_IMPUTE_SEED" in capsys.readouterr().err
+        rng = np.random.default_rng(3)
+        ids = np.sort(rng.choice(50, size=10, replace=False))
+        X = rng.gamma(5.0, 2.0, size=(10, 2))
+        y = 1.0 + X @ [2.0, 0.2] + rng.normal(size=10)  # x2 so weak that the fold split decides
+        data = tmp_path / "d.csv"
+        write_sample_csv(data, ids, X, y, np.full(10, 0.2), missing={1, 4})
+
+        def estimate(seed):
+            est = tmp_path / "est.json"
+            est.write_text(json.dumps({"criterion": "cv5", "master_seed": seed,
+                                       "design": {"kind": "srswor", "N": 50}}))
+            assert main(["estimate", "--data", str(data), "--config", str(est)]) == EXIT_OK
+            return capsys.readouterr().out
+
+        def outputs(tag):
+            out = tmp_path / tag
+            assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(out)]) == EXIT_OK
+            capsys.readouterr()
+            assert main(["simulate", "--config", str(cfg_path), "--dry-run"]) == EXIT_OK
+            echoed = json.loads(capsys.readouterr().out)["master_seed"]
+            return (out / "summary.csv").read_bytes(), echoed, estimate(5)
+
+        plain = outputs("plain")
+        assert plain[1] == 5
+        assert estimate(123) != plain[2]  # so a seed of 123 would show
+        monkeypatch.setenv("SURVEY_IMPUTE_SEED", "123")
+        assert outputs("env") == plain
 
     def test_failure_rate_threshold_exits_3(self, tmp_path, capsys):
         cfg_path = study_json(
@@ -890,6 +907,31 @@ class TestUnreadableInput:
     def test_config_is_a_directory(self, tmp_path, capsys):
         err = self.run(["simulate", "--config", str(tmp_path), "--dry-run"], capsys)
         assert str(tmp_path) in err
+
+    def estimate(self, tmp_path, data, capsys):
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps({"criterion": "bic", "design": {"kind": "srswor", "N": 50}}))
+        return self.run(["estimate", "--data", str(data), "--config", str(cfg)], capsys)
+
+    def test_data_file_missing(self, tmp_path, capsys):
+        data = tmp_path / "absent.csv"
+        assert self.estimate(tmp_path, data, capsys) == (
+            f"config error at {data}: cannot read data file: "
+            f"[Errno 2] No such file or directory: '{data}'\n")
+
+    def test_data_file_is_a_directory(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.mkdir()
+        assert self.estimate(tmp_path, data, capsys) == (
+            f"config error at {data}: cannot read data file: "
+            f"[Errno 21] Is a directory: '{data}'\n")
+
+    def test_header_field_beyond_the_csv_field_limit(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("unit_id," + "x" * (csv.field_size_limit() + 1) + ",y,pi\n1,2.0,3.0,0.5\n")
+        assert self.estimate(tmp_path, data, capsys) == (
+            "config error at header: malformed CSV: field larger than field limit "
+            f"({csv.field_size_limit()})\n")
 
 
 class TestByteOrderMark:

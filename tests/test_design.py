@@ -239,6 +239,17 @@ class TestNeymanAllocation:
         with pytest.raises(ValueError, match="total n=9 infeasible for 2 strata"):
             neyman_allocation([4, 4], [1.0, 1.0], 9)  # above the population
 
+    @pytest.mark.parametrize("sds, message", [
+        ([1e307, 1e307], "overflow the float range"),  # each N_h S_h is inf
+        ([1.2e306, 1.2e306], "overflow the float range"),  # only their sum is inf
+        ([1e-323, 0.0], "too small to share n"),  # n / sum(N_h S_h) is inf
+        ([1e-323, 1e-323], "too small to share n"),
+    ], ids=["inf_weights", "inf_sum", "inf_share", "inf_shares"])
+    def test_weights_beyond_the_float_range(self, sds, message):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match=rf"stratum weights N_h \* S_h {message}"):
+            neyman_allocation([100, 100], sds, 10)
+
 
 class TestDraws:
     def test_srswor_bad_sizes(self):

@@ -76,6 +76,14 @@ class TestGeneratePopulation:
                 10, 1, {"name": "uniform"}, (0.0, 1.0), 1.0,
                 (-1000.0, 1.0, (0.0,)), np.random.default_rng(3),
             )
+        # covariates that overflow to inf, times a zero response coefficient,
+        # give a NaN logistic argument and so a NaN probability
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ConfigError, match="response probabilities hit 0 or 1"):
+            generate_population(
+                60, 2, {"name": "gamma", "shape": 5.0, "scale": 1.7e308}, (0.0, 1.0, 1.0), 1.0,
+                (0.0, 1.0, (0.0, 0.0)), np.random.default_rng(3),
+            )
 
 
 def response_probability(t):
