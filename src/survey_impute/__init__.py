@@ -64,6 +64,8 @@ from .study import (  # noqa: E402
     StudySummary,
     SummaryRow,
     coverage_probability,
+    draw_population,
+    draw_sample,
     mc_loss,
     relative_bias,
     relative_efficiency,

@@ -139,9 +139,11 @@ def neyman_allocation(sizes, sds, n):
         w = weights[free]
         if w.sum() == 0:
             w = sizes[free].astype(np.float64)  # all-equal spread: proportional
+        # shares are scale-free, and scaling by a power of two is exact unless
+        # it takes a weight below the normal range: with the largest weight
+        # in [0.5, 1), remaining / w.sum() cannot overflow
+        w = np.ldexp(w, -np.frexp(w.max())[1])
         share = w * (remaining / w.sum())
-        if not np.all(np.isfinite(share)):  # remaining / w.sum() overflowed
-            raise ValueError("stratum weights N_h * S_h too small to share n")
         bounded = np.clip(share, MIN_STRATUM_SIZE, sizes[free])
         if np.array_equal(bounded, share):
             alloc[free] = _largest_remainder(w, remaining)

@@ -5,8 +5,16 @@ candidate_labels) and per criterion.
 Each replication derives its own RNG streams from
 SeedSequence([master_seed, rep_id]).spawn(4), one stream per stage
 (population, sample, response, criteria), so results are identical for
-any worker count and any execution order; aggregation is a fold over
-rep_id order.
+any worker count, any execution order and whichever thread draws;
+aggregation is a fold over rep_id order.
+
+A run of replications draws each population (draw_population) on one
+helper thread while the main thread fits, selects and estimates the
+replication before it (run_replication). The draw is mostly the
+covariate draw and BLAS, which release the GIL, so it runs on a second
+core. The main thread takes the sample and response from a population
+(draw_sample) before the next one is drawn, so one population is held
+at a time.
 """
 
 import csv
@@ -61,35 +69,56 @@ def _labels(candidates, p):
                              for j, m in enumerate(build_candidates(candidates, p), start=1)})
 
 
-def run_replication(cfg, rep_id):
-    streams = np.random.SeedSequence([cfg.master_seed, rep_id]).spawn(4)
-    pop_rng, samp_rng, resp_rng, crit_rng = map(np.random.default_rng, streams)
+def _rng(cfg, rep_id, stage):
+    """The generator of one stage of replication rep_id, child `stage` of
+    SeedSequence([master_seed, rep_id]) as spawn(4) numbers them:
+    0 population, 1 sample, 2 response, 3 criteria."""
+    return np.random.default_rng(
+        np.random.SeedSequence([cfg.master_seed, rep_id], spawn_key=(stage,)))
 
-    pop, design = cfg.population, cfg.design
-    X, y, resp_prob = generate_population(
+
+# as _run_chunk, whose error state a helper thread does not inherit
+@np.errstate(over="ignore", invalid="ignore")
+def draw_population(cfg, rep_id):
+    """The population (X, y, resp_prob) of replication rep_id."""
+    pop = cfg.population
+    return generate_population(
         pop.N, pop.p, pop.covariate_law, pop.beta, pop.sigma,
-        (pop.response_offset, pop.response_scale, pop.response_coefs), pop_rng
+        (pop.response_offset, pop.response_scale, pop.response_coefs), _rng(cfg, rep_id, 0)
     )
+
+
+def draw_sample(cfg, rep_id, population):
+    """The sample and response of replication rep_id from its population
+    (draw_population) -> (mu_true, sample, r, X_s, y_s): the population
+    mean, the SampleDraw, the response set and the sampled units'
+    covariates and y, copies that keep no reference to the population."""
+    X, y, resp_prob = population
+    design = cfg.design
     if design.kind == "srswor":
-        sample = draw_srswor(pop.N, design.n, samp_rng)
+        sample = draw_srswor(cfg.population.N, design.n, _rng(cfg, rep_id, 1))
     else:
         sort_key = X @ np.asarray(design.sort_coefs)
         try:
-            sample = draw_stratified(
-                sort_key, X[:, design.alloc_covariate - 1], design.fractions, design.n, samp_rng
-            )
+            sample = draw_stratified(sort_key, X[:, design.alloc_covariate - 1],
+                                     design.fractions, design.n, _rng(cfg, rep_id, 1))
         except ValueError as exc:  # config checks all else: a stratum sd that is not finite
             raise ConfigError("design.alloc_covariate", str(exc))
-    r = generate_response(resp_prob, sample.unit_ids, resp_rng)
+    r = generate_response(resp_prob, sample.unit_ids, _rng(cfg, rep_id, 2))
+    return float(y.mean()), sample, r, X[sample.unit_ids], y[sample.unit_ids]
 
-    X_s = X[sample.unit_ids]
-    y_s = y[sample.unit_ids]
+
+def run_replication(cfg, rep_id, drawn):
+    """The record of replication rep_id from its draws (draw_sample):
+    fits, selection and estimates."""
+    mu_true, sample, r, X_s, y_s = drawn
     ht_complete = ht_mean(sample, y_s)
 
     y_r = y_s[r]
     fits = fit_candidates(X_s[r], y_r, candidate_labels(cfg))
     mu_hats = tuple(imputed_means(sample, r, X_s, y_s, fits).values())
 
+    crit_rng = _rng(cfg, rep_id, 3)
     criteria = []
     estimates = {}  # criteria that pick one model share its Estimate
     for crit in cfg.criteria:
@@ -104,21 +133,38 @@ def run_replication(cfg, rep_id):
             est = type(exc).__name__
         criteria.append(est)
 
-    return ReplicationRecord(rep_id, float(y.mean()), ht_complete, mu_hats, tuple(criteria))
+    return ReplicationRecord(rep_id, mu_true, ht_complete, mu_hats, tuple(criteria))
 
 
 # finite but huge data can overflow to NaN estimates and failed criteria,
 # with no numpy warning on stderr, as in cmd_estimate
 @np.errstate(over="ignore", invalid="ignore")
 def _run_chunk(args):
+    """The records of rep_ids, in order, each population drawn on a
+    helper thread while the replication before it is estimated (see the
+    module docstring)."""
     cfg, rep_ids = args
-    return [run_replication(cfg, r) for r in rep_ids]
+    # imported here, as run_records' pool: only a study run loads it
+    from concurrent.futures import ThreadPoolExecutor
+
+    records = []
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = helper.submit(draw_population, cfg, rep_ids[0])
+        for i, rep_id in enumerate(rep_ids, start=1):
+            drawn = draw_sample(cfg, rep_id, ahead.result())
+            del ahead  # the future holds the population: free it before the next draw
+            if i < len(rep_ids):
+                ahead = helper.submit(draw_population, cfg, rep_ids[i])
+            records.append(run_replication(cfg, rep_id, drawn))
+    return records
 
 
 def run_records(cfg, threads=1):
     """All replication records, in rep_id order. The pool holds at most
     one worker per CPU; the chunks depend on threads alone, so the
-    records do not depend on the CPU count."""
+    records do not depend on the CPU count. This process (threads = 1)
+    or each worker draws its chunk's next population on one helper
+    thread, so each process runs up to two threads."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     B = cfg.replications

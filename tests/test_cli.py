@@ -436,9 +436,10 @@ class TestRefusedWrites:
 
     @pytest.fixture
     def no_work(self, monkeypatch):
-        """A replication or a data read fails the test."""
+        """A population draw, a replication or a data read fails the test."""
         def work(*args):
             raise AssertionError("work started before the output check")
+        monkeypatch.setattr(study, "generate_population", work)
         monkeypatch.setattr(study, "run_replication", work)
         monkeypatch.setattr(cli, "read_estimate_csv", work)
 

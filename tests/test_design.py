@@ -242,13 +242,21 @@ class TestNeymanAllocation:
     @pytest.mark.parametrize("sds, message", [
         ([1e307, 1e307], "overflow the float range"),  # each N_h S_h is inf
         ([1.2e306, 1.2e306], "overflow the float range"),  # only their sum is inf
-        ([1e-323, 0.0], "too small to share n"),  # n / sum(N_h S_h) is inf
-        ([1e-323, 1e-323], "too small to share n"),
-    ], ids=["inf_weights", "inf_sum", "inf_share", "inf_shares"])
+    ], ids=["inf_weights", "inf_sum"])
     def test_weights_beyond_the_float_range(self, sds, message):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 ValueError, match=rf"stratum weights N_h \* S_h {message}"):
             neyman_allocation([100, 100], sds, 10)
+
+    @pytest.mark.parametrize("sizes, sds, want", [
+        ([100, 100], [1e-323, 0.0], [8, 2]),  # n / sum(N_h S_h) is inf
+        ([100, 100], [1e-323, 1e-323], [5, 5]),
+        # the first shares are finite; once the capped stratum is pegged,
+        # n / N_h S_h of the one left free is inf
+        ([100, 5], [1e-323, 1e10], [5, 5]),
+    ], ids=["inf_share", "inf_shares", "inf_share_after_a_peg"])
+    def test_subnormal_weights_share_n(self, sizes, sds, want):
+        assert np.array_equal(neyman_allocation(sizes, sds, 10), want)
 
 
 class TestDraws:

@@ -40,6 +40,12 @@ def test_cli_import_loads_no_process_pool():
     assert loaded_modules("concurrent.futures.process") == "[]"
 
 
+def test_cli_import_loads_no_thread_pool():
+    # only a study run draws populations on a helper thread, and it imports
+    # the thread pool then
+    assert loaded_modules("concurrent.futures.thread") == "[]"
+
+
 def test_estimate_loads_numpy_random_only_for_cv(tmp_path):
     # only a cvK criterion draws from estimate's generator; that the
     # stdout is unchanged tests/test_golden.py checks on both criteria

@@ -3,6 +3,8 @@
 import concurrent.futures
 import csv
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from hypothesis import strategies as st
 from survey_impute import study
 from survey_impute.config import parse_study_config
 from survey_impute.design import draw_srswor
+from survey_impute.errors import ConfigError
 from survey_impute.estimators import ModelSpec, fit_candidates, nested_candidates
+from survey_impute.population import generate_population
 from survey_impute.selection import select
 from survey_impute.study import (
     SUMMARY_COLUMNS,
@@ -21,6 +25,8 @@ from survey_impute.study import (
     SummaryRow,
     candidate_labels,
     coverage_probability,
+    draw_population,
+    draw_sample,
     mc_loss,
     relative_bias,
     relative_efficiency,
@@ -32,6 +38,11 @@ from survey_impute.study import (
     variance_rb,
 )
 from survey_impute.variance import Estimate, estimate_model
+
+
+def replication(cfg, rep_id):
+    """Replication rep_id, drawn and estimated in this thread."""
+    return run_replication(cfg, rep_id, draw_sample(cfg, rep_id, draw_population(cfg, rep_id)))
 
 
 def tiny_config(**tweaks):
@@ -123,7 +134,7 @@ class TestRunReplication:
             population={"response_offset": 150.0, "response_scale": 0.1},
             design={"n": 60},
         )
-        rec = run_replication(cfg, 0)
+        rec = replication(cfg, 0)
         assert rec.ht_complete == pytest.approx(rec.mu_true, rel=1e-14)
         bic = rec.criteria[0]
         assert isinstance(bic, Estimate)
@@ -150,8 +161,8 @@ class TestRunReplication:
 
     def test_master_seed_override_changes_draws(self):
         cfg = tiny_config(replications=1)
-        a = run_replication(cfg, 0)
-        b = run_replication(dataclasses.replace(cfg, master_seed=99), 0)
+        a = replication(cfg, 0)
+        b = replication(dataclasses.replace(cfg, master_seed=99), 0)
         assert a.mu_true != b.mu_true
 
     def test_rep_ids_change_draws(self):
@@ -159,6 +170,65 @@ class TestRunReplication:
         a, b = run_records(cfg)
         assert a.mu_true != b.mu_true
         assert (a.rep_id, b.rep_id) == (0, 1)
+
+    @pytest.mark.parametrize("tweaks", [
+        {"replications": 5},
+        {"replications": 5, "criteria": ["aic", "cv5"],
+         "design": {"kind": "stratified", "n": 20, "sort_coefs": [1.0, 0.5],
+                    "alloc_covariate": 1, "fractions": [0.5, 0.5]}},
+        {"replications": 1},  # nothing is drawn ahead
+    ], ids=["srswor", "stratified", "B1"])
+    def test_drawing_ahead_changes_no_record(self, tweaks):
+        # run_records draws each population on a helper thread, one ahead;
+        # drawing and estimating each replication in turn here is the reference
+        cfg = tiny_config(**tweaks)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the two threads trade the GIL as often as they can
+        try:
+            records = run_records(cfg, 1)
+        finally:
+            sys.setswitchinterval(switch)
+        reference = [replication(cfg, r) for r in range(cfg.replications)]
+        assert len(records) == len(reference) == cfg.replications
+        for got, want in zip(records, reference):
+            for f in dataclasses.fields(study.ReplicationRecord):
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_a_failed_draw_raises_as_before_and_ends_the_helper(self, monkeypatch, k):
+        # the helper draws population k while replication k - 1 is
+        # estimated; its error reaches the caller as it was raised
+        calls = []
+
+        def failing(*args):
+            calls.append(len(calls))
+            if calls[-1] == k:
+                raise ConfigError("response_coefs", "response probabilities hit 0 or 1")
+            return generate_population(*args)
+
+        monkeypatch.setattr(study, "generate_population", failing)
+        before = threading.active_count()
+        with pytest.raises(ConfigError) as err:
+            run_records(tiny_config(replications=5), 1)
+        assert str(err.value) == "response_coefs: response probabilities hit 0 or 1"
+        assert calls[-1] == k
+        assert threading.active_count() == before
+
+    def test_a_failed_estimate_ends_the_helper(self, monkeypatch):
+        # replication 1 fails on the main thread while population 2 is drawn
+        calls = []
+
+        def failing(*args):
+            calls.append(len(calls))
+            if calls[-1] == 1:
+                raise MemoryError("no room for the fits")
+            return fit_candidates(*args)
+
+        monkeypatch.setattr(study, "fit_candidates", failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="^no room for the fits$"):
+            run_records(tiny_config(replications=5), 1)
+        assert threading.active_count() == before
 
 
 def count_factorizations(monkeypatch):
@@ -257,7 +327,7 @@ class TestFitSharing:
             design={"n": 24},
         )
         calls = count_factorizations(monkeypatch)
-        rec = run_replication(cfg, 0)
+        rec = replication(cfg, 0)
         assert None not in rec.mu_hats and all(isinstance(c, Estimate) for c in rec.criteria)
         assert len(calls) == 1
 
@@ -297,7 +367,7 @@ class TestEstimateSharing:
 
         monkeypatch.setattr(study, "select", picked)
         monkeypatch.setattr(study, "estimate_model", counted)
-        shared = run_replication(cfg, 0)
+        shared = replication(cfg, 0)
         assert [m for m, _ in picks] == [ModelSpec((1, 2))] * 3
         assert [args[4] for args in calls] == [ModelSpec((1, 2))]
         assert all(e is shared.criteria[0] for e in shared.criteria)
@@ -491,7 +561,7 @@ class TestGoldenReplication:
 
     def test_frozen_values(self):
         cfg = load_config("srswor_n500")
-        rec = run_replication(cfg, 0)
+        rec = replication(cfg, 0)
         assert rec.mu_true == pytest.approx(511.2509109, rel=1e-9)
         assert rec.ht_complete == pytest.approx(514.0659101, rel=1e-9)
         assert rec.mu_hats[5] == pytest.approx(511.0395697, rel=1e-9)  # alpha6
