@@ -1,6 +1,6 @@
 """Regression imputation for survey samples under item nonresponse:
-designs, estimators, oracle loss, model selection, variance estimation,
-and a Monte Carlo study harness.
+designs, estimators, model selection, variance estimation, and a Monte
+Carlo study harness.
 """
 
 import os
@@ -33,7 +33,6 @@ from .estimators import (  # noqa: E402
     imputed_means,
     nested_candidates,
 )
-from .loss import LossValue, loss_closed_form, mc_loss_oracle  # noqa: E402
 from .population import (  # noqa: E402
     generate_population,
     generate_response,

@@ -93,6 +93,8 @@ def _largest_remainder(raw, total):
 def stratum_sizes(population_size, fractions):
     """Stratum sizes of the population from target fractions (largest remainder)."""
     fractions = np.asarray(fractions, dtype=np.float64)
+    if not np.all(np.isfinite(fractions)):
+        raise ValueError("stratum fractions must be finite")
     if np.any(fractions <= 0):
         raise ValueError("stratum fractions must be positive")
     if abs(fractions.sum() - 1.0) > 1e-9:

@@ -21,11 +21,19 @@ COVARIATE_LAWS = {
 
 
 def _draw_covariates(N, p, law, rng):
+    if not isinstance(law, dict):
+        raise ValueError(f"covariate_law: expected a dict with a 'name', got {law!r}")
     name = law.get("name")
-    if name not in COVARIATE_LAWS:
+    if not isinstance(name, str) or name not in COVARIATE_LAWS:
         raise ValueError(f"covariate_law.name: unknown law {name!r}")
-    params = {key: law[key] if default is None else law.get(key, default)
-              for key, default in COVARIATE_LAWS[name].items()}
+    defaults = COVARIATE_LAWS[name]
+    for key in law:
+        if key != "name" and key not in defaults:
+            raise ValueError(f"covariate_law.{key}: the {name} law takes no such parameter")
+    for key, default in defaults.items():
+        if default is None and key not in law:
+            raise ValueError(f"covariate_law.{key}: the {name} law needs it")
+    params = {key: law.get(key, default) for key, default in defaults.items()}
     return getattr(rng, name)(**params, size=(N, p))
 
 

@@ -6,7 +6,14 @@ any model containing the full true support) and a noise-propagation piece
 (l2, strictly increasing as columns are added). The smallest correct model
 wins both ways: no bias, least noise. A Monte Carlo oracle that redraws
 only the noise vector checks the closed form on two of the candidates.
+
+Both loss forms are test oracles, not package API, so the script reads
+them from tests/oracles.py. Run:
+    PYTHONPATH=src python3 tests/evidence/loss_ranking.py
 """
+
+import pathlib
+import sys
 
 import numpy as np
 
@@ -14,11 +21,12 @@ from survey_impute import (
     draw_srswor,
     generate_population,
     generate_response,
-    loss_closed_form,
-    mc_loss_oracle,
     nested_candidates,
     true_support,
 )
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from oracles import loss_closed_form, mc_loss_oracle  # noqa: E402
 
 N = 2_000
 n = 200

@@ -14,7 +14,8 @@ in a fresh directory:
   at seed 1, built from this checkout's bench/inputs.py as
   regenerate.py builds it, the same files for both trees: stdout;
 - `estimate --dry-run` on each of those two configs: stdout;
-- every script in demos/: stdout.
+- every script in demos/ and tests/evidence/: stdout, keyed by file
+  name, so a script that moved between the two is still paired.
 
 It prints one line per output, "identical" or "differs" (or "only in"
 one tree), and exits 1 if any output is not identical, else 0. A run
@@ -85,7 +86,7 @@ def outputs(tree, workdir, data, est_configs):
         est = ["-m", "survey_impute", "estimate", "--data", str(data), "--config", str(config)]
         out[f"estimate {criterion} stdout"] = run(tree, workdir, est)
         out[f"estimate --dry-run {criterion} stdout"] = run(tree, workdir, [*est, "--dry-run"])
-    for demo in sorted((tree / "demos").glob("*.py")):
+    for demo in [*tree.glob("demos/*.py"), *tree.glob("tests/evidence/*.py")]:
         out[f"demo {demo.name} stdout"] = run(tree, workdir, [str(demo)])
     return out
 

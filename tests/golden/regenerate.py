@@ -9,8 +9,8 @@
   studies the acceptance fixtures in tests/conftest.py run, and
   study_<name>_selected.csv, the label each criterion selected in each
   replication (or the error it failed with);
-- demo_<name>.txt, the stdout of each script demos/<name>.py, which
-  tests/test_demos.py compares with;
+- demo_<name>.txt, the stdout of each script demos/<name>.py and
+  tests/evidence/<name>.py, which tests/test_demos.py compares with;
 - versions.json, the numpy and Python that wrote them.
 
     PYTHONPATH=src python tests/golden/regenerate.py
@@ -55,7 +55,9 @@ from survey_impute.variance import Estimate
 
 GOLDEN = pathlib.Path(__file__).resolve().parent
 ROOT = GOLDEN.parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# the demos, on the public API, and the evidence scripts, which also read
+# the test oracles; each writes its golden as demo_<stem>.txt
+DEMOS = [*sorted(ROOT.glob("demos/*.py")), *sorted(ROOT.glob("tests/evidence/*.py"))]
 CRITERIA = ("bic", "cv5")
 SEED = 1
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.stats
 from conftest import CONFIG_DIR
-from oracles import c_oracle, eta_oracle
+from oracles import c_oracle, eta_oracle, loss_closed_form, mc_loss_oracle
 
 from survey_impute.design import (
     SampleDraw,
@@ -29,7 +29,6 @@ from survey_impute.estimators import (
     imputed_means,
     nested_candidates,
 )
-from survey_impute.loss import loss_closed_form, mc_loss_oracle
 from survey_impute.population import generate_population, generate_response
 from survey_impute.selection import select
 from survey_impute.variance import (

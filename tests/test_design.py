@@ -1,6 +1,7 @@
 """Design module: inclusion probabilities, allocation, and draws."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,13 @@ class TestStratumSizes:
             stratum_sizes(100, [0.6, 0.5])
         with pytest.raises(ValueError, match="fractions must be positive"):
             stratum_sizes(100, [0.5, -0.5, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fraction(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="fractions must be finite"):
+                stratum_sizes(10, [bad, 0.5])
 
 
 class TestNeymanAllocation:

@@ -16,7 +16,7 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "survey_imput
 NAME = PACKAGE.name
 
 ALLOWED = {
-    "__init__": {"config", "design", "errors", "estimators", "loss", "population",
+    "__init__": {"config", "design", "errors", "estimators", "population",
                  "selection", "study", "variance"},
     "__main__": {"cli"},
     "cli": {"config", "design", "errors", "estimators", "selection", "study", "variance"},
@@ -24,7 +24,6 @@ ALLOWED = {
     "design": set(),
     "errors": set(),
     "estimators": set(),
-    "loss": {"estimators"},
     "population": {"errors"},
     "selection": {"errors", "estimators"},
     "study": {"design", "errors", "estimators", "population", "selection", "variance"},

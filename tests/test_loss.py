@@ -1,12 +1,12 @@
 """Closed-form oracle loss and its Monte Carlo twin."""
 
 import numpy as np
+import oracles
 import pytest
+from oracles import LossValue, loss_closed_form, mc_loss_oracle
 
-from survey_impute import loss
 from survey_impute.design import SampleDraw, draw_srswor
 from survey_impute.estimators import ModelSpec, fit_candidates, nested_candidates
-from survey_impute.loss import LossValue, loss_closed_form, mc_loss_oracle
 from survey_impute.population import generate_population, generate_response
 
 BETA = np.array([0.0, 10.0, 9.0, 9.0, 8.0, 8.0, 7.0] + [0.0] * 14)
@@ -137,7 +137,7 @@ class TestMcOracle:
         m = ModelSpec((1, 2))
         ref = loss_closed_form(s, r, X, m, beta, 1.0).total
         for chunk in (50_000, 256, 999):
-            monkeypatch.setattr(loss, "MC_CHUNK", chunk)
+            monkeypatch.setattr(oracles, "MC_CHUNK", chunk)
             est, se = mc_loss_oracle(s, r, X, m, beta, 1.0, 50_000,
                                      np.random.default_rng(13))
             assert abs(est - ref) <= 4 * se

@@ -63,6 +63,17 @@ class TestGeneratePopulation:
                 10, 2, {"name": "cauchy"}, (1.0, 2.0, 3.0), 1.0, (0.0, 1.0, (0.0, 0.0)), rng
             )
 
+    @pytest.mark.parametrize("law, match", [
+        ({"name": "gamma", "scale": 2.0}, r"covariate_law\.shape: the gamma law needs it"),
+        ("gamma", r"covariate_law: expected a dict with a 'name', got 'gamma'"),
+        ({"name": "uniform", "hi": 5}, r"covariate_law\.hi: the uniform law takes no such"),
+        ({"name": ["gamma"]}, r"covariate_law\.name: unknown law \['gamma'\]"),
+    ], ids=["missing", "string", "unknown_key", "unhashable_name"])
+    def test_malformed_law_refused(self, law, match):
+        with pytest.raises(ValueError, match=match):
+            generate_population(10, 2, law, (1.0, 2.0, 3.0), 1.0, (0.0, 1.0, (0.0, 0.0)),
+                                np.random.default_rng(0))
+
     def test_saturated_probability_rejected(self):
         # logistic(1000) rounds to exactly 1.0 in double precision
         with pytest.raises(ConfigError):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (c_oracle, estimate_and_eta, eta_oracle, joint_matrix, v1_double_sum,
-                     v2_oracle)
+from oracles import (c_oracle, estimate_and_eta, eta_oracle, joint_matrix, loss_closed_form,
+                     v1_double_sum, v2_oracle)
 
 from survey_impute.design import (
     SampleDraw,
@@ -26,7 +26,6 @@ from survey_impute.estimators import (
     imputed_means,
     nested_candidates,
 )
-from survey_impute.loss import loss_closed_form
 from survey_impute.selection import select
 from survey_impute.variance import confidence_interval, estimate_model, v1_hat
 

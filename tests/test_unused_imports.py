@@ -1,5 +1,5 @@
-"""Every name a package, test or demo module imports is read somewhere in
-that module.
+"""Every name a package, test, demo or evidence module imports is read
+somewhere in that module.
 
 A stdlib stand-in for a linter's unused-import rule. A package
 `__init__.py` re-exports what it imports from its own submodules, so
@@ -14,7 +14,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "survey_impute"
 MODULES = [*sorted(PACKAGE.glob("*.py")), *sorted(ROOT.glob("tests/*.py")),
-           *sorted(ROOT.glob("demos/*.py"))]
+           *sorted(ROOT.glob("demos/*.py")), *sorted(ROOT.glob("tests/evidence/*.py"))]
 
 
 def unused_imports(path):

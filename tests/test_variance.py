@@ -11,7 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import c_oracle, estimate_and_eta, eta_oracle, joint_matrix, v2_oracle
+from oracles import (c_oracle, estimate_and_eta, eta_oracle, joint_matrix, loss_closed_form,
+                     mc_loss_oracle, v2_oracle)
 
 from survey_impute.design import (
     SampleDraw,
@@ -21,7 +22,6 @@ from survey_impute.design import (
 from survey_impute.errors import EstimationFailureError
 from survey_impute.estimators import (FitResult, ModelSpec, design_matrix, fit_candidates,
                                       ht_mean, imputed_means)
-from survey_impute.loss import loss_closed_form, mc_loss_oracle
 from survey_impute.population import generate_population, generate_response
 from survey_impute.selection import select
 from survey_impute.variance import (
