@@ -63,8 +63,7 @@ from .study import (  # noqa: E402
     StudySummary,
     SummaryRow,
     coverage_probability,
-    draw_population,
-    draw_sample,
+    draw_replication,
     mc_loss,
     relative_bias,
     relative_efficiency,

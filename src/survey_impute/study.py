@@ -8,13 +8,12 @@ SeedSequence([master_seed, rep_id]).spawn(4), one stream per stage
 any worker count, any execution order and whichever thread draws;
 aggregation is a fold over rep_id order.
 
-A run of replications draws each population (draw_population) on one
-helper thread while the main thread fits, selects and estimates the
-replication before it (run_replication). The draw is mostly the
-covariate draw and BLAS, which release the GIL, so it runs on a second
-core. The main thread takes the sample and response from a population
-(draw_sample) before the next one is drawn, so one population is held
-at a time.
+A run of replications draws each replication's population, sample and
+response (draw_replication) on one helper thread while the main thread
+fits, selects and estimates the replication before it (run_replication).
+The draw is mostly the covariate draw and BLAS, which release the GIL,
+so it runs on a second core. Only the sampled units' copies cross
+threads; the population is made and dropped on the helper.
 """
 
 import csv
@@ -79,24 +78,18 @@ def _rng(cfg, rep_id, stage):
 
 # as _run_chunk, whose error state a helper thread does not inherit
 @np.errstate(over="ignore", invalid="ignore")
-def draw_population(cfg, rep_id):
-    """The population (X, y, resp_prob) of replication rep_id."""
-    pop = cfg.population
-    return generate_population(
+def draw_replication(cfg, rep_id):
+    """The draws of replication rep_id -> (mu_true, sample, r, X_s, y_s):
+    the population mean, the SampleDraw, the response set and the sampled
+    units' covariates and y, copies that keep no reference to the
+    population."""
+    pop, design = cfg.population, cfg.design
+    X, y, resp_prob = generate_population(
         pop.N, pop.p, pop.covariate_law, pop.beta, pop.sigma,
         (pop.response_offset, pop.response_scale, pop.response_coefs), _rng(cfg, rep_id, 0)
     )
-
-
-def draw_sample(cfg, rep_id, population):
-    """The sample and response of replication rep_id from its population
-    (draw_population) -> (mu_true, sample, r, X_s, y_s): the population
-    mean, the SampleDraw, the response set and the sampled units'
-    covariates and y, copies that keep no reference to the population."""
-    X, y, resp_prob = population
-    design = cfg.design
     if design.kind == "srswor":
-        sample = draw_srswor(cfg.population.N, design.n, _rng(cfg, rep_id, 1))
+        sample = draw_srswor(pop.N, design.n, _rng(cfg, rep_id, 1))
     else:
         sort_key = X @ np.asarray(design.sort_coefs)
         try:
@@ -109,7 +102,7 @@ def draw_sample(cfg, rep_id, population):
 
 
 def run_replication(cfg, rep_id, drawn):
-    """The record of replication rep_id from its draws (draw_sample):
+    """The record of replication rep_id from its draws (draw_replication):
     fits, selection and estimates."""
     mu_true, sample, r, X_s, y_s = drawn
     ht_complete = ht_mean(sample, y_s)
@@ -140,21 +133,20 @@ def run_replication(cfg, rep_id, drawn):
 # with no numpy warning on stderr, as in cmd_estimate
 @np.errstate(over="ignore", invalid="ignore")
 def _run_chunk(args):
-    """The records of rep_ids, in order, each population drawn on a
-    helper thread while the replication before it is estimated (see the
-    module docstring)."""
+    """The records of rep_ids, in order, each replication drawn on a
+    helper thread while the one before it is estimated (see the module
+    docstring)."""
     cfg, rep_ids = args
     # imported here, as run_records' pool: only a study run loads it
     from concurrent.futures import ThreadPoolExecutor
 
     records = []
     with ThreadPoolExecutor(max_workers=1) as helper:
-        ahead = helper.submit(draw_population, cfg, rep_ids[0])
+        ahead = helper.submit(draw_replication, cfg, rep_ids[0])
         for i, rep_id in enumerate(rep_ids, start=1):
-            drawn = draw_sample(cfg, rep_id, ahead.result())
-            del ahead  # the future holds the population: free it before the next draw
+            drawn = ahead.result()
             if i < len(rep_ids):
-                ahead = helper.submit(draw_population, cfg, rep_ids[i])
+                ahead = helper.submit(draw_replication, cfg, rep_ids[i])
             records.append(run_replication(cfg, rep_id, drawn))
     return records
 
@@ -163,8 +155,9 @@ def run_records(cfg, threads=1):
     """All replication records, in rep_id order. The pool holds at most
     one worker per CPU; the chunks depend on threads alone, so the
     records do not depend on the CPU count. This process (threads = 1)
-    or each worker draws its chunk's next population on one helper
-    thread, so each process runs up to two threads."""
+    or each worker draws its chunk's next replication (population,
+    sample and response) on one helper thread, so each process runs up
+    to two threads."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     B = cfg.replications

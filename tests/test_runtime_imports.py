@@ -41,7 +41,7 @@ def test_cli_import_loads_no_process_pool():
 
 
 def test_cli_import_loads_no_thread_pool():
-    # only a study run draws populations on a helper thread, and it imports
+    # only a study run draws replications on a helper thread, and it imports
     # the thread pool then
     assert loaded_modules("concurrent.futures.thread") == "[]"
 

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from survey_impute import study
 from survey_impute.config import parse_study_config
-from survey_impute.design import draw_srswor
+from survey_impute.design import draw_srswor, draw_stratified
 from survey_impute.errors import ConfigError
 from survey_impute.estimators import ModelSpec, fit_candidates, nested_candidates
-from survey_impute.population import generate_population
+from survey_impute.population import generate_population, generate_response
 from survey_impute.selection import select
 from survey_impute.study import (
     SUMMARY_COLUMNS,
@@ -25,8 +25,7 @@ from survey_impute.study import (
     SummaryRow,
     candidate_labels,
     coverage_probability,
-    draw_population,
-    draw_sample,
+    draw_replication,
     mc_loss,
     relative_bias,
     relative_efficiency,
@@ -42,7 +41,11 @@ from survey_impute.variance import Estimate, estimate_model
 
 def replication(cfg, rep_id):
     """Replication rep_id, drawn and estimated in this thread."""
-    return run_replication(cfg, rep_id, draw_sample(cfg, rep_id, draw_population(cfg, rep_id)))
+    return run_replication(cfg, rep_id, draw_replication(cfg, rep_id))
+
+
+STRATIFIED = {"kind": "stratified", "n": 20, "sort_coefs": [1.0, 0.5],
+              "alloc_covariate": 1, "fractions": [0.5, 0.5]}
 
 
 def tiny_config(**tweaks):
@@ -173,13 +176,11 @@ class TestRunReplication:
 
     @pytest.mark.parametrize("tweaks", [
         {"replications": 5},
-        {"replications": 5, "criteria": ["aic", "cv5"],
-         "design": {"kind": "stratified", "n": 20, "sort_coefs": [1.0, 0.5],
-                    "alloc_covariate": 1, "fractions": [0.5, 0.5]}},
+        {"replications": 5, "criteria": ["aic", "cv5"], "design": STRATIFIED},
         {"replications": 1},  # nothing is drawn ahead
     ], ids=["srswor", "stratified", "B1"])
     def test_drawing_ahead_changes_no_record(self, tweaks):
-        # run_records draws each population on a helper thread, one ahead;
+        # run_records draws each replication on a helper thread, one ahead;
         # drawing and estimating each replication in turn here is the reference
         cfg = tiny_config(**tweaks)
         switch = sys.getswitchinterval()
@@ -195,27 +196,55 @@ class TestRunReplication:
                 assert getattr(got, f.name) == getattr(want, f.name), f.name
 
     @pytest.mark.parametrize("k", [0, 2, 4])
-    def test_a_failed_draw_raises_as_before_and_ends_the_helper(self, monkeypatch, k):
-        # the helper draws population k while replication k - 1 is
-        # estimated; its error reaches the caller as it was raised
+    @pytest.mark.parametrize("stage, error, design, raised", [
+        ("generate_population", ConfigError("response_coefs", "response probabilities hit 0 or 1"),
+         {}, "response_coefs: response probabilities hit 0 or 1"),
+        ("draw_stratified", ValueError("stratum sds must be finite and nonnegative"),
+         STRATIFIED, "design.alloc_covariate: stratum sds must be finite and nonnegative"),
+    ], ids=["population", "sample"])
+    def test_a_failed_draw_raises_as_before_and_ends_the_helper(
+            self, monkeypatch, stage, error, design, raised, k):
+        # the helper draws replication k while replication k - 1 is
+        # estimated; its error reaches the caller as a draw in this
+        # thread raises it
         calls = []
+        draw = getattr(study, stage)
 
         def failing(*args):
             calls.append(len(calls))
             if calls[-1] == k:
-                raise ConfigError("response_coefs", "response probabilities hit 0 or 1")
-            return generate_population(*args)
+                raise error
+            return draw(*args)
 
-        monkeypatch.setattr(study, "generate_population", failing)
+        monkeypatch.setattr(study, stage, failing)
         before = threading.active_count()
         with pytest.raises(ConfigError) as err:
-            run_records(tiny_config(replications=5), 1)
-        assert str(err.value) == "response_coefs: response probabilities hit 0 or 1"
+            run_records(tiny_config(replications=5, design=design), 1)
+        assert str(err.value) == raised
         assert calls[-1] == k
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("design", [{}, STRATIFIED], ids=["srswor", "stratified"])
+    def test_every_draw_runs_off_the_main_thread(self, monkeypatch, design):
+        # only the sampled units' copies reach the main thread
+        on_main = {}
+
+        def recorded(name, fn):
+            def call(*args):
+                on_main.setdefault(name, []).append(
+                    threading.current_thread() is threading.main_thread())
+                return fn(*args)
+            return call
+
+        for fn in (generate_population, draw_srswor, draw_stratified, generate_response):
+            monkeypatch.setattr(study, fn.__name__, recorded(fn.__name__, fn))
+        run_records(tiny_config(replications=3, design=design), 1)
+        draw = "draw_stratified" if design else "draw_srswor"
+        assert on_main == {name: [False] * 3
+                           for name in ("generate_population", draw, "generate_response")}
+
     def test_a_failed_estimate_ends_the_helper(self, monkeypatch):
-        # replication 1 fails on the main thread while population 2 is drawn
+        # replication 1 fails on the main thread while replication 2 is drawn
         calls = []
 
         def failing(*args):
